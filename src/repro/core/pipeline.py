@@ -25,13 +25,12 @@ import numpy as np
 from repro.compression.level1 import RangeCompressor
 from repro.compression.level2 import ContainmentCompressor
 from repro.core.capture import GraphUpdater, ReaderInfo
-from repro.events.codec import encode_stream
 from repro.core.conflicts import resolve_conflicts
 from repro.core.graph import UNKNOWN_COLOR, Graph
 from repro.core.interpretation import Estimate, InterpretationResult, LocationSource
 from repro.core.iterative import IterativeInference
 from repro.core.params import InferenceParams
-from repro.events.messages import EventMessage
+from repro.events.messages import EVENT_MESSAGE_BYTES, EventMessage
 from repro.faults.health import ReaderHealthMonitor
 from repro.model.locations import LocationRegistry
 from repro.model.objects import TagId
@@ -344,8 +343,8 @@ class Spire:
             m.candidate_edges.inc(drawn - m.last_candidate)
             m.last_candidate = drawn
             m.events.inc(len(messages))
-            if messages:
-                m.event_bytes.inc(len(encode_stream(messages)))
+            # the codec is fixed-width: count the bytes, do not encode them
+            m.event_bytes.inc(EVENT_MESSAGE_BYTES * len(messages))
             m.graph_nodes.set(self.graph.node_count)
             m.graph_edges.set(self.graph.edge_count)
             m.tracked.set(len(self.estimates))

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping
 
-from repro.events.messages import EventKind
+from repro.events.messages import INFINITY, EventKind, EventMessage
 
 #: WITHIN ... SECONDS is converted at this cadence: the paper's readers
 #: interrogate once per epoch and the simulator advances one epoch per
@@ -46,6 +46,24 @@ EVENT_CLASSES: dict[str, frozenset[EventKind]] = {
 #: ``repro.sase.runtime.EventView``); ``left`` is the derived
 #: departure time (``ve`` of an EndLocation, ``vs`` of a Missing).
 EVENT_ATTRS = ("obj", "place", "container", "vs", "ve", "epoch", "kind", "left")
+
+
+def event_ve(msg: EventMessage) -> int | None:
+    """The ``ve`` attribute: ``None`` while the interval is still open."""
+    return None if msg.ve == INFINITY else int(msg.ve)
+
+
+def event_left(msg: EventMessage) -> int | None:
+    """The ``left`` attribute, the derived departure time: when did the
+    object stop being where it was?  EndLocation closes at ve; a Missing
+    report pins the departure at its vs.  Other kinds have no notion of
+    leaving, so the attribute is None (poisoning predicates)."""
+    if msg.kind is EventKind.END_LOCATION:
+        return int(msg.ve)
+    if msg.kind is EventKind.MISSING:
+        return msg.vs
+    return None
+
 
 #: built-in functions; ``loc``/``container``/``missing`` consult the live
 #: index and therefore force the predicate to fire time (see repro.sase.nfa)

@@ -102,6 +102,9 @@ class CompiledPattern(Pattern):
             return None
         return ("sase", self.canonical_source, self.notify_kind)
 
+    def routing(self):
+        return self.program.routing
+
     def prime(self, index, epoch) -> None:
         self.runtime.prime(index, epoch)
 
@@ -122,6 +125,8 @@ class CompiledPattern(Pattern):
             "kills": stats.kills,
             "prunes": stats.prunes,
             "created": stats.created,
+            "offered": stats.offered,
+            "admitted": stats.admitted,
             "compile_seconds": self.compile_seconds,
         }
 

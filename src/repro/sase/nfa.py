@@ -23,20 +23,35 @@ The compiler lowers a :class:`~repro.sase.ast.PatternAST` into an
   value of that attribute and each event only touches its own stack.
   Single-element patterns partition on ``obj`` (every event carries
   one); unconnected multi-element patterns fall back to one shared
-  stack.
+  stack;
+* **static admission** — the conjuncts of an element that read only its
+  own event and constants (``e.place == 4``) are compiled, with the kind
+  set, into one plain function over the event message
+  (:class:`Admission`).  It is a *necessary* condition for the element
+  to use an event, decided before any binding environment exists, and
+  the ``(field, constant)`` equalities it implies are the keys the
+  serving engine routes events by (:attr:`NfaProgram.routing`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable
 
-from repro.events.messages import EventKind
+from repro.events.messages import EventKind, EventMessage
 from repro.sase.ast import (
+    _CMP,
     And,
     Attr,
     Cmp,
+    Element,
     Expr,
+    Literal,
+    Not,
+    Or,
     PatternAST,
+    event_left,
+    event_ve,
     needs_fire_time,
     referenced_bindings,
 )
@@ -47,6 +62,44 @@ from repro.sase.errors import PatternSemanticError
 _PARTITION_PREFERENCE = ("obj", "container", "place", "vs")
 
 
+#: how a statically decidable attribute reads off an event message ``m``
+#: (``epoch`` is not a property of the message and is left to the runtime)
+_ATTR_SOURCE = {
+    "obj": "m.obj",
+    "place": "m.place",
+    "container": "m.container",
+    "vs": "m.vs",
+    "ve": "ve(m)",
+    "left": "left(m)",
+    "kind": "m.kind.value",
+}
+
+#: the attributes that are message fields as they stand, so that an
+#: equality with a constant can be looked up instead of evaluated
+KEY_FIELDS = ("obj", "place", "container", "vs")
+
+_ORDERING = {"<": "lt", "<=": "le", ">": "gt", ">=": "ge"}
+
+
+@dataclass(frozen=True)
+class Admission:
+    """What one SEQ element can tell from an event alone.
+
+    Attributes:
+        test: ``test(msg)`` is false only if the element cannot use
+            ``msg`` whatever is bound so far: its kind is not admitted,
+            or a conjunct reading only this element's event and
+            constants is false.  Whatever it cannot decide (a type
+            error included) it admits.
+        keys: ``(field, constant)`` alternatives: every admitted event
+            equals at least one of them.  ``None`` when no conjunct pins
+            a message field to a constant.
+    """
+
+    test: Callable[[EventMessage], bool]
+    keys: tuple[tuple[str, object], ...] | None
+
+
 @dataclass(frozen=True)
 class PositiveStep:
     """One consuming NFA state."""
@@ -55,7 +108,10 @@ class PositiveStep:
     binding: str
     kinds: frozenset[EventKind]
     kleene: bool
-    preds: tuple[Expr, ...]  # evaluated when this step consumes an event
+    #: evaluated when this step consumes an event; the conjuncts
+    #: :attr:`admission` decides come first
+    preds: tuple[Expr, ...]
+    admission: Admission = field(compare=False)
 
 
 @dataclass(frozen=True)
@@ -66,7 +122,8 @@ class NegationGuard:
     guard_state: int  # kills instances that have consumed this many steps
     binding: str
     kinds: frozenset[EventKind]
-    preds: tuple[Expr, ...]
+    preds: tuple[Expr, ...]  # :attr:`admission`'s conjuncts first
+    admission: Admission = field(compare=False)
 
 
 @dataclass(frozen=True)
@@ -90,6 +147,22 @@ class NfaProgram:
         for guard in self.guards:
             kinds |= guard.kinds
         return kinds
+
+    @property
+    def routing(self) -> tuple[frozenset[EventKind], frozenset[tuple[str, object]]] | None:
+        """``(kinds, keys)``: only an event whose kind is in ``kinds``, or
+        which equals one ``(field, constant)`` of ``keys``, can pass any
+        element's admission.  ``None`` when that is every event."""
+        kinds: set[EventKind] = set()
+        keys: set[tuple[str, object]] = set()
+        for element in (*self.steps, *self.guards):
+            if element.admission.keys is None:
+                kinds |= element.kinds
+            else:
+                keys.update(element.admission.keys)
+        if len(kinds) == len(EventKind):
+            return None
+        return frozenset(kinds), frozenset(keys)
 
     @property
     def replace_on_restart(self) -> bool:
@@ -136,6 +209,104 @@ def _equivalence_attr(conjunct: Expr) -> tuple[str, str, str] | None:
     return None
 
 
+def _static_source(expr: Expr, binding: str, consts: dict) -> str | None:
+    """Python source of boolean ``expr`` over an event message ``m``, or
+    ``None`` unless ``binding``'s own event and constants decide it."""
+    if isinstance(expr, Cmp):
+        sides = []
+        for side in (expr.left, expr.right):
+            if isinstance(side, Literal):
+                name = f"c{len(consts)}"
+                consts[name] = side.value
+                sides.append(name)
+            elif isinstance(side, Attr) and side.binding == binding:
+                sides.append(_ATTR_SOURCE.get(side.name))
+            else:
+                return None
+        if None in sides:
+            return None
+        if expr.op in _ORDERING:
+            return f"{_ORDERING[expr.op]}({sides[0]}, {sides[1]})"
+        return f"({sides[0]} {expr.op} {sides[1]})"
+    if isinstance(expr, Not):
+        inner = _static_source(expr.operand, binding, consts)
+        return None if inner is None else f"(not {inner})"
+    if isinstance(expr, (And, Or)):
+        parts = [_static_source(part, binding, consts) for part in expr.parts]
+        if None in parts:
+            return None
+        return "(" + (" and " if isinstance(expr, And) else " or ").join(parts) + ")"
+    return None
+
+
+def _equality_keys(expr: Expr, binding: str) -> tuple[tuple[str, object], ...] | None:
+    """The ``(field, constant)`` alternatives a true ``expr`` forces on
+    ``binding``'s event: ``e.place == 4``, or an ``OR`` of such tests.
+    Nothing else qualifies, so a conjunct with keys can never raise."""
+    if isinstance(expr, Cmp) and expr.op == "==":
+        for attr, literal in ((expr.left, expr.right), (expr.right, expr.left)):
+            if (
+                isinstance(attr, Attr)
+                and attr.binding == binding
+                and attr.name in KEY_FIELDS
+                and isinstance(literal, Literal)
+            ):
+                return ((attr.name, literal.value),)
+    if isinstance(expr, Or):
+        keys: list[tuple[str, object]] = []
+        for part in expr.parts:
+            alternatives = _equality_keys(part, binding)
+            if alternatives is None:
+                return None
+            keys.extend(alternatives)
+        return tuple(keys)
+    return None
+
+
+def _push_down(
+    kinds: frozenset[EventKind], binding: str, conjuncts: list[Expr]
+) -> tuple[tuple[Expr, ...], Admission]:
+    """Order one element's conjuncts and compile its admission test.
+
+    The conjuncts the event alone decides move to the front, equality
+    keys first (they cannot raise).  A false admission is then exactly a
+    false prefix of the full evaluation, and an event that equals none
+    of the keys fails the very first conjunct.
+    """
+
+    def rank(conjunct: Expr) -> int:
+        if _equality_keys(conjunct, binding) is not None:
+            return 0
+        return 2 if _static_source(conjunct, binding, {}) is None else 1
+
+    preds = tuple(sorted(conjuncts, key=rank))
+    key_sets = [keys for keys in (_equality_keys(c, binding) for c in preds) if keys]
+    namespace: dict[str, object] = {}
+    tests = []
+    if len(kinds) < len(EventKind):
+        for kind in EventKind:  # identity tests: hashing an Enum member is a Python call
+            if kind in kinds:
+                namespace[f"k{len(namespace)}"] = kind
+        tests.append("(" + " or ".join(f"m.kind is {name}" for name in namespace) + ")")
+    for conjunct in preds:
+        source = _static_source(conjunct, binding, namespace)
+        if source is not None:
+            tests.append(source)
+    namespace.update(ve=event_ve, left=event_left)
+    namespace.update((name, _CMP[op]) for op, name in _ORDERING.items())
+    exec(
+        "def admits(m):\n"
+        "    try:\n"
+        f"        return {' and '.join(tests) or 'True'}\n"
+        "    except TypeError:\n"
+        "        return True\n",
+        namespace,
+    )
+    return preds, Admission(
+        test=namespace["admits"], keys=min(key_sets, key=len) if key_sets else None
+    )
+
+
 def compile_ast(ast: PatternAST) -> NfaProgram:
     """Lower a parsed pattern to an :class:`NfaProgram`.
 
@@ -143,7 +314,7 @@ def compile_ast(ast: PatternAST) -> NfaProgram:
     that parse but cannot run (unknown bindings, misplaced negation,
     trailing negation without a window, ...).
     """
-    steps: list[PositiveStep] = []
+    steps: list[Element] = []
     guard_slots: list[tuple[int, str, frozenset[EventKind]]] = []
     position: dict[str, int] = {}  # binding -> element order index
     positive_index: dict[str, int] = {}
@@ -168,15 +339,7 @@ def compile_ast(ast: PatternAST) -> NfaProgram:
             guard_slots.append((len(steps), element.binding, element.kinds()))
         else:
             positive_index[element.binding] = len(steps)
-            steps.append(
-                PositiveStep(
-                    index=len(steps),
-                    binding=element.binding,
-                    kinds=element.kinds(),
-                    kleene=element.kleene,
-                    preds=(),
-                )
-            )
+            steps.append(element)
     if not steps:
         raise PatternSemanticError("a pattern needs at least one positive element")
 
@@ -195,7 +358,7 @@ def compile_ast(ast: PatternAST) -> NfaProgram:
         )
 
     # --- assign WHERE conjuncts -------------------------------------------
-    step_preds: dict[int, list[Expr]] = {step.index: [] for step in steps}
+    step_preds: list[list[Expr]] = [[] for _ in steps]
     guard_preds: dict[str, list[Expr]] = {binding: [] for _, binding, _ in guard_slots}
     fire_preds: list[Expr] = []
     equivalences: list[tuple[str, str, str]] = []
@@ -247,25 +410,31 @@ def compile_ast(ast: PatternAST) -> NfaProgram:
         latest = max(positive_index[name] for name in refs)
         step_preds[latest].append(conjunct)
 
-    compiled_steps = tuple(
-        PositiveStep(
-            index=step.index,
-            binding=step.binding,
-            kinds=step.kinds,
-            kleene=step.kleene,
-            preds=tuple(step_preds[step.index]),
+    compiled_steps = []
+    for index, element in enumerate(steps):
+        preds, admission = _push_down(element.kinds(), element.binding, step_preds[index])
+        compiled_steps.append(
+            PositiveStep(
+                index=index,
+                binding=element.binding,
+                kinds=element.kinds(),
+                kleene=element.kleene,
+                preds=preds,
+                admission=admission,
+            )
         )
-        for step in steps
-    )
-    guards = tuple(
-        NegationGuard(
-            guard_state=guard_state,
-            binding=binding,
-            kinds=kinds,
-            preds=tuple(guard_preds[binding]),
+    guards = []
+    for guard_state, binding, kinds in guard_slots:
+        preds, admission = _push_down(kinds, binding, guard_preds[binding])
+        guards.append(
+            NegationGuard(
+                guard_state=guard_state,
+                binding=binding,
+                kinds=kinds,
+                preds=preds,
+                admission=admission,
+            )
         )
-        for guard_state, binding, kinds in guard_slots
-    )
 
     # --- partition inference ----------------------------------------------
     partition_attr = _infer_partition(
@@ -274,8 +443,8 @@ def compile_ast(ast: PatternAST) -> NfaProgram:
 
     return NfaProgram(
         ast=ast,
-        steps=compiled_steps,
-        guards=guards,
+        steps=tuple(compiled_steps),
+        guards=tuple(guards),
         fire_preds=tuple(fire_preds),
         window=window,
         once_per_epoch=ast.once_per_epoch,

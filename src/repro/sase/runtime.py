@@ -22,15 +22,24 @@ Determinism contract (what the byte-equivalence tests pin):
 * killed / expired / completed instances are removed eagerly and empty
   partitions deleted, so a partition recreated later moves to the end
   of the iteration order, exactly like a dict key popped and re-added.
+
+Most events offered to a pattern are not for it.  Each element's
+:class:`~repro.sase.nfa.Admission` test says so from the event alone,
+and :meth:`PatternRuntime.process_epoch` **skips** an event that fails
+the first step's test and has no live stack under its partition key
+before any view, environment or context exists.  The skip is exact:
+with no stack there is nothing to kill or advance, and
+``_try_create`` would return at the same tests.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import attrgetter
 
 from repro.events.messages import INFINITY, EventKind, EventMessage
-from repro.sase.ast import EvalContext, Expr
-from repro.sase.nfa import NfaProgram
+from repro.sase.ast import EvalContext, Expr, event_left, event_ve
+from repro.sase.nfa import KEY_FIELDS, NfaProgram
 
 #: partition key used when the program has no partition attribute
 #: (one shared stack) — a private sentinel no attribute value equals
@@ -62,21 +71,13 @@ class EventView:
         if name == "vs":
             return msg.vs
         if name == "ve":
-            return None if msg.ve == INFINITY else int(msg.ve)
+            return event_ve(msg)
         if name == "epoch":
             return self.epoch
         if name == "kind":
             return msg.kind.value
         if name == "left":
-            # the derived departure time: when did the object stop being
-            # where it was?  EndLocation closes at ve; a Missing report
-            # pins the departure at its vs.  Other kinds have no notion
-            # of leaving, so the attribute is None (poisoning predicates).
-            if msg.kind is EventKind.END_LOCATION:
-                return int(msg.ve)
-            if msg.kind is EventKind.MISSING:
-                return msg.vs
-            return None
+            return event_left(msg)
         raise AttributeError(name)  # pragma: no cover - parser validates
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -123,6 +124,10 @@ class RuntimeStats:
     prunes: int = 0
     created: int = 0
     epochs: int = 0
+    #: events handed to ``process_epoch`` / of those, the ones that got
+    #: past the admission skip into the transition code
+    offered: int = 0
+    admitted: int = 0
 
 
 class PatternRuntime:
@@ -135,6 +140,14 @@ class PatternRuntime:
         self.stats = RuntimeStats()
         self._relevant = program.relevant_kinds
         self._total = len(program.steps)
+        #: a lone non-Kleene step without trailing negation completes at
+        #: once and stores nothing: there is never a stack to look up
+        self._stateless = (
+            self._total == 1 and not program.absence and not program.steps[0].kleene
+        )
+        attr = program.partition_attr
+        #: the partition attribute as a plain message field, when it is one
+        self._key_field = attrgetter(attr) if attr in KEY_FIELDS else None
 
     # -- introspection ---------------------------------------------------
 
@@ -153,37 +166,50 @@ class PatternRuntime:
         in deterministic order (see the module docstring)."""
         matches: list[Match] = []
         fired_keys: set | None = set() if self.program.once_per_epoch else None
+        partitions = self._partitions
+        starts = self.program.steps[0].admission.test
+        stateless = self._stateless
+        admitted = 0
         for msg in messages:
-            if msg.kind not in self._relevant:
+            creates = starts(msg)
+            if not creates and stateless:
                 continue
-            self._apply(EventView(msg, epoch), epoch, index, matches, fired_keys)
+            key = self._key_for(msg, epoch)
+            if not creates and key not in partitions:
+                continue
+            admitted += 1
+            self._apply(key, EventView(msg, epoch), creates, epoch, index, matches, fired_keys)
         self._expire(epoch, index, matches, fired_keys)
         self.stats.epochs += 1
+        self.stats.offered += len(messages)
+        self.stats.admitted += admitted
         return matches
 
     def _apply(
         self,
+        key,
         view: EventView,
+        creates: bool,
         epoch: int,
         index,
         matches: list[Match],
         fired_keys: set | None,
     ) -> None:
-        key = self._key_for(view)
         stack = self._partitions.get(key)
         if stack:
             self._run_kills(stack, key, view, epoch, index)
             stack = self._partitions.get(key)
         if stack:
             self._run_advances(stack, key, view, epoch, index, matches, fired_keys)
-        self._try_create(key, view, epoch, index, matches, fired_keys)
+        if creates:
+            self._try_create(key, view, epoch, index, matches, fired_keys)
 
     # -- kill edges ------------------------------------------------------
 
     def _run_kills(self, stack, key, view, epoch, index) -> None:
         doomed: list[_Instance] = []
         for guard in self.program.guards:
-            if view.msg.kind not in guard.kinds:
+            if not guard.admission.test(view.msg):
                 continue
             for instance in stack:
                 if instance.state != guard.guard_state or instance in doomed:
@@ -206,7 +232,7 @@ class PatternRuntime:
             #    qualifying event is taken, non-matching events are skipped)
             if (
                 step is not None
-                and view.msg.kind in step.kinds
+                and step.admission.test(view.msg)
                 and (window is None or view.epoch - instance.anchor <= window)
                 and self._eval(step.preds, instance, step.binding, view, epoch, index)
             ):
@@ -231,7 +257,7 @@ class PatternRuntime:
                 run_step = program.steps[state - 1]
                 if (
                     run_step.kleene
-                    and view.msg.kind in run_step.kinds
+                    and run_step.admission.test(view.msg)
                     and (window is None or view.epoch - instance.anchor <= window)
                     and self._eval(
                         run_step.preds, instance, run_step.binding, view, epoch, index
@@ -309,11 +335,13 @@ class PatternRuntime:
 
     # -- plumbing --------------------------------------------------------
 
-    def _key_for(self, view: EventView):
+    def _key_for(self, msg: EventMessage, epoch: int):
+        if self._key_field is not None:
+            return self._key_field(msg)
         attr = self.program.partition_attr
         if attr is None:
             return _SHARED
-        return view.attr(attr)
+        return EventView(msg, epoch).attr(attr)
 
     def _store(self, key, instance: _Instance) -> None:
         self._partitions.setdefault(key, []).append(instance)
@@ -421,7 +449,7 @@ class PatternRuntime:
             if msg.kind not in self._relevant:
                 continue
             view = EventView(msg, epoch)
-            key = self._key_for(view)
+            key = self._key_for(msg, epoch)
             stack = self._partitions.get(key)
             if stack:
                 self._run_advances(stack, key, view, epoch, index, sink, fired)

@@ -15,6 +15,11 @@ around it):
   subscribers to the same pattern share one :class:`SharedRuntime` and
   cost **one** evaluation per epoch plus O(N) enqueue into per-subscriber
   bounded queues;
+* it **routes each epoch's events once**: a pattern that says which
+  events it can act on (:meth:`Pattern.routing` — an event kind, or a
+  field pinned to a constant such as ``place == 4``) is handed only
+  those, so an epoch costs O(batch + events handed over), not
+  O(batch × distinct patterns);
 * it applies **tiered backpressure**: when a queue is full the oldest
   notification is dropped and a
   :data:`~repro.faults.warnings.WarningKind.SUBSCRIPTION_OVERFLOW`
@@ -39,6 +44,7 @@ import json
 import time
 from collections import Counter, deque
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Callable
 
 from repro.compression.decompress import StreamingLevel2Decompressor
@@ -166,7 +172,16 @@ class SharedRuntime:
     epoch are independent of the duplicate-subscriber count.
     """
 
-    __slots__ = ("key", "pattern", "canonical", "members", "evaluations")
+    __slots__ = (
+        "key",
+        "pattern",
+        "canonical",
+        "members",
+        "evaluations",
+        "routing",
+        "candidates",
+        "seen",
+    )
 
     def __init__(self, key: tuple, pattern: Pattern, canonical: str) -> None:
         self.key = key
@@ -174,6 +189,13 @@ class SharedRuntime:
         self.canonical = canonical
         self.members: dict[int, Subscription] = {}
         self.evaluations = 0
+        #: ``pattern.routing()``, read once; ``None``: the whole batch
+        self.routing = pattern.routing()
+        #: this epoch's events for a routed pattern, in batch order
+        self.candidates: list[EventMessage] = []
+        #: batch position of the last candidate: an event that reaches
+        #: the pattern by two of its keys is still handed over once
+        self.seen = -1
 
 
 class Subscription:
@@ -210,12 +232,13 @@ class Subscription:
 
     def push(self, notifications: list[Notification]) -> int:
         """Enqueue, dropping the oldest on overflow; returns drops."""
-        dropped = 0
-        for note in notifications:
-            if len(self.queue) >= self.max_queue:
-                self.queue.popleft()
-                dropped += 1
-            self.queue.append(note)
+        queue = self.queue
+        queue.extend(notifications)
+        dropped = len(queue) - self.max_queue
+        if dropped <= 0:
+            return 0
+        for _ in range(dropped):
+            queue.popleft()
         self.dropped += dropped
         return dropped
 
@@ -260,6 +283,11 @@ class StandingQueryEngine:
         self._expander = StreamingLevel2Decompressor() if expand_level2 else None
         self._subscriptions: dict[int, Subscription] = {}
         self._runtimes: dict[tuple, SharedRuntime] = {}
+        #: routing tables (see _route): ``id(kind)`` -> runtimes taking
+        #: that kind (identity: hashing an Enum member is a Python call),
+        #: and field -> (its getter, value -> runtimes keyed on it)
+        self._kind_routes: dict[int, list[SharedRuntime]] = {}
+        self._key_routes: dict[str, tuple[Callable, dict[object, list[SharedRuntime]]]] = {}
         self._next_id = 1
 
     # ------------------------------------------------------------------
@@ -305,6 +333,7 @@ class StandingQueryEngine:
             rkey = key if key is not None else ("unique", self._next_id, id(pattern))
             runtime = SharedRuntime(rkey, pattern, describe_pattern(pattern))
             self._runtimes[rkey] = runtime
+            self._add_routes(runtime)
         sid = self._next_id if sub_id is None else sub_id
         self._next_id = max(self._next_id, sid + 1)
         sub = Subscription(sid, runtime.pattern, max_queue)
@@ -327,10 +356,57 @@ class StandingQueryEngine:
         runtime = sub.runtime
         if runtime is not None:
             runtime.members.pop(sub_id, None)
-            if not runtime.members:
-                self._runtimes.pop(runtime.key, None)
+            if not runtime.members and self._runtimes.pop(runtime.key, None) is not None:
+                self._drop_routes(runtime)
         self.stats.subscriptions_closed += 1
         return True
+
+    # ------------------------------------------------------------------
+    # routing
+    # ------------------------------------------------------------------
+
+    def _add_routes(self, runtime: SharedRuntime) -> None:
+        if runtime.routing is None:
+            return
+        kinds, keys = runtime.routing
+        for kind in kinds:
+            self._kind_routes.setdefault(id(kind), []).append(runtime)
+        for name, value in keys:
+            if name not in self._key_routes:
+                self._key_routes[name] = (attrgetter(name), {})
+            self._key_routes[name][1].setdefault(value, []).append(runtime)
+
+    def _drop_routes(self, runtime: SharedRuntime) -> None:
+        if runtime.routing is None:
+            return
+        kinds, keys = runtime.routing
+        for kind in kinds:
+            self._kind_routes[id(kind)].remove(runtime)
+        for name, value in keys:
+            table = self._key_routes[name][1]
+            table[value].remove(runtime)
+            if not table[value]:
+                del table[value]  # lookups are per event: keep the tables small
+
+    def _route(self, batch: list[EventMessage]) -> None:
+        """One pass over the batch: append each event to the candidates
+        of every routed runtime that asked for its kind or for a value
+        it carries."""
+        for runtime in self._runtimes.values():
+            if runtime.routing is not None:
+                runtime.candidates = []
+                runtime.seen = -1
+        kind_routes = self._kind_routes
+        key_routes = list(self._key_routes.values())
+        for position, msg in enumerate(batch):
+            for runtime in kind_routes.get(id(msg.kind), ()):
+                runtime.seen = position
+                runtime.candidates.append(msg)
+            for getter, table in key_routes:
+                for runtime in table.get(getter(msg), ()):
+                    if runtime.seen != position:
+                        runtime.seen = position
+                        runtime.candidates.append(msg)
 
     # ------------------------------------------------------------------
     # publishing
@@ -340,10 +416,11 @@ class StandingQueryEngine:
         """Apply one epoch's merged output; returns notifications queued.
 
         Extends the live index, evaluates each **shared runtime** once
-        against the (expanded) batch, and broadcasts matches to every
-        member queue with drop-oldest backpressure.  Subscriptions that
-        overflow ``evict_after`` publishes in a row are evicted (their
-        notices land in :attr:`evicted` for the server to deliver).
+        against its share of the (expanded) batch, and broadcasts matches
+        to every member queue with drop-oldest backpressure.
+        Subscriptions that overflow ``evict_after`` publishes in a row
+        are evicted (their notices land in :attr:`evicted` for the server
+        to deliver).
         """
         start = time.perf_counter()
         if self._expander is not None:
@@ -360,8 +437,10 @@ class StandingQueryEngine:
 
         queued = 0
         self.evicted = []
+        self._route(batch)
         for runtime in list(self._runtimes.values()):
-            notes = runtime.pattern.evaluate(epoch, batch, self.index)
+            offered = batch if runtime.routing is None else runtime.candidates
+            notes = runtime.pattern.evaluate(epoch, offered, self.index)
             runtime.evaluations += 1
             self.stats.pattern_evaluations += 1
             if not notes:
@@ -569,6 +648,8 @@ class StandingQueryEngine:
             "matches": 0,
             "kills": 0,
             "prunes": 0,
+            "offered": 0,
+            "admitted": 0,
             "compile_seconds": 0.0,
         }
         compiled_count = 0
@@ -587,6 +668,8 @@ class StandingQueryEngine:
                 counter("spire_sase_matches_total", sase_totals["matches"]),
                 counter("spire_sase_kills_total", sase_totals["kills"]),
                 counter("spire_sase_prunes_total", sase_totals["prunes"]),
+                counter("spire_sase_events_offered_total", sase_totals["offered"]),
+                counter("spire_sase_events_admitted_total", sase_totals["admitted"]),
                 counter(
                     "spire_sase_compile_seconds_total", sase_totals["compile_seconds"]
                 ),
@@ -613,6 +696,8 @@ class StandingQueryEngine:
             "spire_sase_matches_total": "Pattern matches emitted by compiled patterns",
             "spire_sase_kills_total": "Partial matches killed by negation edges",
             "spire_sase_prunes_total": "Partial matches pruned at window expiry",
+            "spire_sase_events_offered_total": "Events handed to compiled patterns after routing",
+            "spire_sase_events_admitted_total": "Offered events that passed the admission skip",
             "spire_sase_compile_seconds_total": "Time spent compiling pattern source",
         }
         return {"series": series, "help": help_text}

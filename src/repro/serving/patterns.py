@@ -123,6 +123,18 @@ class Pattern:
         spec = self.spec()
         return ("spec", type(self).__name__, spec.kind, spec.obj, spec.place, spec.k, spec.source)
 
+    def routing(self) -> tuple[frozenset[EventKind], frozenset[tuple[str, object]]] | None:
+        """Which events :meth:`evaluate` can act on; ``None`` (the
+        default) is all of them.
+
+        ``(kinds, keys)``: every other event is one the pattern ignores
+        — its kind is not in ``kinds`` and for no ``(field, value)`` in
+        ``keys`` does ``getattr(event, field) == value``.  The engine
+        reads this once, when the pattern gets its shared runtime, and
+        from then on hands ``evaluate`` only such events, in batch order.
+        """
+        return None
+
     def prime(self, index: EventStreamIndex, epoch: int | None) -> None:
         """Adopt pre-subscription state from the live index (optional)."""
 

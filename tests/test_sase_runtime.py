@@ -8,7 +8,16 @@ byte-equivalence suite then exercises at scale.
 
 from __future__ import annotations
 
+import random
+from dataclasses import replace
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
 from repro.events.messages import (
+    EventKind,
+    end_containment,
     end_location,
     missing,
     start_containment,
@@ -16,7 +25,12 @@ from repro.events.messages import (
 )
 from repro.model.objects import PackagingLevel, TagId
 from repro.query.index import EventStreamIndex
-from repro.sase import compile_pattern
+from repro.sase import PatternSemanticError, compile_pattern, library
+from repro.sase.ast import And, Attr, Cmp, Literal, Not, Or
+from repro.sase.nfa import Admission, compile_ast
+from repro.sase.runtime import PatternRuntime
+from repro.serving.engine import StandingQueryEngine
+from tests.test_sase_parser import _random_ast
 
 ITEM = TagId(PackagingLevel.ITEM, 1)
 OTHER = TagId(PackagingLevel.ITEM, 2)
@@ -235,3 +249,260 @@ class TestPrime:
         pattern.prime(index, 3)
         matches = run(pattern, (5, []), index=index)
         assert [m.epoch for m in matches] == [5]  # vs=2 + window 3
+
+
+# ---------------------------------------------------------------------------
+# admission skip and routing vs a runtime that scans everything
+# ---------------------------------------------------------------------------
+
+OBJECTS = [ITEM, OTHER, CASE]
+CONTAINERS = [CASE, TagId(PackagingLevel.PALLET, 1)]
+
+
+def scan_everything(program):
+    """The same NFA with nothing pushed down: each element's admission
+    only tests the kind, by set membership, and implies no key — the
+    evaluation this repository had before events were routed."""
+
+    def kinds_only(element):
+        kinds = element.kinds
+        return replace(element, admission=Admission(lambda m: m.kind in kinds, None))
+
+    return replace(
+        program,
+        steps=tuple(kinds_only(step) for step in program.steps),
+        guards=tuple(kinds_only(guard) for guard in program.guards),
+    )
+
+
+def routed(program, batch):
+    """What ``StandingQueryEngine._route`` hands this program."""
+    if program.routing is None:
+        return batch
+    kinds, keys = program.routing
+    return [
+        msg
+        for msg in batch
+        if msg.kind in kinds or any(getattr(msg, name) == value for name, value in keys)
+    ]
+
+
+def observable(matches):
+    return [
+        (
+            match.epoch,
+            match.key,
+            {
+                name: [view.msg for view in bound] if isinstance(bound, list) else bound.msg
+                for name, bound in match.bindings.items()
+            },
+        )
+        for match in matches
+    ]
+
+
+def counters(runtime):
+    stats = runtime.stats
+    return (stats.matches, stats.kills, stats.prunes, stats.created, stats.epochs)
+
+
+@st.composite
+def own_event_conjunct(draw, bindings):
+    """A WHERE conjunct over the small value domains of ``batches``: the
+    shapes admission decides, and the ones it must leave alone."""
+    x = draw(st.sampled_from(bindings))
+    n = Literal(draw(st.integers(0, 6)))
+    place = Literal(draw(st.integers(1, 3)))
+    tag = Literal(draw(st.sampled_from(OBJECTS + CONTAINERS)))
+    if draw(st.booleans()):  # the shapes that imply routing keys
+        shapes = [
+            Cmp("==", Attr(x, "place"), place),
+            Cmp("==", place, Attr(x, "place")),
+            Cmp("==", Attr(x, "container"), tag),
+            Or((Cmp("==", Attr(x, "obj"), tag), Cmp("==", Attr(x, "container"), tag))),
+            Or((Cmp("==", Attr(x, "vs"), n), Cmp("==", Attr(x, "place"), place))),
+        ]
+    else:
+        shapes = [
+            Not(Cmp("==", Attr(x, "place"), place)),
+            Or((Cmp("==", Attr(x, "obj"), tag), Cmp("!=", Attr(x, "place"), place))),
+            Cmp(draw(st.sampled_from(["<", ">="])), Attr(x, "ve"), n),
+            Cmp(draw(st.sampled_from(["<=", ">"])), Attr(x, "left"), n),
+            Cmp("!=", Attr(x, "vs"), n),
+            Cmp("==", Attr(x, "kind"), Literal("Missing")),
+            Cmp("<", Attr(x, "place"), Literal("s1")),  # a type error when place is set
+            Cmp(">", Attr(x, "epoch"), n),
+        ]
+        if len(bindings) > 1:
+            y = draw(st.sampled_from([b for b in bindings if b != x]))
+            shapes.append(Cmp("==", Attr(y, "obj"), Attr(x, "obj")))
+            shapes.append(Cmp("==", Attr(y, "place"), Attr(x, "place")))
+    return draw(st.sampled_from(shapes))
+
+
+@st.composite
+def programs(draw):
+    """A pattern of the grammar fuzzer (tests/test_sase_parser.py) that
+    compiles, with conjuncts of ``own_event_conjunct`` added to its WHERE."""
+    seed = draw(st.integers(0, 1 << 20))
+    for attempt in range(64):
+        ast = _random_ast(random.Random(seed + attempt))
+        bindings = [element.binding for element in ast.elements]
+        extra = draw(st.lists(own_event_conjunct(bindings), max_size=4))
+        parts = list(ast.where.parts) if isinstance(ast.where, And) else [ast.where]
+        if ast.where is None or draw(st.booleans()):
+            parts = []  # the fuzzer's predicates rarely let anything match
+        parts = [*extra[:2], *parts, *extra[2:]]
+        where = None if not parts else parts[0] if len(parts) == 1 else And(tuple(parts))
+        window = draw(st.none() | st.integers(1, 6)) if ast.within is None else draw(
+            st.integers(1, 6)
+        )
+        try:
+            return compile_ast(replace(ast, where=where, within=window))
+        except PatternSemanticError:
+            continue
+    assume(False)
+
+
+@st.composite
+def batches(draw):
+    """Per-epoch event batches over three objects and three places."""
+    out = []
+    epoch = 0
+    for _ in range(draw(st.integers(1, 8))):
+        epoch += draw(st.integers(1, 3))
+        batch = []
+        for _ in range(draw(st.integers(0, 6))):
+            obj = draw(st.sampled_from(OBJECTS))
+            vs = draw(st.integers(0, epoch))
+            kind = draw(st.sampled_from(list(EventKind)))
+            if kind is EventKind.START_LOCATION:
+                msg = start_location(obj, draw(st.integers(1, 3)), vs)
+            elif kind is EventKind.END_LOCATION:
+                msg = end_location(obj, draw(st.integers(1, 3)), vs, draw(st.integers(vs, epoch)))
+            elif kind is EventKind.MISSING:
+                msg = missing(obj, draw(st.integers(1, 3)), vs)
+            elif kind is EventKind.START_CONTAINMENT:
+                msg = start_containment(obj, draw(st.sampled_from(CONTAINERS)), vs)
+            else:
+                msg = end_containment(
+                    obj, draw(st.sampled_from(CONTAINERS)), vs, draw(st.integers(vs, epoch))
+                )
+            batch.append(msg)
+            if draw(st.integers(0, 9)) == 0:
+                batch.append(msg)  # the same object twice: still two events
+        out.append((epoch, batch))
+    return out
+
+
+@settings(max_examples=500, deadline=None)
+@given(program=programs(), stream=batches())
+def test_admission_and_routing_change_nothing(program, stream):
+    """Matches, their order and the counters equal those of a runtime
+    that is handed every event and pushes no predicate down — whether the
+    real one sees the full batch or only what the engine would route."""
+    reference = PatternRuntime(scan_everything(program))
+    full = PatternRuntime(program)
+    keyed = PatternRuntime(program)
+    for epoch, batch in stream:
+        try:
+            expected = observable(reference.process_epoch(epoch, batch))
+        except Exception as error:  # an ill-typed predicate: all three must agree
+            for runtime, offered in ((full, batch), (keyed, routed(program, batch))):
+                with pytest.raises(type(error)):
+                    runtime.process_epoch(epoch, offered)
+            return
+        assert observable(full.process_epoch(epoch, batch)) == expected
+        assert observable(keyed.process_epoch(epoch, routed(program, batch))) == expected
+        assert counters(full) == counters(keyed) == counters(reference)
+    assert keyed.stats.offered <= full.stats.offered == reference.stats.offered
+    assert keyed.stats.admitted <= full.stats.admitted <= reference.stats.admitted
+
+
+def unrouted(pattern):
+    """``pattern`` the way the engine ran it before routing: it asks for
+    every event, and its runtime pushes no predicate down."""
+    pattern.routing = lambda: None
+    pattern.runtime = PatternRuntime(scan_everything(pattern.program))
+    return pattern
+
+
+def test_routed_publish_equals_full_batch_publish():
+    """Two engines, one routing and one handing every pattern the whole
+    batch, deliver the same notifications to the same subscriptions while
+    patterns join late, share runtimes, retire, return and are evicted."""
+    from tests.test_sase_equivalence import _interpret
+
+    stream, places = _interpret(17)
+    case = TagId(PackagingLevel.CASE, 1)
+    builders = {
+        "tail": library.tail,
+        "tail_at": lambda: library.tail(obj=case, place=places[0]),
+        "object": lambda: library.object_watch(case),
+        "place": lambda: library.place_watch(places[1]),
+        "dwell": lambda: library.dwell_exceeded(places[0], 5),
+        "overdue": lambda: library.missing_overdue(5),
+        "left": lambda: library.left_without_container(places[0]),
+        "moved": lambda: compile_pattern(
+            f"SEQ(departure d, arrival a) WHERE d.place == {places[0]} AND a.obj == d.obj "
+            f"AND a.place != {places[0]} WITHIN 30 EPOCHS RETURN a.obj, d.left"
+        ),
+        "run": lambda: compile_pattern(
+            f"SEQ(arrival a, location+ b) WHERE a.place == {places[1]} AND b.obj == a.obj "
+            "WITHIN 8 EPOCHS"
+        ),
+        "unpartitioned": lambda: compile_pattern(
+            f"SEQ(uncontain u, arrival a) WHERE a.place == {places[0]} WITHIN 3 EPOCHS"
+        ),
+    }
+    third = len(stream) // 3
+    # epoch position -> (subscribe these, cancel these, by builder name)
+    script = {
+        0: (["tail", "tail_at", "object", "dwell", "overdue", "left", "moved"], []),
+        third: (["place", "dwell", "run", "unpartitioned", "overdue"], ["tail_at"]),
+        # both "dwell" members leave: the runtime retires, then returns primed
+        2 * third - 5: ([], ["dwell", "dwell", "moved"]),
+        2 * third: (["dwell", "moved", "tail_at"], ["object"]),
+    }
+    routing = StandingQueryEngine(expand_level2=True, evict_after=2)
+    scanning = StandingQueryEngine(expand_level2=True, evict_after=2)
+    # a consumer that never drains: evicted in the middle of a publish
+    stalled = [
+        engine.subscribe(wrap(library.place_watch(places[0])), max_queue=1).sub_id
+        for engine, wrap in ((routing, lambda p: p), (scanning, unrouted))
+    ]
+    assert stalled[0] == stalled[1]
+    live: dict[str, list[int]] = {}
+    for position, (epoch, messages) in enumerate(stream):
+        subscribe, cancel = script.get(position, ([], []))
+        for name in cancel:
+            sub_id = live[name].pop(0)
+            assert routing.unsubscribe(sub_id) and scanning.unsubscribe(sub_id)
+        for name in subscribe:
+            sub = routing.subscribe(builders[name](), max_queue=1 << 20)
+            twin = scanning.subscribe(unrouted(builders[name]()), max_queue=1 << 20)
+            assert sub.sub_id == twin.sub_id
+            live.setdefault(name, []).append(sub.sub_id)
+        assert routing.publish(epoch, messages) == scanning.publish(epoch, messages)
+        assert routing.evicted == scanning.evicted
+        assert routing.subscriptions.keys() == scanning.subscriptions.keys()
+        for sub_id in routing.subscriptions:
+            if sub_id not in stalled:
+                assert routing.drain(sub_id) == scanning.drain(sub_id), (epoch, sub_id)
+    assert routing.stats.subscriptions_evicted == 1
+    assert routing.stats.notifications_delivered == scanning.stats.notifications_delivered > 0
+    ours, theirs = (
+        {s["name"]: s["value"] for s in e.metrics_snapshot()["series"] if "value" in s}
+        for e in (routing, scanning)
+    )
+    for name in ("matches", "kills", "prunes"):
+        assert ours[f"spire_sase_{name}_total"] == theirs[f"spire_sase_{name}_total"] > 0
+    offered, admitted = "spire_sase_events_offered_total", "spire_sase_events_admitted_total"
+    assert ours[admitted] <= ours[offered] < theirs[offered]
+    assert ours[admitted] < theirs[admitted]
+    # every runtime that retired took its routes with it
+    for engine in (routing, scanning):
+        for sub_id in list(engine.subscriptions):
+            engine.unsubscribe(sub_id)
+        assert not any(engine._kind_routes.values())
+        assert not any(table for _getter, table in engine._key_routes.values())

@@ -219,6 +219,15 @@ class TestEngine:
         assert engine.stats.notifications_dropped == 2
         assert quarantine.counts().get(WarningKind.SUBSCRIPTION_OVERFLOW) == 1
 
+    def test_push_trims_the_overflow_of_a_partly_full_queue(self):
+        notes = [Notification(kind="event", epoch=n) for n in range(12)]
+        sub = Subscription(1, Tail(), max_queue=4)
+        assert sub.push(notes[:2]) == 0
+        assert sub.push(notes[2:6]) == 2 and list(sub.queue) == notes[2:6]
+        # a burst longer than the queue: only its tail survives
+        assert sub.push(notes[6:]) == 6 and list(sub.queue) == notes[8:]
+        assert sub.dropped == 8
+
     def test_unsubscribe_stops_delivery(self):
         engine = StandingQueryEngine()
         sub = engine.subscribe(Tail())
