@@ -1,10 +1,11 @@
 """The unified public API: one session object over every execution mode.
 
 :class:`SpireSession` is the front door to the substrate.  It wraps the
-four execution engines — an in-process :class:`~repro.core.pipeline.Spire`,
-a zone-sharded serial :class:`~repro.distributed.coordinator.Coordinator`,
-a multi-process :class:`~repro.distributed.parallel.ParallelCoordinator`,
-and a TCP-worker :class:`~repro.distributed.remote.RemoteCoordinator`
+execution engines — an in-process :class:`~repro.core.pipeline.Spire`, or
+a zone-sharded :class:`~repro.distributed.coordinator.Coordinator` whose
+zones run in this process, in a pool of worker processes
+(:class:`~repro.distributed.parallel.ParallelCoordinator`) or on TCP
+worker daemons (:class:`~repro.distributed.remote.RemoteCoordinator`)
 — behind one constructor driven by a :class:`SpireConfig`, and threads the
 cross-cutting concerns (resilient ingestion, checkpointing, telemetry,
 trace logging, TCP serving) through whichever engine the config selects:
@@ -128,7 +129,6 @@ class SpireConfig:
         max_delay: Watermark lag for the resilient wrapper, in epochs.
         checkpoint_interval: Checkpoint zones every N epochs, enabling
             ``fail_zone`` / ``recover_zone``.  ``None`` disables failover.
-        checkpoint_codec: ``"fast"`` (flat binary) or ``"pickle"``.
         host / port: Bind address for :meth:`SpireSession.serve`
             (port 0 = ephemeral).
         expand_level2: Serve patterns over level-2-expanded streams.
@@ -154,7 +154,6 @@ class SpireConfig:
     resilient: bool = False
     max_delay: int = 0
     checkpoint_interval: int | None = None
-    checkpoint_codec: str = "fast"
     host: str = "127.0.0.1"
     port: int = 0
     expand_level2: bool = True
@@ -249,9 +248,16 @@ class SpireSession:
                         compression_level=config.compression_level,
                     )
                 ]
+            common = dict(
+                strict=config.strict,
+                checkpoint_interval=config.checkpoint_interval,
+                metrics=self.metrics,
+            )
             if config.remote_workers is not None:
                 from repro.distributed import RemoteCoordinator, RetryPolicy
 
+                if config.checkpoint_interval is None:
+                    common["checkpoint_interval"] = 50
                 self.coordinator: Coordinator | None = RemoteCoordinator(
                     zones,
                     workers=config.remote_workers,
@@ -260,32 +266,12 @@ class SpireSession:
                         max_retries=config.remote_retries,
                         lease_interval=config.remote_lease_interval,
                     ),
-                    strict=config.strict,
-                    checkpoint_interval=(
-                        50
-                        if config.checkpoint_interval is None
-                        else config.checkpoint_interval
-                    ),
-                    checkpoint_codec=config.checkpoint_codec,
-                    metrics=self.metrics,
+                    **common,
                 )
             elif config.workers is not None:
-                self.coordinator = ParallelCoordinator(
-                    zones,
-                    strict=config.strict,
-                    checkpoint_interval=config.checkpoint_interval,
-                    checkpoint_codec=config.checkpoint_codec,
-                    workers=config.workers,
-                    metrics=self.metrics,
-                )
+                self.coordinator = ParallelCoordinator(zones, workers=config.workers, **common)
             else:
-                self.coordinator = Coordinator(
-                    zones,
-                    strict=config.strict,
-                    checkpoint_interval=config.checkpoint_interval,
-                    checkpoint_codec=config.checkpoint_codec,
-                    metrics=self.metrics,
-                )
+                self.coordinator = Coordinator(zones, **common)
                 if self.trace is not None:
                     for zone_id, zone in self.coordinator.zones.items():
                         zone.spire.attach_trace(_ZoneTrace(self.trace, zone_id))
@@ -310,11 +296,9 @@ class SpireSession:
         """``"local"``, ``"serial"``, ``"parallel"`` or ``"remote"``."""
         if self.spire is not None:
             return "local"
-        from repro.distributed import RemoteCoordinator
-
-        if isinstance(self.coordinator, RemoteCoordinator):
+        if self.config.remote_workers is not None:
             return "remote"
-        return "parallel" if isinstance(self.coordinator, ParallelCoordinator) else "serial"
+        return "parallel" if self.config.workers is not None else "serial"
 
     @property
     def engine(self):
@@ -325,7 +309,7 @@ class SpireSession:
         if self._closed:
             return
         self._closed = True
-        if isinstance(self.coordinator, ParallelCoordinator):
+        if self.coordinator is not None:
             self.coordinator.close()
         if self.trace is not None:
             self.trace.close()
@@ -407,28 +391,25 @@ class SpireSession:
     def checkpoint(self) -> dict[str, bytes]:
         """Portable state snapshots by zone (``{"local": ...}`` in local mode).
 
-        Local and serial modes serialize live substrate state on the spot;
-        a parallel session's state lives in its workers, so it returns the
-        coordinator's most recent captured checkpoints (requires
-        ``checkpoint_interval``).
+        Substrates living in this process are serialized on the spot; a
+        session whose zones live in workers returns the coordinator's
+        most recent captured checkpoints (requires ``checkpoint_interval``).
         """
-        codec = self.config.checkpoint_codec
         if self.spire is not None:
-            return {"local": dumps_spire(self.spire, codec=codec)}
+            return {"local": dumps_spire(self.spire)}
         assert self.coordinator is not None
-        if isinstance(self.coordinator, ParallelCoordinator):
-            stored = self.coordinator.latest_checkpoints()
-            if not stored:
-                raise ValueError(
-                    "a parallel session checkpoints in its workers; construct "
-                    "with checkpoint_interval=N to capture them"
-                )
-            return stored
-        return {
-            zone_id: dumps_spire(zone.spire, codec=codec)
+        live = {
+            zone_id: dumps_spire(zone.spire)
             for zone_id, zone in self.coordinator.zones.items()
             if zone.spire is not None
         }
+        stored = live or self.coordinator.latest_checkpoints()
+        if not stored:
+            raise ValueError(
+                "a parallel session checkpoints in its workers; construct "
+                "with checkpoint_interval=N to capture them"
+            )
+        return stored
 
     # ------------------------------------------------------------------
     # serving

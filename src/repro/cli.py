@@ -29,9 +29,9 @@ Subcommands cover the trace lifecycle:
 
 Examples::
 
-    repro-spire simulate --duration 1200 --read-rate 0.85 -o trace.bin
+    repro-spire simulate --epochs 1200 --read-rate 0.85 -o trace.bin
     repro-spire interpret trace.bin -o events.bin --compression 2
-    repro-spire evaluate --duration 1800 --read-rate 0.7 --smurf
+    repro-spire evaluate --epochs 1800 --read-rate 0.7 --smurf
     repro-spire query events.bin --object case:3 --at 500
     repro-spire query events.bin --object case:3 --path --index-cache events.idx
     repro-spire serve trace.bin --port 7070 --workers 2
@@ -48,8 +48,7 @@ Examples::
 
 Cross-command flags are normalized: ``--seed``, ``--workers`` and
 ``--metrics-json`` come from shared parent parsers, and the epoch-count
-knob is ``--epochs`` everywhere (the old ``--duration`` / ``--max-epochs``
-spellings still work, with a deprecation warning).
+knob is ``--epochs`` everywhere.
 """
 
 from __future__ import annotations
@@ -81,20 +80,6 @@ def _sidecar_path(trace_path: Path) -> Path:
 # ---------------------------------------------------------------------------
 # shared flags
 # ---------------------------------------------------------------------------
-
-
-def _deprecated_alias(canonical: str) -> type[argparse.Action]:
-    """An argparse action that accepts an old spelling with a warning."""
-
-    class _Alias(argparse.Action):
-        def __call__(self, parser, namespace, values, option_string=None):
-            print(
-                f"warning: {option_string} is deprecated; use {canonical}",
-                file=sys.stderr,
-            )
-            setattr(namespace, self.dest, values)
-
-    return _Alias
 
 
 #: parent parser carrying the canonical cross-command flags (--seed,
@@ -153,8 +138,6 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
     defaults = SimulationConfig()
     parser.add_argument("--epochs", dest="epochs", type=int, default=1800,
                         help="epochs to simulate")
-    parser.add_argument("--duration", dest="epochs", type=int,
-                        action=_deprecated_alias("--epochs"), help=argparse.SUPPRESS)
     parser.add_argument("--pallet-period", type=int, default=300)
     parser.add_argument("--cases-per-pallet", type=int, default=defaults.cases_per_pallet_min)
     parser.add_argument("--items-per-case", type=int, default=8)
@@ -392,12 +375,12 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     faulted = None
     faulted_coordinator = None
     supervisor_stats = None
-    if args.remote_workers:
-        from repro.distributed import Coordinator, partition_by_location
+    if args.remote_workers or args.workers:
+        from repro.distributed import Coordinator, ParallelCoordinator, partition_by_location
         from repro.experiments.remote import RemoteHarness
         from repro.experiments.table3 import scaling_zone_assignment
 
-        def _remote_zones():
+        def _zones():
             return partition_by_location(
                 sim.layout.readers,
                 scaling_zone_assignment(config.num_shelves),
@@ -405,66 +388,38 @@ def cmd_chaos(args: argparse.Namespace) -> int:
                 compression_level=args.compression,
             )
 
-        # serial baseline: the remote engine's clean-run stream is
+        # in-process baseline: every worker pool's clean-run stream is
         # byte-identical to it, so the degradation isolates the faults
-        baseline_coordinator = Coordinator(_remote_zones(), checkpoint_interval=50)
         baseline_messages = []
-        for epoch_readings in sim.stream:
-            baseline_messages.extend(
-                baseline_coordinator.process_epoch(epoch_readings).messages
-            )
-        crash_at = {crash.at_epoch: crash.worker for crash in crashes}
-        harness = RemoteHarness(
-            _remote_zones(),
-            args.remote_workers,
-            net_specs=net_specs,
-            net_seed=args.fault_seed,
-            metrics=registry,
-        )
-        faulted_coordinator = harness.coordinator
-        faulted_messages = []
-        try:
-            for epoch_readings in resilient:
-                if epoch_readings.epoch in crash_at:
-                    harness.crash_worker(crash_at[epoch_readings.epoch])
-                faulted_messages.extend(
-                    faulted_coordinator.process_epoch(epoch_readings).messages
-                )
-            faulted_stats = faulted_coordinator.stats
-            supervisor_stats = faulted_coordinator.supervisor.stats
-        finally:
-            harness.close()
-    elif args.workers:
-        # zone-sharded engine: both runs go through ParallelCoordinator so
-        # the degradation isolates the faults, not the execution model
-        from repro.distributed import ParallelCoordinator, partition_by_location
-        from repro.experiments.table3 import scaling_zone_assignment
-
-        def _make_coordinator(metrics=None):
-            zones = partition_by_location(
-                sim.layout.readers,
-                scaling_zone_assignment(config.num_shelves),
-                sim.layout.registry,
-                compression_level=args.compression,
-            )
-            return ParallelCoordinator(
-                zones, checkpoint_interval=50, workers=args.workers, metrics=metrics
-            )
-
-        baseline_messages = []
-        with _make_coordinator() as baseline_coordinator:
+        with Coordinator(_zones(), checkpoint_interval=50) as baseline_coordinator:
             for epoch_readings in sim.stream:
                 baseline_messages.extend(
                     baseline_coordinator.process_epoch(epoch_readings).messages
                 )
+        crash_at = {crash.at_epoch: crash.worker for crash in crashes}
+        if args.remote_workers:
+            pool = RemoteHarness(
+                _zones(),
+                args.remote_workers,
+                net_specs=net_specs,
+                net_seed=args.fault_seed,
+                metrics=registry,
+            )
+            faulted_coordinator = pool.coordinator
+            supervisor_stats = faulted_coordinator.supervisor.stats
+        else:
+            pool = faulted_coordinator = ParallelCoordinator(
+                _zones(), checkpoint_interval=50, workers=args.workers, metrics=registry
+            )
         faulted_messages = []
-        faulted_coordinator = _make_coordinator(metrics=registry)
-        with faulted_coordinator:
+        with pool:
             for epoch_readings in resilient:
+                if epoch_readings.epoch in crash_at:
+                    pool.crash_worker(crash_at[epoch_readings.epoch])
                 faulted_messages.extend(
                     faulted_coordinator.process_epoch(epoch_readings).messages
                 )
-            faulted_stats = faulted_coordinator.stats
+        faulted_stats = faulted_coordinator.stats
     else:
         # fault-free baseline
         baseline = Spire(deployment, InferenceParams(), compression_level=args.compression)
@@ -590,24 +545,17 @@ def cmd_bench(args: argparse.Namespace) -> int:
             seed=args.seed,
         )
         payload["scaling"] = scaling
-        serial = scaling["serial_fast_checkpoints"]
         print(f"scaling sweep over {scaling['workload']['zones']} zones "
               f"(machine has {scaling['machine']['cpu_count']} CPU(s)):")
         print(f"  {'config':>24}  {'total':>8}  {'msg/s':>8}  stream sha256")
         for label, run in (
-            ("serial (pickle ckpt)", scaling["serial_pickle_checkpoints"]),
-            ("serial (fast ckpt)", serial),
+            ("in-process", scaling["serial"]),
             *((f"{run['workers']} worker(s)", run) for run in scaling["parallel"].values()),
         ):
             rate = run["messages"] / max(run["total_s"], 1e-12)
             print(f"  {label:>24}  {run['total_s']:>7.2f}s  {rate:>8.0f}  "
                   f"{run['stream_sha256'][:16]}")
         print(f"  streams identical: {scaling['streams_identical']}")
-        if "checkpoint_codecs" in scaling:
-            ckpt = scaling["checkpoint_codecs"]
-            print(f"  checkpoint codec @ {ckpt['nodes']} nodes: encode "
-                  f"{ckpt['encode_speedup']:.2f}x, decode {ckpt['decode_speedup']:.2f}x "
-                  f"faster than pickle")
         for name, run in scaling["parallel"].items():
             ipc = run["ipc"]
             print(f"  {name}: {ipc['bytes_to_workers']} B out / "
@@ -1028,8 +976,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
     finally:
-        if isinstance(coordinator, ParallelCoordinator):
-            coordinator.close()
+        coordinator.close()
         print("serving statistics:")
         if multiproc:
             for key, value in sorted(server.stats_dict().items()):
@@ -1287,8 +1234,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="seconds between epochs (approximate a live stream)")
     serve.add_argument("--epochs", dest="epochs", type=int, default=None,
                        help="stop after this many epochs (default: whole trace)")
-    serve.add_argument("--max-epochs", dest="epochs", type=int,
-                       action=_deprecated_alias("--epochs"), help=argparse.SUPPRESS)
     serve.add_argument("--linger", type=float, default=0.0,
                        help="keep serving queries this many seconds after the "
                             "stream is exhausted")

@@ -6,73 +6,48 @@ accumulate.  :func:`save_checkpoint` / :func:`load_checkpoint` persist a
 :class:`~repro.core.pipeline.Spire` instance so processing can resume at
 the next epoch.
 
-Two codecs share the file format's magic-sniffed envelope:
-
-* ``"fast"`` (default) — the versioned, slots-aware binary encoder of
-  :mod:`repro.core.fastcheckpoint`.  Field-batched flat sections, no
-  recursive object walk; the only codec that survives production-scale
-  graphs (pickling a ~6k-node graph's node↔edge reference chains exceeds
-  CPython's recursion limit) and fast enough to run inside the epoch loop.
-* ``"pickle"`` — the original whole-object pickle, kept for backward
-  compatibility with existing checkpoint files and as a correctness oracle
-  in tests.  Every state object is plain Python data owned by this
-  library, and checkpoints are operator-written local files (the same
-  trust domain as the process itself).
-
-:func:`load_checkpoint` restores either format transparently; the per-codec
-format versions guard against silently loading a checkpoint from an
-incompatible library version.
+The payload is the versioned, slots-aware binary encoding of
+:mod:`repro.core.fastcheckpoint` — field-batched flat sections, no
+recursive object walk, fast enough to run inside the epoch loop — behind
+a magic prefix; the format version inside it guards against silently
+loading a checkpoint from an incompatible library version.
 """
 
 from __future__ import annotations
 
 import os
-import pickle
 import tempfile
 from pathlib import Path
 from typing import BinaryIO
 
+from repro.core.fastcheckpoint import FastCheckpointError, decode_spire, encode_spire
 from repro.core.pipeline import Spire
 
-#: bump when the pickled object graph changes shape
-#: (2: node/graph change-tracking slots + expiry heap, DESIGN.md §8)
-CHECKPOINT_VERSION = 2
-
-_MAGIC = b"SPIREckpt"
-_MAGIC_FAST = b"SPIREfast"
-assert len(_MAGIC) == len(_MAGIC_FAST)
+_MAGIC = b"SPIREfast"
 
 
 class CheckpointError(RuntimeError):
     """Raised when a checkpoint cannot be written or restored."""
 
 
-def dumps_spire(spire: Spire, codec: str = "fast") -> bytes:
+def dumps_spire(spire: Spire) -> bytes:
     """Serialise ``spire`` to checkpoint bytes (magic + payload)."""
-    if codec == "fast":
-        from repro.core.fastcheckpoint import encode_spire
-
-        return _MAGIC_FAST + encode_spire(spire)
-    if codec == "pickle":
-        payload = {"version": CHECKPOINT_VERSION, "spire": spire}
-        return _MAGIC + pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-    raise ValueError(f"unknown checkpoint codec {codec!r}")
+    return _MAGIC + encode_spire(spire)
 
 
 def loads_spire(data: bytes) -> Spire:
-    """Restore a substrate from :func:`dumps_spire` bytes (either codec)."""
-    magic = data[: len(_MAGIC)]
-    body = data[len(_MAGIC) :]
-    if magic == _MAGIC_FAST:
-        return _decode_fast(body)
-    if magic == _MAGIC:
-        return _decode_pickle_body(body)
-    raise CheckpointError("not a SPIRE checkpoint (bad magic)")
+    """Restore a substrate from :func:`dumps_spire` bytes."""
+    if data[: len(_MAGIC)] != _MAGIC:
+        raise CheckpointError("not a SPIRE checkpoint (bad magic)")
+    try:
+        return decode_spire(data[len(_MAGIC) :])
+    except FastCheckpointError as exc:
+        raise CheckpointError(str(exc)) from exc
+    except Exception as exc:
+        raise CheckpointError(f"corrupt checkpoint: {exc}") from exc
 
 
-def save_checkpoint(
-    spire: Spire, destination: str | Path | BinaryIO, codec: str = "fast"
-) -> None:
+def save_checkpoint(spire: Spire, destination: str | Path | BinaryIO) -> None:
     """Persist ``spire`` (graph, estimates, compressor, dedup state).
 
     Path destinations are written **atomically**: the payload goes to a
@@ -81,7 +56,7 @@ def save_checkpoint(
     either the previous checkpoint or none — never a truncated file that
     would fail to restore after the next crash.
     """
-    data = dumps_spire(spire, codec=codec)
+    data = dumps_spire(spire)
     if hasattr(destination, "write"):
         destination.write(data)  # type: ignore[union-attr]
         return
@@ -104,54 +79,7 @@ def save_checkpoint(
 
 
 def load_checkpoint(source: str | Path | BinaryIO) -> Spire:
-    """Restore a substrate saved by :func:`save_checkpoint` (either codec)."""
+    """Restore a substrate saved by :func:`save_checkpoint`."""
     if hasattr(source, "read"):
-        return _read(source)  # type: ignore[arg-type]
-    with Path(source).open("rb") as fp:
-        return _read(fp)
-
-
-def _read(fp: BinaryIO) -> Spire:
-    magic = fp.read(len(_MAGIC))
-    if magic == _MAGIC_FAST:
-        return _decode_fast(fp.read())
-    if magic != _MAGIC:
-        raise CheckpointError("not a SPIRE checkpoint (bad magic)")
-    try:
-        payload = pickle.load(fp)
-    except Exception as exc:  # pickle raises a zoo of exception types
-        raise CheckpointError(f"corrupt checkpoint: {exc}") from exc
-    return _validate_pickle_payload(payload)
-
-
-def _decode_pickle_body(body: bytes) -> Spire:
-    try:
-        payload = pickle.loads(body)
-    except Exception as exc:
-        raise CheckpointError(f"corrupt checkpoint: {exc}") from exc
-    return _validate_pickle_payload(payload)
-
-
-def _validate_pickle_payload(payload: object) -> Spire:
-    if not isinstance(payload, dict):
-        raise CheckpointError("checkpoint payload is not a mapping")
-    version = payload.get("version")
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointError(
-            f"checkpoint version {version} incompatible with {CHECKPOINT_VERSION}"
-        )
-    spire = payload.get("spire")
-    if not isinstance(spire, Spire):
-        raise CheckpointError("checkpoint does not contain a Spire instance")
-    return spire
-
-
-def _decode_fast(body: bytes) -> Spire:
-    from repro.core.fastcheckpoint import FastCheckpointError, decode_spire
-
-    try:
-        return decode_spire(body)
-    except FastCheckpointError as exc:
-        raise CheckpointError(str(exc)) from exc
-    except Exception as exc:
-        raise CheckpointError(f"corrupt fast checkpoint: {exc}") from exc
+        return loads_spire(source.read())  # type: ignore[union-attr]
+    return loads_spire(Path(source).read_bytes())

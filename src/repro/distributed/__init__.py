@@ -24,10 +24,11 @@ from repro.distributed.coordinator import (
     Coordinator,
     EpochResult,
     HandoffRecord,
+    WorkerFailure,
     Zone,
     partition_by_location,
 )
-from repro.distributed.parallel import ParallelCoordinator, WorkerFailure, WorkerStats
+from repro.distributed.parallel import ParallelCoordinator
 from repro.distributed.remote import (
     RemoteCoordinator,
     WorkerDaemon,
@@ -40,6 +41,7 @@ from repro.distributed.supervisor import (
     WorkerDied,
     WorkerSupervisor,
 )
+from repro.distributed.worker import WorkerStats
 
 __all__ = [
     "Coordinator",

@@ -5,7 +5,7 @@ own substrate; the :class:`Coordinator` is the only component that sees
 the whole site:
 
 * **routing** — each epoch's (globally deduplicated) readings are split by
-  reader ownership and fed to the owning zones; readings from readers no
+  reader ownership and sent to the owning zones; readings from readers no
   zone owns are quarantined with a structured warning (or raise, in
   ``strict`` mode);
 * **ownership & handoff** — every tag is owned by the zone that observed
@@ -14,42 +14,52 @@ the whole site:
   observation memory and confirmations) and the new owner *adopts* it, so
   containment knowledge survives the migration;
 * **merging** — the release messages and the zones' per-epoch outputs are
-  concatenated (releases first) into one stream that stays well-formed per
-  object, because an object's messages always come from its current owner
-  and the old owner's intervals are closed before the new owner opens any;
-* **failover** — with ``checkpoint_interval`` set, every zone is
-  checkpointed periodically (via :mod:`repro.core.checkpoint`) and the
-  readings routed to it since the last checkpoint are retained.
-  :meth:`Coordinator.fail_zone` simulates (or reacts to) a zone crash: the
-  zone's open output intervals are closed so the merged stream stays
-  well-formed, and its readings are buffered while it is down.
-  :meth:`Coordinator.recover_zone` restores the zone from its last
-  checkpoint, replays the buffered epochs to rebuild its state, re-opens
-  intervals for the objects it still owns, and releases objects that
-  migrated to other zones during the outage — no tag is left permanently
-  orphaned.
+  concatenated (releases first, then zones in sorted-id order) into one
+  stream that stays well-formed per object, because an object's messages
+  always come from its current owner and the old owner's intervals are
+  closed before the new owner opens any;
+* **failover** — with ``checkpoint_interval`` set, every zone checkpoints
+  itself periodically (a flag on the epoch request; the bytes come back
+  with the reply) and the coordinator keeps the zone's *request log* since
+  that checkpoint: each epoch's readings plus the releases and adoptions
+  applied before them.  Checkpoint + log replay reproduces a live zone's
+  state exactly; :meth:`Coordinator.fail_zone` /
+  :meth:`Coordinator.recover_zone` close and re-open a crashed zone's
+  intervals around the same rebuild, so the merged stream stays
+  well-formed and no tag is left permanently orphaned.
 
-Zones are plain in-process objects here; the coordinator's contract (pure
-message passing: readings in, handoff records and event messages out) is
-what a networked deployment would serialise.
+Where a zone *runs* is not the coordinator's business: zone state lives
+behind worker handles (:mod:`repro.distributed.worker`) — one in-process
+worker by default, a pool of processes or TCP daemons when a subclass
+constructor supplies one — and every pool runs this one epoch loop,
+migration protocol and failover path (DESIGN.md §9).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from repro.compression.level1 import RangeCompressor
 from repro.compression.level2 import ContainmentCompressor
-from repro.core.checkpoint import dumps_spire, loads_spire
-from repro.obs.metrics import MetricRegistry, merge_snapshots
+from repro.core.checkpoint import dumps_spire
 from repro.core.params import InferenceParams
 from repro.core.pipeline import Deployment, Spire
+from repro.distributed import wire
+from repro.distributed.supervisor import RemoteError, WorkerDied
+from repro.distributed.worker import (
+    InProcessWorker,
+    WorkerError,
+    WorkerStats,
+    ZoneHost,
+    restore_zone,
+)
 from repro.events.messages import EventKind, EventMessage, end_containment, end_location
 from repro.faults.warnings import IngestWarning, Quarantine, WarningKind
-from repro.model.locations import LocationRegistry
+from repro.model.locations import UNKNOWN_COLOR, LocationRegistry
 from repro.model.objects import TagId
+from repro.obs.metrics import MetricRegistry, merge_snapshots
 from repro.readers.dedup import Deduplicator
 from repro.readers.reader import Reader
 from repro.readers.stream import EpochReadings
@@ -95,6 +105,26 @@ class EpochResult:
     warnings: list[IngestWarning] = field(default_factory=list)
 
 
+class WorkerFailure(wire.WireError):
+    """A worker was lost mid-epoch; the coordinator failed its zones over.
+
+    Raised by :meth:`Coordinator.process_epoch` over a pool of worker
+    processes when a worker reports :data:`wire.MSG_ERROR` or its pipe
+    breaks.  The torn epoch couples all zones through merge order, so
+    every live zone is marked failed for a global resync.  ``messages``
+    holds what the caller must splice into the merged stream to keep it
+    well-formed (the epoch's handoff closures plus the closures from
+    failing each zone); :meth:`~Coordinator.recover_zone` each and continue.
+    """
+
+    def __init__(
+        self, message: str, failed_zones: list[str], messages: list[EventMessage]
+    ) -> None:
+        super().__init__(message)
+        self.failed_zones = failed_zones
+        self.messages = messages
+
+
 @dataclass
 class _ZoneCheckpoint:
     """Last persisted state of one zone (in-memory; bytes are portable)."""
@@ -105,6 +135,19 @@ class _ZoneCheckpoint:
     #: serialize registries, so this is what re-seeds a rebuilt zone's
     #: counters (otherwise failover would silently zero them)
     metrics: dict | None = None
+
+
+@dataclass
+class _ZoneEpoch:
+    """One epoch of a zone's request log, in the order it was applied."""
+
+    readings: EpochReadings
+    release: Sequence[TagId] = ()  #: tags released before the readings
+    adopt: Sequence[HandoffRecord] = ()  #: records adopted before the readings
+
+    @property
+    def epoch(self) -> int:
+        return self.readings.epoch
 
 
 @dataclass
@@ -126,25 +169,39 @@ class Coordinator:
         checkpoint_interval: Checkpoint every zone after this many epochs,
             enabling :meth:`fail_zone` / :meth:`recover_zone`.  ``None``
             (default) disables failover bookkeeping entirely.
-        checkpoint_codec: Serialization codec for zone checkpoints —
-            ``"fast"`` (default, the flat binary encoder) or ``"pickle"``
-            (the original whole-object round-trip, kept for comparison
-            benchmarks; it cannot handle production-scale graphs).
         metrics: Optional :class:`repro.obs.MetricRegistry` for the
             coordinator's own counters (epochs, handoffs, checkpoints,
             quarantine).  When set, every zone additionally gets its own
             registry labelled ``zone=<id>``; :meth:`metrics_snapshot`
             merges them all.  ``None`` (default) disables telemetry.
+
+    Zones run in this process, and ``zones[z].spire`` stays the live
+    substrate, unless a subclass constructor supplied a worker pool.
     """
+
+    #: the worker pool; a subclass constructor fills these in *before*
+    #: calling ``__init__``, which otherwise uses one in-process worker
+    _workers: Sequence = ()
+    _daemons: Sequence = ()  #: worker daemons spawned for the pool, stopped on close
+    supervisor = None  #: the pool's lease/heartbeat view, when it has one
+    _stop_on_close = True
+    _closed = False
 
     def __init__(
         self,
         zones: Iterable[Zone],
         strict: bool = False,
         checkpoint_interval: int | None = None,
-        checkpoint_codec: str = "fast",
         metrics: MetricRegistry | None = None,
     ) -> None:
+        # bound first, so that close() works on whatever a failed
+        # construction leaves behind
+        self.stats = WorkerStats()
+        if not self._workers:
+            self._workers = [InProcessWorker()]
+        for worker in self._workers:
+            worker.stats = self.stats
+
         self.zones: dict[str, Zone] = {}
         self._zone_of_reader: dict[int, str] = {}
         for zone in zones:
@@ -162,19 +219,17 @@ class Coordinator:
             raise ValueError("a coordinator needs at least one zone")
         if checkpoint_interval is not None and checkpoint_interval < 1:
             raise ValueError(f"checkpoint_interval must be >= 1, got {checkpoint_interval}")
-        if checkpoint_codec not in ("fast", "pickle"):
-            raise ValueError(f"unknown checkpoint codec {checkpoint_codec!r}")
-        self.checkpoint_codec = checkpoint_codec
         self.strict = strict
         self.quarantine = Quarantine()
         self._owner: dict[TagId, str] = {}
         self._dedup = Deduplicator()
         self._last_epoch: int | None = None
 
-        # telemetry: one registry for the coordinator itself, one per zone
-        # (zone-labelled) attached to the zone substrates
         self.metrics = metrics if metrics is not None and metrics.enabled else None
-        self._zone_registries: dict[str, MetricRegistry] = {}
+        #: per zone, its metrics as last shipped: the live registry when the
+        #: worker is this process, else the cumulative snapshot from its
+        #: latest reply (replaced every epoch — never summed)
+        self._zone_metrics: dict[str, MetricRegistry | dict] = {}
         if self.metrics is not None:
             self.quarantine.attach_metrics(self.metrics)
             self._m_epochs = self.metrics.counter(
@@ -192,31 +247,44 @@ class Coordinator:
             self._m_failed = self.metrics.gauge(
                 "spire_failed_zones", "Zones currently marked failed"
             )
-            for zone_id, zone in self.zones.items():
-                registry = MetricRegistry(const_labels={"zone": zone_id})
-                self._zone_registries[zone_id] = registry
-                if zone.spire is not None:
-                    zone.spire.attach_metrics(registry)
 
         # failover bookkeeping (only when enabled)
         self._checkpoint_interval = checkpoint_interval
         self._failed: set[str] = set()
         self._checkpoints: dict[str, _ZoneCheckpoint] = {}
-        self._replay: dict[str, list[EpochReadings]] = {}
+        self._replay: dict[str, list[_ZoneEpoch]] = {}
         self._open: dict[TagId, _OpenIntervals] = {}
-        if self.failover_enabled:
-            for zone_id, zone in self.zones.items():
+        #: zones rebuilt at a new home while this epoch was in flight —
+        #: the rebuild replayed the epoch's readings, so the rest of the
+        #: epoch skips them
+        self._rehomed: set[str] = set()
+        #: rehoming messages produced outside process_epoch (a worker
+        #: lost during a query), prepended to the next epoch's output
+        self._deferred: list[EventMessage] = []
+
+        # zones are placed round-robin over the pool in sorted-id order;
+        # each worker receives its zones' pristine substrates and holds
+        # the authoritative state from there on
+        self.num_workers = len(self._workers)
+        ordered = sorted(self.zones)
+        self._zone_index: dict[str, int] = {z: i for i, z in enumerate(ordered)}
+        self._worker_of_zone = {
+            z: self._workers[i % self.num_workers] for i, z in enumerate(ordered)
+        }
+        for zone_id in ordered:
+            spire = self.zones[zone_id].spire
+            if self.metrics is not None:
+                spire.attach_metrics(MetricRegistry(const_labels={"zone": zone_id}))
+            blob = dumps_spire(spire) if self.failover_enabled else None
+            self._install(zone_id, spire, blob)
+            if blob is not None:
                 self._checkpoints[zone_id] = _ZoneCheckpoint(
-                    epoch=None,
-                    data=dumps_spire(zone.spire, codec=checkpoint_codec),
-                    metrics=(
-                        self._zone_registries[zone_id].snapshot()
-                        if self.metrics is not None
-                        else None
-                    ),
+                    None, blob, self._zone_metrics_snapshot(zone_id)
                 )
                 self._replay[zone_id] = []
 
+    # ------------------------------------------------------------------
+    # worker plumbing
     # ------------------------------------------------------------------
 
     @property
@@ -228,9 +296,83 @@ class Coordinator:
         """Zones currently marked failed."""
         return frozenset(self._failed)
 
+    def _install(self, zone_id: str, spire: Spire, blob: bytes | None = None) -> None:
+        """Make ``spire`` (checkpoint bytes ``blob``, when already at
+        hand) the zone's resident state at its worker."""
+        worker = self._worker_of_zone[zone_id]
+        worker.submit((wire.MSG_INSTALL, self._zone_index[zone_id], zone_id, spire, blob))
+        worker.collect()
+        # only a worker that is this process leaves the substrate reachable
+        self.zones[zone_id].spire = spire if worker.host is not None else None  # type: ignore[assignment]
+        if spire.metrics is not None:
+            self._zone_metrics[zone_id] = spire.metrics
+
+    def _submit(self, worker, request: tuple) -> None:
+        """Queue ``request``; a dead worker is found out by :meth:`_collect`."""
+        if worker.alive:
+            worker.submit(request)
+
+    def _collect(self, worker, lost: dict):
+        """The reply to ``worker``'s oldest request — or ``None`` after
+        noting ``worker: reason`` in ``lost`` when it cannot answer:
+        its connection is gone, its retries ran out, or it reported an
+        error (by contract its zone state is then lost too)."""
+        try:
+            return worker.collect()
+        except WorkerError as exc:
+            reason = f"worker reported an error:\n{exc}"
+        except WorkerDied as exc:
+            reason = exc.reason
+        except (OSError, EOFError) as exc:
+            reason = f"connection lost: {exc!r}"
+        worker.abandon(reason, self._kill_warn)
+        lost.setdefault(worker, reason)
+        return None
+
+    def _kill_warn(self, detail: str) -> None:
+        """Quarantine-warning sink for a worker that would not die."""
+        self.quarantine.warn(WarningKind.WORKER_ZOMBIE, self._last_epoch or 0, detail=detail)
+
+    def close(self, stop_workers: bool | None = None) -> None:
+        """Release the worker pool; the coordinator is unusable afterwards.
+        ``stop_workers`` overrides whether the workers are told to shut
+        down (default: only workers the pool spawned)."""
+        if self._closed:
+            return
+        self._closed = True
+        stop = self._stop_on_close if stop_workers is None else stop_workers
+        for worker in self._workers:
+            try:
+                if stop and worker.alive:
+                    worker.submit((wire.MSG_STOP,))
+                    worker.collect()
+            except (OSError, EOFError, RemoteError, wire.WireError):
+                pass
+            finally:
+                worker.kill(self._kill_warn)
+        if self.supervisor is not None:
+            self.supervisor._sync_gauges()
+        for daemon in self._daemons:
+            daemon.stop()
+
+    def __enter__(self) -> "Coordinator":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def __del__(self) -> None:
+        try:
+            self.close()
+        except Exception:
+            pass
+
+    # ------------------------------------------------------------------
+    # the epoch loop
+    # ------------------------------------------------------------------
+
     def _split_by_zone(self, readings: EpochReadings) -> dict[str, EpochReadings]:
-        """Dedup, split by owning zone, quarantine the unroutable, retain
-        for replay.  Shared by the serial and parallel epoch loops."""
+        """Dedup, split by owning zone, quarantine the unroutable, log."""
         now = readings.epoch
         clean = self._dedup.process(readings)
 
@@ -253,21 +395,34 @@ class Coordinator:
                 continue
             per_zone[zone_id].add(reader_id, tags)
 
-        # retain readings for replay-after-recovery
+        # a failed zone's readings are logged too: its recovery replays them
         if self.failover_enabled:
             for zone_id, zone_readings in per_zone.items():
-                self._replay[zone_id].append(zone_readings)
+                self._replay[zone_id].append(_ZoneEpoch(zone_readings))
         return per_zone
 
     def process_epoch(self, readings: EpochReadings) -> EpochResult:
-        """Coordinate one epoch across all (live) zones."""
+        """Coordinate one epoch: fan out to workers, fan in in merge order."""
         now = readings.epoch
-        self._last_epoch = now
         warnings_before = len(self.quarantine.warnings)
+        self._rehomed = set()
+        result = EpochResult(epoch=now, messages=self._deferred)
+        self._deferred = []
+
+        # between-epoch supervision: a worker found dead here has its
+        # zones rehomed *before* this epoch's readings are split, which
+        # reproduces a scripted fail_zone/recover_zone pair exactly
+        if self.supervisor is not None:
+            boundary = self._last_epoch if self._last_epoch is not None else now
+            for worker in self.supervisor.check_leases():
+                self._rehome_worker(worker, result.messages, boundary)
+
+        self._last_epoch = now
         per_zone = self._split_by_zone(readings)
 
-        # migrations: a tag observed in a zone that does not own it
-        result = EpochResult(epoch=now, messages=[])
+        # migration detection is coordinator-local: it reads only the
+        # ownership map and the split readings, in a fixed order
+        migrations: list[tuple[TagId, str, str, bool]] = []
         for zone_id, zone_readings in per_zone.items():
             if zone_id in self._failed:
                 continue
@@ -276,40 +431,90 @@ class Coordinator:
                 if owner is None:
                     self._owner[tag] = zone_id
                 elif owner != zone_id:
-                    if owner in self._failed:
-                        # the owner crashed: its intervals were closed at
-                        # fail time, so the orphan is simply re-adopted by
-                        # the observing zone with no exported knowledge
-                        self.zones[zone_id].spire.adopt({"tag": tag}, now)
-                    else:
-                        record, closing = self.zones[owner].spire.release(tag, now)
-                        result.messages.extend(closing)
-                        self.zones[zone_id].spire.adopt(record, now)
+                    # an owner that crashed had its intervals closed at
+                    # fail time: the orphan is re-adopted by the observing
+                    # zone with no exported knowledge
+                    migrations.append((tag, owner, zone_id, owner not in self._failed))
                     self._owner[tag] = zone_id
                     result.handoffs.append((tag, owner, zone_id))
+        if migrations:
+            self._apply_migrations(migrations, now, result.messages)
 
-        # each live zone processes its share; outputs are concatenated in
-        # zone order after the handoff closures
-        for zone_id in sorted(per_zone):
-            if zone_id in self._failed:
+        # fan out: one request per worker carrying all of its live zones'
+        # shares.  A zone checkpoints itself after the epoch that fills
+        # its log to the interval.
+        start = perf_counter()
+        order = sorted(per_zone)
+        checkpointing: set[str] = set()
+        batches: dict[int, tuple] = {}
+        for zone_id in order:
+            if zone_id in self._failed or zone_id in self._rehomed:
                 continue
-            output = self.zones[zone_id].spire.process_epoch(per_zone[zone_id])
-            result.messages.extend(output.messages)
-            for tag in output.departed:
+            flags = 0
+            if (
+                self.failover_enabled
+                and len(self._replay[zone_id]) >= self._checkpoint_interval  # type: ignore[operator]
+            ):
+                flags = wire.FLAG_CHECKPOINT
+                checkpointing.add(zone_id)
+            worker = self._worker_of_zone[zone_id]
+            batches.setdefault(worker.index, (worker, []))[1].append(
+                (self._zone_index[zone_id], flags, per_zone[zone_id])
+            )
+        for worker, entries in batches.values():
+            self._submit(worker, (wire.MSG_EPOCH, entries))
+        self.stats.fanout_s += perf_counter() - start
+
+        # fan in: one reply per worker.  Every worker is drained before
+        # any loss is acted on — acting sooner would leave answered
+        # requests in the other workers' queues (desyncing their FIFO),
+        # and a rehoming install must not race a survivor's pending reply.
+        start = perf_counter()
+        replies: dict[int, tuple] = {}
+        lost: dict = {}
+        for worker, _entries in batches.values():
+            for zone_reply in self._collect(worker, lost) or ():
+                replies[zone_reply[0]] = zone_reply
+        self.stats.fanin_wait_s += perf_counter() - start
+        if lost:
+            self._worker_lost(lost, now, result.messages)
+
+        # merge per zone in sorted-id order
+        for zone_id in order:
+            if zone_id in self._failed or zone_id in self._rehomed:
+                continue
+            zone_reply = replies.get(self._zone_index[zone_id])
+            if zone_reply is None:  # its worker died after another zone's rehome
+                continue
+            _, messages, departed, busy_s, checkpoint_s, checkpoint, metrics = zone_reply
+            result.messages.extend(messages)
+            for tag in departed:
                 self._owner.pop(tag, None)
+            self.stats.busy_s[zone_id] = self.stats.busy_s.get(zone_id, 0.0) + busy_s
+            self.stats.zone_epochs[zone_id] = self.stats.zone_epochs.get(zone_id, 0) + 1
+            if metrics is not None:
+                self._zone_metrics[zone_id] = metrics
+            if zone_id in checkpointing:
+                if checkpoint is None:
+                    raise wire.WireError(f"zone {zone_id!r} returned no checkpoint")
+                self._checkpoints[zone_id] = _ZoneCheckpoint(
+                    now, checkpoint, self._zone_metrics_snapshot(zone_id)
+                )
+                self._replay[zone_id] = []
+                self.stats.checkpoint_s += checkpoint_s
+                self.stats.checkpoints += 1
+                if self.metrics is not None:
+                    self._m_checkpoints.inc()
+                    self._m_checkpoint_seconds.observe(checkpoint_s)
 
         if self.failover_enabled:
             self._track_messages(result.messages)
-            for zone_id in self.zones:
-                if (
-                    zone_id not in self._failed
-                    and len(self._replay[zone_id]) >= self._checkpoint_interval  # type: ignore[operator]
-                ):
-                    self._checkpoint_zone(zone_id, now)
-
+        self.stats.epochs += 1
         if self.metrics is not None:
             self._m_epochs.inc()
             self._m_handoffs.inc(len(result.handoffs))
+        if self.supervisor is not None:
+            self.supervisor._sync_gauges()
         result.warnings = self.quarantine.warnings[warnings_before:]
         return result
 
@@ -317,19 +522,250 @@ class Coordinator:
         """Coordinate a whole stream."""
         return [self.process_epoch(readings) for readings in stream]
 
+    def _apply_migrations(
+        self,
+        migrations: list[tuple[TagId, str, str, bool]],
+        now: int,
+        out_messages: list[EventMessage],
+    ) -> None:
+        """Release and adopt migrating tags in one batch per zone.
+
+        Releases are batched per owner zone and adoptions per target zone,
+        each batch in global migration order.  This commutes with doing
+        them one tag at a time: a release only reads/removes the released
+        object's own state, and an adoption only appends to the target
+        zone's structures, so per-zone order is the only order that
+        matters.  The closing messages are re-assembled into global
+        migration order before being emitted.
+
+        When an owner's worker is lost before its release reply lands,
+        the exported records are gone: the coordinator closes those tags'
+        intervals itself and hands the targets bare records — the same
+        degradation as a migration out of an already-crashed zone.  A
+        target rebuilt mid-epoch needs no adoption: its rebuild already
+        replayed the epoch.
+        """
+        release_plan: dict[str, list[int]] = {}  # owner zone -> migration indices
+        for i, (_tag, owner, _target, needs_release) in enumerate(migrations):
+            if needs_release:
+                release_plan.setdefault(owner, []).append(i)
+
+        for owner, indices in release_plan.items():
+            tags = [migrations[i][0] for i in indices]
+            if self.failover_enabled:
+                self._replay[owner][-1].release = tags
+            self._submit(
+                self._worker_of_zone[owner],
+                (wire.MSG_RELEASE, self._zone_index[owner], now, tags),
+            )
+
+        closings: dict[int, list[EventMessage]] = {}
+        records: dict[int, HandoffRecord] = {}
+        gone: list[int] = []  # release indices whose replies were lost
+        lost: dict = {}
+        start = perf_counter()
+        for owner, indices in release_plan.items():
+            releases = self._collect(self._worker_of_zone[owner], lost)
+            if releases is None:
+                # act on the loss only once every owner is drained: a
+                # rebuilt zone's install must not race a survivor's
+                # still-pending release reply
+                gone.extend(indices)
+                continue
+            for i, (record, closing) in zip(indices, releases):
+                records[i] = record
+                closings[i] = closing
+        self.stats.fanin_wait_s += perf_counter() - start
+
+        if lost:
+            # flush what we already hold so the failover sees (and
+            # closes) only intervals that are genuinely still open
+            for i in sorted(closings):
+                out_messages.extend(closings[i])
+            closings.clear()
+            # close the lost tags' intervals *before* the failover: a
+            # rebuilt target replays this epoch and re-opens them, and
+            # the stream must close the old interval first
+            for i in gone:
+                closure = self._closures(migrations[i][0], now)
+                self._track_messages(closure)
+                out_messages.extend(closure)
+                records[i] = {"tag": migrations[i][0]}
+            self._worker_lost(lost, now, out_messages)
+
+        adopt_plan: dict[str, list[HandoffRecord]] = {}  # target zone -> records in order
+        for i, (tag, _owner, target, needs_release) in enumerate(migrations):
+            out_messages.extend(closings.get(i, ()))
+            if target in self._rehomed:
+                continue  # the rebuilt target replayed this epoch already
+            adopt_plan.setdefault(target, []).append(
+                records[i] if needs_release else {"tag": tag}
+            )
+
+        for target, target_records in adopt_plan.items():
+            if self.failover_enabled:
+                self._replay[target][-1].adopt = target_records
+            self._submit(
+                self._worker_of_zone[target],
+                (wire.MSG_ADOPT, self._zone_index[target], now, target_records),
+            )
+        lost = {}
+        start = perf_counter()
+        for target in adopt_plan:
+            self._collect(self._worker_of_zone[target], lost)
+        self.stats.fanin_wait_s += perf_counter() - start
+        if lost:  # after the drain, for the same reason
+            self._worker_lost(lost, now, out_messages)
+
+    # ------------------------------------------------------------------
+    # losing a worker: the two policies
+    # ------------------------------------------------------------------
+
+    def _resync_after_loss(
+        self, lost: dict, now: int, out_messages: list[EventMessage]
+    ) -> None:
+        """Policy of a pool that respawns lost workers: give the epoch up.
+
+        A worker died with the epoch half applied, so no zone's view of
+        it can be merged consistently.  Every live zone is failed and
+        the :class:`WorkerFailure` carries the messages the caller must
+        splice into the stream (the epoch's own so far, which were never
+        returned, plus the fail closures); recovering the zones respawns
+        the workers.  Without failover there is nothing to recover from;
+        the raw :class:`wire.WireError` is all we can offer.
+        """
+        message = "; ".join(
+            f"worker {worker.name} lost: {reason}" for worker, reason in lost.items()
+        )
+        if not self.failover_enabled:
+            raise wire.WireError(message)
+        self._track_messages(out_messages)
+        spliced = list(out_messages)
+        failed: list[str] = []
+        for zone_id in sorted(self.zones):
+            if zone_id not in self._failed:
+                spliced.extend(self.fail_zone(zone_id, now))
+                failed.append(zone_id)
+        raise WorkerFailure(message, failed, spliced)
+
+    def _rehome_after_loss(
+        self, lost: dict, now: int, out_messages: list[EventMessage]
+    ) -> None:
+        """Policy of a pool whose workers are not ours to resurrect:
+        rebuild the lost workers' zones on the survivors and carry on.
+
+        The interval tracker is synced with everything emitted so far, so
+        the failover closes exactly the intervals that are really open.
+        The rebuilds replay the current epoch's readings too, so the
+        epoch loop skips those zones from here on.
+        """
+        for worker in lost:
+            self._track_messages(out_messages)
+            self._rehomed.update(self._rehome_worker(worker, out_messages, now))
+
+    _worker_lost = _resync_after_loss
+
+    def _rehome_worker(self, worker, spliced: list[EventMessage], at: int) -> list[str]:
+        """Fail a dead worker's zones over to survivors.
+
+        Runs the failover pair per zone — ``fail_zone`` (close open
+        intervals) then ``recover_zone`` (rebuild from checkpoint +
+        replay, install on the new home) — appending the closing and
+        re-opening messages to ``spliced`` in zone-sorted order: exactly
+        what a scripted ``fail_zone`` / ``recover_zone`` at the same
+        epoch emits, which keeps a between-epoch death byte-identical to
+        the scripted run.  Returns the zones the worker hosted.
+        """
+        hosted = sorted(z for z, w in self._worker_of_zone.items() if w is worker)
+        if not hosted:
+            return hosted  # already handled (idempotence under repeated signals)
+        self.quarantine.warn(
+            WarningKind.WORKER_LOST,
+            at,
+            detail=(
+                f"remote worker {worker.name} declared dead "
+                f"({worker.death_reason}); rehoming zone(s) {', '.join(hosted)}"
+            ),
+        )
+        to_recover = []
+        for zone_id in hosted:
+            if zone_id in self._failed:
+                # was already failed by the user; just needs a new home
+                # whenever recover_zone is eventually called
+                self._worker_of_zone[zone_id] = self._pick_home()
+            else:
+                to_recover.append(zone_id)
+        for zone_id in to_recover:
+            spliced.extend(self.fail_zone(zone_id, at))
+        for zone_id in to_recover:
+            checkpoint_epoch = self._checkpoints[zone_id].epoch
+            spliced.extend(self.recover_zone(zone_id, at))
+            self.quarantine.warn(
+                WarningKind.ZONE_REHOMED,
+                at,
+                detail=(
+                    f"zone {zone_id!r} rebuilt on worker "
+                    f"{self._worker_of_zone[zone_id].name} from "
+                    f"checkpoint at epoch {checkpoint_epoch}"
+                ),
+            )
+        if self.supervisor is not None:
+            self.supervisor._sync_gauges()
+        return hosted
+
+    def _pick_home(self):
+        """The least-loaded live worker (ties to the lowest index)."""
+        survivors = [worker for worker in self._workers if worker.alive]
+        if not survivors:
+            raise RemoteError("every remote worker is dead; cannot rehome zones")
+        load = {worker.index: 0 for worker in survivors}
+        for owner in self._worker_of_zone.values():
+            if owner.alive:
+                load[owner.index] += 1
+        return min(survivors, key=lambda worker: (load[worker.index], worker.index))
+
+    def _ensure_home(self, zone_id: str) -> None:
+        """Give a zone whose worker died a live one.
+
+        A worker we can respawn comes back in the same slot, and the
+        surviving (non-failed) zones it hosted are restored to exactly
+        the state they held (checkpoint + request-log replay).  Otherwise
+        the zone moves in with the least-loaded survivor.
+        """
+        worker = self._worker_of_zone[zone_id]
+        if worker.alive:
+            return
+        replacement = worker.respawn()
+        if replacement is None:
+            self._worker_of_zone[zone_id] = self._pick_home()
+            return
+        replacement.stats = self.stats
+        self._workers[self._workers.index(worker)] = replacement
+        for hosted_zone in sorted(z for z, w in self._worker_of_zone.items() if w is worker):
+            self._worker_of_zone[hosted_zone] = replacement
+            if hosted_zone not in self._failed:  # those wait for recover_zone
+                self._install(hosted_zone, self._replay_zone(hosted_zone, exact=True)[0])
+
     # ------------------------------------------------------------------
     # failover
     # ------------------------------------------------------------------
 
-    def fail_zone(self, zone_id: str, at: int | None = None) -> list[EventMessage]:
+    def fail_zone(
+        self, zone_id: str, at: int | None = None, kill_worker: bool = False
+    ) -> list[EventMessage]:
         """Mark ``zone_id`` crashed; returns interval-closing messages.
 
-        The zone's in-memory substrate is considered lost.  To keep the
+        The zone's resident substrate is considered lost.  To keep the
         merged stream well-formed, every open interval of an object the
         zone owns is closed at epoch ``at`` (default: the last processed
         epoch); append the returned messages to the merged stream.  Until
-        :meth:`recover_zone`, the zone's readings are buffered and objects
+        :meth:`recover_zone`, the zone's readings are logged and objects
         it owned are re-adopted by any zone that observes them.
+
+        ``kill_worker=True`` additionally crashes the zone's worker, so
+        every zone it hosts loses its resident state.  A worker process
+        of ours is respawned at once and its other zones restored exactly,
+        at any epoch; ``zone_id`` stays down until :meth:`recover_zone`.
         """
         self._require_failover()
         if zone_id not in self.zones:
@@ -342,93 +778,41 @@ class Coordinator:
             self._m_failed.set(len(self._failed))
         closures: list[EventMessage] = []
         for tag in sorted(t for t, z in self._owner.items() if z == zone_id):
-            state = self._open.get(tag)
-            if state is None:
-                continue
-            for container in sorted(state.containments):
-                closures.append(
-                    end_containment(tag, container, state.containments[container], now)
-                )
-            if state.location is not None:
-                place, vs = state.location
-                closures.append(end_location(tag, place, vs, now))
+            closures.extend(self._closures(tag, now))
         self._track_messages(closures)
         self.quarantine.warn(
             WarningKind.ZONE_FAILED,
             now,
             detail=f"zone {zone_id!r} failed; {len(closures)} open interval(s) closed",
         )
+        if kill_worker:
+            self._worker_of_zone[zone_id].kill(warn=self._kill_warn)
+            self._ensure_home(zone_id)
         return closures
 
     def recover_zone(self, zone_id: str, at: int | None = None) -> list[EventMessage]:
         """Restore a failed zone from its last checkpoint and replay.
 
-        The zone's substrate is rebuilt from the last checkpoint, the
-        readings routed to it since that checkpoint (including those
-        buffered during the outage) are replayed to bring its graph and
-        estimates up to date, and fresh interval-opening messages are
-        emitted at epoch ``at`` (default: the last processed epoch) for
-        every object the zone still owns.  Objects that migrated to other
-        zones during the outage are released quietly — re-adoption already
-        happened at observation time — so no tag stays orphaned.  Returns
-        the messages to append to the merged stream.
+        The zone's substrate is rebuilt from the last checkpoint and its
+        request log since (including the readings logged during the
+        outage), installed at a live worker, and fresh interval-opening
+        messages are emitted at epoch ``at`` (default: the last processed
+        epoch) for every object the zone still owns.  Objects that
+        migrated to other zones during the outage are released quietly —
+        re-adoption already happened at observation time — so no tag
+        stays orphaned.  Returns the messages to append to the merged
+        stream.
         """
         self._require_failover()
         if zone_id not in self._failed:
             raise ValueError(f"zone {zone_id!r} is not failed")
         now = self._resolve_epoch(at)
-        checkpoint = self._checkpoints[zone_id]
-        spire, messages = self._rebuild_spire(zone_id, checkpoint, now)
-        self.zones[zone_id].spire = spire
-
-        self._failed.discard(zone_id)
-        if self.metrics is not None:
-            self._m_failed.set(len(self._failed))
-        self._track_messages(messages)
-        self._checkpoint_zone(zone_id, now)
-        self.quarantine.warn(
-            WarningKind.ZONE_RECOVERED,
-            now,
-            detail=(
-                f"zone {zone_id!r} restored from checkpoint at epoch "
-                f"{checkpoint.epoch}; {len(messages)} interval(s) re-opened"
-            ),
-        )
-        return messages
-
-    def _rebuild_spire(
-        self, zone_id: str, checkpoint: "_ZoneCheckpoint", now: int
-    ) -> tuple[Spire, list[EventMessage]]:
-        """Rebuild a failed zone's substrate from ``checkpoint`` + replay.
-
-        Returns the fresh substrate and the interval re-opening messages.
-        Mutates coordinator ownership (departures during replay, migration
-        pruning) but does **not** install the substrate anywhere — the
-        serial coordinator assigns it to the in-process zone, the parallel
-        coordinator ships it to a worker.
-        """
-        spire = loads_spire(checkpoint.data)
-
-        # checkpoints carry no registry: seed a fresh zone registry from
-        # the snapshot taken at checkpoint time *before* replay, so replay
-        # re-increments it to exactly the totals a crash-free run would
-        # show — instead of silently zeroing the zone's counters (and
-        # with them the restored dedup/quarantine accounting)
-        if self.metrics is not None:
-            registry = MetricRegistry(const_labels={"zone": zone_id})
-            if checkpoint.metrics:
-                registry.restore(checkpoint.metrics)
-            self._zone_registries[zone_id] = registry
-            spire.attach_metrics(registry)
-
-        # replay buffered epochs; their messages were either already
-        # emitted before the crash or are superseded by the fresh opens
-        # below, so they are discarded
-        for zone_readings in self._replay[zone_id]:
-            output = spire.process_epoch(zone_readings)
-            for tag in output.departed:
-                if self._owner.get(tag) == zone_id:
-                    self._owner.pop(tag)
+        self._ensure_home(zone_id)
+        checkpoint_epoch = self._checkpoints[zone_id].epoch
+        spire, departed = self._replay_zone(zone_id, exact=False)
+        for tag in departed:
+            if self._owner.get(tag) == zone_id:
+                self._owner.pop(tag)
 
         # the compressor's notion of "last reported state" died with the
         # zone (the coordinator closed everything at fail time): start a
@@ -451,7 +835,68 @@ class Coordinator:
         for tag in [t for t, z in self._owner.items() if z == zone_id]:
             if tag not in spire.estimates:
                 self._owner.pop(tag)
-        return spire, messages
+
+        blob = dumps_spire(spire)
+        self._install(zone_id, spire, blob)
+        self._checkpoints[zone_id] = _ZoneCheckpoint(
+            now, blob, spire.metrics.snapshot() if spire.metrics is not None else None
+        )
+        self._replay[zone_id] = []
+        self._failed.discard(zone_id)
+        if self.metrics is not None:
+            self._m_checkpoints.inc()
+            self._m_failed.set(len(self._failed))
+        self._track_messages(messages)
+        self.quarantine.warn(
+            WarningKind.ZONE_RECOVERED,
+            now,
+            detail=(
+                f"zone {zone_id!r} restored from checkpoint at epoch "
+                f"{checkpoint_epoch}; {len(messages)} interval(s) re-opened"
+            ),
+        )
+        return messages
+
+    def _replay_zone(self, zone_id: str, exact: bool) -> tuple[Spire, list[TagId]]:
+        """The zone's substrate rebuilt from its checkpoint + request log.
+
+        ``exact`` replays every logged request and reproduces the state a
+        live zone held.  A *failed* zone's recovery replays the readings
+        only (:meth:`recover_zone` releases what migrated away), which
+        keeps a scripted failover's stream the one it has always been.
+        Returns the substrate with the tags that departed during the
+        replay; the replayed requests' messages were emitted already or
+        are superseded by a recovery's fresh opens, so they are dropped.
+        """
+        checkpoint = self._checkpoints[zone_id]
+        host = ZoneHost()
+        spire = restore_zone(
+            checkpoint.data, zone_id, self.metrics is not None, checkpoint.metrics
+        )
+        host.handle_request((wire.MSG_INSTALL, 0, zone_id, spire, None))
+        departed: list[TagId] = []
+        for logged in self._replay[zone_id]:
+            if exact and logged.release:
+                host.handle_request((wire.MSG_RELEASE, 0, logged.epoch, logged.release))
+            if exact and logged.adopt:
+                host.handle_request((wire.MSG_ADOPT, 0, logged.epoch, logged.adopt))
+            (reply,) = host.handle_request((wire.MSG_EPOCH, [(0, 0, logged.readings)]))
+            departed.extend(reply[2])
+        return spire, departed
+
+    def _closures(self, tag: TagId, now: int) -> list[EventMessage]:
+        """Messages closing ``tag``'s open intervals in the merged stream."""
+        state = self._open.get(tag)
+        if state is None:
+            return []
+        messages = [
+            end_containment(tag, container, state.containments[container], now)
+            for container in sorted(state.containments)
+        ]
+        if state.location is not None:
+            place, vs = state.location
+            messages.append(end_location(tag, place, vs, now))
+        return messages
 
     def _require_failover(self) -> None:
         if not self.failover_enabled:
@@ -471,27 +916,10 @@ class Coordinator:
         """The most recent portable checkpoint bytes by zone.
 
         Empty unless constructed with ``checkpoint_interval`` (pristine
-        pre-stream checkpoints count).  Parallel sessions capture these in
-        their workers, so this is the only zone state visible coordinator-side.
+        pre-stream checkpoints count).  With out-of-process workers this
+        is the only zone state visible coordinator-side.
         """
         return {zone_id: ckpt.data for zone_id, ckpt in self._checkpoints.items()}
-
-    def _checkpoint_zone(self, zone_id: str, epoch: int) -> None:
-        start = perf_counter()
-        data = dumps_spire(self.zones[zone_id].spire, codec=self.checkpoint_codec)
-        self._checkpoints[zone_id] = _ZoneCheckpoint(
-            epoch=epoch,
-            data=data,
-            metrics=(
-                self._zone_registries[zone_id].snapshot()
-                if self.metrics is not None
-                else None
-            ),
-        )
-        self._replay[zone_id] = []
-        if self.metrics is not None:
-            self._m_checkpoints.inc()
-            self._m_checkpoint_seconds.observe(perf_counter() - start)
 
     def _track_messages(self, messages: Iterable[EventMessage]) -> None:
         """Mirror the merged stream's open intervals (for crash closures)."""
@@ -515,24 +943,19 @@ class Coordinator:
     def metrics_snapshot(self) -> dict:
         """Merged snapshot: the coordinator's registry + every zone's.
 
-        The parallel coordinator overrides :meth:`_zone_metrics_snapshot`
-        to return the latest registry snapshot its workers shipped in
-        their epoch replies, so this merge is transport-agnostic.  The
-        counter subset is deterministic: a serial and a parallel run over
-        the same stream render identical totals.
+        The counter subset is deterministic: every worker pool renders
+        identical totals over the same stream.
         """
         if self.metrics is None:
             return {"series": [], "help": {}}
-        snapshots = [self.metrics.snapshot()]
-        for zone_id in sorted(self.zones):
-            snapshots.append(self._zone_metrics_snapshot(zone_id))
-        return merge_snapshots(snapshots)
+        return merge_snapshots(
+            [self.metrics.snapshot()]
+            + [self._zone_metrics_snapshot(zone_id) for zone_id in sorted(self.zones)]
+        )
 
-    def _zone_metrics_snapshot(self, zone_id: str) -> dict:
-        registry = self._zone_registries.get(zone_id)
-        if registry is None:
-            return {"series": [], "help": {}}
-        return registry.snapshot()
+    def _zone_metrics_snapshot(self, zone_id: str) -> dict | None:
+        held = self._zone_metrics.get(zone_id)
+        return held.snapshot() if isinstance(held, MetricRegistry) else held
 
     # ------------------------------------------------------------------
     # global queries
@@ -542,21 +965,30 @@ class Coordinator:
         """Zone currently owning ``tag`` (``None`` if never observed)."""
         return self._owner.get(tag)
 
-    def location_of(self, tag: TagId) -> int:
-        """Site-wide location query: delegated to the owning zone."""
-        from repro.model.locations import UNKNOWN_COLOR
-
-        owner = self._owner.get(tag)
-        if owner is None or owner in self._failed:
-            return UNKNOWN_COLOR
-        return self.zones[owner].spire.location_of(tag)
-
-    def container_of(self, tag: TagId) -> TagId | None:
-        """Site-wide containment query: delegated to the owning zone."""
+    def _query(self, tag: TagId, kind: int) -> int | None:
+        """Ask ``tag``'s owning zone; ``None`` when no live zone owns it."""
         owner = self._owner.get(tag)
         if owner is None or owner in self._failed:
             return None
-        return self.zones[owner].spire.container_of(tag)
+        for _attempt in (0, 1):
+            worker = self._worker_of_zone[owner]
+            lost: dict = {}
+            self._submit(worker, (wire.MSG_QUERY, self._zone_index[owner], kind, tag))
+            value = self._collect(worker, lost)
+            if not lost:
+                return value
+            self._worker_lost(lost, self._last_epoch or 0, self._deferred)
+        raise RemoteError(f"query against zone {owner!r} kept losing workers")
+
+    def location_of(self, tag: TagId) -> int:
+        """Site-wide location query: delegated to the owning zone."""
+        color = self._query(tag, wire.QUERY_LOCATION)
+        return UNKNOWN_COLOR if color is None else color
+
+    def container_of(self, tag: TagId) -> TagId | None:
+        """Site-wide containment query: delegated to the owning zone."""
+        key = self._query(tag, wire.QUERY_CONTAINER)
+        return TagId.from_key(key) if key else None
 
     @property
     def tracked_objects(self) -> int:

@@ -1,240 +1,59 @@
-"""Multi-core sharded execution: persistent zone workers.
+"""Multi-core sharded execution: persistent zone worker processes.
 
-:class:`ParallelCoordinator` runs the same contract as the serial
-:class:`~repro.distributed.coordinator.Coordinator`, but each zone's
-substrate lives inside a **persistent worker process**.  Workers are
+:class:`ParallelCoordinator` is the :class:`~repro.distributed.coordinator.
+Coordinator` over a pool of **persistent worker processes**.  Workers are
 spawned once; zone state stays resident between epochs, so the per-epoch
 cost is two compact binary frames per **worker** on a pipe (all its
 zones' pre-partitioned readings out, their event messages back) — never a
 pickled graph.
 
-Determinism is the design constraint: the merged event stream is
-**byte-identical** to the serial coordinator's.  The protocol preserves
-every ordering the serial code path depends on:
+The merged event stream is **byte-identical** to the in-process
+coordinator's because it *is* the same epoch loop; the pipe only has to
+preserve per-worker FIFO order and the reader/tag insertion order inside
+epoch frames, so each worker's deduplication sees what a local one would.
 
-* migration detection runs coordinator-side over the same structures in
-  the same order; releases and adoptions are batched **per zone in global
-  migration order**, which commutes with the serial interleaving (a
-  release touches only the released object's state, an adoption only
-  appends to the target zone's structures);
-* release closures are re-assembled into global migration order before
-  any zone output;
-* zone outputs are concatenated in sorted-zone order (the serial merge
-  order) — the fan-in receives one batched reply per worker (each worker
-  answers its pipe FIFO) and then merges per zone in that order;
-* epoch frames preserve reader/tag insertion order, so each worker's
-  deduplication sees exactly the bytes the in-process substrate would.
-
-Checkpoints move into the workers: the coordinator sets a flag on the
-epoch message when a zone's replay buffer reaches the checkpoint
-interval, and the worker returns a checkpoint blob (fast codec by
-default) captured right after it processed the epoch — the epoch loop no
-longer stalls on serialization.  ``fail_zone`` / ``recover_zone`` keep
-their semantics: recovery rebuilds the zone substrate coordinator-side
-from the last checkpoint plus the replay buffer (shared code with the
-serial coordinator) and installs the rebuilt state into the worker —
-respawning the worker process first if it died.
+A worker that errors or whose pipe breaks mid-epoch tears the epoch:
+:class:`~repro.distributed.coordinator.WorkerFailure` is raised after
+every live zone is failed over (a global resync).  ``recover_zone``
+respawns the dead process and restores the zones it hosted, exactly.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import time
-import traceback
-from dataclasses import dataclass, field
 from typing import Iterable
 
-from repro.core.checkpoint import dumps_spire, loads_spire
-from repro.distributed import wire
-from repro.distributed.coordinator import (
-    Coordinator,
-    EpochResult,
-    Zone,
-    _ZoneCheckpoint,
-)
-from repro.events.messages import EventMessage
-from repro.faults.warnings import WarningKind
-from repro.model.objects import TagId
-from repro.obs.metrics import MetricRegistry, snapshot_from_json, snapshot_to_json
-from repro.readers.codec import decode_epoch_frame, encode_epoch_frame
-from repro.readers.stream import EpochReadings
+from repro.distributed.coordinator import Coordinator, WorkerFailure, Zone
+from repro.distributed.worker import WireWorker, WorkerStats, ZoneHost
+from repro.obs.metrics import MetricRegistry
 
-
-def handle_request(
-    data: bytes,
-    spires: dict[int, object],
-    registries: dict[int, MetricRegistry],
-) -> bytes | None:
-    """Serve one coordinator request against resident zone state.
-
-    The transport-agnostic worker core, shared by the pipe worker loop
-    (:func:`_worker_main`) and the TCP daemon
-    (:class:`repro.distributed.remote.WorkerDaemon`).  Returns the reply
-    bytes, or ``None`` for :data:`wire.MSG_STOP` (the caller acknowledges
-    and shuts down).  Exceptions propagate: the caller decides how to
-    surface them (the pipe worker replies :data:`wire.MSG_ERROR` and
-    dies; the daemon replies and drops its zone state).
-    """
-    msg_type = data[0] if data else 0
-    if msg_type == wire.MSG_EPOCH:
-        results = []
-        for zone_index, flags, frame in wire.decode_epoch_batch(data):
-            readings, _ = decode_epoch_frame(frame)
-            spire = spires[zone_index]
-            start = time.perf_counter()
-            output = spire.process_epoch(readings)
-            busy_s = time.perf_counter() - start
-            checkpoint = None
-            checkpoint_s = 0.0
-            if flags & wire.FLAG_CHECKPOINT:
-                codec = "pickle" if flags & wire.FLAG_CHECKPOINT_PICKLE else "fast"
-                start = time.perf_counter()
-                checkpoint = dumps_spire(spire, codec=codec)
-                checkpoint_s = time.perf_counter() - start
-            registry = registries.get(zone_index)
-            metrics_blob = (
-                snapshot_to_json(registry.snapshot()) if registry is not None else None
-            )
-            results.append(
-                (
-                    zone_index,
-                    wire.encode_epoch_result(
-                        output.messages,
-                        output.departed,
-                        busy_s,
-                        checkpoint_s,
-                        checkpoint,
-                        metrics_blob,
-                    ),
-                )
-            )
-        return wire.encode_epoch_batch_result(results)
-    if msg_type == wire.MSG_RELEASE:
-        zone_index, now, tags = wire.decode_release(data)
-        spire = spires[zone_index]
-        releases = []
-        for tag in tags:
-            record, closing = spire.release(tag, now)
-            releases.append((wire.encode_record(record), closing))
-        return wire.encode_release_result(releases)
-    if msg_type == wire.MSG_ADOPT:
-        zone_index, now, records = wire.decode_adopt(data)
-        spire = spires[zone_index]
-        for record in records:
-            spire.adopt(record, now)
-        return wire.encode_ok()
-    if msg_type == wire.MSG_QUERY:
-        zone_index, kind, tag = wire.decode_query(data)
-        spire = spires[zone_index]
-        if kind == wire.QUERY_LOCATION:
-            value = spire.location_of(tag)
-        elif kind == wire.QUERY_CONTAINER:
-            container = spire.container_of(tag)
-            value = 0 if container is None else container.key()
-        else:
-            raise ValueError(f"unknown query kind {kind}")
-        return wire.encode_query_result(value)
-    if msg_type == wire.MSG_INSTALL:
-        zone_index, checkpoint, zone_id, metrics_on, seed = wire.decode_install(data)
-        spire = loads_spire(checkpoint)
-        if metrics_on:
-            # checkpoints never carry registries: build the zone's
-            # registry here, seeded so totals survive reinstalls
-            registry = MetricRegistry(const_labels={"zone": zone_id})
-            if seed:
-                registry.restore(snapshot_from_json(seed))
-            registries[zone_index] = registry
-            spire.attach_metrics(registry)
-        else:
-            registries.pop(zone_index, None)
-        spires[zone_index] = spire
-        return wire.encode_ok()
-    if msg_type == wire.MSG_STOP:
-        return None
-    raise ValueError(f"unknown message type {msg_type}")
+__all__ = ["ParallelCoordinator", "WorkerFailure", "WorkerStats"]
 
 
 def _worker_main(conn) -> None:
     """Worker process: serve zone substrates over a duplex pipe, FIFO."""
-    spires: dict[int, object] = {}
-    registries: dict[int, MetricRegistry] = {}
+    host = ZoneHost()
     while True:
         try:
             data = conn.recv_bytes()
         except EOFError:
             return
-        try:
-            reply = handle_request(data, spires, registries)
-        except BaseException:
-            conn.send_bytes(wire.encode_error(traceback.format_exc()))
-            return
-        if reply is None:  # MSG_STOP: acknowledge and shut down
-            conn.send_bytes(wire.encode_ok())
-            return
+        reply, done = host.serve_bytes(data)
         conn.send_bytes(reply)
+        if done:
+            return
 
 
-@dataclass
-class WorkerStats:
-    """Observability counters for one coordinated run (all zones)."""
-
-    epochs: int = 0
-    bytes_to_workers: int = 0
-    bytes_from_workers: int = 0
-    fanout_s: float = 0.0  #: time spent encoding + writing requests
-    fanin_wait_s: float = 0.0  #: time blocked waiting on worker replies
-    checkpoint_s: float = 0.0  #: in-worker checkpoint time (sum)
-    checkpoints: int = 0
-    busy_s: dict[str, float] = field(default_factory=dict)  #: per-zone compute
-    zone_epochs: dict[str, int] = field(default_factory=dict)
-
-    def summary_lines(self) -> list[str]:
-        """Human-readable block for the ``bench`` subcommand."""
-        lines = [
-            f"epochs coordinated      {self.epochs}",
-            f"bytes over pipes        {self.bytes_to_workers} out / "
-            f"{self.bytes_from_workers} back",
-            f"fan-out / fan-in wait   {self.fanout_s:.3f}s / {self.fanin_wait_s:.3f}s",
-            f"checkpoints (in-worker) {self.checkpoints} in {self.checkpoint_s:.3f}s",
-        ]
-        for zone_id in sorted(self.busy_s):
-            epochs = self.zone_epochs.get(zone_id, 0) or 1
-            lines.append(
-                f"zone {zone_id:<12} busy {self.busy_s[zone_id]:.3f}s "
-                f"({1e3 * self.busy_s[zone_id] / epochs:.3f} ms/epoch)"
-            )
-        return lines
-
-
-class WorkerFailure(wire.WireError):
-    """A worker failed mid-epoch; the coordinator failed its zones over.
-
-    Raised by :meth:`ParallelCoordinator.process_epoch` when a worker
-    reports :data:`wire.MSG_ERROR` (or its pipe breaks) during the epoch
-    fan-in.  The torn epoch couples all zones through merge order, so
-    every live zone is marked failed for a global resync.  ``messages``
-    holds what the caller must splice into the merged stream to keep it
-    well-formed (the epoch's already-produced handoff closures plus the
-    interval closures from failing each zone); recover the zones with
-    :meth:`~ParallelCoordinator.recover_zone` and continue.
-    """
-
-    def __init__(
-        self, message: str, failed_zones: list[str], messages: list[EventMessage]
-    ) -> None:
-        super().__init__(message)
-        self.failed_zones = failed_zones
-        self.messages = messages
-
-
-class _Worker:
+class _Worker(WireWorker):
     """Coordinator-side handle to one worker process."""
 
     def __init__(self, ctx, index: int) -> None:
         self.index = index
+        self.name = f"spire-worker-{index}"
+        self._ctx = ctx
         self.conn, child_conn = ctx.Pipe(duplex=True)
         self.process = ctx.Process(
-            target=_worker_main, args=(child_conn,), daemon=True, name=f"spire-worker-{index}"
+            target=_worker_main, args=(child_conn,), daemon=True, name=self.name
         )
         self.process.start()
         child_conn.close()
@@ -273,12 +92,21 @@ class _Worker:
                 )
         self.conn.close()
 
+    def abandon(self, reason: str, warn=None) -> None:
+        """Reap the process *now*: a worker that reported an error is
+        mid-exit, and recovery must respawn it rather than race the dying
+        process's half-closed pipe."""
+        self.kill(warn)
+
+    def respawn(self) -> "_Worker":
+        return _Worker(self._ctx, self.index)
+
 
 class ParallelCoordinator(Coordinator):
-    """Drop-in parallel variant of :class:`Coordinator`.
+    """The coordinator over a pool of worker processes.
 
     Args:
-        zones: The site partition, exactly as for the serial coordinator.
+        zones: The site partition, exactly as for :class:`Coordinator`.
         workers: Number of worker processes (clamped to the zone count;
             default: one per zone).  Zones are assigned round-robin in
             sorted-zone-id order.
@@ -286,488 +114,41 @@ class ParallelCoordinator(Coordinator):
             where available (workers inherit the loaded library), else the
             platform default.
 
-    All other arguments match the serial coordinator.  The merged event
-    stream, handoffs, warnings, ownership and query results are
-    byte-for-byte identical to a serial run over the same input.
+    All other arguments match :class:`Coordinator`, and so does everything
+    observable: the merged event stream, handoffs, warnings, ownership and
+    query results are byte-for-byte those of an in-process run.
     """
+
+    #: the one epoch loop, as this class's own attribute: ``benchmarks/e2e``
+    #: wraps it in a span and looks the original up in this ``__dict__``
+    process_epoch = Coordinator.process_epoch
 
     def __init__(
         self,
         zones: Iterable[Zone],
         strict: bool = False,
         checkpoint_interval: int | None = None,
-        checkpoint_codec: str = "fast",
         workers: int | None = None,
         start_method: str | None = None,
         metrics: MetricRegistry | None = None,
     ) -> None:
-        super().__init__(
-            zones,
-            strict=strict,
-            checkpoint_interval=checkpoint_interval,
-            checkpoint_codec=checkpoint_codec,
-            metrics=metrics,
-        )
-        ordered = sorted(self.zones)
-        self._zone_index: dict[str, int] = {z: i for i, z in enumerate(ordered)}
+        zones = list(zones)
         if workers is None:
-            workers = len(ordered)
+            workers = len(zones) or 1
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        self.num_workers = min(workers, len(ordered))
         if start_method is None:
             methods = multiprocessing.get_all_start_methods()
             start_method = "fork" if "fork" in methods else None
-        self._ctx = multiprocessing.get_context(start_method)
-        self._worker_of_zone: dict[str, _Worker] = {}
-        self._workers: list[_Worker] = []
-        self._closed = False
-        self.stats = WorkerStats()
-        #: latest cumulative registry snapshot each worker shipped, by zone
-        #: (replaced every epoch — never summed, so no double counting)
-        self._zone_snapshots: dict[str, dict] = {}
-
+        ctx = multiprocessing.get_context(start_method)
+        self._workers = [_Worker(ctx, i) for i in range(min(workers, len(zones)))]
         try:
-            self._workers = self._spawn_workers()
-            for i, zone_id in enumerate(ordered):
-                self._worker_of_zone[zone_id] = self._workers[i % self.num_workers]
-            # ship each zone's pristine substrate to its worker, then drop
-            # the in-process copy: worker state is authoritative from here
-            for zone_id in ordered:
-                blob = dumps_spire(self.zones[zone_id].spire, codec="fast")
-                self._send(zone_id, wire.encode_install(
-                    self._zone_index[zone_id], blob, **self._install_metrics(zone_id)
-                ))
-            for zone_id in ordered:
-                wire.expect_ok(self._recv(zone_id))
-            for zone_id in ordered:
-                self.zones[zone_id].spire = None  # type: ignore[assignment]
+            super().__init__(
+                zones,
+                strict=strict,
+                checkpoint_interval=checkpoint_interval,
+                metrics=metrics,
+            )
         except BaseException:
             self.close()
             raise
-
-    def _spawn_workers(self) -> list:
-        """Create the worker pool (overridden by the remote transport)."""
-        return [_Worker(self._ctx, i) for i in range(self.num_workers)]
-
-    def _install_metrics(self, zone_id: str, seed: dict | None = None) -> dict:
-        """Keyword arguments telling an install to set up zone telemetry."""
-        if self.metrics is None:
-            return {"zone_id": zone_id}
-        if seed is None:
-            seed = self._zone_registries[zone_id].snapshot()
-        self._zone_snapshots[zone_id] = seed
-        return {
-            "zone_id": zone_id,
-            "metrics": True,
-            "metrics_seed": snapshot_to_json(seed),
-        }
-
-    # ------------------------------------------------------------------
-    # plumbing
-    # ------------------------------------------------------------------
-
-    def _send(self, zone_id: str, payload: bytes) -> None:
-        self._worker_of_zone[zone_id].send_bytes(payload)
-        self.stats.bytes_to_workers += len(payload)
-
-    def _recv(self, zone_id: str) -> bytes:
-        data = self._worker_of_zone[zone_id].recv_bytes()
-        self.stats.bytes_from_workers += len(data)
-        return data
-
-    def _kill_warn(self, detail: str) -> None:
-        """Quarantine-warning sink for :meth:`_Worker.kill` escalation."""
-        self.quarantine.warn(WarningKind.WORKER_ZOMBIE, self._last_epoch or 0, detail=detail)
-
-    def close(self) -> None:
-        """Stop all workers; the coordinator is unusable afterwards."""
-        if self._closed:
-            return
-        self._closed = True
-        for worker in self._workers:
-            try:
-                if worker.alive:
-                    worker.send_bytes(wire.encode_stop())
-                    worker.recv_bytes()
-            except (OSError, EOFError, BrokenPipeError):
-                pass
-            finally:
-                worker.kill(warn=self._kill_warn)
-
-    def __enter__(self) -> "ParallelCoordinator":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def __del__(self) -> None:
-        try:
-            self.close()
-        except Exception:
-            pass
-
-    # ------------------------------------------------------------------
-    # the parallel epoch loop
-    # ------------------------------------------------------------------
-
-    def process_epoch(self, readings: EpochReadings) -> EpochResult:
-        """Coordinate one epoch: fan out to workers, fan in in merge order."""
-        now = readings.epoch
-        self._last_epoch = now
-        warnings_before = len(self.quarantine.warnings)
-        per_zone = self._split_by_zone(readings)
-        result = EpochResult(epoch=now, messages=[])
-
-        # migration detection is coordinator-local: it reads only the
-        # ownership map and the split readings, in the serial iteration
-        # order, so the detected list (and its order) matches exactly
-        migrations: list[tuple[TagId, str, str, bool]] = []
-        for zone_id, zone_readings in per_zone.items():
-            if zone_id in self._failed:
-                continue
-            for tag in zone_readings.tags_seen():
-                owner = self._owner.get(tag)
-                if owner is None:
-                    self._owner[tag] = zone_id
-                elif owner != zone_id:
-                    migrations.append((tag, owner, zone_id, owner not in self._failed))
-                    self._owner[tag] = zone_id
-                    result.handoffs.append((tag, owner, zone_id))
-        if migrations:
-            self._apply_migrations(migrations, now, result.messages)
-
-        # fan out: one batch per worker carrying all of its live zones'
-        # shares (a single pipe round-trip per worker per epoch); the
-        # checkpoint decision replicates the serial post-epoch rule (the
-        # replay buffer was appended pre-fan-out, so it is decidable now)
-        start = time.perf_counter()
-        order = sorted(per_zone)
-        checkpointing: set[str] = set()
-        batches: dict[int, tuple[_Worker, list[tuple[int, int, bytes]]]] = {}
-        for zone_id in order:
-            if zone_id in self._failed:
-                continue
-            flags = 0
-            if (
-                self.failover_enabled
-                and len(self._replay[zone_id]) >= self._checkpoint_interval  # type: ignore[operator]
-            ):
-                flags = wire.FLAG_CHECKPOINT
-                if self.checkpoint_codec == "pickle":
-                    flags |= wire.FLAG_CHECKPOINT_PICKLE
-                checkpointing.add(zone_id)
-            frame = encode_epoch_frame(per_zone[zone_id])
-            worker = self._worker_of_zone[zone_id]
-            batches.setdefault(worker.index, (worker, []))[1].append(
-                (self._zone_index[zone_id], flags, frame)
-            )
-        for worker, entries in batches.values():
-            payload = wire.encode_epoch_batch(entries)
-            worker.send_bytes(payload)
-            self.stats.bytes_to_workers += len(payload)
-        self.stats.fanout_s += time.perf_counter() - start
-
-        # fan in: one reply per worker (each worker answers FIFO), then
-        # merge per zone in the serial merge order (sorted zone ids).
-        # Every worker is drained before any error is surfaced — raising
-        # at the first bad reply would leave the other pipes holding
-        # answered requests and desync their FIFO on the next epoch.
-        start = time.perf_counter()
-        results_by_index: dict[int, bytes] = {}
-        failures: list[str] = []
-        failed_workers: list[_Worker] = []
-        for worker, _entries in batches.values():
-            try:
-                data = worker.recv_bytes()
-            except (OSError, EOFError) as exc:
-                failures.append(f"worker {worker.index} connection lost: {exc!r}")
-                failed_workers.append(worker)
-                continue
-            self.stats.bytes_from_workers += len(data)
-            if data and data[0] == wire.MSG_ERROR:
-                failures.append(
-                    f"worker {worker.index} failed:\n"
-                    + data[1:].decode("utf-8", "replace")
-                )
-                failed_workers.append(worker)
-                continue
-            for zone_index, zone_result in wire.decode_epoch_batch_result(data):
-                results_by_index[zone_index] = zone_result
-        self.stats.fanin_wait_s += time.perf_counter() - start
-        if failures:
-            raise self._epoch_failure(failures, now, result, failed_workers)
-        for zone_id in order:
-            if zone_id in self._failed:
-                continue
-            (
-                messages, departed, busy_s, checkpoint_s, checkpoint, metrics_blob,
-            ) = wire.decode_epoch_result(results_by_index[self._zone_index[zone_id]])
-            result.messages.extend(messages)
-            for tag in departed:
-                self._owner.pop(tag, None)
-            self.stats.busy_s[zone_id] = self.stats.busy_s.get(zone_id, 0.0) + busy_s
-            self.stats.zone_epochs[zone_id] = self.stats.zone_epochs.get(zone_id, 0) + 1
-            if metrics_blob is not None:
-                # cumulative snapshot: replace, never sum
-                self._zone_snapshots[zone_id] = snapshot_from_json(metrics_blob)
-            if zone_id in checkpointing:
-                if checkpoint is None:
-                    raise wire.WireError(f"zone {zone_id!r} returned no checkpoint")
-                self._checkpoints[zone_id] = _ZoneCheckpoint(
-                    epoch=now,
-                    data=checkpoint,
-                    metrics=self._zone_snapshots.get(zone_id),
-                )
-                self._replay[zone_id] = []
-                self.stats.checkpoint_s += checkpoint_s
-                self.stats.checkpoints += 1
-                if self.metrics is not None:
-                    self._m_checkpoints.inc()
-                    self._m_checkpoint_seconds.observe(checkpoint_s)
-
-        if self.failover_enabled:
-            self._track_messages(result.messages)
-        self.stats.epochs += 1
-        if self.metrics is not None:
-            self._m_epochs.inc()
-            self._m_handoffs.inc(len(result.handoffs))
-        result.warnings = self.quarantine.warnings[warnings_before:]
-        return result
-
-    def _apply_migrations(
-        self,
-        migrations: list[tuple[TagId, str, str, bool]],
-        now: int,
-        out_messages: list[EventMessage],
-    ) -> None:
-        """Release and adopt migrating tags, preserving serial ordering.
-
-        Releases are batched per owner zone and adoptions per target zone,
-        each batch in global migration order.  This commutes with the
-        serial one-at-a-time interleaving: a release only reads/removes
-        the released object's own state, and an adoption only appends to
-        the target zone's structures, so per-zone order is the only order
-        that matters — and it is preserved.  The closing messages are
-        re-assembled into global migration order before being emitted.
-        """
-        release_plan: dict[str, list[int]] = {}  # owner zone -> migration indices
-        for i, (tag, owner, _target, needs_release) in enumerate(migrations):
-            if needs_release:
-                release_plan.setdefault(owner, []).append(i)
-
-        for owner, indices in release_plan.items():
-            tags = [migrations[i][0] for i in indices]
-            self._send(owner, wire.encode_release(self._zone_index[owner], now, tags))
-
-        closings: dict[int, list[EventMessage]] = {}
-        records: dict[int, bytes] = {}
-        start = time.perf_counter()
-        for owner, indices in release_plan.items():
-            releases = wire.decode_release_result(self._recv(owner))
-            for i, (record, closing) in zip(indices, releases):
-                records[i] = record
-                closings[i] = closing
-        self.stats.fanin_wait_s += time.perf_counter() - start
-
-        adopt_plan: dict[str, list[bytes]] = {}  # target zone -> records in order
-        for i, (tag, _owner, target, needs_release) in enumerate(migrations):
-            out_messages.extend(closings.get(i, ()))
-            if needs_release:
-                record = records[i]
-            else:
-                # the owner crashed: re-adopt with no exported knowledge
-                record = wire.encode_record({"tag": tag})
-            adopt_plan.setdefault(target, []).append(record)
-
-        for target, target_records in adopt_plan.items():
-            self._send(
-                target, wire.encode_adopt(self._zone_index[target], now, target_records)
-            )
-        start = time.perf_counter()
-        for target in adopt_plan:
-            wire.expect_ok(self._recv(target))
-        self.stats.fanin_wait_s += time.perf_counter() - start
-
-    def _epoch_failure(
-        self,
-        failures: list[str],
-        now: int,
-        result: EpochResult,
-        failed_workers: Iterable["_Worker"] = (),
-    ) -> wire.WireError:
-        """Build the exception for a torn epoch, failing zones over first.
-
-        A worker died (or reported an error) after the epoch's migrations
-        ran and after the surviving workers processed their shares, so no
-        zone's view of this epoch can be merged consistently.  With
-        failover enabled every live zone is failed — closing its open
-        intervals — and the :class:`WorkerFailure` carries the messages
-        the caller must splice into the stream (the epoch's handoff
-        closures, which were never emitted, plus the fail closures).
-        Without failover there is nothing to recover from; the raw
-        :class:`wire.WireError` is all we can offer.
-        """
-        message = "; ".join(failures)
-        # reap the failed workers *now*: a worker that reported MSG_ERROR
-        # is mid-exit, and recovery must respawn it rather than race the
-        # dying process's half-closed pipe
-        for worker in failed_workers:
-            worker.kill(warn=self._kill_warn)
-        if not self.failover_enabled:
-            return wire.WireError(message)
-        # the epoch's own messages so far (handoff closures) were never
-        # returned to the caller: track them so fail_zone sees current
-        # open intervals, and hand them over for splicing
-        self._track_messages(result.messages)
-        spliced = list(result.messages)
-        failed: list[str] = []
-        for zone_id in sorted(self.zones):
-            if zone_id in self._failed:
-                continue
-            spliced.extend(self.fail_zone(zone_id, now))
-            failed.append(zone_id)
-        return WorkerFailure(message, failed, spliced)
-
-    # ------------------------------------------------------------------
-    # failover
-    # ------------------------------------------------------------------
-
-    def fail_zone(
-        self, zone_id: str, at: int | None = None, kill_worker: bool = False
-    ) -> list[EventMessage]:
-        """Mark a zone crashed (optionally killing its worker process).
-
-        ``kill_worker=True`` simulates a real process crash: every zone
-        hosted by the same worker loses its resident state.  The worker is
-        respawned immediately and its surviving (non-failed) zones are
-        re-installed from their checkpoints + replay buffers — exactly the
-        state they held pre-crash — while ``zone_id`` itself stays down
-        until :meth:`recover_zone`.
-        """
-        closures = super().fail_zone(zone_id, at)
-        if kill_worker:
-            self._worker_of_zone[zone_id].kill(warn=self._kill_warn)
-            self._ensure_worker(zone_id)
-        return closures
-
-    def recover_zone(self, zone_id: str, at: int | None = None) -> list[EventMessage]:
-        """Restore a failed zone into its (possibly respawned) worker."""
-        self._require_failover()
-        if zone_id not in self._failed:
-            raise ValueError(f"zone {zone_id!r} is not failed")
-        now = self._resolve_epoch(at)
-        self._ensure_worker(zone_id)
-        checkpoint = self._checkpoints[zone_id]
-        spire, messages = self._rebuild_spire(zone_id, checkpoint, now)
-
-        # _rebuild_spire seeded a registry from the checkpoint snapshot and
-        # replayed into it; ship that state to the worker alongside the
-        # substrate (the checkpoint blob itself never carries a registry)
-        rebuilt_metrics = (
-            spire.metrics.snapshot() if spire.metrics is not None else None
-        )
-        blob = dumps_spire(spire, codec=self.checkpoint_codec)
-        self._send(zone_id, wire.encode_install(
-            self._zone_index[zone_id], blob,
-            **self._install_metrics(zone_id, seed=rebuilt_metrics),
-        ))
-        wire.expect_ok(self._recv(zone_id))
-        self._checkpoints[zone_id] = _ZoneCheckpoint(
-            epoch=now, data=blob, metrics=rebuilt_metrics
-        )
-        self._replay[zone_id] = []
-        if self.metrics is not None:
-            self._m_checkpoints.inc()
-
-        self._failed.discard(zone_id)
-        if self.metrics is not None:
-            self._m_failed.set(len(self._failed))
-        self._track_messages(messages)
-        self.quarantine.warn(
-            WarningKind.ZONE_RECOVERED,
-            now,
-            detail=(
-                f"zone {zone_id!r} restored from checkpoint at epoch "
-                f"{checkpoint.epoch}; {len(messages)} interval(s) re-opened"
-            ),
-        )
-        return messages
-
-    def _ensure_worker(self, zone_id: str) -> None:
-        """Respawn ``zone_id``'s worker if its process died.
-
-        Co-hosted zones that were *not* failed are rebuilt exactly —
-        checkpoint plus deterministic replay reproduces their pre-crash
-        state, and the replayed epochs' messages were already emitted so
-        they are discarded.
-        """
-        worker = self._worker_of_zone[zone_id]
-        if worker.alive:
-            return
-        replacement = _Worker(self._ctx, worker.index)
-        self._workers[self._workers.index(worker)] = replacement
-        hosted = [z for z, w in self._worker_of_zone.items() if w is worker]
-        for hosted_zone in hosted:
-            self._worker_of_zone[hosted_zone] = replacement
-        for hosted_zone in sorted(hosted):
-            if hosted_zone in self._failed:
-                continue  # installed by recover_zone with fresh intervals
-            hosted_ckpt = self._checkpoints[hosted_zone]
-            spire = loads_spire(hosted_ckpt.data)
-            if self.metrics is not None:
-                # seed before replay so the replayed epochs re-increment
-                # the counters to their pre-crash totals
-                registry = MetricRegistry(const_labels={"zone": hosted_zone})
-                if hosted_ckpt.metrics:
-                    registry.restore(hosted_ckpt.metrics)
-                spire.attach_metrics(registry)
-            for zone_readings in self._replay[hosted_zone]:
-                output = spire.process_epoch(zone_readings)
-                for tag in output.departed:
-                    if self._owner.get(tag) == hosted_zone:
-                        self._owner.pop(tag)
-            rebuilt_metrics = (
-                spire.metrics.snapshot() if spire.metrics is not None else None
-            )
-            blob = dumps_spire(spire, codec=self.checkpoint_codec)
-            self._send(
-                hosted_zone, wire.encode_install(
-                    self._zone_index[hosted_zone], blob,
-                    **self._install_metrics(hosted_zone, seed=rebuilt_metrics),
-                )
-            )
-            wire.expect_ok(self._recv(hosted_zone))
-
-    # ------------------------------------------------------------------
-    # telemetry
-    # ------------------------------------------------------------------
-
-    def _zone_metrics_snapshot(self, zone_id: str) -> dict:
-        """Latest cumulative snapshot the zone's worker shipped (replaced
-        every epoch), so :meth:`Coordinator.metrics_snapshot` merges live
-        worker state without extra round-trips."""
-        return self._zone_snapshots.get(zone_id) or {"series": [], "help": {}}
-
-    # ------------------------------------------------------------------
-    # global queries (RPC to the owning worker)
-    # ------------------------------------------------------------------
-
-    def location_of(self, tag: TagId) -> int:
-        from repro.model.locations import UNKNOWN_COLOR
-
-        owner = self._owner.get(tag)
-        if owner is None or owner in self._failed:
-            return UNKNOWN_COLOR
-        self._send(owner, wire.encode_query(self._zone_index[owner], wire.QUERY_LOCATION, tag))
-        return wire.decode_query_result(self._recv(owner))
-
-    def container_of(self, tag: TagId) -> TagId | None:
-        owner = self._owner.get(tag)
-        if owner is None or owner in self._failed:
-            return None
-        self._send(
-            owner, wire.encode_query(self._zone_index[owner], wire.QUERY_CONTAINER, tag)
-        )
-        key = wire.decode_query_result(self._recv(owner))
-        return None if key == 0 else TagId.from_key(key)

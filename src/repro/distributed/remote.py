@@ -7,10 +7,10 @@ the paper's follow-up work describes).  Three pieces:
 * :class:`WorkerDaemon` — the worker side.  Listens on a TCP port,
   answers the coordinator's ``MSG_INSTALL`` / ``MSG_EPOCH`` /
   ``MSG_RELEASE`` / ``MSG_ADOPT`` / ``MSG_QUERY`` requests against its
-  resident zone substrates via the same transport-agnostic
-  :func:`~repro.distributed.parallel.handle_request` core the pipe
-  workers use — length-prefixed frames, compact struct payloads, no
-  pickle on the hot path.  Requests arrive in sequence-numbered
+  resident zone substrates via the same
+  :class:`~repro.distributed.worker.ZoneHost` core the pipe workers
+  use — length-prefixed frames, compact struct payloads, no pickle on
+  the hot path.  Requests arrive in sequence-numbered
   envelopes; the daemon remembers its recent replies, so a request it
   has already served (a coordinator retry after a lost reply) is
   answered from the cache instead of being applied twice —
@@ -20,29 +20,29 @@ the paper's follow-up work describes).  Three pieces:
 * :func:`spawn_worker_process` — launch a ``spire-worker`` daemon as a
   subprocess and parse the port it bound (for tests, benchmarks and CI).
 
-* :class:`RemoteCoordinator` — a :class:`ParallelCoordinator` whose
-  worker handles are supervised TCP connections
+* :class:`RemoteCoordinator` — the :class:`~repro.distributed.
+  coordinator.Coordinator` over a pool of supervised TCP connections
   (:class:`~repro.distributed.supervisor.RemoteWorker`).  The epoch
-  protocol and its byte-identical merge order are unchanged; what this
-  class adds is survival: lease/heartbeat checks at every epoch
-  boundary, bounded retries under backoff for every request, and —
-  when a worker is declared dead — failover of its zones onto the
-  survivors using the established checkpoint + replay machinery
-  (:meth:`fail_zone` / :meth:`recover_zone`), with the rebuilt
-  substrate shipped to its new home via the fast flat-array codec.
-  The run degrades to fewer workers instead of aborting; only losing
-  *every* worker raises :class:`~repro.distributed.supervisor.RemoteError`.
+  loop is the one every pool runs; what this pool brings is survival:
+  lease/heartbeat checks at every epoch boundary, bounded retries
+  under backoff for every request, and — when a worker is declared
+  dead — failover of its zones onto the survivors using the
+  checkpoint + replay machinery (``fail_zone`` / ``recover_zone``),
+  with the rebuilt substrate shipped to its new home via the flat-array
+  checkpoint codec.  The run degrades to fewer workers instead of
+  aborting; only losing *every* worker raises
+  :class:`~repro.distributed.supervisor.RemoteError`.
 
 Determinism contract: with live workers (including any amount of
 transport-level delay/drop/duplication absorbed by retries) the merged
-event stream is byte-identical to the serial coordinator's.  A worker
+event stream is byte-identical to the in-process coordinator's.  A worker
 death *between* epochs rehomes its zones exactly like a scripted
-``fail_zone`` + ``recover_zone`` pair, so it too reproduces the serial
-stream.  A death *mid-epoch* (retries exhausted while requests were in
+``fail_zone`` + ``recover_zone`` pair, so it too reproduces the scripted
+in-process stream.  A death *mid-epoch* (retries exhausted while requests were in
 flight) keeps the stream well-formed — intervals are closed before the
 rebuilt zones re-open them — but the torn epoch's zone output is
-replaced by the rebuild, which is the same degradation the serial
-failover path exhibits.
+replaced by the rebuild, which is the same degradation a scripted
+failover exhibits.
 """
 
 from __future__ import annotations
@@ -53,24 +53,14 @@ import subprocess
 import sys
 import threading
 import time
-import traceback
 from collections import OrderedDict
 from typing import Iterable, Sequence
 
 from repro.distributed import wire
-from repro.distributed.coordinator import EpochResult, Zone, _ZoneCheckpoint
-from repro.distributed.parallel import ParallelCoordinator, handle_request
-from repro.distributed.supervisor import (
-    RemoteError,
-    RetryPolicy,
-    WorkerDied,
-    WorkerSupervisor,
-)
-from repro.events.messages import EventMessage, end_containment, end_location
-from repro.faults.warnings import WarningKind
+from repro.distributed.coordinator import Coordinator, Zone
+from repro.distributed.supervisor import RetryPolicy, WorkerSupervisor
+from repro.distributed.worker import ZoneHost
 from repro.obs.metrics import MetricRegistry
-from repro.readers.codec import encode_epoch_frame
-from repro.readers.stream import EpochReadings
 
 
 def parse_address(spec) -> tuple[str, int]:
@@ -119,8 +109,7 @@ class WorkerDaemon:
         self.host, self.port = self._listener.getsockname()[:2]
         self.name = name or f"spire-worker-{os.getpid()}-{self.port}"
         self._cache_size = reply_cache
-        self._spires: dict[int, object] = {}
-        self._registries: dict[int, MetricRegistry] = {}
+        self._host = ZoneHost()
         self._cache: OrderedDict[int, bytes] = OrderedDict()
         self._last_seq = 0
         self._stopping = threading.Event()
@@ -186,7 +175,7 @@ class WorkerDaemon:
         if msg_type == wire.MSG_HELLO:
             conn.sendall(
                 wire.encode_frame(
-                    wire.encode_hello_ack(self.name, os.getpid(), len(self._spires))
+                    wire.encode_hello_ack(self.name, os.getpid(), len(self._host.spires))
                 )
             )
             return True
@@ -204,36 +193,19 @@ class WorkerDaemon:
                 conn.sendall(wire.encode_frame(wire.encode_reply(seq, cached)))
             return True
         self._last_seq = seq
-        try:
-            reply = handle_request(body, self._spires, self._registries)
-        except BaseException:
-            # mirror the pipe worker's fatal contract: report the
-            # traceback and consider this worker's state lost — the
-            # coordinator fails our zones over to a survivor
-            error = wire.encode_error(traceback.format_exc())
-            self._spires.clear()
-            self._registries.clear()
-            self._remember(seq, error)
-            try:
-                conn.sendall(wire.encode_frame(wire.encode_reply(seq, error)))
-            except OSError:
-                pass
-            return False
-        if reply is None:  # MSG_STOP
-            self._remember(seq, wire.encode_ok())
-            try:
-                conn.sendall(wire.encode_frame(wire.encode_reply(seq, wire.encode_ok())))
-            except OSError:
-                pass
+        # a failure is reported like the pipe worker's (the traceback as
+        # MSG_ERROR, resident state dropped): the coordinator fails our
+        # zones over to a survivor, and the daemon awaits a new connection
+        reply, done = self._host.serve_bytes(body)
+        self._remember(seq, reply)
+        if done and reply[0] != wire.MSG_ERROR:  # MSG_STOP
             self._stopping.set()
             try:
                 self._listener.close()
             except OSError:
                 pass
-            return False
-        self._remember(seq, reply)
         conn.sendall(wire.encode_frame(wire.encode_reply(seq, reply)))
-        return True
+        return not done
 
     def _remember(self, seq: int, reply: bytes) -> None:
         self._cache[seq] = reply
@@ -269,8 +241,7 @@ class WorkerDaemon:
         closed and the port refusing, declares the worker dead, and
         rehomes its zones — the scenario the failover tests script.
         """
-        self._spires.clear()
-        self._registries.clear()
+        self._host.spires.clear()
         self._cache.clear()
         self.stop()
 
@@ -324,8 +295,8 @@ def spawn_worker_process(
 # ---------------------------------------------------------------------------
 
 
-class RemoteCoordinator(ParallelCoordinator):
-    """Zone coordination over supervised TCP workers.
+class RemoteCoordinator(Coordinator):
+    """The coordinator over a pool of supervised TCP workers.
 
     Args:
         zones: The site partition, as for every coordinator.
@@ -342,7 +313,9 @@ class RemoteCoordinator(ParallelCoordinator):
             :meth:`close`.  Default: only for self-spawned daemons —
             externally managed workers outlive their coordinators.
 
-    Remaining arguments match :class:`ParallelCoordinator`.
+    Remaining arguments match :class:`Coordinator`.  A worker lost
+    mid-run is not ours to resurrect: its zones are rebuilt on the
+    survivors and the run continues.
     """
 
     def __init__(
@@ -354,7 +327,6 @@ class RemoteCoordinator(ParallelCoordinator):
         supervise_seed: int = 0,
         strict: bool = False,
         checkpoint_interval: int | None = 50,
-        checkpoint_codec: str = "fast",
         metrics: MetricRegistry | None = None,
         stop_workers_on_close: bool | None = None,
     ) -> None:
@@ -365,464 +337,31 @@ class RemoteCoordinator(ParallelCoordinator):
             )
         if (addresses is None) == (workers is None):
             raise ValueError("pass exactly one of addresses= or workers=")
-        self.supervisor: WorkerSupervisor | None = None
-        self._policy = policy or RetryPolicy()
-        self._supervise_seed = supervise_seed
-        self._daemons: list[WorkerDaemon] = []
+        zones = list(zones)
         if addresses is None:
             if workers < 1:
                 raise ValueError(f"workers must be >= 1, got {workers}")
             self._daemons = [WorkerDaemon() for _ in range(workers)]
-            for daemon in self._daemons:
-                daemon.start()
-            resolved = [daemon.address for daemon in self._daemons]
+            resolved = [daemon.start() for daemon in self._daemons]
         else:
             resolved = [parse_address(spec) for spec in addresses]
             if not resolved:
                 raise ValueError("addresses must be non-empty")
-        self._addresses = resolved
         self._stop_on_close = (
             (addresses is None) if stop_workers_on_close is None else stop_workers_on_close
         )
-        #: zones rebuilt on a survivor while this epoch was in flight —
-        #: their replayed rebuild already consumed the epoch's readings,
-        #: so the fan-out/fan-in must skip them for the rest of the epoch
-        self._rehomed_mid_epoch: set[str] = set()
-        #: rehoming messages produced outside process_epoch (a death
-        #: detected during a query), prepended to the next epoch's output
-        self._deferred_messages: list[EventMessage] = []
+        self._worker_lost = self._rehome_after_loss
         try:
+            self.supervisor = WorkerSupervisor(
+                resolved[: len(zones)], policy or RetryPolicy(), seed=supervise_seed, metrics=metrics
+            )
+            self._workers = self.supervisor.workers
             super().__init__(
                 zones,
                 strict=strict,
                 checkpoint_interval=checkpoint_interval,
-                checkpoint_codec=checkpoint_codec,
-                workers=len(resolved),
                 metrics=metrics,
             )
         except BaseException:
             self.close()
             raise
-
-    # ------------------------------------------------------------------
-    # transport plumbing (overrides)
-    # ------------------------------------------------------------------
-
-    def _spawn_workers(self) -> list:
-        self.supervisor = WorkerSupervisor(
-            self._addresses[: self.num_workers],
-            self._policy,
-            seed=self._supervise_seed,
-            metrics=self.metrics,
-        )
-        return self.supervisor.workers
-
-    def close(self, stop_workers: bool | None = None) -> None:
-        if getattr(self, "_closed", False):
-            return
-        self._closed = True
-        if self.supervisor is not None:
-            self.supervisor.close(
-                stop_workers=self._stop_on_close if stop_workers is None else stop_workers
-            )
-        for daemon in self._daemons:
-            daemon.stop()
-
-    def _ensure_worker(self, zone_id: str) -> None:
-        """Point a recovering zone at a live worker (no process respawn —
-        remote workers are rehomed, not resurrected)."""
-        if not self._worker_of_zone[zone_id].alive:
-            self._worker_of_zone[zone_id] = self._pick_home()
-
-    def _pick_home(self):
-        """Least-loaded live worker (ties to the lowest index): the new
-        home for a zone whose worker died."""
-        survivors = self.supervisor.alive_workers()
-        if not survivors:
-            raise RemoteError("every remote worker is dead; cannot rehome zones")
-        load = {worker.index: 0 for worker in survivors}
-        for owner in self._worker_of_zone.values():
-            if owner.index in load and owner.alive:
-                load[owner.index] += 1
-        return min(survivors, key=lambda worker: (load[worker.index], worker.index))
-
-    # ------------------------------------------------------------------
-    # failure handling
-    # ------------------------------------------------------------------
-
-    def _handle_dead_worker(self, worker, spliced: list[EventMessage], at: int) -> None:
-        """Fail the dead worker's zones over to survivors.
-
-        Runs the established failover pair per zone — ``fail_zone``
-        (close open intervals) then ``recover_zone`` (rebuild from
-        checkpoint + replay, install on the new home) — appending the
-        closing and re-opening messages to ``spliced`` in zone-sorted
-        order.  Exactly what a scripted serial ``fail_zone`` /
-        ``recover_zone`` at the same epoch would emit, which is what
-        keeps a between-epoch death byte-identical to the serial run.
-        """
-        hosted = sorted(z for z, w in self._worker_of_zone.items() if w is worker)
-        if not hosted:
-            return  # already handled (idempotence under repeated signals)
-        self.quarantine.warn(
-            WarningKind.WORKER_LOST,
-            at,
-            detail=(
-                f"remote worker {worker.name} declared dead "
-                f"({worker.death_reason}); rehoming zone(s) {', '.join(hosted)}"
-            ),
-        )
-        to_recover = []
-        for zone_id in hosted:
-            if zone_id in self._failed:
-                # was already failed by the user; just needs a new home
-                # whenever recover_zone is eventually called
-                self._worker_of_zone[zone_id] = self._pick_home()
-                continue
-            to_recover.append(zone_id)
-        for zone_id in to_recover:
-            spliced.extend(self.fail_zone(zone_id, at))
-        for zone_id in to_recover:
-            new_home = self._pick_home()
-            self._worker_of_zone[zone_id] = new_home
-            checkpoint_epoch = self._checkpoints[zone_id].epoch
-            spliced.extend(self.recover_zone(zone_id, at))
-            self.quarantine.warn(
-                WarningKind.ZONE_REHOMED,
-                at,
-                detail=(
-                    f"zone {zone_id!r} rebuilt on worker {new_home.name} from "
-                    f"checkpoint at epoch {checkpoint_epoch}"
-                ),
-            )
-        self.supervisor._sync_gauges()
-
-    def _on_mid_epoch_death(
-        self, worker, now: int, out_messages: list[EventMessage]
-    ) -> None:
-        """A worker died with this epoch's requests in flight.
-
-        The interval tracker is synced with everything emitted so far
-        (so the failover closes exactly the intervals that are really
-        open), then the worker's zones are failed over.  Their rebuild
-        replays the current epoch's readings too — the epoch loop skips
-        those zones from here on (``_rehomed_mid_epoch``).
-        """
-        hosted = [z for z, w in self._worker_of_zone.items() if w is worker]
-        if not hosted:
-            return
-        self._track_messages(out_messages)
-        self._handle_dead_worker(worker, out_messages, now)
-        self._rehomed_mid_epoch.update(hosted)
-
-    def _close_tag(self, tag, now: int) -> list[EventMessage]:
-        """Interval closures for one tag whose release reply was lost
-        with its worker — the per-tag slice of what ``fail_zone`` does."""
-        state = self._open.get(tag)
-        if state is None:
-            return []
-        messages = []
-        for container in sorted(state.containments):
-            messages.append(
-                end_containment(tag, container, state.containments[container], now)
-            )
-        if state.location is not None:
-            place, vs = state.location
-            messages.append(end_location(tag, place, vs, now))
-        return messages
-
-    def _declare_error_death(self, worker, detail: str):
-        """A daemon reported MSG_ERROR: its zone state is gone by
-        contract, so treat the handle as dead (without retries)."""
-        return worker._declare_dead(f"worker reported an error:\n{detail}")
-
-    # ------------------------------------------------------------------
-    # the supervised epoch loop
-    # ------------------------------------------------------------------
-
-    def process_epoch(self, readings: EpochReadings) -> EpochResult:
-        now = readings.epoch
-        warnings_before = len(self.quarantine.warnings)
-        self._rehomed_mid_epoch = set()
-
-        # between-epoch supervision: EOF probes + lease heartbeats; a
-        # death found here rehomes zones *before* this epoch's readings
-        # are split, reproducing a scripted serial fail/recover exactly
-        pre_messages: list[EventMessage] = []
-        if self._deferred_messages:
-            pre_messages.extend(self._deferred_messages)
-            self._deferred_messages = []
-        boundary = self._last_epoch if self._last_epoch is not None else now
-        for worker in self.supervisor.check_leases():
-            self._handle_dead_worker(worker, pre_messages, boundary)
-
-        self._last_epoch = now
-        per_zone = self._split_by_zone(readings)
-        result = EpochResult(epoch=now, messages=pre_messages)
-
-        migrations: list[tuple] = []
-        for zone_id, zone_readings in per_zone.items():
-            if zone_id in self._failed:
-                continue
-            for tag in zone_readings.tags_seen():
-                owner = self._owner.get(tag)
-                if owner is None:
-                    self._owner[tag] = zone_id
-                elif owner != zone_id:
-                    migrations.append((tag, owner, zone_id, owner not in self._failed))
-                    self._owner[tag] = zone_id
-                    result.handoffs.append((tag, owner, zone_id))
-        if migrations:
-            self._apply_migrations(migrations, now, result.messages)
-
-        # fan out (skipping zones already rebuilt through this epoch)
-        start = time.perf_counter()
-        order = sorted(per_zone)
-        checkpointing: set[str] = set()
-        batches: dict[int, tuple] = {}
-        for zone_id in order:
-            if zone_id in self._failed or zone_id in self._rehomed_mid_epoch:
-                continue
-            flags = 0
-            if len(self._replay[zone_id]) >= self._checkpoint_interval:
-                flags = wire.FLAG_CHECKPOINT
-                if self.checkpoint_codec == "pickle":
-                    flags |= wire.FLAG_CHECKPOINT_PICKLE
-                checkpointing.add(zone_id)
-            frame = encode_epoch_frame(per_zone[zone_id])
-            worker = self._worker_of_zone[zone_id]
-            batches.setdefault(worker.index, (worker, []))[1].append(
-                (self._zone_index[zone_id], flags, frame)
-            )
-        for worker, entries in batches.values():
-            if not worker.alive:
-                continue  # handled in fan-in
-            payload = wire.encode_epoch_batch(entries)
-            worker.send_bytes(payload)
-            self.stats.bytes_to_workers += len(payload)
-        self.stats.fanout_s += time.perf_counter() - start
-
-        # fan in.  Every worker is drained before any death is handled:
-        # failover ships an install to a *survivor*, and that round-trip
-        # must not race the survivor's still-pending epoch reply.
-        start = time.perf_counter()
-        results_by_index: dict[int, bytes] = {}
-        dead: list = []
-        for worker, _entries in batches.values():
-            try:
-                if not worker.alive:
-                    raise WorkerDied(worker, worker.death_reason or "declared dead")
-                data = worker.recv_bytes()
-            except WorkerDied as death:
-                dead.append(death.worker)
-                continue
-            self.stats.bytes_from_workers += len(data)
-            if data and data[0] == wire.MSG_ERROR:
-                detail = data[1:].decode("utf-8", "replace")
-                dead.append(self._declare_error_death(worker, detail).worker)
-                continue
-            for zone_index, zone_result in wire.decode_epoch_batch_result(data):
-                results_by_index[zone_index] = zone_result
-        self.stats.fanin_wait_s += time.perf_counter() - start
-        for worker in dead:
-            self._on_mid_epoch_death(worker, now, result.messages)
-
-        from repro.obs.metrics import snapshot_from_json
-
-        for zone_id in order:
-            if zone_id in self._failed or zone_id in self._rehomed_mid_epoch:
-                continue
-            zone_result = results_by_index.get(self._zone_index[zone_id])
-            if zone_result is None:  # worker died after another zone's rehome
-                continue
-            (
-                messages, departed, busy_s, checkpoint_s, checkpoint, metrics_blob,
-            ) = wire.decode_epoch_result(zone_result)
-            result.messages.extend(messages)
-            for tag in departed:
-                self._owner.pop(tag, None)
-            self.stats.busy_s[zone_id] = self.stats.busy_s.get(zone_id, 0.0) + busy_s
-            self.stats.zone_epochs[zone_id] = self.stats.zone_epochs.get(zone_id, 0) + 1
-            if metrics_blob is not None:
-                self._zone_snapshots[zone_id] = snapshot_from_json(metrics_blob)
-            if zone_id in checkpointing:
-                if checkpoint is None:
-                    raise wire.WireError(f"zone {zone_id!r} returned no checkpoint")
-                self._checkpoints[zone_id] = _ZoneCheckpoint(
-                    epoch=now,
-                    data=checkpoint,
-                    metrics=self._zone_snapshots.get(zone_id),
-                )
-                self._replay[zone_id] = []
-                self.stats.checkpoint_s += checkpoint_s
-                self.stats.checkpoints += 1
-                if self.metrics is not None:
-                    self._m_checkpoints.inc()
-                    self._m_checkpoint_seconds.observe(checkpoint_s)
-
-        self._track_messages(result.messages)
-        self.stats.epochs += 1
-        if self.metrics is not None:
-            self._m_epochs.inc()
-            self._m_handoffs.inc(len(result.handoffs))
-        self.supervisor._sync_gauges()
-        result.warnings = self.quarantine.warnings[warnings_before:]
-        return result
-
-    def _apply_migrations(
-        self,
-        migrations: list[tuple],
-        now: int,
-        out_messages: list[EventMessage],
-    ) -> None:
-        """The parent's migration protocol with mid-flight failure repair.
-
-        Releases and adoptions keep their per-zone batching and global
-        migration order.  When an owner's worker dies before its release
-        reply lands, the exported records are gone: the coordinator
-        closes those tags' intervals itself (the per-tag slice of
-        ``fail_zone``) and hands the targets bare records — the same
-        degradation as a migration out of an already-crashed zone.  A
-        target rebuilt mid-epoch needs neither closings nor adoptions:
-        its rebuild already replayed the epoch and the failover already
-        closed everything it owned.
-        """
-        release_plan: dict[str, list[int]] = {}
-        for i, (tag, owner, _target, needs_release) in enumerate(migrations):
-            if needs_release:
-                release_plan.setdefault(owner, []).append(i)
-
-        for owner, indices in release_plan.items():
-            tags = [migrations[i][0] for i in indices]
-            self._send(owner, wire.encode_release(self._zone_index[owner], now, tags))
-
-        closings: dict[int, list[EventMessage]] = {}
-        records: dict[int, bytes] = {}
-        emitted: set[int] = set()
-        lost: list[tuple] = []  # (dead worker, release indices it took down)
-        start = time.perf_counter()
-        for owner, indices in release_plan.items():
-            if owner in self._rehomed_mid_epoch:
-                # the request died with the owner's old worker; the new
-                # home never saw it.  Close the tags' intervals here and
-                # migrate them with no exported knowledge.
-                for i in indices:
-                    closure = self._close_tag(migrations[i][0], now)
-                    self._track_messages(closure)
-                    out_messages.extend(closure)
-                    emitted.add(i)
-                    records[i] = wire.encode_record({"tag": migrations[i][0]})
-                continue
-            worker = self._worker_of_zone[owner]
-            try:
-                if not worker.alive:
-                    raise WorkerDied(worker, worker.death_reason or "declared dead")
-                data = self._recv(owner)
-                if data and data[0] == wire.MSG_ERROR:
-                    raise self._declare_error_death(
-                        worker, data[1:].decode("utf-8", "replace")
-                    )
-                releases = wire.decode_release_result(data)
-            except WorkerDied as death:
-                # defer the failover until every owner is drained: the
-                # rebuilt zone's install must not race a survivor's
-                # still-pending release reply
-                lost.append((death.worker, indices))
-                continue
-            for i, (record, closing) in zip(indices, releases):
-                records[i] = record
-                closings[i] = closing
-        self.stats.fanin_wait_s += time.perf_counter() - start
-
-        for worker, indices in lost:
-            # flush what we already hold so the failover sees (and
-            # closes) only intervals that are genuinely still open
-            for i in sorted(closings):
-                if i not in emitted:
-                    out_messages.extend(closings[i])
-                    emitted.add(i)
-            # close the lost tags' intervals *before* the failover: a
-            # rebuilt target replays this epoch and re-opens them, and
-            # the stream must close the old interval first
-            for i in indices:
-                closure = self._close_tag(migrations[i][0], now)
-                self._track_messages(closure)
-                out_messages.extend(closure)
-                emitted.add(i)
-                records[i] = wire.encode_record({"tag": migrations[i][0]})
-            self._on_mid_epoch_death(worker, now, out_messages)
-
-        adopt_plan: dict[str, list[bytes]] = {}
-        for i, (tag, _owner, target, needs_release) in enumerate(migrations):
-            if i not in emitted:
-                if target in self._rehomed_mid_epoch:
-                    # its intervals were closed by the failover; the late
-                    # closing would close them a second time
-                    pass
-                else:
-                    out_messages.extend(closings.get(i, ()))
-            if target in self._rehomed_mid_epoch:
-                continue  # the rebuilt target replayed this epoch already
-            if needs_release:
-                record = records[i]
-            else:
-                record = wire.encode_record({"tag": tag})
-            adopt_plan.setdefault(target, []).append(record)
-
-        for target, target_records in adopt_plan.items():
-            if self._worker_of_zone[target].alive:
-                self._send(
-                    target,
-                    wire.encode_adopt(self._zone_index[target], now, target_records),
-                )
-        start = time.perf_counter()
-        adopt_deaths: list = []
-        for target in adopt_plan:
-            if target in self._rehomed_mid_epoch:
-                continue
-            worker = self._worker_of_zone[target]
-            try:
-                if not worker.alive:
-                    raise WorkerDied(worker, worker.death_reason or "declared dead")
-                data = self._recv(target)
-                if data and data[0] == wire.MSG_ERROR:
-                    raise self._declare_error_death(
-                        worker, data[1:].decode("utf-8", "replace")
-                    )
-                wire.expect_ok(data)
-            except WorkerDied as death:
-                adopt_deaths.append(death.worker)
-        self.stats.fanin_wait_s += time.perf_counter() - start
-        for worker in adopt_deaths:  # after the drain, for the same reason
-            self._on_mid_epoch_death(worker, now, out_messages)
-
-    # ------------------------------------------------------------------
-    # queries (rehome and retry on a dead owner)
-    # ------------------------------------------------------------------
-
-    def _query_owner(self, owner: str, kind: int, tag) -> int:
-        for _attempt in (0, 1):
-            try:
-                self._send(owner, wire.encode_query(self._zone_index[owner], kind, tag))
-                return wire.decode_query_result(self._recv(owner))
-            except WorkerDied as death:
-                at = self._last_epoch if self._last_epoch is not None else 0
-                self._handle_dead_worker(death.worker, self._deferred_messages, at)
-        raise RemoteError(f"query against zone {owner!r} kept losing workers")
-
-    def location_of(self, tag) -> int:
-        from repro.model.locations import UNKNOWN_COLOR
-
-        owner = self._owner.get(tag)
-        if owner is None or owner in self._failed:
-            return UNKNOWN_COLOR
-        return self._query_owner(owner, wire.QUERY_LOCATION, tag)
-
-    def container_of(self, tag):
-        from repro.model.objects import TagId
-
-        owner = self._owner.get(tag)
-        if owner is None or owner in self._failed:
-            return None
-        key = self._query_owner(owner, wire.QUERY_CONTAINER, tag)
-        return None if key == 0 else TagId.from_key(key)

@@ -33,6 +33,7 @@ import time
 from dataclasses import dataclass, field
 
 from repro.distributed import wire
+from repro.distributed.worker import WireWorker
 
 
 class RemoteError(RuntimeError):
@@ -121,12 +122,13 @@ class SupervisorStats:
         ]
 
 
-class RemoteWorker:
+class RemoteWorker(WireWorker):
     """One supervised TCP connection to a worker daemon.
 
     Presents the blocking FIFO ``send_bytes`` / ``recv_bytes`` contract
-    of the pipe-backed ``_Worker`` handle, with the retry machinery
-    hidden underneath.  ``send_bytes`` enqueues the request (assigning
+    :class:`~repro.distributed.worker.WireWorker` builds on (the same one
+    the pipe-backed handle offers), with the retry machinery hidden
+    underneath.  ``send_bytes`` enqueues the request (assigning
     the next sequence number) and pushes it onto the wire best-effort;
     ``recv_bytes`` blocks for the reply to the *oldest* unanswered
     request, driving timeouts, reconnects and go-back-N resends until it
@@ -249,7 +251,7 @@ class RemoteWorker:
         return WorkerDied(self, reason)
 
     # ------------------------------------------------------------------
-    # the _Worker contract
+    # the byte-transport contract
     # ------------------------------------------------------------------
 
     def send_bytes(self, payload: bytes) -> None:
@@ -394,24 +396,22 @@ class RemoteWorker:
             return False
 
     # ------------------------------------------------------------------
-    # shutdown
+    # letting go
     # ------------------------------------------------------------------
-
-    def stop(self) -> None:
-        """Best-effort graceful daemon shutdown (MSG_STOP, await OK)."""
-        if self.dead or self._sock is None:
-            return
-        try:
-            self.send_bytes(wire.encode_stop())
-            wire.expect_ok(self.recv_bytes())
-        except (RemoteError, OSError, wire.WireError):
-            pass
 
     def kill(self, warn=None) -> None:
         """Drop the connection (the daemon itself is not ours to reap)."""
         self._teardown()
         self._pending.clear()
         self._ready.clear()
+
+    def abandon(self, reason: str, warn=None) -> None:
+        """The coordinator gives this worker up (it reported an error)."""
+        if not self.dead:
+            self._declare_dead(reason)
+
+    def respawn(self) -> None:
+        """A remote daemon is not ours to resurrect: its zones move."""
 
 
 class WorkerSupervisor:
@@ -478,9 +478,6 @@ class WorkerSupervisor:
             if total > counter.value:
                 counter.inc(total - counter.value)
 
-    def alive_workers(self) -> list[RemoteWorker]:
-        return [w for w in self.workers if w.alive]
-
     def check_leases(self) -> list[RemoteWorker]:
         """Between-epoch supervision pass; returns newly dead workers.
 
@@ -514,10 +511,3 @@ class WorkerSupervisor:
                 newly_dead.append(worker)
         self._sync_gauges()
         return newly_dead
-
-    def close(self, stop_workers: bool) -> None:
-        for worker in self.workers:
-            if stop_workers:
-                worker.stop()
-            worker.kill()
-        self._sync_gauges()

@@ -72,7 +72,6 @@ _I64 = struct.Struct("<q")
 
 #: flag bits on MSG_EPOCH
 FLAG_CHECKPOINT = 1  #: checkpoint the zone after processing this epoch
-FLAG_CHECKPOINT_PICKLE = 2  #: use the legacy pickle codec for that checkpoint
 
 #: one handoff record (see ``Spire.release``): tag key, recent color,
 #: seen_at, confirmed parent key (0 = none), confirmed_at, conflicts
@@ -161,8 +160,6 @@ class FrameDecoder:
 def _expect(data: bytes, msg_type: int) -> None:
     if not data or data[0] != msg_type:
         got = data[0] if data else None
-        if got == MSG_ERROR:
-            raise WireError(f"worker failed:\n{data[1:].decode('utf-8', 'replace')}")
         raise WireError(f"expected message type {msg_type}, got {got}")
 
 

@@ -354,13 +354,12 @@ def run_coordinator_sweep(
     milestones: tuple[int, ...] | list[int],
     workers: int | None = None,
     checkpoint_interval: int = DEFAULT_CHECKPOINT_INTERVAL,
-    checkpoint_codec: str = "fast",
     params: InferenceParams | None = None,
 ) -> dict:
     """Run the Table III trace through the zone coordinator and window
     per-epoch wall cost at tracked-object milestones.
 
-    ``workers=None`` runs the serial in-process :class:`Coordinator`;
+    ``workers=None`` runs the in-process :class:`Coordinator`;
     otherwise a :class:`ParallelCoordinator` with that many worker
     processes.  Returns milestone rows plus the SHA-256 of the merged
     event stream — the digest is the cross-configuration determinism
@@ -382,23 +381,11 @@ def run_coordinator_sweep(
         params=params,
     )
     if workers is None:
-        coordinator = Coordinator(
-            zones,
-            checkpoint_interval=checkpoint_interval,
-            checkpoint_codec=checkpoint_codec,
-        )
+        coordinator = Coordinator(zones, checkpoint_interval=checkpoint_interval)
     else:
         coordinator = ParallelCoordinator(
-            zones,
-            checkpoint_interval=checkpoint_interval,
-            checkpoint_codec=checkpoint_codec,
-            workers=workers,
+            zones, checkpoint_interval=checkpoint_interval, workers=workers
         )
-    # whole-object pickling recurses through node<->edge chains; the legacy
-    # codec needs head-room on production-scale graphs
-    old_limit = sys.getrecursionlimit()
-    if checkpoint_codec == "pickle":
-        sys.setrecursionlimit(1_000_000)
     try:
         digest = hashlib.sha256()
         pending = sorted(milestones)
@@ -428,12 +415,9 @@ def run_coordinator_sweep(
                 win_epochs = 0
         total_s = time.perf_counter() - started
     finally:
-        sys.setrecursionlimit(old_limit)
-        if workers is not None:
-            coordinator.close()
+        coordinator.close()
     out = {
         "workers": workers,
-        "checkpoint_codec": checkpoint_codec,
         "milestones": rows,
         "messages": messages,
         "total_s": total_s,
@@ -453,64 +437,20 @@ def run_coordinator_sweep(
     return out
 
 
-def benchmark_checkpoint_codecs(sim: SimulationResult, repeats: int = 3) -> dict:
-    """Time ``dumps_spire`` / ``loads_spire`` for both codecs over the
-    grown Table III substrate (the checkpoint a zone worker would cut)."""
-    from repro.core.checkpoint import dumps_spire, loads_spire
-    from repro.core.pipeline import Deployment, Spire
-
-    deployment = Deployment.from_readers(sim.layout.readers, sim.layout.registry)
-    spire = Spire(deployment, InferenceParams(), compression_level=2, incremental=True)
-    for readings in sim.stream:
-        spire.process_epoch(readings)
-
-    out: dict = {"nodes": spire.graph.node_count, "edges": spire.graph.edge_count}
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(1_000_000)
-    try:
-        for codec in ("pickle", "fast"):
-            encode_s = decode_s = float("inf")
-            for _ in range(repeats):
-                t0 = time.perf_counter()
-                blob = dumps_spire(spire, codec=codec)
-                encode_s = min(encode_s, time.perf_counter() - t0)
-                t0 = time.perf_counter()
-                loads_spire(blob)
-                decode_s = min(decode_s, time.perf_counter() - t0)
-            out[codec] = {
-                "encode_s": encode_s,
-                "decode_s": decode_s,
-                "bytes": len(blob),
-            }
-    finally:
-        sys.setrecursionlimit(old_limit)
-    out["encode_speedup"] = out["pickle"]["encode_s"] / max(
-        out["fast"]["encode_s"], 1e-12
-    )
-    out["decode_speedup"] = out["pickle"]["decode_s"] / max(
-        out["fast"]["decode_s"], 1e-12
-    )
-    return out
-
-
 def run_scaling(
     milestones: tuple[int, ...] | list[int] = DEFAULT_MILESTONES,
     worker_counts: tuple[int, ...] | list[int] = DEFAULT_WORKER_COUNTS,
     cases_per_pallet: int = DEFAULT_CASES_PER_PALLET,
     seed: int = DEFAULT_SEED,
     checkpoint_interval: int = DEFAULT_CHECKPOINT_INTERVAL,
-    benchmark_checkpoints: bool = True,
 ) -> dict:
     """The multi-worker scaling sweep recorded in ``BENCH_table3.json``.
 
-    Runs the Table III workload through the serial coordinator twice —
-    once in the seed configuration (pickle checkpoints, the only codec
-    before the fast encoder existed) and once with fast checkpoints — and
+    Runs the Table III workload through the in-process coordinator and
     through :class:`ParallelCoordinator` at each worker count.  Attaches
-    per-milestone and end-to-end speedups against both serial rows, a
-    checkpoint codec micro-benchmark, and the shared stream digest (all
-    configurations must produce byte-identical output or the payload is
-    marked non-deterministic).
+    per-milestone and end-to-end speedups against the in-process row and
+    the shared stream digest (all configurations must produce
+    byte-identical output or the payload is marked non-deterministic).
     """
     config = table3_config(cases_per_pallet, duration_for(milestones, cases_per_pallet), seed)
     sim = WarehouseSimulator(config).run()
@@ -526,44 +466,29 @@ def run_scaling(
         "machine": machine_info(),
         "calibration_s": calibrate(),
     }
-    serial_pickle = run_coordinator_sweep(
-        sim, milestones, workers=None,
-        checkpoint_interval=checkpoint_interval, checkpoint_codec="pickle",
+    serial = run_coordinator_sweep(
+        sim, milestones, workers=None, checkpoint_interval=checkpoint_interval
     )
-    serial_fast = run_coordinator_sweep(
-        sim, milestones, workers=None,
-        checkpoint_interval=checkpoint_interval, checkpoint_codec="fast",
-    )
-    payload["serial_pickle_checkpoints"] = serial_pickle
-    payload["serial_fast_checkpoints"] = serial_fast
+    payload["serial"] = serial
     runs = {}
     for count in worker_counts:
         runs[f"workers_{count}"] = run_coordinator_sweep(
-            sim, milestones, workers=count,
-            checkpoint_interval=checkpoint_interval, checkpoint_codec="fast",
+            sim, milestones, workers=count, checkpoint_interval=checkpoint_interval
         )
     payload["parallel"] = runs
 
-    digests = {serial_pickle["stream_sha256"], serial_fast["stream_sha256"]}
+    digests = {serial["stream_sha256"]}
     digests.update(run["stream_sha256"] for run in runs.values())
     payload["streams_identical"] = len(digests) == 1
-    payload["stream_sha256"] = serial_fast["stream_sha256"]
+    payload["stream_sha256"] = serial["stream_sha256"]
 
     payload["speedups"] = {
-        label: {
-            name: {
-                "total": baseline["total_s"] / max(run["total_s"], 1e-12),
-                "milestones": _scaling_speedups(baseline["milestones"], run["milestones"]),
-            }
-            for name, run in runs.items()
+        name: {
+            "total": serial["total_s"] / max(run["total_s"], 1e-12),
+            "milestones": _scaling_speedups(serial["milestones"], run["milestones"]),
         }
-        for label, baseline in (
-            ("vs_serial_pickle_checkpoints", serial_pickle),
-            ("vs_serial_fast_checkpoints", serial_fast),
-        )
+        for name, run in runs.items()
     }
-    if benchmark_checkpoints:
-        payload["checkpoint_codecs"] = benchmark_checkpoint_codecs(sim)
     payload["peak_rss_kb"] = peak_rss_kb()
     return payload
 
@@ -589,7 +514,7 @@ def check_parallel_throughput(
 ) -> list[str]:
     """CI gate for the parallel path: the merged-stream throughput of the
     given parallel configuration must be within ``tolerance`` of the
-    serial (fast-checkpoint) run of the *same payload*, and the streams
+    in-process run of the *same payload*, and the streams
     must be byte-identical.  Same-payload comparison makes the check
     machine-independent (both runs share the calibration environment).
 
@@ -598,7 +523,7 @@ def check_parallel_throughput(
     problems: list[str] = []
     if not current.get("streams_identical", False):
         problems.append("parallel merged stream differs from the serial stream")
-    serial = current.get("serial_fast_checkpoints")
+    serial = current.get("serial")
     run = (current.get("parallel") or {}).get(workers_key)
     if serial is None or run is None:
         problems.append(f"payload is missing serial or {workers_key} scaling rows")

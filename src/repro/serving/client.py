@@ -26,7 +26,6 @@ them, not both.
 from __future__ import annotations
 
 import asyncio
-import warnings
 from collections import deque
 
 from repro.distributed.wire import FrameDecoder, WireError, encode_frame
@@ -343,21 +342,6 @@ class SpireClient:
         handle = ClientSubscription(self, sub_id, pattern, max_queue)
         self._routes[sub_id] = handle
         return handle
-
-    async def subscribe_pattern(self, source: str, max_queue: int = 1024) -> int:
-        """Deprecated: use :meth:`subscribe` with source text.
-
-        Kept as a thin shim for the pre-v2 API; returns the bare
-        subscription id (consume via ``next_notification``).
-        """
-        warnings.warn(
-            "SpireClient.subscribe_pattern() is deprecated; use "
-            "subscribe(source) and the returned handle",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        handle = await self.subscribe(source, max_queue=max_queue)
-        return handle.id
 
     async def unsubscribe(self, sub_id: int) -> bool:
         body = await self._request(

@@ -9,7 +9,7 @@ from repro.model.objects import PackagingLevel, TagId
 
 
 SIM_ARGS = [
-    "--duration", "240",
+    "--epochs", "240",
     "--pallet-period", "80",
     "--cases-per-pallet", "2",
     "--items-per-case", "3",
@@ -240,7 +240,7 @@ class TestServeAndClient:
 
         trace = tmp_path / "trace.bin"
         # pallets keep arriving, so tail events flow throughout the replay
-        assert main(["simulate", *SIM_ARGS, "--duration", "150",
+        assert main(["simulate", *SIM_ARGS, "--epochs", "150",
                      "--pallet-period", "40", "-o", str(trace)]) == 0
         with socket.socket() as probe:
             probe.bind(("127.0.0.1", 0))
@@ -277,7 +277,7 @@ class TestServeAndClient:
         import time
 
         trace = tmp_path / "trace.bin"
-        assert main(["simulate", *SIM_ARGS, "--duration", "60",
+        assert main(["simulate", *SIM_ARGS, "--epochs", "60",
                      "-o", str(trace)]) == 0
         with socket.socket() as probe:
             probe.bind(("127.0.0.1", 0))
@@ -313,7 +313,7 @@ class TestServeAndClient:
         import time
 
         trace = tmp_path / "trace.bin"
-        assert main(["simulate", *SIM_ARGS, "--duration", "150",
+        assert main(["simulate", *SIM_ARGS, "--epochs", "150",
                      "--pallet-period", "40", "-o", str(trace)]) == 0
         with socket.socket() as probe:
             probe.bind(("127.0.0.1", 0))

@@ -463,24 +463,6 @@ class TestServingV2EndToEnd:
 
         asyncio.run(run())
 
-    def test_subscribe_pattern_shim_warns_and_works(self):
-        async def run():
-            from repro.serving.client import SpireClient
-            from repro.serving.server import SpireServer
-
-            async with SpireServer() as server:
-                client = await SpireClient.connect(server.host, server.port)
-                try:
-                    with pytest.warns(DeprecationWarning):
-                        sub_id = await client.subscribe_pattern(
-                            "PATTERN SEQ(arrival a) WHERE a.place == 0"
-                        )
-                    assert isinstance(sub_id, int)
-                finally:
-                    await client.close()
-
-        asyncio.run(run())
-
     def test_slow_consumer_eviction_over_tcp(self):
         async def run():
             from repro.serving.client import ServingError, SpireClient

@@ -226,23 +226,6 @@ class TestCheckpointRoundTrip:
                 assert b.graph.edge_count == a.graph.edge_count
                 assert sorted(map(str, b.estimates)) == sorted(map(str, a.estimates))
 
-    def test_pickle_codec_equivalence(self):
-        """checkpoint_codec='pickle' (the legacy path) stays equivalent."""
-        config = _config(seed=5, duration=80)
-        sim, epochs = _epochs(config)
-        serial = _run(
-            Coordinator(_zones(sim), checkpoint_interval=10, checkpoint_codec="pickle"),
-            epochs,
-        )
-        sim2, epochs2 = _epochs(config)
-        parallel = _run(
-            ParallelCoordinator(
-                _zones(sim2), checkpoint_interval=10, checkpoint_codec="pickle", workers=2
-            ),
-            epochs2,
-        )
-        assert parallel == serial
-
 
 class TestObservability:
     def test_stats_counters_populate(self):

@@ -119,7 +119,7 @@ def _install_frame(seq: int) -> bytes:
     config = _config(seed=5, duration=10)
     sim = WarehouseSimulator(config).run()
     zone = _zones(sim)[0]
-    blob = dumps_spire(zone.spire, codec="fast")
+    blob = dumps_spire(zone.spire)
     return wire.encode_request(seq, wire.encode_install(0, blob, zone_id=zone.zone_id))
 
 
@@ -128,15 +128,15 @@ class TestDaemonReplyCache:
         daemon = WorkerDaemon()
         conn = _FakeConn()
         assert daemon._handle_frame(conn, _install_frame(seq=1)) is True
-        assert len(daemon._spires) == 1
+        assert len(daemon._host.spires) == 1
         first_reply = conn.sent[-1]
         # poison the resident state: if the retry were *re-applied*, the
         # install would overwrite the sentinel
-        (index,) = daemon._spires
-        daemon._spires[index] = "sentinel"
+        (index,) = daemon._host.spires
+        daemon._host.spires[index] = "sentinel"
         assert daemon._handle_frame(conn, _install_frame(seq=1)) is True
         assert conn.sent[-1] == first_reply
-        assert daemon._spires[index] == "sentinel"
+        assert daemon._host.spires[index] == "sentinel"
         daemon.stop()
 
     def test_stale_seq_beyond_cache_is_dropped(self):
@@ -381,8 +381,8 @@ class TestDegradation:
                     # next request raises, and the daemon reports the
                     # traceback as MSG_ERROR (state lost by contract)
                     daemon = remote._daemons[0]
-                    for index in list(daemon._spires):
-                        daemon._spires[index] = None
+                    for index in list(daemon._host.spires):
+                        daemon._host.spires[index] = None
                 parts.append(encode_stream(remote.process_epoch(readings).messages))
             stats = remote.supervisor.stats
             warnings = [
