@@ -66,9 +66,6 @@ def test_table3_update_and_inference_cost():
             row.complete_epoch_s,
         )
     table.show()
-    hits, misses = sweep["cache_hits"], sweep["cache_misses"]
-    print(f"decision cache: {hits} hits / {misses} misses "
-          f"({hits / max(hits + misses, 1):.1%})")
 
     assert len(rows) >= 3, "graph never reached enough milestones"
     # averaged per-epoch cost stays well inside the 1 s epoch at bench scale

@@ -107,7 +107,7 @@ class SpireConfig:
         registry: Location registry the readers reference (optional; a
             minimal one is derived from the readers when omitted).
         params: Inference parameters (paper defaults when ``None``).
-        compression_level: Output compression level (0, 1 or 2).
+        compression_level: Output compression level (1 or 2).
         zone_map: ``zone id -> location names`` partition.  ``None`` runs
             a single substrate (or a single ``site`` zone under workers).
         workers: ``None`` stays in-process; an integer spawns that many

@@ -42,7 +42,7 @@ Examples::
     repro-spire chaos --epochs 600 --workers 2 --metrics-json metrics.json
     repro-spire chaos --epochs 600 --schedule faults.json --remote-workers 3
     repro-spire worker --port 7171
-    repro-spire bench -o BENCH_table3.json --compare-full
+    repro-spire bench -o BENCH_table3.json
     repro-spire bench --milestones 2000 --remote-workers 3
     repro-spire bench --milestones 1000 2000 --check-against benchmarks/baselines/perf_smoke.json
 
@@ -516,10 +516,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
         milestones=milestones,
         cases_per_pallet=args.cases,
         seed=args.seed,
-        compare_full=args.compare_full,
         metrics=registry,
     )
-    rows = payload["incremental"]["milestones"]
+    rows = payload["sweep"]["milestones"]
     print(f"workload: {payload['workload']['duration']} epochs, "
           f"{args.cases} cases/pallet, seed {args.seed}")
     print(f"{'milestone':>9}  {'nodes':>6}  {'edges':>7}  "
@@ -528,13 +527,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         print(f"{row['milestone']:>9}  {row['nodes']:>6}  {row['edges']:>7}  "
               f"{row['avg_epoch_s'] * 1000:>8.2f}ms  "
               f"{row['complete_epoch_s'] * 1000:>8.1f}ms")
-    hits, misses = payload["incremental"]["cache_hits"], payload["incremental"]["cache_misses"]
-    print(f"decision cache: {hits} hits / {misses} misses "
-          f"({hits / max(hits + misses, 1):.1%}); peak RSS {payload['peak_rss_kb']} kB")
-    if args.compare_full:
-        for entry in payload["speedup_vs_full_scan"]:
-            print(f"speedup vs full scan @ {entry['milestone']}: "
-                  f"avg {entry['avg_epoch']:.2f}x, complete {entry['complete_epoch']:.2f}x")
+    print(f"peak RSS {payload['peak_rss_kb']} kB")
 
     exit_code = 0
     if args.workers:
@@ -1150,8 +1143,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--cases", type=int, default=5, help="cases per pallet")
     bench.add_argument("-o", "--output", default=None,
                        help="write the JSON payload here (e.g. BENCH_table3.json)")
-    bench.add_argument("--compare-full", action="store_true",
-                       help="also run the full-scan pipeline and report speedups")
     bench.add_argument("--check-against", default=None,
                        help="baseline payload to gate against (exit 1 on regression)")
     bench.add_argument("--max-regression", type=float, default=0.25,

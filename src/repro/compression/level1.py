@@ -103,14 +103,6 @@ class RangeCompressor:
         """Current reported state of ``tag`` (read-only use)."""
         return self._states.get(tag)
 
-    def forget(self, tag: TagId) -> None:
-        """Drop ``tag``'s state without emitting anything.
-
-        Only safe when the object has no open intervals (nothing to close);
-        used by staleness eviction, which checks exactly that.
-        """
-        self._states.pop(tag, None)
-
     @property
     def tracked_objects(self) -> int:
         """Number of objects with reported state in this compressor."""

@@ -104,10 +104,6 @@ class ContainmentCompressor:
     def state_of(self, tag: TagId):
         return self._inner.state_of(tag)
 
-    def forget(self, tag: TagId) -> None:
-        """Drop ``tag``'s state without emitting (see RangeCompressor.forget)."""
-        self._inner.forget(tag)
-
     @property
     def tracked_objects(self) -> int:
         return self._inner.tracked_objects

@@ -291,9 +291,9 @@ class GraphUpdater:
         # once, from here — the higher packaging level (§III-B cost
         # analysis; both endpoints of a same-colored edge are colored by
         # the same reader, so this visit does the full work).  The history
-        # push and version bump (GraphEdge.push_history + Graph.mark_changed)
-        # are inlined: this loop touches every standing edge of every
-        # colored node each epoch and the call dispatch alone dominates it.
+        # push (GraphEdge.push_history) is inlined: this loop touches every
+        # standing edge of every colored node each epoch and the call
+        # dispatch alone dominates it.
         for edge in node.children.values():
             child = edge.child
             co_located = child.color == color
@@ -327,20 +327,16 @@ class GraphUpdater:
                 edge.history = new
                 if edge.filled < size:
                     edge.filled += 1
-                    child.version += 1
                     dirty_add(child)
                 elif new != old:
-                    child.version += 1
                     dirty_add(child)
                 if co_located:
                     if parent_of.get(child.tag) == tag:
                         if child.confirmed_parent != tag or child.confirmed_conflicts:
-                            child.version += 1
                             dirty_add(child)
                         child.set_confirmed_parent(tag, now)
                 elif child.confirmed_parent == tag:
                     child.record_conflict()
-                    child.version += 1
                     dirty_add(child)
                 edge.update_time = now
 
@@ -374,14 +370,11 @@ class GraphUpdater:
                 edge.history = new
                 if edge.filled < size:
                     edge.filled += 1
-                    node.version += 1
                     dirty_add(node)
                 elif new != old:
-                    node.version += 1
                     dirty_add(node)
                 if node.confirmed_parent == parent.tag:
                     node.record_conflict()
-                    node.version += 1
                     dirty_add(node)
                 edge.update_time = now
 
@@ -419,7 +412,7 @@ class GraphUpdater:
                 continue
             if child.confirmed_parent != parent_tag:
                 child.set_confirmed_parent(parent_tag, now)
-                graph.mark_changed(child)
+                graph.mark_dirty(child)
             # drop alternative parent edges contradicted by the confirmation
             for edge in list(child.parents.values()):
                 if edge.parent.tag != parent_tag and edge.created_at < now:

@@ -1,19 +1,21 @@
 """Fast, slots-aware binary serialization of a running :class:`Spire`.
 
-The pickle-based checkpoint format (:mod:`repro.core.checkpoint`) walks the
-whole object graph recursively.  At production scale that is slow *and*
+The payload behind :mod:`repro.core.checkpoint`'s magic prefix.  Pickling
+a whole substrate walks the object graph recursively, which is slow *and*
 fragile: the node ↔ edge reference chains of a 6k-node containment graph
 exceed CPython's default recursion limit, so ``pickle.dump`` raises
-``RecursionError`` exactly when checkpoints matter most.  This module
-replaces the whole-object round-trip with a versioned, field-batched
-encoder that writes the ``__slots__`` of the hot objects (graph nodes,
-edges, estimates, compressor states) into flat ``struct``/``array``
-sections — no recursion, a few Python-level loops, and a fraction of the
-bytes.
+``RecursionError`` exactly when checkpoints matter most.  This module is a
+versioned, field-batched encoder that writes the ``__slots__`` of the hot
+objects (graph nodes, edges, estimates, compressor states) into flat
+``struct``/``array`` sections — no recursion, a few Python-level loops,
+and a fraction of the bytes.
 
 Only the small configuration objects (deployment, inference params, the
-reader-health monitor) still go through pickle, inside one length-prefixed
-blob; they are bounded by the reader count, not the object population.
+reader-health monitor) go through pickle, inside one length-prefixed blob;
+they are bounded by the reader count, not the object population.  Checkpoint
+bytes also arrive from peers (``MSG_INSTALL`` on a worker's TCP port), so
+the blob is decoded by :class:`_ConfigUnpickler`, which resolves only the
+classes a real blob references and refuses everything else.
 
 **Fidelity contract**: decoding must reproduce the source substrate
 *bit-for-bit* with respect to future output — including dict insertion
@@ -28,6 +30,7 @@ output (guarded by the equivalence tests).
 
 from __future__ import annotations
 
+import io
 import pickle
 import struct
 import sys
@@ -40,7 +43,7 @@ from repro.core.pipeline import CurrentEstimate, Spire
 from repro.model.objects import TagId
 
 #: bump when the section layout changes shape
-FAST_FORMAT_VERSION = 1
+FAST_FORMAT_VERSION = 2
 
 #: sentinel for "None" in signed int fields (colors are small ints and
 #: UNKNOWN_COLOR is -1, so any huge negative works)
@@ -56,7 +59,7 @@ _HEADER = struct.Struct("<BB")  # format version, byteorder (1 = little)
 _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
 
-_NODE_INTS = 12
+_NODE_INTS = 9
 _EDGE_INTS = 7
 _ESTIMATE_INTS = 5
 _STATE_INTS = 7
@@ -66,6 +69,33 @@ _BYTEORDER_CODE = 1 if sys.byteorder == "little" else 0
 
 class FastCheckpointError(ValueError):
     """Raised when a substrate cannot be encoded or bytes cannot be decoded."""
+
+
+#: every global a config blob written by :func:`encode_spire` references
+_CONFIG_CLASSES = frozenset({
+    ("repro.core.capture", "ReaderInfo"),
+    ("repro.core.params", "InferenceParams"),
+    ("repro.core.pipeline", "Deployment"),
+    ("repro.faults.health", "ReaderHealthMonitor"),
+    ("repro.faults.warnings", "IngestWarning"),
+    ("repro.model.locations", "Location"),
+    ("repro.model.locations", "LocationKind"),
+    ("repro.model.locations", "LocationRegistry"),
+    ("repro.model.objects", "PackagingLevel"),
+})
+
+
+class _ConfigUnpickler(pickle.Unpickler):
+    """Unpickler for the config blob: unpickling may import and call any
+    global the bytes name, so only :data:`_CONFIG_CLASSES` resolve."""
+
+    def find_class(self, module: str, name: str):
+        if (module, name) not in _CONFIG_CLASSES:
+            raise pickle.UnpicklingError(
+                f"config blob references {module}.{name}, which no checkpoint "
+                f"written by this library contains"
+            )
+        return super().find_class(module, name)
 
 
 def _opt(value: int | None) -> int:
@@ -88,10 +118,6 @@ def _opt_key(tag: TagId | None) -> int:
 def _write_ints(out: bytearray, count: int, ints: array) -> None:
     out += _U64.pack(count)
     out += ints.tobytes()
-
-
-def _write_floats(out: bytearray, floats: array) -> None:
-    out += floats.tobytes()
 
 
 def encode_spire(spire: Spire) -> bytes:
@@ -118,19 +144,14 @@ def encode_spire(spire: Spire) -> bytes:
         "params": params,
         "compression_level": spire.compression_level,
         "complete_period": spire._complete_period,
-        "retention": spire._retention,
-        "incremental": spire.incremental,
         "health": spire.health,
         "epochs_processed": spire._epochs_processed,
         "last_epoch": spire._last_epoch,
         "last_suppressed": spire._last_suppressed,
-        "cache_hits": spire.inference.cache_hits,
-        "cache_misses": spire.inference.cache_misses,
         "inference_suppressed": spire.inference.suppressed_colors,
         "updater_suppressed": spire.updater.suppressed_colors,
-        "updater_exiting": sorted(spire.updater.exiting),
+        "updater_exiting": sorted(tag.key() for tag in spire.updater.exiting),
         "compressor_emit": (inner._emit_location, inner._emit_containment),
-        "expiry_seq": graph._expiry_seq,
     }
     blob = pickle.dumps(config, protocol=pickle.HIGHEST_PROTOCOL)
 
@@ -142,7 +163,6 @@ def encode_spire(spire: Spire) -> bytes:
     # --- nodes (graph insertion order) ---------------------------------
     nodes = list(graph._nodes.values())
     ints = array("q")
-    floats = array("d")
     ext = ints.extend
     for n in nodes:
         ext((
@@ -155,13 +175,8 @@ def encode_spire(spire: Spire) -> bytes:
             n.confirmed_at,
             n.confirmed_conflicts,
             n.created_at,
-            n.version,
-            _opt_key(n.decision_container),
-            n.decision_version,
         ))
-        floats.append(n.decision_prob)
     _write_ints(out, len(nodes), ints)
-    _write_floats(out, floats)
 
     # --- edges (children-insertion order per parent, parents in node
     # order) + per-node parents-insertion order ------------------------
@@ -185,7 +200,7 @@ def encode_spire(spire: Spire) -> bytes:
             floats.extend((edge.prob, edge.confidence))
             edge_count += 1
     _write_ints(out, edge_count, ints)
-    _write_floats(out, floats)
+    out += floats.tobytes()
 
     order = array("q")
     ext = order.extend
@@ -202,16 +217,6 @@ def encode_spire(spire: Spire) -> bytes:
         len(graph._dirty),
         array("q", sorted(n.tag.key() for n in graph._dirty)),
     )
-    heap = array("q")
-    ext = heap.extend
-    for at, seq, tag in graph._expiry:
-        ext((at, seq, tag.key()))
-    _write_ints(out, len(graph._expiry), heap)
-    holds = array("q")
-    ext = holds.extend
-    for tag, until in graph._expiry_hold.items():
-        ext((tag.key(), until))
-    _write_ints(out, len(graph._expiry_hold), holds)
 
     # --- estimate store (insertion order) ------------------------------
     ints = array("q")
@@ -309,7 +314,7 @@ def decode_spire(data: bytes) -> Spire:
     cur = _Cursor(data)
     cur.offset = _HEADER.size
     try:
-        config = pickle.loads(cur.blob())
+        config = _ConfigUnpickler(io.BytesIO(cur.blob())).load()
     except Exception as exc:
         raise FastCheckpointError(f"corrupt config blob: {exc}") from exc
 
@@ -319,17 +324,13 @@ def decode_spire(data: bytes) -> Spire:
         compression_level=config["compression_level"],
         complete_period=config["complete_period"],
         health=config["health"],
-        incremental=config["incremental"],
-        retention_epochs=config["retention"],
     )
     spire._epochs_processed = config["epochs_processed"]
     spire._last_epoch = config["last_epoch"]
     spire._last_suppressed = config["last_suppressed"]
-    spire.inference.cache_hits = config["cache_hits"]
-    spire.inference.cache_misses = config["cache_misses"]
     spire.inference.suppressed_colors = config["inference_suppressed"]
     spire.updater.suppressed_colors = config["updater_suppressed"]
-    spire.updater.exiting = set(config["updater_exiting"])
+    spire.updater.exiting = {TagId.from_key(key) for key in config["updater_exiting"]}
     emit_location, emit_containment = config["compressor_emit"]
     if spire.compression_level == 1 and (emit_location, emit_containment) != (True, True):
         spire.compressor = RangeCompressor(emit_location, emit_containment)
@@ -341,19 +342,17 @@ def decode_spire(data: bytes) -> Spire:
 
     from_key = TagId.from_key
     graph = spire.graph
-    graph._expiry_seq = config["expiry_seq"]
 
     # --- nodes ----------------------------------------------------------
     node_count = cur.u64()
     ints = cur.ints(node_count * _NODE_INTS)
-    floats = cur.floats(node_count)
     nodes_by_key: dict[int, GraphNode] = {}
     graph_nodes = graph._nodes
     colored = graph._colored
     by_level_color = graph._by_level_color
     new_node = GraphNode.__new__
     base = 0
-    for i in range(node_count):
+    for _ in range(node_count):
         key = ints[base]
         tag = from_key(key)
         node = new_node(GraphNode)
@@ -368,11 +367,6 @@ def decode_spire(data: bytes) -> Spire:
         node.confirmed_at = ints[base + 6]
         node.confirmed_conflicts = ints[base + 7]
         node.created_at = ints[base + 8]
-        node.version = ints[base + 9]
-        dc = ints[base + 10]
-        node.decision_container = from_key(dc) if dc else None
-        node.decision_version = ints[base + 11]
-        node.decision_prob = floats[i]
         node.parents = {}
         node.children = {}
         graph_nodes[tag] = node
@@ -430,17 +424,6 @@ def decode_spire(data: bytes) -> Spire:
     dirty_count = cur.u64()
     dirty = cur.ints(dirty_count)
     graph._dirty = {nodes_by_key[key] for key in dirty}
-    heap_count = cur.u64()
-    heap = cur.ints(heap_count * 3)
-    graph._expiry = [
-        (heap[i], heap[i + 1], from_key(heap[i + 2]))
-        for i in range(0, heap_count * 3, 3)
-    ]
-    hold_count = cur.u64()
-    holds = cur.ints(hold_count * 2)
-    graph._expiry_hold = {
-        from_key(holds[i]): holds[i + 1] for i in range(0, hold_count * 2, 2)
-    }
 
     # --- estimate store -------------------------------------------------
     est_count = cur.u64()

@@ -9,18 +9,14 @@ evidence.  Each node additionally remembers its last special-reader
 confirmed parent, when that confirmation happened, and how many conflicting
 observations have accumulated since.
 
-Change tracking (see DESIGN.md §8): every node carries a monotone
-``version`` counter bumped whenever an input of its *containment decision*
-changes value (edge set, co-location history, confirmation state), and the
-graph keeps a per-epoch **dirty set** of nodes whose color state, edges or
-read evidence changed this epoch.  Incremental inference reuses a node's
-cached decision while its version is unchanged; the dirty set drives
-activity-proportional bookkeeping and diagnostics.
+The graph also keeps a per-epoch **dirty set** (see DESIGN.md §8): the nodes
+whose color state, edges or read evidence changed this epoch.  It is a
+diagnostic — its size is what traces, the ``spire_dirty_nodes`` gauge and
+``EpochOutput.dirty_nodes`` report — and inference never reads it.
 """
 
 from __future__ import annotations
 
-import heapq
 import sys
 from typing import Iterable, Iterator
 
@@ -68,8 +64,8 @@ class GraphEdge:
         """Shift the co-location bit-vector and record this epoch's bit.
 
         Returns True when the stored ``(history, filled)`` pair actually
-        changed value — an all-zero saturated history shifted by another
-        zero is a no-op, and change tracking must not dirty the child then.
+        changed value — a saturated all-zero (or all-one) history shifted
+        by another equal bit is a no-op, which the dirty set does not count.
         """
         old = self.history
         new = ((old << 1) | int(co_located)) & ((1 << size) - 1)
@@ -100,10 +96,6 @@ class GraphNode:
     of each possible container to the connecting edge; ``children`` likewise
     for possible contents.
 
-    ``version`` counts value changes of the node's containment-decision
-    inputs (parent edge set, parent edge histories, confirmation state);
-    ``decision_*`` cache the containment decision computed at
-    ``decision_version`` (see :class:`repro.core.iterative.IterativeInference`).
     ``prev_color`` is the color held at the end of the *previous* epoch,
     maintained by :meth:`Graph.begin_epoch` for dirty-set accounting.
     """
@@ -121,10 +113,6 @@ class GraphNode:
         "confirmed_at",
         "confirmed_conflicts",
         "created_at",
-        "version",
-        "decision_version",
-        "decision_container",
-        "decision_prob",
     )
 
     def __init__(self, tag: TagId, now: int) -> None:
@@ -140,10 +128,6 @@ class GraphNode:
         self.confirmed_at = -1
         self.confirmed_conflicts = 0
         self.created_at = now
-        self.version = 0
-        self.decision_version = -1
-        self.decision_container: TagId | None = None
-        self.decision_prob = 0.0
 
     @property
     def is_colored(self) -> bool:
@@ -217,15 +201,6 @@ class Graph:
         self._dirty: set[GraphNode] = set()
         #: nodes colored in the previous epoch (for lost-color detection)
         self._prev_colored: list[GraphNode] = []
-        # lazy min-heap of (seen_at, seq, tag): candidates for staleness
-        # pruning, ordered by last-seen epoch.  Entries are pushed on node
-        # creation and on explicit deferral; stale entries whose node was
-        # refreshed or removed are discarded on pop (see :meth:`pop_stale`).
-        self._expiry: list[tuple[int, int, TagId]] = []
-        self._expiry_seq = 0
-        #: per-tag "not stale before" floors set by defer_expiry, masking
-        #: earlier heap entries for the same tag
-        self._expiry_hold: dict[TagId, int] = {}
 
     # ------------------------------------------------------------------
     # basic access
@@ -275,8 +250,8 @@ class Graph:
     def begin_epoch(self) -> None:
         """Uncolor every node; uncolored nodes keep (recent_color, seen_at).
 
-        Also rolls the per-epoch change tracking: each previously colored
-        node's color is remembered as ``prev_color`` (consumed by
+        Also rolls the per-epoch dirty-set accounting: each previously
+        colored node's color is remembered as ``prev_color`` (consumed by
         :meth:`set_color` and :meth:`finalize_epoch` for dirty-set
         accounting) and the dirty set is cleared.
         """
@@ -312,7 +287,6 @@ class Graph:
             node = GraphNode(tag, now)
             self._nodes[tag] = node
             self._dirty.add(node)
-            self._push_expiry(node.seen_at, tag)
         return node
 
     def set_color(self, node: GraphNode, color: int, now: int) -> bool:
@@ -370,9 +344,7 @@ class Graph:
         parent.children[child.tag] = edge
         child.parents[parent.tag] = edge
         self._edge_count += 1
-        # the child's parent set is a containment-decision input; the
-        # parent's child set only feeds (always-fresh) node inference
-        self.mark_changed(child)
+        self._dirty.add(child)
         self._dirty.add(parent)
         return edge
 
@@ -382,7 +354,7 @@ class Graph:
         edge.child.parents.pop(edge.parent.tag, None)
         if removed is not None:
             self._edge_count -= 1
-            self.mark_changed(edge.child)
+            self._dirty.add(edge.child)
             self._dirty.add(edge.parent)
 
     def remove_node(self, tag: TagId) -> None:
@@ -400,25 +372,13 @@ class Graph:
             self._by_level_color[node.level][node.color].discard(node)
         self._colored.discard(node)
         self._dirty.discard(node)
-        self._expiry_hold.pop(tag, None)
 
     # ------------------------------------------------------------------
-    # change tracking (DESIGN.md §8)
+    # the dirty set: a per-epoch diagnostic (DESIGN.md §8)
     # ------------------------------------------------------------------
-
-    def mark_changed(self, node: GraphNode) -> None:
-        """Record a *value* change of a containment-decision input of ``node``.
-
-        Bumps the node's version (invalidating its cached decision) and adds
-        it to the epoch's dirty set.
-        """
-        node.version += 1
-        self._dirty.add(node)
 
     def mark_dirty(self, node: GraphNode) -> None:
-        """Add ``node`` to the epoch's dirty set without invalidating its
-        cached containment decision (for changes, like read evidence or
-        suppression transitions, that only feed always-fresh passes)."""
+        """Count ``node`` among this epoch's changed nodes."""
         self._dirty.add(node)
 
     def dirty_nodes(self) -> Iterable[GraphNode]:
@@ -428,18 +388,6 @@ class Graph:
     @property
     def dirty_count(self) -> int:
         return len(self._dirty)
-
-    def dirty_with_neighbors(self) -> set[GraphNode]:
-        """The dirty set plus its 1-hop neighborhood — the inference
-        frontier of this epoch (every node outside it is guaranteed to
-        reuse its cached containment decision on a partial epoch)."""
-        frontier = set(self._dirty)
-        for node in self._dirty:
-            for edge in node.parents.values():
-                frontier.add(edge.parent)
-            for edge in node.children.values():
-                frontier.add(edge.child)
-        return frontier
 
     def mark_recent_colors_dirty(self, colors: Iterable[int]) -> None:
         """Dirty every node whose remembered color is in ``colors``.
@@ -457,58 +405,6 @@ class Graph:
         for node in self._nodes.values():
             if node.recent_color in wanted:
                 dirty.add(node)
-
-    # ------------------------------------------------------------------
-    # expiry-ordered staleness tracking
-    # ------------------------------------------------------------------
-
-    def _push_expiry(self, at: int, tag: TagId) -> None:
-        self._expiry_seq += 1
-        heapq.heappush(self._expiry, (at, self._expiry_seq, tag))
-
-    def defer_expiry(self, node: GraphNode, until: int) -> None:
-        """Re-queue ``node`` for a staleness check no earlier than ``until``.
-
-        Callers keeping a node that :meth:`pop_stale` surfaced must either
-        remove it or defer it, otherwise it falls out of expiry tracking.
-        The hold also masks any earlier heap entries still queued for the
-        same tag.
-        """
-        self._expiry_hold[node.tag] = until
-        self._push_expiry(until, node.tag)
-
-    def pop_stale(self, cutoff: int) -> list[GraphNode]:
-        """Nodes not seen since ``cutoff`` (inclusive), cheapest-first.
-
-        Pops only expired heap entries — cost is proportional to the number
-        of candidates due, not to the graph size.  Entries whose node was
-        removed are dropped; entries whose node was observed after ``cutoff``
-        are re-queued at their true last-seen epoch.  The heap may hold
-        several entries per tag (re-created or deferred nodes); duplicates
-        within one call are skipped and later calls drop them lazily.
-        """
-        out: list[GraphNode] = []
-        handled: set[TagId] = set()
-        heap = self._expiry
-        nodes = self._nodes
-        holds = self._expiry_hold
-        while heap and heap[0][0] <= cutoff:
-            _at, _seq, tag = heapq.heappop(heap)
-            if tag in handled:
-                continue
-            node = nodes.get(tag)
-            if node is None:
-                holds.pop(tag, None)
-                continue
-            handled.add(tag)
-            if holds.get(tag, 0) > cutoff:
-                # deferred past the cutoff; its hold entry is still queued
-                continue
-            if node.seen_at > cutoff:
-                self._push_expiry(node.seen_at, tag)
-            else:
-                out.append(node)
-        return out
 
     # ------------------------------------------------------------------
     # diagnostics

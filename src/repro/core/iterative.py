@@ -12,14 +12,9 @@ from any colored node, whose belief simply decays toward "unknown");
 and withholds "unknown" results, since those may merely reflect readers
 that did not interrogate this epoch (§IV-D).
 
-In **incremental** mode (DESIGN.md §8) the per-node containment decision —
-edge inference, weak-parent pruning and the credibility floor — is cached
-on the node and reused while the node's :attr:`~repro.core.graph.GraphNode.
-version` is unchanged.  The decision's inputs are exactly the version's
-bump sites (parent edge set, edge histories, confirmation state) and are
-independent of epoch age, so a cache hit returns bit-identical values to a
-recomputation; node inference (the location belief) depends on decay age
-and this epoch's neighbour colors and therefore always runs fresh.
+That ``l``-hop subgraph is the only bound on a partial epoch's cost: every
+visited node's containment decision and location belief is computed afresh
+(DESIGN.md §8).
 """
 
 from __future__ import annotations
@@ -37,9 +32,7 @@ class IterativeInference:
 
     ``color_periods`` maps location colors to reader interrogation periods;
     node inference measures its decay age in these units (see
-    :mod:`repro.core.node_inference`).  ``incremental`` enables the cached
-    containment decisions described in the module docstring; the visit
-    schedule and every emitted estimate are identical either way.
+    :mod:`repro.core.node_inference`).
     """
 
     def __init__(
@@ -47,19 +40,18 @@ class IterativeInference:
         graph: Graph,
         params: InferenceParams,
         color_periods: dict[int, int] | None = None,
-        incremental: bool = False,
     ) -> None:
         self.graph = graph
         self.params = params
         self.color_periods = color_periods or {}
-        self.incremental = incremental
         #: locations whose readers are presumed dead this epoch (set by the
         #: pipeline from the reader-health monitor); unobserved objects last
         #: seen there stop decaying toward "unknown" — see
         #: :func:`repro.core.node_inference.infer_node`.
         self.suppressed_colors: frozenset[int] = frozenset()
-        #: containment decisions served from cache / recomputed (cumulative;
-        #: for diagnostics and tests)
+        # read by the traced run of benchmarks/e2e (spans.py), which may not
+        # be edited: ``cache_misses`` counts containment decisions computed,
+        # ``cache_hits`` stays 0 since the decision cache was removed
         self.cache_hits = 0
         self.cache_misses = 0
 
@@ -182,31 +174,17 @@ class IterativeInference:
     def _containment_of(self, node: GraphNode) -> tuple[TagId | None, float]:
         """The node's containment decision: ``(container tag, probability)``.
 
-        Runs edge inference, weak-parent pruning and the credibility floor,
-        caching the outcome against the node's version.  A cache hit means
-        no decision input changed since the last computation, so recomputing
-        would reproduce the cached values bit for bit — including the prune
-        outcome: every surviving parent edge either met the threshold or was
-        exempt (argmax / confirmed), and unchanged inputs yield unchanged
-        confidences.  The version is re-read *after* pruning because edge
-        removal bumps it.
+        Runs edge inference, removes the parent edges it found too weak from
+        the graph, and applies the credibility floor.
         """
-        if self.incremental and node.decision_version == node.version:
-            self.cache_hits += 1
-            return node.decision_container, node.decision_prob
         self.cache_misses += 1
         best = infer_edges(node, self.params)
         for edge in prune_weak_parents(node, best, self.params):
             self.graph.remove_edge(edge)
         best = self._credible(best)
         if best is None:
-            container, prob = None, 0.0
-        else:
-            container, prob = best.parent.tag, best.prob
-        node.decision_container = container
-        node.decision_prob = prob
-        node.decision_version = node.version
-        return container, prob
+            return None, 0.0
+        return best.parent.tag, best.prob
 
     def _estimate_colored(self, node: GraphNode) -> Estimate:
         container, container_prob = self._containment_of(node)

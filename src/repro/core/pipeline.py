@@ -111,29 +111,23 @@ class EpochOutput:
     #: size of the graph's dirty set this epoch (nodes whose color state,
     #: edges or read evidence changed — DESIGN.md §8)
     dirty_nodes: int = 0
-    #: objects evicted by staleness retention this epoch (see
-    #: ``Spire(retention_epochs=...)``)
-    evicted: list[TagId] = field(default_factory=list)
 
 
 class _SpireMetrics:
     """Pre-bound instruments for one substrate (see :mod:`repro.obs`).
 
     Instruments are looked up once at attach time, so the per-epoch cost
-    is plain attribute access + arithmetic; cumulative stage counters
-    (inference cache, candidate edges) are read as deltas against the
-    baselines captured here, which keeps the accounting correct across
-    checkpoint restores (the restored substrate's plain counters restart
-    at whatever the codec preserved, and the registry is seeded
-    separately — see ``Coordinator._rebuild_spire``).
+    is plain attribute access + arithmetic; the updater's cumulative
+    candidate-edge count is read as a delta against the baseline captured
+    here, so (re)attaching to a substrate that has already run counts only
+    what happens from then on.
     """
 
     __slots__ = (
         "readings", "deduped", "raw_bytes", "epochs_partial", "epochs_complete",
-        "dirty", "dirty_total", "cache_hits", "cache_misses", "candidate_edges",
+        "dirty", "dirty_total", "candidate_edges",
         "events", "event_bytes", "graph_nodes", "graph_edges", "tracked",
-        "departed", "evicted", "update_seconds", "inference_seconds",
-        "last_hits", "last_misses", "last_candidate",
+        "departed", "update_seconds", "inference_seconds", "last_candidate",
     )
 
     def __init__(self, registry, spire: "Spire") -> None:
@@ -145,8 +139,6 @@ class _SpireMetrics:
         self.epochs_complete = c("spire_epochs_total", "Epochs processed by inference mode", mode="complete")
         self.dirty = g("spire_dirty_nodes", "Dirty-set size of the last epoch")
         self.dirty_total = c("spire_dirty_nodes_total", "Dirty-set sizes summed over epochs")
-        self.cache_hits = c("spire_decision_cache_hits_total", "Containment decisions reused from cache")
-        self.cache_misses = c("spire_decision_cache_misses_total", "Containment decisions recomputed")
         self.candidate_edges = c("spire_candidate_edges_total", "Candidate containment edges drawn")
         self.events = c("spire_events_total", "Compressed event messages emitted")
         self.event_bytes = c("spire_event_bytes_total", "Encoded event-stream bytes emitted")
@@ -154,11 +146,8 @@ class _SpireMetrics:
         self.graph_edges = g("spire_graph_edges", "Edges in the containment graph")
         self.tracked = g("spire_tracked_objects", "Objects in the estimate store")
         self.departed = c("spire_departed_objects_total", "Objects retired at exit readers")
-        self.evicted = c("spire_evicted_objects_total", "Objects evicted by retention")
         self.update_seconds = h("spire_update_seconds", "Graph-update (capture) wall time per epoch")
         self.inference_seconds = h("spire_inference_seconds", "Inference + conflict resolution wall time per epoch")
-        self.last_hits = spire.inference.cache_hits
-        self.last_misses = spire.inference.cache_misses
         self.last_candidate = spire.updater.candidate_edges
 
 
@@ -172,8 +161,6 @@ class Spire:
         compression_level: int = 2,
         complete_period: int | None = None,
         health: ReaderHealthMonitor | bool | None = None,
-        incremental: bool = True,
-        retention_epochs: int | None = None,
         metrics=None,
         trace=None,
     ) -> None:
@@ -189,19 +176,6 @@ class Spire:
         inference stops decaying posteriors of objects last seen there
         (graceful degradation instead of spurious missing-object events).
 
-        ``incremental`` enables cached containment decisions (DESIGN.md §8):
-        nodes whose decision inputs did not change reuse the previous
-        decision instead of re-running edge inference.  The output stream is
-        identical either way; ``False`` forces the full recompute path (the
-        correctness oracle the equivalence tests and benchmarks compare
-        against).
-
-        ``retention_epochs`` (opt-in) evicts objects not observed for that
-        many epochs, provided they are currently reported missing and have
-        no open event intervals — eviction is then invisible in the output
-        unless the object later returns (it would re-enter as new).  Keeps
-        node/estimate/compressor state bounded on long runs.
-
         ``metrics`` attaches a :class:`repro.obs.MetricRegistry`; ``None``
         (default) disables telemetry at zero per-epoch cost beyond one
         ``is None`` check.  ``trace`` attaches a
@@ -213,8 +187,6 @@ class Spire:
             raise ValueError(f"compression_level must be 1 or 2, got {compression_level}")
         if complete_period is not None and complete_period < 1:
             raise ValueError(f"complete_period must be >= 1, got {complete_period}")
-        if retention_epochs is not None and retention_epochs < 1:
-            raise ValueError(f"retention_epochs must be >= 1, got {retention_epochs}")
         self.deployment = deployment
         self.params = params or InferenceParams()
         self.graph = Graph()
@@ -222,10 +194,8 @@ class Spire:
         self.updater = GraphUpdater(self.graph, self.params)
         self.updater.register_readers(deployment.readers)
         self.inference = IterativeInference(
-            self.graph, self.params, deployment.color_periods(),
-            incremental=incremental,
+            self.graph, self.params, deployment.color_periods()
         )
-        self.incremental = incremental
         self.compressor = (
             ContainmentCompressor() if compression_level == 2 else RangeCompressor()
         )
@@ -236,7 +206,6 @@ class Spire:
             if complete_period is not None
             else deployment.complete_inference_period
         )
-        self._retention = retention_epochs
         self._epochs_processed = 0
         self._last_epoch: int | None = None
         self._last_suppressed: frozenset[int] = frozenset()
@@ -272,15 +241,6 @@ class Spire:
         """(Re)bind the per-epoch JSONL trace log (``None`` detaches)."""
         self._trace = trace
 
-    def __getstate__(self):
-        # telemetry bindings (registry, instruments, trace file handle)
-        # stay out of pickled checkpoints; re-attach after restore
-        state = self.__dict__.copy()
-        state["metrics"] = None
-        state["_m"] = None
-        state["_trace"] = None
-        return state
-
     # ------------------------------------------------------------------
 
     def process_epoch(self, readings: EpochReadings) -> EpochOutput:
@@ -308,9 +268,7 @@ class Spire:
             if suppressed != self._last_suppressed:
                 # outage onset or recovery: the decay behaviour of every
                 # object last seen at an affected location changes, so
-                # those nodes join this epoch's dirty set (their location
-                # beliefs are always recomputed fresh; this keeps the
-                # dirty-set accounting honest across fault transitions)
+                # those nodes join this epoch's dirty set
                 self.graph.mark_recent_colors_dirty(
                     suppressed ^ self._last_suppressed
                 )
@@ -325,7 +283,6 @@ class Spire:
         dirty_nodes = self.graph.dirty_count
         messages = self._apply_result(result, now)
         departed = self._retire_exited(now, messages)
-        evicted = self._evict_stale(now) if self._retention is not None else []
         self._epochs_processed += 1
         m = self._m
         if m is not None:
@@ -335,10 +292,6 @@ class Spire:
             (m.epochs_complete if complete else m.epochs_partial).inc()
             m.dirty.set(dirty_nodes)
             m.dirty_total.inc(dirty_nodes)
-            hits, misses = self.inference.cache_hits, self.inference.cache_misses
-            m.cache_hits.inc(hits - m.last_hits)
-            m.cache_misses.inc(misses - m.last_misses)
-            m.last_hits, m.last_misses = hits, misses
             drawn = self.updater.candidate_edges
             m.candidate_edges.inc(drawn - m.last_candidate)
             m.last_candidate = drawn
@@ -349,7 +302,6 @@ class Spire:
             m.graph_edges.set(self.graph.edge_count)
             m.tracked.set(len(self.estimates))
             m.departed.inc(len(departed))
-            m.evicted.inc(len(evicted))
             m.update_seconds.observe(t1 - t0)
             m.inference_seconds.observe(t2 - t1)
         if self._trace is not None:
@@ -369,7 +321,6 @@ class Spire:
             update_seconds=t1 - t0,
             inference_seconds=t2 - t1,
             dirty_nodes=dirty_nodes,
-            evicted=evicted,
         )
 
     def run(self, stream: ReadingStream | Iterable[EpochReadings]) -> list[EpochOutput]:
@@ -470,8 +421,7 @@ class Spire:
             node.confirmed_parent = confirmed
             node.confirmed_at = record.get("confirmed_at", now)
             node.confirmed_conflicts = record.get("confirmed_conflicts", 0)
-            # confirmation state is a containment-decision input
-            self.graph.mark_changed(node)
+            self.graph.mark_dirty(node)
 
     def _retire_exited(self, now: int, messages: list[EventMessage]) -> list[TagId]:
         """Remove nodes of objects read at a proper exit channel (§IV-C)."""
@@ -485,35 +435,3 @@ class Spire:
             self.dedup.forget(tag)
             departed.append(tag)
         return departed
-
-    def _evict_stale(self, now: int) -> list[TagId]:
-        """Evict objects unobserved for ``retention_epochs`` (opt-in).
-
-        Pops only due candidates from the graph's expiry heap — cost is
-        proportional to the number of candidates, never the graph size.  An
-        object is evicted only when its stored location is already unknown
-        and its compressor state holds no open interval, so nothing needs
-        closing and the output stream is unaffected (unless the object
-        reappears later, in which case it re-enters as brand new).
-        Ineligible candidates are deferred a full retention period.
-        """
-        assert self._retention is not None
-        cutoff = now - self._retention
-        evicted: list[TagId] = []
-        for node in self.graph.pop_stale(cutoff):
-            tag = node.tag
-            current = self.estimates.get(tag)
-            state = self.compressor.state_of(tag)
-            reported_gone = current is None or current.location == UNKNOWN_COLOR
-            open_intervals = state is not None and (
-                state.location is not None or state.containment is not None
-            )
-            if reported_gone and not open_intervals:
-                self.graph.remove_node(tag)
-                self.estimates.pop(tag, None)
-                self.dedup.forget(tag)
-                self.compressor.forget(tag)
-                evicted.append(tag)
-            else:
-                self.graph.defer_expiry(node, now + self._retention)
-        return evicted

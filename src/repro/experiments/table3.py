@@ -106,14 +106,12 @@ def run_sweep(
     sim: SimulationResult,
     milestones: tuple[int, ...] | list[int],
     params: InferenceParams | None = None,
-    incremental: bool = True,
     metrics=None,
 ) -> dict:
     """Run one pipeline over ``sim`` and window costs at each milestone.
 
     Returns ``{"milestones": [MilestoneCost...], "messages": int,
-    "cache_hits": int, "cache_misses": int, "total_s": float,
-    "final_nodes": int, "final_edges": int}``.
+    "total_s": float, "final_nodes": int, "final_edges": int}``.
 
     ``metrics`` (an optional :class:`repro.obs.MetricRegistry`) attaches
     telemetry to the swept pipeline — the bench CLI's ``--metrics-json``;
@@ -124,7 +122,6 @@ def run_sweep(
         deployment,
         params or InferenceParams(),
         compression_level=2,
-        incremental=incremental,
         metrics=metrics,
     )
     pending = sorted(milestones)
@@ -169,8 +166,6 @@ def run_sweep(
     return {
         "milestones": rows,
         "messages": messages,
-        "cache_hits": spire.inference.cache_hits,
-        "cache_misses": spire.inference.cache_misses,
         "total_s": time.perf_counter() - started,
         "final_nodes": spire.graph.node_count,
         "final_edges": spire.graph.edge_count,
@@ -228,16 +223,12 @@ def run_table3(
     milestones: tuple[int, ...] | list[int] = DEFAULT_MILESTONES,
     cases_per_pallet: int = DEFAULT_CASES_PER_PALLET,
     seed: int = DEFAULT_SEED,
-    compare_full: bool = False,
     params: InferenceParams | None = None,
     metrics=None,
 ) -> dict:
-    """The full Table III benchmark: sweep, machine info, optional reference.
+    """The full Table III benchmark: the sweep plus machine info.
 
-    With ``compare_full`` the same trace is also run through the full-scan
-    pipeline (``incremental=False`` — identical output, no decision cache)
-    and per-milestone speedups are attached.  ``metrics`` instruments the
-    incremental sweep only (the full-scan reference stays clean).
+    ``metrics`` instruments the swept pipeline (see :func:`run_sweep`).
     """
     config = table3_config(cases_per_pallet, duration_for(milestones, cases_per_pallet), seed)
     sim = WarehouseSimulator(config).run()
@@ -251,35 +242,10 @@ def run_table3(
         },
         "machine": machine_info(),
         "calibration_s": calibrate(),
-        "incremental": _sweep_payload(
-            run_sweep(sim, milestones, params, incremental=True, metrics=metrics)
-        ),
+        "sweep": _sweep_payload(run_sweep(sim, milestones, params, metrics=metrics)),
     }
-    if compare_full:
-        payload["full_scan"] = _sweep_payload(run_sweep(sim, milestones, params, incremental=False))
-        payload["speedup_vs_full_scan"] = _speedups(
-            payload["full_scan"]["milestones"], payload["incremental"]["milestones"]
-        )
     payload["peak_rss_kb"] = peak_rss_kb()
     return payload
-
-
-def _speedups(before_rows: list[dict], after_rows: list[dict]) -> list[dict]:
-    by_milestone = {row["milestone"]: row for row in before_rows}
-    out = []
-    for after in after_rows:
-        before = by_milestone.get(after["milestone"])
-        if before is None:
-            continue
-        out.append(
-            {
-                "milestone": after["milestone"],
-                "avg_epoch": before["avg_epoch_s"] / max(after["avg_epoch_s"], 1e-12),
-                "complete_epoch": before["complete_epoch_s"]
-                / max(after["complete_epoch_s"], 1e-12),
-            }
-        )
-    return out
 
 
 def write_payload(payload: dict, path: str | Path) -> None:
@@ -307,10 +273,8 @@ def check_regression(
     problems: list[str] = []
     cur_cal = current.get("calibration_s") or 1.0
     base_cal = baseline.get("calibration_s") or 1.0
-    base_rows = {
-        row["milestone"]: row for row in baseline["incremental"]["milestones"]
-    }
-    for row in current["incremental"]["milestones"]:
+    base_rows = {row["milestone"]: row for row in baseline["sweep"]["milestones"]}
+    for row in current["sweep"]["milestones"]:
         base = base_rows.get(row["milestone"])
         if base is None:
             continue

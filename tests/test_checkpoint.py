@@ -1,16 +1,24 @@
 """Unit tests for substrate checkpoint/restore."""
 
 import io
+import pickle
+import struct
 
 import pytest
 
 from repro.core.checkpoint import (
     CheckpointError,
+    dumps_spire,
     load_checkpoint,
+    loads_spire,
     save_checkpoint,
 )
 from repro.core.capture import ReaderInfo
+from repro.core.fastcheckpoint import FAST_FORMAT_VERSION
 from repro.core.pipeline import Spire
+from repro.distributed import wire
+from repro.distributed.worker import ZoneHost
+from repro.faults import ReaderHealthMonitor
 
 from tests.conftest import case, epoch_readings, item, make_deployment
 
@@ -63,7 +71,68 @@ class TestRoundTrip:
         assert restored.container_of(item(1)) == spire.container_of(item(1))
 
 
+    def test_health_monitor_and_exiting_tags_roundtrip(self):
+        """The config blob of a substrate with a reader-health monitor that
+        has recorded warnings — every class the allow-listed unpickler must
+        admit — and with exit readings pending at checkpoint time."""
+        exit_reader = ReaderInfo(reader_id=2, color=2, is_exit=True)
+        deployment = make_deployment(DOCK, SHELF, exit_reader)
+        spire = Spire(deployment, health=ReaderHealthMonitor(deployment.readers, k=1.0))
+        for epoch in range(12):  # the shelf reader never reports: presumed down
+            spire.process_epoch(epoch_readings(epoch, {0: [case(1), item(1), item(2)]}))
+        spire.process_epoch(epoch_readings(12, {0: [case(1), item(1)], 2: [item(2)]}))
+        assert spire.health.events and spire.updater.exiting == {item(2)}
+        restored = loads_spire(dumps_spire(spire))
+        assert restored.updater.exiting == spire.updater.exiting
+        assert restored.health.events == spire.health.events
+        assert restored.health.suppressed_colors() == spire.health.suppressed_colors()
+        for epoch in range(13, 20):
+            readings = {0: [case(1)], 1: [item(1)]} if epoch % 5 == 0 else {0: [case(1)]}
+            a = spire.process_epoch(epoch_readings(epoch, readings)).messages
+            b = restored.process_epoch(epoch_readings(epoch, readings)).messages
+            assert a == b
+
+
+class _WritesFile:
+    """Unpickling this opens (creates) a file: stands in for arbitrary code."""
+
+    def __init__(self, path):
+        self.path = path
+
+    def __reduce__(self):
+        return (open, (self.path, "w"))
+
+
 class TestValidation:
+    def test_format_1_checkpoint_refused(self):
+        """Format 1 had three more int columns and a float column per node
+        and two more sections; it is refused by its header, never half-read."""
+        data = bytearray(dumps_spire(_warm_spire()))
+        header = len(b"SPIREfast")
+        assert data[header] == FAST_FORMAT_VERSION == 2
+        data[header] = 1
+        with pytest.raises(CheckpointError, match="format 1 incompatible"):
+            loads_spire(bytes(data))
+
+    def test_config_blob_naming_a_foreign_callable_is_refused(self, tmp_path):
+        """Checkpoint bytes reach a worker from its TCP port (MSG_INSTALL) and
+        ``load_checkpoint`` from a file: a config blob may name only the
+        classes real checkpoints contain, and nothing it names is called."""
+        target = tmp_path / "pwned"
+        blob = pickle.dumps(_WritesFile(str(target)))
+        checkpoint = (
+            b"SPIREfast"
+            + struct.pack("<BB", FAST_FORMAT_VERSION, 1)
+            + struct.pack("<Q", len(blob))
+            + blob
+        )
+        reply, done = ZoneHost().serve_bytes(wire.encode_install(0, checkpoint))
+        assert reply[0] == wire.MSG_ERROR and done
+        assert b"config blob references io.open" in reply
+        with pytest.raises(CheckpointError, match="references io.open"):
+            load_checkpoint(io.BytesIO(checkpoint))
+        assert not target.exists()
+
     def test_bad_magic_rejected(self):
         with pytest.raises(CheckpointError, match="magic"):
             load_checkpoint(io.BytesIO(b"not a checkpoint at all"))

@@ -1,14 +1,20 @@
-"""Tests for the incremental dirty-set / decision-cache layer (DESIGN.md §8).
+"""The one inference path, pinned (DESIGN.md §8).
 
-The load-bearing property is **exact equivalence**: with ``incremental=True``
-the pipeline may reuse cached containment decisions and report dirty-set
-sizes, but every emitted event message must be byte-identical to the
-full-scan pipeline's — across clean runs, chaos-injected runs with reader
-outages, and checkpoint round-trips.
+Until PR 15 a version-keyed decision cache (``Spire(incremental=True)``) ran
+beside the plain path and this file asserted that both emitted the same
+stream.  The cache is gone; the stream SHA-256 of every scenario below was
+recorded at the last commit that had both paths, where they agreed, and the
+surviving path must keep reproducing it — across clean runs, chaos-injected
+runs with reader outages, and checkpoint round-trips.  The dirty set stays
+as a per-epoch diagnostic and is tested as such.
+
+(The file and test names predate the removal: the test ids are pinned by
+the suite's floor list.)
 """
 
 from __future__ import annotations
 
+import hashlib
 import io
 
 import pytest
@@ -18,6 +24,7 @@ from repro.core.checkpoint import load_checkpoint, save_checkpoint
 from repro.core.graph import Graph
 from repro.core.params import InferenceParams
 from repro.core.pipeline import Deployment, Spire
+from repro.events.codec import encode_stream
 from repro.faults import (
     DelayBatches,
     DropBatches,
@@ -26,7 +33,6 @@ from repro.faults import (
     ReaderOutage,
     ResilientStream,
 )
-from repro.model.locations import UNKNOWN_COLOR
 from repro.simulator.config import SimulationConfig
 from repro.simulator.warehouse import WarehouseSimulator
 
@@ -35,6 +41,20 @@ from tests.conftest import case, epoch_readings, item, make_deployment
 DOCK = ReaderInfo(reader_id=0, color=0)
 SHELF = ReaderInfo(reader_id=1, color=1, period=5)
 DEPLOYMENT = make_deployment(DOCK, SHELF)
+
+#: sha256(encode_stream(all messages)) per scenario seed, recorded at commit
+#: 8dbb1c5 with ``incremental=True`` and ``False`` (identical in every case)
+CLEAN_SHA256 = {
+    3: "5a79e1c24d489439481bc002fafb0f9bc97a44374f9582a84d53e3ff742ea8c4",
+    11: "5b4918b3f5a725855e8a474cb4897f21a10df539fc54e78709540e12d1a46517",
+    29: "2ae841a400c77073c26c2e6b832cd0f216195cce00f35f8cdb2fa24f8f9a5380",
+}
+CHAOS_SHA256 = {
+    5: "02f9a3dc7a8184577f8639b8e2eccb30d193f6f79d2980698707c47c2a47b0ff",
+    23: "5f3317c9a5dad9f67e4f8400ac7950c0d1cd7ac0b791cee32438d760c8402ef5",
+}
+#: checkpoint size of the seed-7 substrate at epoch 120 (18 nodes) at 8dbb1c5
+PARENT_CHECKPOINT_BYTES = 7435
 
 
 def _sim(seed: int, duration: int = 500) -> "WarehouseSimulator":
@@ -54,44 +74,34 @@ def _sim(seed: int, duration: int = 500) -> "WarehouseSimulator":
     return WarehouseSimulator(config).run()
 
 
-def _stream_pair(sim, epochs, health: bool):
-    """Run incremental and full-scan pipelines over the same epochs."""
+def _stream_sha256(sim, epochs, health: bool) -> str:
+    """Run the pipeline over ``epochs`` and digest its encoded stream."""
     deployment = Deployment.from_readers(sim.layout.readers, sim.layout.registry)
-    streams = []
-    spires = []
-    for incremental in (True, False):
-        spire = Spire(
-            deployment,
-            InferenceParams(),
-            compression_level=2,
-            incremental=incremental,
-            health=ReaderHealthMonitor(deployment.readers) if health else None,
-        )
-        messages = []
-        for readings in epochs:
-            messages.extend(str(m) for m in spire.process_epoch(readings).messages)
-        streams.append(messages)
-        spires.append(spire)
-    return streams, spires
+    spire = Spire(
+        deployment,
+        InferenceParams(),
+        compression_level=2,
+        health=ReaderHealthMonitor(deployment.readers) if health else None,
+    )
+    messages = []
+    for readings in epochs:
+        messages.extend(spire.process_epoch(readings).messages)
+    return hashlib.sha256(encode_stream(messages)).hexdigest()
 
 
 class TestEquivalence:
-    """Incremental mode must be invisible in the output."""
+    """The stream is the contract: it equals what both paths used to emit."""
 
     @pytest.mark.parametrize("seed", [3, 11, 29])
     def test_clean_run_byte_identical(self, seed):
         sim = _sim(seed)
-        (inc, full), (spire_inc, spire_full) = _stream_pair(sim, sim.stream, health=False)
-        assert inc == full
-        assert spire_inc.inference.cache_hits > 0  # the cache actually engaged
-        assert spire_inc.graph.node_count == spire_full.graph.node_count
-        assert spire_inc.graph.edge_count == spire_full.graph.edge_count
+        assert _stream_sha256(sim, sim.stream, health=False) == CLEAN_SHA256[seed]
 
     @pytest.mark.parametrize("seed", [5, 23])
     def test_chaos_run_byte_identical(self, seed):
         """Fixed-seed fault injection (outage + drops + delays) through the
-        resilient front-end: the dirty-set path must reproduce the
-        full-scan event stream exactly, including suppression windows."""
+        resilient front-end, with the reader-health monitor attached: the
+        pinned stream includes the suppression windows."""
         sim = _sim(seed, duration=400)
         shelves = [r for r in sim.layout.readers if "shelf" in r.location.name]
         schedule = [
@@ -107,8 +117,7 @@ class TestEquivalence:
                 known_readers=[r.reader_id for r in sim.layout.readers],
             )
         )
-        (inc, full), _ = _stream_pair(sim, epochs, health=True)
-        assert inc == full
+        assert _stream_sha256(sim, epochs, health=True) == CHAOS_SHA256[seed]
 
     def test_same_process_runs_deterministic(self):
         """Two identical pipelines in one process emit identical streams
@@ -126,14 +135,19 @@ class TestEquivalence:
         assert streams[0] == streams[1]
 
     def test_checkpoint_roundtrip_preserves_incremental_state(self):
+        """A substrate restored at epoch 120 continues exactly like the one
+        it was saved from; its checkpoint no longer carries the four cache
+        columns per node nor the expiry-heap and hold sections."""
         sim = _sim(seed=7, duration=240)
         deployment = Deployment.from_readers(sim.layout.readers, sim.layout.registry)
-        spire = Spire(deployment, InferenceParams(), incremental=True)
+        spire = Spire(deployment, InferenceParams())
         epochs = list(sim.stream)
         for readings in epochs[:120]:
             spire.process_epoch(readings)
         buffer = io.BytesIO()
         save_checkpoint(spire, buffer)
+        saved = 32 * spire.graph.node_count + 16  # 4 columns/node + 2 section counts
+        assert len(buffer.getvalue()) <= PARENT_CHECKPOINT_BYTES - saved
         buffer.seek(0)
         restored = load_checkpoint(buffer)
         for readings in epochs[120:]:
@@ -185,117 +199,35 @@ class TestDirtyTracking:
         assert node in graph.dirty_nodes()
 
     def test_edge_change_bumps_child_version_only(self):
+        """Adding or removing an edge dirties both endpoints."""
         graph = Graph()
         graph.begin_epoch()
         parent = graph.get_or_create(case(1), now=0)
         child = graph.get_or_create(item(1), now=0)
-        v_parent, v_child = parent.version, child.version
-        edge = graph.add_edge(parent, child, now=0)
-        assert child.version == v_child + 1  # parent set is a decision input
-        assert parent.version == v_parent  # child set only feeds node inference
-        assert parent in graph.dirty_nodes()
+        graph.begin_epoch()  # next epoch: the creations are no longer dirty
+        edge = graph.add_edge(parent, child, now=1)
+        assert set(graph.dirty_nodes()) == {parent, child}
+        graph.begin_epoch()
         graph.remove_edge(edge)
-        assert child.version == v_child + 2
+        assert set(graph.dirty_nodes()) == {parent, child}
 
     def test_history_value_change_bumps_version(self):
-        graph = Graph()
-        graph.begin_epoch()
-        parent = graph.get_or_create(case(1), now=0)
-        child = graph.get_or_create(item(1), now=0)
-        edge = graph.add_edge(parent, child, now=0)
-        v = child.version
-        assert edge.push_history(True, size=4)  # filling: value changes
-        graph.mark_changed(child)
-        assert child.version == v + 1
-        for _ in range(4):
-            edge.push_history(True, size=4)
-        # saturated all-ones: another co-location push changes nothing
+        """A history push that changes the stored value dirties the child;
+        a push into a saturated history of the same bit does not."""
+        spire = Spire(DEPLOYMENT, InferenceParams(history_size=4))
+        both = {0: [case(1), item(1)]}
+        for epoch in range(4):  # filling: (history, filled) changes every epoch
+            spire.process_epoch(epoch_readings(epoch, both))
+            child = spire.graph.node(item(1))
+            assert child in spire.graph.dirty_nodes()
+        edge = child.parents[case(1)]
+        assert edge.history == 0b1111 and edge.filled == 4
+        spire.process_epoch(epoch_readings(4, both))  # saturated all-ones + 1
+        assert child not in spire.graph.dirty_nodes()
         assert not edge.push_history(True, size=4)
+        assert edge.push_history(False, size=4)
 
     def test_pipeline_reports_dirty_nodes(self):
         spire = Spire(DEPLOYMENT)
         out = spire.process_epoch(epoch_readings(0, {0: [case(1), item(1)]}))
         assert out.dirty_nodes >= 2
-
-
-class TestDecisionCache:
-    def test_cache_hits_accumulate_on_stable_graph(self):
-        spire = Spire(DEPLOYMENT, incremental=True)
-        # saturate the edge history, then repeat identical epochs
-        for epoch in range(40):
-            spire.process_epoch(epoch_readings(epoch, {0: [case(1), item(1)]}))
-        assert spire.inference.cache_hits > 0
-
-    def test_full_scan_mode_never_hits(self):
-        spire = Spire(DEPLOYMENT, incremental=False)
-        for epoch in range(10):
-            spire.process_epoch(epoch_readings(epoch, {0: [case(1), item(1)]}))
-        assert spire.inference.cache_hits == 0
-
-
-class TestExpiryHeap:
-    def test_pop_stale_returns_only_expired(self):
-        graph = Graph()
-        graph.begin_epoch()
-        old = graph.get_or_create(item(1), now=0)
-        fresh = graph.get_or_create(item(2), now=50)
-        stale = graph.pop_stale(cutoff=10)
-        assert old in stale and fresh not in stale
-
-    def test_refreshed_node_requeued_not_yielded(self):
-        """A node re-observed since its heap entry was pushed is re-queued
-        at its true last-seen time instead of being reported stale."""
-        graph = Graph()
-        graph.begin_epoch()
-        node = graph.get_or_create(item(1), now=0)
-        graph.set_color(node, 1, now=40)  # refreshes seen_at
-        assert graph.pop_stale(cutoff=10) == []
-        assert graph.pop_stale(cutoff=60) == [node]
-
-    def test_defer_expiry_postpones(self):
-        graph = Graph()
-        graph.begin_epoch()
-        node = graph.get_or_create(item(1), now=0)
-        graph.defer_expiry(node, until=100)
-        assert graph.pop_stale(cutoff=50) == []
-        assert graph.pop_stale(cutoff=150) == [node]
-
-    def test_removed_node_not_yielded(self):
-        graph = Graph()
-        graph.begin_epoch()
-        node = graph.get_or_create(item(1), now=0)
-        graph.remove_node(node.tag)
-        assert graph.pop_stale(cutoff=10) == []
-
-
-class TestRetentionEviction:
-    def test_requires_positive_retention(self):
-        with pytest.raises(ValueError, match="retention_epochs"):
-            Spire(DEPLOYMENT, retention_epochs=0)
-
-    def test_stale_unknown_object_evicted(self):
-        spire = Spire(DEPLOYMENT, retention_epochs=30)
-        spire.process_epoch(epoch_readings(0, {0: [case(1), item(1)]}))
-        evicted = []
-        for epoch in range(1, 200):
-            out = spire.process_epoch(epoch_readings(epoch, {}))
-            evicted.extend(out.evicted)
-        # once decayed to unknown and past retention, both objects go
-        assert set(evicted) == {case(1), item(1)}
-        assert spire.graph.node_count == 0
-        assert spire.location_of(item(1)) == UNKNOWN_COLOR
-
-    def test_observed_object_retained(self):
-        spire = Spire(DEPLOYMENT, retention_epochs=30)
-        for epoch in range(120):
-            out = spire.process_epoch(epoch_readings(epoch, {0: [case(1), item(1)]}))
-            assert out.evicted == []
-        assert spire.graph.node_count == 2
-
-    def test_eviction_off_by_default(self):
-        spire = Spire(DEPLOYMENT)
-        spire.process_epoch(epoch_readings(0, {0: [case(1), item(1)]}))
-        for epoch in range(1, 200):
-            out = spire.process_epoch(epoch_readings(epoch, {}))
-            assert out.evicted == []
-        assert spire.graph.node_count == 2
