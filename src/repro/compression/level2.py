@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from repro.compression.level1 import ObjectState, RangeCompressor
 from repro.events.messages import (
+    INFINITY,
     EventMessage,
     end_location,
     missing,
@@ -66,9 +67,12 @@ class ContainmentCompressor:
         if is_contained and (not was_contained or containment_messages):
             # containment starts (or the container changed): bring the
             # child's external location in line before suppression resumes
-            ends = [m for m in containment_messages if m.ve != float("inf")]
-            starts = [m for m in containment_messages if m.ve == float("inf")]
-            out.extend(ends)
+            starts = []
+            for message in containment_messages:
+                if message.ve == INFINITY:
+                    starts.append(message)
+                else:
+                    out.append(message)
             if was_contained:
                 # re-parented: the decompressor's view tracked the former
                 # container and cannot be reconstructed here — emit the

@@ -72,24 +72,34 @@ def effective_beta(node: GraphNode, params: InferenceParams) -> float:
     return conflicts / total
 
 
-def infer_edges(node: GraphNode, params: InferenceParams) -> GraphEdge | None:
-    """Run edge inference at ``node``; returns the most likely parent edge.
+def infer_edges(
+    node: GraphNode, params: InferenceParams
+) -> tuple[GraphEdge | None, list[GraphEdge]]:
+    """Run edge inference at ``node``: ``(most likely parent edge, weak edges)``.
 
     Every parent edge's :attr:`~repro.core.graph.GraphEdge.prob` (normalised
     Eq. 2 probability) and :attr:`~repro.core.graph.GraphEdge.confidence`
     (unnormalised value, used for pruning and Fig. 10) are updated in place.
-    Returns ``None`` when the node has no parent edges.
+    The most likely edge is ``None`` when the node has no parent edges.
+
+    The weak edges are those eligible for pruning (§IV-C): unnormalised
+    confidence below ``params.prune_threshold``, except the chosen edge and
+    the node's confirmed parent edge — removing those would discard the
+    containment estimate itself.  Removing them is the caller's business.
     """
     parents = node.parents
     if not parents:
-        return None
+        return None, []
     beta = effective_beta(node, params)
     memory_weight = 1.0 - beta
     confirmed = node.confirmed_parent
     alpha = params.alpha
     history_size = params.history_size
+    threshold = params.prune_threshold
 
     best: GraphEdge | None = None
+    best_confidence = -1.0
+    weak: list[GraphEdge] = []
     z = 0.0
     for edge in parents.values():
         # Eq. 1 inlined for the paper's alpha = 0 (all positions equal:
@@ -105,46 +115,27 @@ def infer_edges(node: GraphNode, params: InferenceParams) -> GraphEdge | None:
             )
         else:
             weight = history_weight(edge, params)
-        confidence = (
-            memory_weight + beta * weight
-            if edge.parent.tag == confirmed
-            else beta * weight
-        )
+        if edge.parent.tag == confirmed:
+            confidence = memory_weight + beta * weight
+        else:
+            confidence = beta * weight
+            if confidence < threshold:
+                weak.append(edge)
         edge.confidence = confidence
-        edge.prob = confidence  # normalised below
         z += confidence
-        if best is None or confidence > best.confidence:
+        if confidence > best_confidence:
             best = edge
+            best_confidence = confidence
 
     if z > 0.0:
         for edge in parents.values():
-            edge.prob = edge.prob / z
+            edge.prob = edge.confidence / z
     else:
-        # no history and no confirmation: uniform over candidates
+        # no history and no confirmation: uniform over candidates (``best``
+        # is already the first of them)
         uniform = 1.0 / len(parents)
         for edge in parents.values():
             edge.prob = uniform
-        best = next(iter(parents.values()))
-    return best
-
-
-def prune_weak_parents(node: GraphNode, best: GraphEdge | None, params: InferenceParams) -> list[GraphEdge]:
-    """Return parent edges of ``node`` eligible for pruning (§IV-C).
-
-    An edge is prunable when its unnormalised confidence falls below the
-    threshold, unless it is the chosen (most likely) edge or the node's
-    confirmed parent edge — removing those would discard the containment
-    estimate itself.
-    """
-    threshold = params.prune_threshold
-    if threshold <= 0.0:
-        return []
-    victims = []
-    for edge in node.parents.values():
-        if edge is best:
-            continue
-        if edge.parent.tag == node.confirmed_parent:
-            continue
-        if edge.confidence < threshold:
-            victims.append(edge)
-    return victims
+    if best in weak:
+        weak.remove(best)
+    return best, weak

@@ -120,7 +120,7 @@ def explain_object(spire: Spire, tag: TagId, now: int | None = None) -> Explanat
         return None
     params = spire.params
 
-    best = infer_edges(node, params)
+    infer_edges(node, params)  # refreshes every parent edge's prob/confidence
     candidates = tuple(
         sorted(
             (
@@ -149,8 +149,14 @@ def explain_object(spire: Spire, tag: TagId, now: int | None = None) -> Explanat
     if node.is_colored:
         distribution = {node.color: 1.0}
     else:
-        belief = infer_node(node, effective_colors, now, params, spire.inference.color_periods)
-        distribution = belief.distribution
+        distribution = infer_node(
+            node,
+            effective_colors,
+            now,
+            params,
+            spire.inference.color_periods,
+            with_distribution=True,
+        ).distribution
 
     current = spire.estimates.get(tag)
     return Explanation(

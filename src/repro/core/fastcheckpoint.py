@@ -162,11 +162,12 @@ def encode_spire(spire: Spire) -> bytes:
 
     # --- nodes (graph insertion order) ---------------------------------
     nodes = list(graph._nodes.values())
+    keys = {n: n.tag.key() for n in nodes}
     ints = array("q")
     ext = ints.extend
     for n in nodes:
         ext((
-            n.tag.key(),
+            keys[n],
             _opt(n.color),
             _opt(n.prev_color),
             _opt(n.recent_color),
@@ -179,27 +180,21 @@ def encode_spire(spire: Spire) -> bytes:
     _write_ints(out, len(nodes), ints)
 
     # --- edges (children-insertion order per parent, parents in node
-    # order) + per-node parents-insertion order ------------------------
-    ints = array("q")
-    floats = array("d")
-    ext = ints.extend
-    edge_count = 0
-    for parent in nodes:
-        pk = parent.tag.key()
-        for edge in parent.children.values():
-            history = edge.history
-            ext((
-                pk,
-                edge.child.tag.key(),
-                history & _HIST_LO_MASK,
-                history >> _HIST_LO_BITS,
-                edge.filled,
-                edge.created_at,
-                edge.update_time,
-            ))
-            floats.extend((edge.prob, edge.confidence))
-            edge_count += 1
-    _write_ints(out, edge_count, ints)
+    # order) + per-node parents-insertion order; the interleaved 7-int /
+    # 2-float rows are filled one column at a time ---------------------
+    edges = [edge for parent in nodes for edge in parent.children.values()]
+    ints = array("q", bytes(8 * _EDGE_INTS * len(edges)))
+    ints[0::_EDGE_INTS] = array("q", [keys[e.parent] for e in edges])
+    ints[1::_EDGE_INTS] = array("q", [keys[e.child] for e in edges])
+    ints[2::_EDGE_INTS] = array("q", [e.history & _HIST_LO_MASK for e in edges])
+    ints[3::_EDGE_INTS] = array("q", [e.history >> _HIST_LO_BITS for e in edges])
+    ints[4::_EDGE_INTS] = array("q", [e.filled for e in edges])
+    ints[5::_EDGE_INTS] = array("q", [e.created_at for e in edges])
+    ints[6::_EDGE_INTS] = array("q", [e.update_time for e in edges])
+    floats = array("d", bytes(8 * 2 * len(edges)))
+    floats[0::2] = array("d", [e.prob for e in edges])
+    floats[1::2] = array("d", [e.confidence for e in edges])
+    _write_ints(out, len(edges), ints)
     out += floats.tobytes()
 
     order = array("q")
@@ -208,7 +203,7 @@ def encode_spire(spire: Spire) -> bytes:
         parents = n.parents
         ext((len(parents),))
         if parents:
-            ext(t.key() for t in parents)
+            ext([keys[e.parent] for e in parents.values()])
     _write_ints(out, len(order), order)
 
     # --- graph side state ----------------------------------------------

@@ -19,7 +19,7 @@ visited node's containment decision and location belief is computed afresh
 
 from __future__ import annotations
 
-from repro.core.edge_inference import infer_edges, prune_weak_parents
+from repro.core.edge_inference import infer_edges
 from repro.core.graph import UNKNOWN_COLOR, Graph, GraphNode
 from repro.core.interpretation import Estimate, InterpretationResult, LocationSource
 from repro.core.node_inference import infer_node
@@ -68,7 +68,17 @@ class IterativeInference:
         for node in frontier:
             effective_colors[node] = node.color  # type: ignore[assignment]
             visited.add(node)
-            result.add(self._estimate_colored(node))
+            container, container_prob = self._containment_of(node)
+            result.add(
+                Estimate(
+                    node.tag,
+                    node.color,  # type: ignore[arg-type]
+                    1.0,
+                    LocationSource.OBSERVED,
+                    container,
+                    container_prob,
+                )
+            )
 
         max_distance = None if complete else self.params.partial_hops
         distance = 0
@@ -81,12 +91,14 @@ class IterativeInference:
 
         if complete:
             # nodes unreachable from any colored node (e.g. vanished objects
-            # whose candidate edges were all dropped) still need estimates
+            # whose candidate edges were all dropped) still need estimates.
+            # None of their neighbours was reached either, so no color
+            # propagates to them: they are inferred against an empty map.
             remaining = sorted(
                 (n for n in self.graph.nodes() if n not in visited),
                 key=lambda n: n.tag,
             )
-            self._infer_layer_nodes(remaining, effective_colors, now, complete, result, visited)
+            self._infer_layer(remaining, {}, now, complete, result)
 
         return result
 
@@ -118,56 +130,37 @@ class IterativeInference:
         complete: bool,
         result: InterpretationResult,
     ) -> list[GraphNode]:
-        """Edge + node inference for one distance layer; returns the layer."""
-        if not layer:
-            return []
+        """Edge + node inference for one distance layer; returns the layer.
+
+        The layer's colors are published to ``effective_colors`` for the
+        next distance.
+        """
         # Edge inference first for the whole layer, then node inference with
         # colors fixed from strictly smaller distances (the beliefs of one
         # layer must not feed each other, §IV-C).
+        params = self.params
+        periods = self.color_periods
+        suppressed = self.suppressed_colors
+        containment_of = self._containment_of
         beliefs = []
         for node in layer:
-            container, container_prob = self._containment_of(node)
-            belief = infer_node(
-                node,
-                effective_colors,
-                now,
-                self.params,
-                self.color_periods,
-                self.suppressed_colors,
+            container, container_prob = containment_of(node)
+            color, prob, _ = infer_node(
+                node, effective_colors, now, params, periods, suppressed
             )
-            beliefs.append((node, container, container_prob, belief))
-        for node, container, container_prob, belief in beliefs:
-            if belief.color != UNKNOWN_COLOR:
-                effective_colors[node] = belief.color
+            beliefs.append((node, container, container_prob, color, prob))
+        for node, container, container_prob, color, prob in beliefs:
+            source = LocationSource.INFERRED
+            if color != UNKNOWN_COLOR:
+                effective_colors[node] = color
+            elif not complete:
+                # §IV-D: an unknown from partial inference may only mean the
+                # reader did not interrogate this epoch
+                source = LocationSource.WITHHELD
             result.add(
-                self._estimate_inferred(node, container, container_prob, belief, complete)
+                Estimate(node.tag, color, prob, source, container, container_prob)
             )
         return layer
-
-    def _infer_layer_nodes(
-        self,
-        nodes: list[GraphNode],
-        effective_colors: dict[GraphNode, int],
-        now: int,
-        complete: bool,
-        result: InterpretationResult,
-        visited: set[GraphNode],
-    ) -> None:
-        """Inference for nodes disconnected from every colored node."""
-        for node in nodes:
-            visited.add(node)
-            container, container_prob = self._containment_of(node)
-            belief = infer_node(
-                node,
-                effective_colors,
-                now,
-                self.params,
-                self.color_periods,
-                self.suppressed_colors,
-            )
-            result.add(
-                self._estimate_inferred(node, container, container_prob, belief, complete)
-            )
 
     # ------------------------------------------------------------------
 
@@ -178,51 +171,16 @@ class IterativeInference:
         the graph, and applies the credibility floor.
         """
         self.cache_misses += 1
-        best = infer_edges(node, self.params)
-        for edge in prune_weak_parents(node, best, self.params):
+        if not node.parents:
+            return None, 0.0
+        best, weak = infer_edges(node, self.params)
+        for edge in weak:
             self.graph.remove_edge(edge)
-        best = self._credible(best)
-        if best is None:
+        # Containment-confidence floor: a chosen edge whose unnormalised
+        # Eq. 2 confidence is below the pruning threshold is "unlikely to be
+        # the true containment" (§IV-C), so no container is reported.  The
+        # edge itself stays in the graph (it is the argmax, see
+        # ``infer_edges``), preserving future evidence.
+        if best.confidence < self.params.prune_threshold:
             return None, 0.0
         return best.parent.tag, best.prob
-
-    def _estimate_colored(self, node: GraphNode) -> Estimate:
-        container, container_prob = self._containment_of(node)
-        return Estimate(
-            tag=node.tag,
-            location=node.color,  # type: ignore[arg-type]
-            location_prob=1.0,
-            source=LocationSource.OBSERVED,
-            container=container,
-            container_prob=container_prob,
-        )
-
-    def _estimate_inferred(
-        self,
-        node: GraphNode,
-        container: TagId | None,
-        container_prob: float,
-        belief,
-        complete: bool,
-    ) -> Estimate:
-        withheld = not complete and belief.color == UNKNOWN_COLOR
-        return Estimate(
-            tag=node.tag,
-            location=belief.color,
-            location_prob=belief.prob,
-            source=LocationSource.WITHHELD if withheld else LocationSource.INFERRED,
-            container=container,
-            container_prob=container_prob,
-        )
-
-    def _credible(self, best):
-        """Containment-confidence floor: a chosen edge whose unnormalised
-        Eq. 2 confidence is below the pruning threshold is "unlikely to be
-        the true containment" (§IV-C), so no container is reported.  The
-        edge itself stays in the graph when it is confirmed or the argmax
-        (see :func:`prune_weak_parents`), preserving future evidence.
-        """
-        threshold = self.params.prune_threshold
-        if best is not None and threshold > 0.0 and best.confidence < threshold:
-            return None
-        return best

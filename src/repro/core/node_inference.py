@@ -23,26 +23,26 @@ reader periods (the fastest readers) the two formulations coincide.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.core.graph import UNKNOWN_COLOR, GraphNode
 from repro.core.params import InferenceParams
 
 
-@dataclass(frozen=True)
-class NodeBelief:
+class NodeBelief(NamedTuple):
     """Outcome of node inference at one node.
 
     Attributes:
         color: The argmax color (may be ``UNKNOWN_COLOR``).
         prob: Probability mass of the chosen color after normalisation.
         distribution: Full color -> probability map (normalised), including
-            the ``UNKNOWN_COLOR`` entry.
+            the ``UNKNOWN_COLOR`` entry; ``None`` unless the caller asked
+            for it (``with_distribution``).
     """
 
     color: int
     prob: float
-    distribution: dict[int, float]
+    distribution: dict[int, float] | None = None
 
 
 def infer_node(
@@ -52,6 +52,7 @@ def infer_node(
     params: InferenceParams,
     color_periods: dict[int, int] | None = None,
     suppressed_colors: frozenset[int] = frozenset(),
+    with_distribution: bool = False,
 ) -> NodeBelief:
     """Run node inference at an uncolored ``node`` (Eqs. 3–4).
 
@@ -70,26 +71,29 @@ def infer_node(
     object whose most recent color is suppressed stops decaying — its
     non-read is explained by the outage, not by the object vanishing — so
     the belief freezes at the last known location until the reader returns.
+
+    ``with_distribution`` also returns the whole normalised color map
+    (diagnostics: :mod:`repro.core.explain`); the sweep needs the argmax
+    only.
     """
     gamma = params.gamma
-    scores: dict[int, float] = {}
+    recent = node.recent_color
 
     # fading most recent color (first term of Eq. 3) and unknown (Eq. 4)
     age = now - node.seen_at
     if age <= 0:
         # defensive: a node observed this epoch should not be inferred
         age = 1
-    if color_periods and node.recent_color is not None:
-        period = color_periods.get(node.recent_color, 1)
+    if color_periods and recent is not None:
+        period = color_periods.get(recent, 1)
         if period > 1:
             age = max(1.0, age / period)
-    if node.recent_color is not None and node.recent_color in suppressed_colors:
+    if recent is not None and recent in suppressed_colors:
         fade = 1.0  # reader outage: absence of reads carries no evidence
     else:
         fade = 1.0 / (age ** params.theta) if params.theta > 0 else 1.0
-    if node.recent_color is not None:
-        scores[node.recent_color] = (1.0 - gamma) * fade
-    scores[UNKNOWN_COLOR] = (1.0 - gamma) * (1.0 - fade)
+    keep = (1.0 - gamma) * fade
+    unknown = (1.0 - gamma) * (1.0 - fade)
 
     # colors propagated through edges (second term of Eq. 3).  Note the Z2
     # renormalisation runs over *propagating* edges only, per the paper: a
@@ -98,9 +102,9 @@ def infer_node(
     # departed co-location neighbour, but filtering weak edges here was
     # measured to hurt overall event accuracy (it trades propagation churn
     # for unknown churn) — see EXPERIMENTS.md, Fig. 11(a).
-    if gamma > 0.0:
-        propagated: dict[int, float] = {}
-        z2 = 0.0
+    propagated: dict[int, float] = {}
+    z2 = 0.0
+    if gamma > 0.0 and effective_colors:
         get_color = effective_colors.get
         # parent edges first, then child edges — the accumulation order of
         # node.edges(), preserved so float summation is unchanged
@@ -116,26 +120,48 @@ def infer_node(
                 continue
             propagated[color] = propagated.get(color, 0.0) + edge.prob
             z2 += edge.prob
-        if z2 > 0.0:
-            for color, mass in propagated.items():
-                scores[color] = scores.get(color, 0.0) + gamma * mass / z2
+
+    if z2 <= 0.0 and not with_distribution:
+        # Nothing propagates, so Eq. 3's second term vanishes and the
+        # belief is the two-way comparison of the faded color against
+        # unknown — the same operations in the same order as the general
+        # accumulation below, hence the same floats; a tie keeps the
+        # recent color, as the tie-breaking below does.  (``recent_color``
+        # is a reader's location, never ``UNKNOWN_COLOR``.)
+        if recent is None:
+            return NodeBelief(UNKNOWN_COLOR, 1.0)
+        total = keep + unknown
+        if total > 0.0:  # gamma == 1 leaves no mass: answered below
+            keep /= total
+            unknown /= total
+            if keep >= unknown:
+                return NodeBelief(recent, keep)
+            return NodeBelief(UNKNOWN_COLOR, unknown)
+
+    scores: dict[int, float] = {}
+    if recent is not None:
+        scores[recent] = keep
+    scores[UNKNOWN_COLOR] = unknown
+    if z2 > 0.0:
+        for color, mass in propagated.items():
+            scores[color] = scores.get(color, 0.0) + gamma * mass / z2
 
     total = sum(scores.values())
     if total <= 0.0:
         # no memory and nothing propagated: the location is unknown
-        return NodeBelief(UNKNOWN_COLOR, 1.0, {UNKNOWN_COLOR: 1.0})
-    distribution = {color: mass / total for color, mass in scores.items()}
+        distribution = {UNKNOWN_COLOR: 1.0}
+    else:
+        distribution = {color: mass / total for color, mass in scores.items()}
 
     # argmax with deterministic tie-breaking: prefer the node's recent
     # color, then known colors over unknown, then the smallest color id.
-    def rank(item: tuple[int, float]) -> tuple[float, int, int, int]:
-        color, prob = item
-        return (
-            prob,
-            1 if color == node.recent_color else 0,
-            1 if color != UNKNOWN_COLOR else 0,
-            -color,
-        )
-
-    best_color, best_prob = max(distribution.items(), key=rank)
-    return NodeBelief(best_color, best_prob, distribution)
+    best_color, best_prob = max(
+        distribution.items(),
+        key=lambda item: (
+            item[1],
+            item[0] == recent,
+            item[0] != UNKNOWN_COLOR,
+            -item[0],
+        ),
+    )
+    return NodeBelief(best_color, best_prob, distribution if with_distribution else None)

@@ -350,28 +350,44 @@ class Spire:
         """Merge inference results into the store and compress the deltas."""
         messages: list[EventMessage] = []
         exiting = self.updater.exiting
+        estimates = self.estimates
+        reported = self.compressor.state_of
+        observe = self.compressor.observe
         for estimate in sorted(result, key=lambda e: e.tag):
-            estimate.exiting = estimate.tag in exiting
-            current = self.estimates.get(estimate.tag)
-            if estimate.source is LocationSource.WITHHELD:
+            tag = estimate.tag
+            estimate.exiting = tag in exiting
+            current = estimates.get(tag)
+            container = estimate.container
+            source = estimate.source
+            if source is LocationSource.WITHHELD:
                 # §IV-D: unknown results of partial inference are withheld;
                 # only the containment estimate is taken
-                location = current.location if current is not None else UNKNOWN_COLOR
+                if current is None:
+                    # a brand-new object with a withheld location has
+                    # nothing to report yet
+                    estimates[tag] = CurrentEstimate(UNKNOWN_COLOR, container, False, now)
+                    continue
+                location = current.location
             else:
                 location = estimate.location
-            self.estimates[estimate.tag] = CurrentEstimate(
-                location=location,
-                container=estimate.container,
-                observed=estimate.observed,
-                updated_at=now,
-            )
-            if estimate.source is LocationSource.WITHHELD and current is None:
-                # a brand-new object with a withheld location has nothing to
-                # report yet
+            observed = source is LocationSource.OBSERVED
+            if (
+                current is not None
+                and current.location == location
+                and current.container == container
+                and reported(tag) is not None
+            ):
+                # No delta: the compressor was last told exactly this pair
+                # (it has state for the tag only from an ``observe``, and
+                # every ``observe`` is paired with the store write of the
+                # same pair), and a repeated pair emits nothing and changes
+                # no compressor state — contained: suppressed; uncontained:
+                # same open interval; unknown: already missing.
+                current.observed = observed
+                current.updated_at = now
                 continue
-            messages.extend(
-                self.compressor.observe(estimate.tag, location, estimate.container, now)
-            )
+            estimates[tag] = CurrentEstimate(location, container, observed, now)
+            messages.extend(observe(tag, location, container, now))
         return messages
 
     # ------------------------------------------------------------------

@@ -6,7 +6,6 @@ from repro.core.edge_inference import (
     effective_beta,
     history_weight,
     infer_edges,
-    prune_weak_parents,
 )
 from repro.core.graph import Graph
 from repro.core.params import InferenceParams
@@ -59,7 +58,7 @@ class TestHistoryWeight:
 class TestInferEdges:
     def test_no_parents_returns_none(self, graph):
         node = graph.get_or_create(item(1), 0)
-        assert infer_edges(node, InferenceParams()) is None
+        assert infer_edges(node, InferenceParams()) == (None, [])
 
     def test_probabilities_normalised(self, graph):
         make_edge(graph, case(1), item(1), [True, True])
@@ -73,7 +72,7 @@ class TestInferEdges:
         strong = make_edge(graph, case(1), item(1), [True, True, True, True])
         make_edge(graph, case(2), item(1), [True, False, False, False])
         node = graph.node(item(1))
-        best = infer_edges(node, InferenceParams())
+        best, _weak = infer_edges(node, InferenceParams())
         assert best is strong
 
     def test_confirmation_outweighs_moderate_history(self, graph):
@@ -81,7 +80,7 @@ class TestInferEdges:
         confirmed = make_edge(graph, case(2), item(1), [True, True])
         node = graph.node(item(1))
         node.set_confirmed_parent(case(2), now=5)
-        best = infer_edges(node, InferenceParams(beta=0.4))
+        best, _weak = infer_edges(node, InferenceParams(beta=0.4))
         assert best is confirmed
         # the (1 - beta) memory bonus shows in the unnormalised confidence
         assert confirmed.confidence == pytest.approx(0.6 * 1.0 + 0.4 * 1.0)
@@ -91,7 +90,7 @@ class TestInferEdges:
         confirmed = make_edge(graph, case(2), item(1), [False] * 8)
         node = graph.node(item(1))
         node.set_confirmed_parent(case(2), now=5)
-        best = infer_edges(node, InferenceParams(beta=1.0))
+        best, _weak = infer_edges(node, InferenceParams(beta=1.0))
         assert best is strong
 
     def test_beta_zero_trusts_only_confirmation(self, graph):
@@ -99,14 +98,14 @@ class TestInferEdges:
         confirmed = make_edge(graph, case(2), item(1), [False] * 8)
         node = graph.node(item(1))
         node.set_confirmed_parent(case(2), now=5)
-        best = infer_edges(node, InferenceParams(beta=0.0))
+        best, _weak = infer_edges(node, InferenceParams(beta=0.0))
         assert best is confirmed
 
     def test_uniform_when_no_evidence(self, graph):
         make_edge(graph, case(1), item(1), [])
         make_edge(graph, case(2), item(1), [])
         node = graph.node(item(1))
-        best = infer_edges(node, InferenceParams())
+        best, _weak = infer_edges(node, InferenceParams())
         assert best is not None
         for edge in node.parents.values():
             assert edge.prob == pytest.approx(0.5)
@@ -144,29 +143,27 @@ class TestPruning:
         make_edge(graph, case(1), item(1), [True] * 8)
         weak = make_edge(graph, case(2), item(1), [False] * 8)
         node = graph.node(item(1))
-        best = infer_edges(node, InferenceParams())
-        victims = prune_weak_parents(node, best, InferenceParams(prune_threshold=0.25))
+        _best, victims = infer_edges(node, InferenceParams(prune_threshold=0.25))
         assert victims == [weak]
 
     def test_best_edge_never_pruned(self, graph):
         make_edge(graph, case(1), item(1), [False] * 8)
         node = graph.node(item(1))
-        best = infer_edges(node, InferenceParams())
-        victims = prune_weak_parents(node, best, InferenceParams(prune_threshold=0.9))
-        assert victims == []
+        best, victims = infer_edges(node, InferenceParams(prune_threshold=0.9))
+        assert best is not None and victims == []
 
     def test_confirmed_edge_never_pruned(self, graph):
         make_edge(graph, case(1), item(1), [True] * 8)
         make_edge(graph, case(2), item(1), [False] * 8)
         node = graph.node(item(1))
         node.set_confirmed_parent(case(2), now=0)
-        best = infer_edges(node, InferenceParams(beta=1.0))  # history decides
-        victims = prune_weak_parents(node, best, InferenceParams(prune_threshold=0.9))
-        assert victims == []
+        # beta = 1: history decides, so the confirmed edge is not the argmax
+        best, victims = infer_edges(node, InferenceParams(beta=1.0, prune_threshold=0.9))
+        assert best.parent.tag == case(1) and victims == []
 
     def test_zero_threshold_disables_pruning(self, graph):
         make_edge(graph, case(1), item(1), [True] * 8)
         make_edge(graph, case(2), item(1), [False] * 8)
         node = graph.node(item(1))
-        best = infer_edges(node, InferenceParams())
-        assert prune_weak_parents(node, best, InferenceParams(prune_threshold=0.0)) == []
+        _best, victims = infer_edges(node, InferenceParams(prune_threshold=0.0))
+        assert victims == []

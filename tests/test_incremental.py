@@ -16,14 +16,18 @@ from __future__ import annotations
 
 import hashlib
 import io
+import struct
 
 import pytest
 
 from repro.core.capture import ReaderInfo
-from repro.core.checkpoint import load_checkpoint, save_checkpoint
+from repro.core.checkpoint import dumps_spire, load_checkpoint, save_checkpoint
 from repro.core.graph import Graph
+from repro.core.fastcheckpoint import FAST_FORMAT_VERSION
+from repro.core.interpretation import Estimate, InterpretationResult, LocationSource
 from repro.core.params import InferenceParams
-from repro.core.pipeline import Deployment, Spire
+from repro.core.pipeline import CurrentEstimate, Deployment, Spire
+from repro.model.locations import UNKNOWN_COLOR
 from repro.events.codec import encode_stream
 from repro.faults import (
     DelayBatches,
@@ -37,6 +41,7 @@ from repro.simulator.config import SimulationConfig
 from repro.simulator.warehouse import WarehouseSimulator
 
 from tests.conftest import case, epoch_readings, item, make_deployment
+from tests.test_failover import warehouse_zones
 
 DOCK = ReaderInfo(reader_id=0, color=0)
 SHELF = ReaderInfo(reader_id=1, color=1, period=5)
@@ -55,6 +60,10 @@ CHAOS_SHA256 = {
 }
 #: checkpoint size of the seed-7 substrate at epoch 120 (18 nodes) at 8dbb1c5
 PARENT_CHECKPOINT_BYTES = 7435
+#: sha256 of the seed-7 checkpoint at epoch 125 (37 nodes, 38 edges) from
+#: the end of its pickled config blob on — every flat section —
+#: recorded at 26f255b, before the edge section was filled by columns
+CHECKPOINT_SECTIONS_SHA256 = "c029e132c7ea7f062f0dc8f56d2547844189cea950ffa38f34f7037f511d3cd4"
 
 
 def _sim(seed: int, duration: int = 500) -> "WarehouseSimulator":
@@ -74,15 +83,40 @@ def _sim(seed: int, duration: int = 500) -> "WarehouseSimulator":
     return WarehouseSimulator(config).run()
 
 
-def _stream_sha256(sim, epochs, health: bool) -> str:
-    """Run the pipeline over ``epochs`` and digest its encoded stream."""
+def _chaos(seed: int):
+    """The seed's scenario behind fixed-seed fault injection (outage + drops
+    + delays) and the resilient front-end: ``(sim, epochs)``."""
+    sim = _sim(seed, duration=400)
+    shelves = [r for r in sim.layout.readers if "shelf" in r.location.name]
+    schedule = [
+        ReaderOutage(reader_id=shelves[0].reader_id, start=100, duration=60),
+        DropBatches(rate=0.03),
+        DelayBatches(rate=0.05, max_delay=3),
+    ]
+    injector = FaultInjector(sim.stream, schedule, seed=seed)
+    epochs = list(
+        ResilientStream(
+            injector,
+            max_delay=3,
+            known_readers=[r.reader_id for r in sim.layout.readers],
+        )
+    )
+    return sim, epochs
+
+
+def _spire(cls, sim, health: bool = False) -> Spire:
+    """A level-2 substrate of class ``cls`` over the scenario's deployment."""
     deployment = Deployment.from_readers(sim.layout.readers, sim.layout.registry)
-    spire = Spire(
+    return cls(
         deployment,
         InferenceParams(),
-        compression_level=2,
         health=ReaderHealthMonitor(deployment.readers) if health else None,
     )
+
+
+def _stream_sha256(sim, epochs, health: bool) -> str:
+    """Run the pipeline over ``epochs`` and digest its encoded stream."""
+    spire = _spire(Spire, sim, health)
     messages = []
     for readings in epochs:
         messages.extend(spire.process_epoch(readings).messages)
@@ -102,21 +136,7 @@ class TestEquivalence:
         """Fixed-seed fault injection (outage + drops + delays) through the
         resilient front-end, with the reader-health monitor attached: the
         pinned stream includes the suppression windows."""
-        sim = _sim(seed, duration=400)
-        shelves = [r for r in sim.layout.readers if "shelf" in r.location.name]
-        schedule = [
-            ReaderOutage(reader_id=shelves[0].reader_id, start=100, duration=60),
-            DropBatches(rate=0.03),
-            DelayBatches(rate=0.05, max_delay=3),
-        ]
-        injector = FaultInjector(sim.stream, schedule, seed=seed)
-        epochs = list(
-            ResilientStream(
-                injector,
-                max_delay=3,
-                known_readers=[r.reader_id for r in sim.layout.readers],
-            )
-        )
+        sim, epochs = _chaos(seed)
         assert _stream_sha256(sim, epochs, health=True) == CHAOS_SHA256[seed]
 
     def test_same_process_runs_deterministic(self):
@@ -154,6 +174,130 @@ class TestEquivalence:
             a = [str(m) for m in spire.process_epoch(readings).messages]
             b = [str(m) for m in restored.process_epoch(readings).messages]
             assert a == b
+
+
+def _apply_every_estimate(self, result, now):
+    """``Spire._apply_result`` without the no-delta short-circuit: every
+    estimate overwrites the store and is handed to the compressor (the
+    reference the short-circuit is compared against)."""
+    messages = []
+    for estimate in sorted(result, key=lambda e: e.tag):
+        estimate.exiting = estimate.tag in self.updater.exiting
+        current = self.estimates.get(estimate.tag)
+        if estimate.source is LocationSource.WITHHELD:
+            location = current.location if current is not None else UNKNOWN_COLOR
+        else:
+            location = estimate.location
+        self.estimates[estimate.tag] = CurrentEstimate(
+            location=location,
+            container=estimate.container,
+            observed=estimate.observed,
+            updated_at=now,
+        )
+        if estimate.source is LocationSource.WITHHELD and current is None:
+            continue
+        messages.extend(
+            self.compressor.observe(estimate.tag, location, estimate.container, now)
+        )
+    return messages
+
+
+class _NaiveSpire(Spire):
+    _apply_result = _apply_every_estimate
+
+
+def _assert_same_epochs(real: Spire, naive: Spire, epochs) -> int:
+    """Feed both substrates; every epoch's messages and the stores agree.
+    Returns how many ``observe`` calls the short-circuit skipped."""
+    skipped = 0
+    for readings in epochs:
+        expected = naive.process_epoch(readings)
+        observed = real.process_epoch(readings)
+        assert observed.messages == expected.messages, f"epoch {readings.epoch}"
+        assert real.estimates == naive.estimates, f"epoch {readings.epoch}"
+        skipped += len(expected.result) - len(observed.messages)
+    return skipped
+
+
+class TestNoDeltaShortCircuit:
+    """``Spire._apply_result`` skips the compressor for an estimate the
+    store already holds and the compressor was already told; the emitted
+    stream and the store must equal those of an applier that skips nothing."""
+
+    @pytest.mark.parametrize("seed", [3, 11, 29])
+    def test_clean_runs_emit_what_the_naive_applier_emits(self, seed):
+        sim = _sim(seed)
+        assert _assert_same_epochs(_spire(Spire, sim), _spire(_NaiveSpire, sim), sim.stream)
+
+    @pytest.mark.parametrize("seed", [5, 23])
+    def test_chaos_runs_emit_what_the_naive_applier_emits(self, seed):
+        sim, epochs = _chaos(seed)
+        _assert_same_epochs(
+            _spire(Spire, sim, health=True), _spire(_NaiveSpire, sim, health=True), epochs
+        )
+
+    def test_restored_substrate_keeps_emitting_the_same(self):
+        """Checkpoint at epoch 120 -> restore -> continue: the restored
+        store and compressor states still pair up (format stays 2)."""
+        sim = _sim(seed=7, duration=240)
+        epochs = list(sim.stream)
+        real, naive = _spire(Spire, sim), _spire(_NaiveSpire, sim)
+        _assert_same_epochs(real, naive, epochs[:120])
+        buffer = io.BytesIO()
+        save_checkpoint(real, buffer)
+        assert FAST_FORMAT_VERSION == 2
+        buffer.seek(0)
+        _assert_same_epochs(load_checkpoint(buffer), naive, epochs[120:])
+
+    def test_migrations_emit_the_same(self, monkeypatch):
+        """Objects handed between zones are released (store entry and
+        compressor state dropped together) and adopted (neither created):
+        the adopting zone's first estimate must reach its compressor."""
+
+        def run():
+            sim, coordinator = warehouse_zones(duration=300, checkpoint_interval=None)
+            results = [coordinator.process_epoch(readings) for readings in sim.stream]
+            assert sum(len(r.handoffs) for r in results) > 0
+            return [r.messages for r in results]
+
+        real = run()
+        monkeypatch.setattr(Spire, "_apply_result", _apply_every_estimate)
+        assert real == run()
+
+    def test_withheld_first_estimate_is_stored_but_still_reported_later(self):
+        """The trap: a brand-new object whose first estimate is WITHHELD
+        enters the store unreported; the same pair next epoch equals the
+        store but has never reached the compressor, and must."""
+        spire = Spire(DEPLOYMENT, InferenceParams())
+
+        def estimate(now):
+            result = InterpretationResult(epoch=now, complete=False)
+            result.add(Estimate(item(1), UNKNOWN_COLOR, 1.0, LocationSource.WITHHELD, None))
+            return result
+
+        assert spire._apply_result(estimate(1), 1) == []
+        assert spire.estimates[item(1)].location == UNKNOWN_COLOR
+        assert spire.compressor.state_of(item(1)) is None  # stored, never reported
+        spire._apply_result(estimate(2), 2)
+        assert spire.compressor.state_of(item(1)) is not None
+        assert spire.compressor.state_of(item(1)).is_missing
+        assert spire.estimates[item(1)].updated_at == 2
+
+
+def test_checkpoint_sections_byte_identical():
+    """The encoder may be rearranged, the bytes may not move (format 2).
+    The config blob is left out: it is a pickle, whose bytes are the
+    interpreter's business."""
+    sim = _sim(seed=7, duration=240)
+    spire = _spire(Spire, sim)
+    for readings in list(sim.stream)[:125]:
+        spire.process_epoch(readings)
+    assert (spire.graph.node_count, spire.graph.edge_count) == (37, 38)
+    data = dumps_spire(spire)
+    blob_at = len(b"SPIREfast") + 2
+    (blob_len,) = struct.unpack_from("<Q", data, blob_at)
+    sections = data[blob_at + 8 + blob_len :]
+    assert hashlib.sha256(sections).hexdigest() == CHECKPOINT_SECTIONS_SHA256
 
 
 class TestDirtyTracking:
