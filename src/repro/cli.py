@@ -608,29 +608,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
             print("error: remote merged stream diverged from serial", file=sys.stderr)
             exit_code = 1
 
-    if args.patterns:
-        from repro.experiments import sase
-
-        patterns = sase.run_patterns_bench(
-            milestone=max(milestones),
-            cases_per_pallet=args.cases,
-            seed=args.seed,
-        )
-        payload["patterns"] = patterns
-        print(f"pattern catalogue @ {patterns['workload']['milestone']}: "
-              f"legacy {patterns['legacy_s']:.2f}s, "
-              f"compiled {patterns['compiled_s']:.2f}s "
-              f"({patterns['overhead_ratio']:.2f}x), "
-              f"{patterns['matches']} matches "
-              f"({patterns['match_throughput_per_s']:.0f}/s), "
-              f"compile {patterns['compile_seconds_total'] * 1e3:.1f}ms total")
-        for row in patterns["catalogue"]:
-            marker = "ok" if row["equivalent"] else "DIVERGED"
-            print(f"  {row['name']:>16}  {row['matches']:>6} match(es)  {marker}")
-        for problem in sase.check_patterns(patterns):
-            print(f"pattern gate: {problem}", file=sys.stderr)
-            exit_code = 1
-
     if args.fanout:
         from repro.experiments import fanout as fanout_mod
 
@@ -1169,12 +1146,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--remote-schedule", default=None,
         help="JSON transport-fault schedule for the remote sweep "
              "(net_* and worker_crash kinds only; see docs/FAULTS.md)",
-    )
-    bench.add_argument(
-        "--patterns", action="store_true",
-        help="also run the pattern-compiler bench at the largest milestone "
-             "(legacy catalogue vs repro.sase compiled patterns); adds a "
-             "'patterns' section and fails (exit 1) if notifications diverge",
     )
     bench.add_argument(
         "--fanout", action="store_true",

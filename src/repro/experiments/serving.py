@@ -40,12 +40,13 @@ from repro.model.objects import PackagingLevel, TagId
 from repro.serving.client import SpireClient
 from repro.serving.engine import StandingQueryEngine
 from repro.serving.patterns import (
-    DwellExceeded,
-    LeftWithoutContainer,
-    MissingOverdue,
-    ObjectWatch,
-    PlaceWatch,
-    Tail,
+    PATTERN_DWELL,
+    PATTERN_LEFT_WITHOUT_CONTAINER,
+    PATTERN_MISSING,
+    PATTERN_OBJECT,
+    PATTERN_PLACE,
+    PatternSpec,
+    pattern_from_spec,
 )
 from repro.serving.server import SpireServer
 from repro.simulator.warehouse import WarehouseSimulator
@@ -57,22 +58,23 @@ MIN_SUBSCRIPTIONS = 100
 
 def _make_patterns(colors: list[int], count: int):
     """``count`` pattern instances cycling every kind over the deployment's
-    places — the mixed standing-query population of a live dashboard."""
-    patterns = []
+    places — the mixed standing-query population of a live dashboard,
+    built the way the server builds a subscription's pattern."""
+    specs = []
     for i in range(count):
         place = colors[i % len(colors)]
         kind = i % 5
         if kind == 0:
-            patterns.append(PlaceWatch(place=place))
+            specs.append(PatternSpec(PATTERN_PLACE, place=place))
         elif kind == 1:
-            patterns.append(DwellExceeded(place=place, k=20 + (i % 5) * 10))
+            specs.append(PatternSpec(PATTERN_DWELL, place=place, k=20 + (i % 5) * 10))
         elif kind == 2:
-            patterns.append(MissingOverdue(k=5 + i % 10))
+            specs.append(PatternSpec(PATTERN_MISSING, k=5 + i % 10))
         elif kind == 3:
-            patterns.append(ObjectWatch(obj=TagId(PackagingLevel.ITEM, 1 + i)))
+            specs.append(PatternSpec(PATTERN_OBJECT, obj=TagId(PackagingLevel.ITEM, 1 + i)))
         else:
-            patterns.append(LeftWithoutContainer(place=place))
-    return patterns
+            specs.append(PatternSpec(PATTERN_LEFT_WITHOUT_CONTAINER, place=place))
+    return [pattern_from_spec(spec) for spec in specs]
 
 
 def _point_query_loop(engine: StandingQueryEngine, queries: int) -> dict:

@@ -2,7 +2,7 @@
 
 The standing-query engine of :mod:`repro.serving` originally shipped a
 fixed, hand-coded pattern catalogue; every new monitoring scenario cost
-bespoke engine code.  This package replaces that catalogue with a real
+bespoke engine code.  This package replaced that catalogue with a real
 complex-event pattern language in the style of the SASE paper
 ("SASE: Complex Event Processing over Streams", arXiv cs/0612128):
 
@@ -12,17 +12,19 @@ complex-event pattern language in the style of the SASE paper
   :mod:`repro.sase.parser`);
 * an **AST→NFA compiler** with predicate push-down, negation-as-absence
   edges, Kleene+ closure, and inference of the partition attribute for
-  the partitioned-active-instance-stack optimization
-  (:mod:`repro.sase.nfa`);
+  the partitioned-active-instance-stack optimization; it is also the
+  **one evaluator** — every predicate and RETURN item becomes a
+  generated Python function, and no other module says what an
+  expression means (:mod:`repro.sase.nfa`);
 * an **incremental runtime** consuming event messages epoch-by-epoch
   with window-expiry pruning and deterministic match ordering
   (:mod:`repro.sase.runtime`);
-* a :class:`~repro.sase.compiled.CompiledPattern` adapter so matches
-  flow through the serving tier's existing subscription queues,
-  backpressure and notification path unchanged;
-* the legacy catalogue **re-expressed as library definitions** in the
-  new language (:mod:`repro.sase.library`), pinned byte-for-byte against
-  the hand-coded originals.
+* :class:`~repro.sase.compiled.CompiledPattern`, the serving tier's one
+  pattern implementation: matches flow through its subscription queues,
+  backpressure and notification path;
+* the serving catalogue as **library definitions** in the language
+  (:mod:`repro.sase.library`), pinned byte-for-byte against the
+  hand-coded classes they replaced (``tests/reference_patterns.py``).
 
 Entry point::
 

@@ -6,20 +6,17 @@ what was written (event-class *names*, the window unit, return aliases)
 so :func:`unparse` is canonical and ``parse ∘ unparse`` is a fixpoint —
 the property the grammar fuzz test pins.
 
-Expressions are untyped trees evaluated against an
-:class:`EvalContext`; ``None`` propagates through arithmetic and
-function calls, and comparisons involving ``None`` follow Python's
-equality semantics (``None == x`` only for ``x is None``; ordering
-comparisons with ``None`` are false) — the convention the legacy
-catalogue relied on when an index lookup came back empty.
+Expressions are untyped trees and this module only describes them:
+:mod:`repro.sase.nfa` translates them to Python source and is the one
+place that says how they evaluate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from typing import Iterator
 
-from repro.events.messages import INFINITY, EventKind, EventMessage
+from repro.events.messages import EventKind
 
 #: WITHIN ... SECONDS is converted at this cadence: the paper's readers
 #: interrogate once per epoch and the simulator advances one epoch per
@@ -42,45 +39,15 @@ EVENT_CLASSES: dict[str, frozenset[EventKind]] = {
     "any": frozenset(EventKind),
 }
 
-#: attributes an expression may read off a bound event (see
-#: ``repro.sase.runtime.EventView``); ``left`` is the derived
-#: departure time (``ve`` of an EndLocation, ``vs`` of a Missing).
+#: attributes an expression may read off a bound event; ``left`` is the
+#: derived departure time (``ve`` of an EndLocation, ``vs`` of a Missing).
 EVENT_ATTRS = ("obj", "place", "container", "vs", "ve", "epoch", "kind", "left")
-
-
-def event_ve(msg: EventMessage) -> int | None:
-    """The ``ve`` attribute: ``None`` while the interval is still open."""
-    return None if msg.ve == INFINITY else int(msg.ve)
-
-
-def event_left(msg: EventMessage) -> int | None:
-    """The ``left`` attribute, the derived departure time: when did the
-    object stop being where it was?  EndLocation closes at ve; a Missing
-    report pins the departure at its vs.  Other kinds have no notion of
-    leaving, so the attribute is None (poisoning predicates)."""
-    if msg.kind is EventKind.END_LOCATION:
-        return int(msg.ve)
-    if msg.kind is EventKind.MISSING:
-        return msg.vs
-    return None
-
 
 #: built-in functions; ``loc``/``container``/``missing`` consult the live
 #: index and therefore force the predicate to fire time (see repro.sase.nfa)
 INDEX_FUNCS = frozenset({"loc", "container", "missing"})
 PURE_FUNCS = frozenset({"max", "min", "coalesce"})
 KNOWN_FUNCS = INDEX_FUNCS | PURE_FUNCS
-
-
-class EvalContext:
-    """Everything an expression may consult during evaluation."""
-
-    __slots__ = ("bindings", "now", "index")
-
-    def __init__(self, bindings: Mapping[str, object], now: int, index=None) -> None:
-        self.bindings = bindings
-        self.now = now
-        self.index = index
 
 
 # ---------------------------------------------------------------------------
@@ -91,8 +58,14 @@ class EvalContext:
 class Expr:
     """Base expression node."""
 
-    def eval(self, ctx: EvalContext):
-        raise NotImplementedError
+    def children(self) -> tuple["Expr", ...]:
+        return ()
+
+    def __post_init__(self) -> None:
+        # levels of nesting below and including this node; set as each
+        # node is built, so reading it never recurses
+        height = 1 + max((child.height for child in self.children()), default=0)
+        object.__setattr__(self, "height", height)
 
     def unparse(self) -> str:
         raise NotImplementedError
@@ -107,6 +80,8 @@ class Expr:
     def walk(self) -> Iterator["Expr"]:
         """This node and every descendant, pre-order."""
         yield self
+        for child in self.children():
+            yield from child.walk()
 
 
 @dataclass(frozen=True)
@@ -115,13 +90,13 @@ class Literal(Expr):
 
     value: object
 
-    def eval(self, ctx):
-        return self.value
-
     def unparse(self):
         value = self.value
         if isinstance(value, str):
-            return "'" + value + "'"
+            # the grammar has no escapes: quote with the character the
+            # value does not contain (a parsed string never holds both)
+            quote = '"' if "'" in value else "'"
+            return quote + value + quote
         if hasattr(value, "level") and hasattr(value, "serial"):  # TagId
             return f"{value.level.name.lower()}:{value.serial}"
         return str(value)
@@ -130,9 +105,6 @@ class Literal(Expr):
 @dataclass(frozen=True)
 class Now(Expr):
     """The epoch the predicate is being evaluated at (fire time)."""
-
-    def eval(self, ctx):
-        return ctx.now
 
     def unparse(self):
         return "now"
@@ -150,16 +122,6 @@ class Attr(Expr):
     binding: str
     name: str
 
-    def eval(self, ctx):
-        value = ctx.bindings.get(self.binding)
-        if value is None:
-            return None
-        if isinstance(value, list):
-            if not value:
-                return None
-            value = value[-1]
-        return value.attr(self.name)
-
     def unparse(self):
         return f"{self.binding}.{self.name}"
 
@@ -171,36 +133,11 @@ class Func(Expr):
     name: str
     args: tuple[Expr, ...]
 
-    def eval(self, ctx):
-        values = [arg.eval(ctx) for arg in self.args]
-        if self.name == "coalesce":
-            for value in values:
-                if value is not None:
-                    return value
-            return None
-        if any(value is None for value in values):
-            return None
-        if self.name == "max":
-            return max(values)
-        if self.name == "min":
-            return min(values)
-        if ctx.index is None:
-            return None
-        if self.name == "loc":
-            return ctx.index.location_of(values[0], values[1])
-        if self.name == "container":
-            return ctx.index.container_of(values[0], values[1])
-        if self.name == "missing":
-            return bool(ctx.index.is_missing(values[0], values[1]))
-        raise ValueError(f"unknown function {self.name!r}")  # pragma: no cover
+    def children(self):
+        return self.args
 
     def unparse(self):
         return f"{self.name}({', '.join(arg.unparse() for arg in self.args)})"
-
-    def walk(self):
-        yield self
-        for arg in self.args:
-            yield from arg.walk()
 
 
 @dataclass(frozen=True)
@@ -212,11 +149,8 @@ class BinOp(Expr):
     right: Expr
     precedence = 5
 
-    def eval(self, ctx):
-        left, right = self.left.eval(ctx), self.right.eval(ctx)
-        if left is None or right is None:
-            return None
-        return left + right if self.op == "+" else left - right
+    def children(self):
+        return (self.left, self.right)
 
     def unparse(self):
         # subtraction is left-associative: parenthesize a BinOp right child
@@ -224,23 +158,6 @@ class BinOp(Expr):
         return (
             f"{self._child(self.left, 5)} {self.op} {self._child(self.right, right_min)}"
         )
-
-    def walk(self):
-        yield self
-        yield from self.left.walk()
-        yield from self.right.walk()
-
-
-#: comparison evaluators; ordering comparisons are False when either
-#: side is None, equality follows Python (None == None only)
-_CMP = {
-    "==": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-    "<": lambda a, b: a is not None and b is not None and a < b,
-    "<=": lambda a, b: a is not None and b is not None and a <= b,
-    ">": lambda a, b: a is not None and b is not None and a > b,
-    ">=": lambda a, b: a is not None and b is not None and a >= b,
-}
 
 
 @dataclass(frozen=True)
@@ -252,16 +169,11 @@ class Cmp(Expr):
     right: Expr
     precedence = 4
 
-    def eval(self, ctx):
-        return _CMP[self.op](self.left.eval(ctx), self.right.eval(ctx))
+    def children(self):
+        return (self.left, self.right)
 
     def unparse(self):
         return f"{self._child(self.left, 5)} {self.op} {self._child(self.right, 5)}"
-
-    def walk(self):
-        yield self
-        yield from self.left.walk()
-        yield from self.right.walk()
 
 
 @dataclass(frozen=True)
@@ -271,15 +183,11 @@ class Not(Expr):
     operand: Expr
     precedence = 3
 
-    def eval(self, ctx):
-        return not self.operand.eval(ctx)
+    def children(self):
+        return (self.operand,)
 
     def unparse(self):
         return f"NOT {self._child(self.operand, 3)}"
-
-    def walk(self):
-        yield self
-        yield from self.operand.walk()
 
 
 @dataclass(frozen=True)
@@ -289,16 +197,11 @@ class And(Expr):
     parts: tuple[Expr, ...]
     precedence = 2
 
-    def eval(self, ctx):
-        return all(part.eval(ctx) for part in self.parts)
+    def children(self):
+        return self.parts
 
     def unparse(self):
         return " AND ".join(self._child(part, 3) for part in self.parts)
-
-    def walk(self):
-        yield self
-        for part in self.parts:
-            yield from part.walk()
 
 
 @dataclass(frozen=True)
@@ -308,16 +211,11 @@ class Or(Expr):
     parts: tuple[Expr, ...]
     precedence = 1
 
-    def eval(self, ctx):
-        return any(part.eval(ctx) for part in self.parts)
+    def children(self):
+        return self.parts
 
     def unparse(self):
         return " OR ".join(self._child(part, 2) for part in self.parts)
-
-    def walk(self):
-        yield self
-        for part in self.parts:
-            yield from part.walk()
 
 
 def referenced_bindings(expr: Expr) -> set[str]:

@@ -1,14 +1,12 @@
 """`CompiledPattern` — a compiled pattern as a serving-tier citizen.
 
-The adapter subclasses :class:`repro.serving.patterns.Pattern`, so a
-compiled pattern drops into the standing-query engine exactly like the
-hand-coded catalogue did: per-subscription state, ``prime`` from the
-live index on subscribe, one ``evaluate`` per epoch feeding the
-subscription queues.  Matches are turned into
-:class:`~repro.serving.patterns.Notification` values by a *render*
-function — the default renders the RETURN clause; the library
-definitions (:mod:`repro.sase.library`) install renders that reproduce
-the legacy catalogue's notifications byte for byte.
+The one :class:`repro.serving.patterns.Pattern` the standing-query
+engine runs: per-subscription state, ``prime`` from the live index on
+subscribe, one ``evaluate`` per epoch feeding the subscription queues.
+Matches are turned into :class:`~repro.serving.patterns.Notification`
+values by a *render* function — the default renders the RETURN clause;
+the library definitions (:mod:`repro.sase.library`) install renders
+that produce the catalogue's wire notifications.
 """
 
 from __future__ import annotations
@@ -16,7 +14,7 @@ from __future__ import annotations
 import time
 from typing import Callable
 
-from repro.sase.ast import EvalContext, PatternAST
+from repro.sase.ast import PatternAST, unparse
 from repro.sase.nfa import NfaProgram, compile_ast
 from repro.sase.parser import parse_pattern_source
 from repro.sase.runtime import Match, PatternRuntime
@@ -74,8 +72,6 @@ class CompiledPattern(Pattern):
         the serving tier's fan-out sharing key and the persisted form of
         a subscription.
         """
-        from repro.sase.ast import unparse
-
         return unparse(self.ast)
 
     def share_key(self) -> tuple | None:
@@ -88,16 +84,7 @@ class CompiledPattern(Pattern):
         captured by the source text.
         """
         if self.spec_override is not None:
-            spec = self.spec_override
-            return (
-                "spec",
-                type(self).__name__,
-                spec.kind,
-                spec.obj,
-                spec.place,
-                spec.k,
-                spec.source,
-            )
+            return super().share_key()
         if self._custom_render:
             return None
         return ("sase", self.canonical_source, self.notify_kind)
@@ -141,9 +128,9 @@ class CompiledPattern(Pattern):
             for value in match.bindings.values()
         )
         if self.ast.returns:
-            ctx = EvalContext(match.bindings, match.epoch, index)
+            values = self.program.returns(match.bindings, None, match.epoch, index)
             detail = ", ".join(
-                f"{item.label}={item.expr.eval(ctx)}" for item in self.ast.returns
+                f"{item.label}={value}" for item, value in zip(self.ast.returns, values)
             )
         else:
             detail = " ".join(element.unparse() for element in self.ast.elements)

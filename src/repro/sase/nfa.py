@@ -1,4 +1,4 @@
-"""AST → NFA compilation: predicate push-down and partition inference.
+"""AST → NFA compilation: predicates, push-down and partition inference.
 
 The compiler lowers a :class:`~repro.sase.ast.PatternAST` into an
 :class:`NfaProgram` the runtime executes directly:
@@ -17,6 +17,11 @@ The compiler lowers a :class:`~repro.sase.ast.PatternAST` into an
   for a negated binding, or at fire time when it reads ``now`` / the
   live index (index answers can change as later messages retro-close
   intervals, so index predicates are pinned to the match epoch);
+* **one evaluator** — :func:`_source` translates an expression to Python
+  source and is the only code that says what an expression means.  Each
+  step, each guard, the fire-time conjuncts and the RETURN items become
+  one generated function (:func:`compile_exprs`), and so does each
+  element's admission test;
 * **partition inference** — the SASE partitioned-active-instance-stack
   optimization: when one attribute's cross-binding equivalence tests
   (``b.obj == a.obj``) connect every element, instances are stacked per
@@ -38,20 +43,21 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from repro.events.messages import EventKind, EventMessage
+from repro.events.messages import INFINITY, EventKind, EventMessage
 from repro.sase.ast import (
-    _CMP,
+    INDEX_FUNCS,
+    KNOWN_FUNCS,
     And,
     Attr,
+    BinOp,
     Cmp,
     Element,
     Expr,
     Literal,
     Not,
+    Now,
     Or,
     PatternAST,
-    event_left,
-    event_ve,
     needs_fire_time,
     referenced_bindings,
 )
@@ -61,24 +67,258 @@ from repro.sase.errors import PatternSemanticError
 #: several qualify (deterministic compilation)
 _PARTITION_PREFERENCE = ("obj", "container", "place", "vs")
 
-
-#: how a statically decidable attribute reads off an event message ``m``
-#: (``epoch`` is not a property of the message and is left to the runtime)
-_ATTR_SOURCE = {
-    "obj": "m.obj",
-    "place": "m.place",
-    "container": "m.container",
-    "vs": "m.vs",
-    "ve": "ve(m)",
-    "left": "left(m)",
-    "kind": "m.kind.value",
-}
-
 #: the attributes that are message fields as they stand, so that an
 #: equality with a constant can be looked up instead of evaluated
 KEY_FIELDS = ("obj", "place", "container", "vs")
 
+
+# ---------------------------------------------------------------------------
+# what the generated code calls
+# ---------------------------------------------------------------------------
+#
+# ``None`` means "no value" (an open interval, an empty index answer, an
+# unbound event).  It poisons arithmetic and every function but
+# ``coalesce``, orders with nothing (``<`` ... ``>=`` are false), and
+# equals only itself.  Operands are all evaluated before the operator
+# looks at any of them, so an ill-typed operand raises its ``TypeError``
+# even beside a ``None``.
+
+
+def _ve(msg: EventMessage) -> int | None:
+    """The ``ve`` attribute: ``None`` while the interval is still open."""
+    return None if msg.ve == INFINITY else int(msg.ve)
+
+
+def _left(msg: EventMessage) -> int | None:
+    """The ``left`` attribute, the derived departure time: when did the
+    object stop being where it was?  EndLocation closes at ve; a Missing
+    report pins the departure at its vs.  Other kinds have no notion of
+    leaving, so the attribute is None (poisoning predicates)."""
+    if msg.kind is EventKind.END_LOCATION:
+        return int(msg.ve)
+    if msg.kind is EventKind.MISSING:
+        return msg.vs
+    return None
+
+
+def _unknown(values: tuple) -> bool:
+    for value in values:
+        if value is None:
+            return True
+    return False
+
+
+def _add(a, b):
+    return None if a is None or b is None else a + b
+
+
+def _sub(a, b):
+    return None if a is None or b is None else a - b
+
+
+def _lt(a, b):
+    return a is not None and b is not None and a < b
+
+
+def _le(a, b):
+    return a is not None and b is not None and a <= b
+
+
+def _gt(a, b):
+    return a is not None and b is not None and a > b
+
+
+def _ge(a, b):
+    return a is not None and b is not None and a >= b
+
+
+def _coalesce(*values):
+    for value in values:
+        if value is not None:
+            return value
+    return None
+
+
+def _max(*values):
+    return None if _unknown(values) else max(values)
+
+
+def _min(*values):
+    return None if _unknown(values) else min(values)
+
+
+def _loc(index, *values):
+    if index is None or _unknown(values):
+        return None
+    return index.location_of(values[0], values[1])
+
+
+def _container(index, *values):
+    if index is None or _unknown(values):
+        return None
+    return index.container_of(values[0], values[1])
+
+
+def _missing(index, *values):
+    if index is None or _unknown(values):
+        return None
+    return bool(index.is_missing(values[0], values[1]))
+
+
+#: the names generated source may use besides its own constants and
+#: locals (each helper under its name without the underscore); a
+#: client's text supplies none of them
+_HELPERS = {
+    helper.__name__[1:]: helper
+    for helper in (
+        _ve, _left, _add, _sub, _lt, _le, _gt, _ge,
+        _coalesce, _max, _min, _loc, _container, _missing,
+    )
+}
+
+#: how an attribute reads off an event: ``{m}`` is its message, ``{v}``
+#: its view (``epoch`` is when the event arrived, which no message says)
+_ATTR_SOURCE = {
+    "obj": "{m}.obj",
+    "place": "{m}.place",
+    "container": "{m}.container",
+    "vs": "{m}.vs",
+    "ve": "ve({m})",
+    "left": "left({m})",
+    "kind": "{m}.kind.value",
+    "epoch": "{v}.epoch",
+}
+
 _ORDERING = {"<": "lt", "<=": "le", ">": "gt", ">=": "ge"}
+
+
+class _Scope:
+    """What one generated function may read, and the names it has used.
+
+    Generated functions take ``(b, v, now, index)``: the bindings of the
+    instance (name -> event view, or the list of views of a Kleene+
+    run), the view of the event being offered to ``own`` (its message is
+    the local ``m``), the epoch of evaluation and the live index.  An
+    admission test takes the message ``m`` alone.
+    """
+
+    def __init__(self, own: str | None, kleene: frozenset[str] | None) -> None:
+        self.own = own
+        #: which of the other bindings are Kleene+ runs; ``None`` for an
+        #: admission test, which can read no other binding, nor ``epoch``,
+        #: ``now`` or the index
+        self.kleene = kleene
+        self.namespace: dict[str, object] = dict(_HELPERS)
+        #: other binding -> the local holding its (last) event view
+        self.views: dict[str, str] = {}
+
+    def constant(self, value: object) -> str:
+        """Bind ``value`` in the function's namespace; return its name.
+        Literals and binding names reach generated code only this way —
+        never as source text."""
+        name = f"c{len(self.namespace)}"
+        self.namespace[name] = value
+        return name
+
+    def define(self, result: str) -> Callable:
+        """Execute the function that returns ``result``, and return it."""
+        if self.kleene is None:  # what an admission test cannot decide, it admits
+            lines = [
+                "def generated(m):",
+                "    try:",
+                f"        return {result}",
+                "    except (TypeError, ValueError):",
+                "        return True",
+            ]
+        else:
+            lines = ["def generated(b, v, now, index):"]
+            if self.own is not None:
+                lines.append("    m = v.msg")
+            for binding, local in self.views.items():
+                lines.append(f"    {local} = b.get({self.constant(binding)})")
+                if binding in self.kleene:
+                    lines.append(f"    {local} = {local}[-1] if {local} else None")
+            lines.append(f"    return {result}")
+        exec("\n".join(lines), self.namespace)
+        return self.namespace["generated"]
+
+
+def _source(expr: Expr, scope: _Scope, truth: bool = False) -> str | None:
+    """Python source of ``expr``, or ``None`` when ``scope`` cannot read
+    something it needs (an admission test only).
+
+    ``truth`` asks only for a value that is true when ``expr`` is: AND
+    and OR then keep Python's short-circuit operators as they are; as
+    operands (``(a AND b) == c``) they are the booleans ``all`` and
+    ``any`` would give.  Every sub-expression is an atom or parenthesized.
+    """
+    full = scope.kleene is not None
+    if isinstance(expr, Literal):
+        return scope.constant(expr.value)
+    if isinstance(expr, Now):
+        return "now" if full else None
+    if isinstance(expr, Attr):
+        own = expr.binding == scope.own
+        if not full and (not own or expr.name == "epoch"):
+            return None
+        if own:
+            return _ATTR_SOURCE[expr.name].format(m="m", v="v")
+        view = scope.views.setdefault(expr.binding, f"b{len(scope.views)}")
+        read = _ATTR_SOURCE[expr.name].format(m=f"{view}.msg", v=view)
+        return f"(None if {view} is None else {read})"
+    if isinstance(expr, (And, Or)):
+        parts = [_source(part, scope, truth=True) for part in expr.parts]
+        if None in parts:
+            return None
+        if isinstance(expr, And):
+            joined = " and ".join(parts) or "True"
+        else:
+            joined = " or ".join(parts) or "False"
+        return f"({joined})" if truth else f"(True if {joined} else False)"
+    if isinstance(expr, Not):
+        operand = _source(expr.operand, scope, truth=True)
+        return None if operand is None else f"(not {operand})"
+    operands = [_source(child, scope) for child in expr.children()]
+    if None in operands:
+        return None
+    if isinstance(expr, Cmp):
+        if expr.op in ("==", "!="):
+            return f"({operands[0]} {expr.op} {operands[1]})"
+        call = _ORDERING[expr.op]
+    elif isinstance(expr, BinOp):
+        call = "add" if expr.op == "+" else "sub"
+    else:
+        call = expr.name
+        if call not in KNOWN_FUNCS:
+            raise PatternSemanticError(f"unknown function {call!r}")
+        if call in INDEX_FUNCS:
+            if not full:
+                return None
+            operands.insert(0, "index")
+    return f"{call}({', '.join(operands)})"
+
+
+def compile_exprs(
+    exprs: tuple[Expr, ...],
+    own: str | None = None,
+    kleene: frozenset[str] = frozenset(),
+    conjoin: bool = True,
+) -> Callable:
+    """One generated function ``f(bindings, view, now, index)`` over ``exprs``.
+
+    With ``conjoin`` it says whether every expression holds, evaluating
+    them in order and stopping at the first that does not; without, it
+    returns the tuple of their values.  ``own`` names the binding that
+    reads ``view`` (pass ``None`` for both at fire time); every other
+    binding reads ``bindings`` — the last event of those in ``kleene``,
+    ``None`` attributes for one that is not bound.
+    """
+    scope = _Scope(own, kleene)
+    if conjoin:
+        result = " and ".join(_source(expr, scope, truth=True) for expr in exprs) or "True"
+    else:
+        result = "(" + "".join(_source(expr, scope) + ", " for expr in exprs) + ")"
+    return scope.define(result)
 
 
 @dataclass(frozen=True)
@@ -108,10 +348,12 @@ class PositiveStep:
     binding: str
     kinds: frozenset[EventKind]
     kleene: bool
-    #: evaluated when this step consumes an event; the conjuncts
+    #: what must hold when this step consumes an event; the conjuncts
     #: :attr:`admission` decides come first
     preds: tuple[Expr, ...]
     admission: Admission = field(compare=False)
+    #: ``preds`` as one generated function (see :func:`compile_exprs`)
+    test: Callable = field(compare=False)
 
 
 @dataclass(frozen=True)
@@ -124,6 +366,7 @@ class NegationGuard:
     kinds: frozenset[EventKind]
     preds: tuple[Expr, ...]  # :attr:`admission`'s conjuncts first
     admission: Admission = field(compare=False)
+    test: Callable = field(compare=False)  # ``preds``, generated
 
 
 @dataclass(frozen=True)
@@ -138,6 +381,9 @@ class NfaProgram:
     once_per_epoch: bool
     partition_attr: str | None  # None = one shared instance stack
     absence: bool  # trailing negation: fire on window expiry
+    #: ``fire_preds`` and the values of the RETURN items, generated
+    fire: Callable = field(compare=False)
+    returns: Callable = field(compare=False)
 
     @property
     def relevant_kinds(self) -> frozenset[EventKind]:
@@ -209,36 +455,6 @@ def _equivalence_attr(conjunct: Expr) -> tuple[str, str, str] | None:
     return None
 
 
-def _static_source(expr: Expr, binding: str, consts: dict) -> str | None:
-    """Python source of boolean ``expr`` over an event message ``m``, or
-    ``None`` unless ``binding``'s own event and constants decide it."""
-    if isinstance(expr, Cmp):
-        sides = []
-        for side in (expr.left, expr.right):
-            if isinstance(side, Literal):
-                name = f"c{len(consts)}"
-                consts[name] = side.value
-                sides.append(name)
-            elif isinstance(side, Attr) and side.binding == binding:
-                sides.append(_ATTR_SOURCE.get(side.name))
-            else:
-                return None
-        if None in sides:
-            return None
-        if expr.op in _ORDERING:
-            return f"{_ORDERING[expr.op]}({sides[0]}, {sides[1]})"
-        return f"({sides[0]} {expr.op} {sides[1]})"
-    if isinstance(expr, Not):
-        inner = _static_source(expr.operand, binding, consts)
-        return None if inner is None else f"(not {inner})"
-    if isinstance(expr, (And, Or)):
-        parts = [_static_source(part, binding, consts) for part in expr.parts]
-        if None in parts:
-            return None
-        return "(" + (" and " if isinstance(expr, And) else " or ").join(parts) + ")"
-    return None
-
-
 def _equality_keys(expr: Expr, binding: str) -> tuple[tuple[str, object], ...] | None:
     """The ``(field, constant)`` alternatives a true ``expr`` forces on
     ``binding``'s event: ``e.place == 4``, or an ``OR`` of such tests.
@@ -273,37 +489,26 @@ def _push_down(
     false prefix of the full evaluation, and an event that equals none
     of the keys fails the very first conjunct.
     """
+    scope = _Scope(binding, None)
+    decided = [(conjunct, _source(conjunct, scope, truth=True)) for conjunct in conjuncts]
 
-    def rank(conjunct: Expr) -> int:
-        if _equality_keys(conjunct, binding) is not None:
+    def rank(pair: tuple[Expr, str | None]) -> int:
+        if _equality_keys(pair[0], binding) is not None:
             return 0
-        return 2 if _static_source(conjunct, binding, {}) is None else 1
+        return 2 if pair[1] is None else 1
 
-    preds = tuple(sorted(conjuncts, key=rank))
+    decided.sort(key=rank)
+    preds = tuple(conjunct for conjunct, _ in decided)
     key_sets = [keys for keys in (_equality_keys(c, binding) for c in preds) if keys]
-    namespace: dict[str, object] = {}
     tests = []
     if len(kinds) < len(EventKind):
-        for kind in EventKind:  # identity tests: hashing an Enum member is a Python call
-            if kind in kinds:
-                namespace[f"k{len(namespace)}"] = kind
-        tests.append("(" + " or ".join(f"m.kind is {name}" for name in namespace) + ")")
-    for conjunct in preds:
-        source = _static_source(conjunct, binding, namespace)
-        if source is not None:
-            tests.append(source)
-    namespace.update(ve=event_ve, left=event_left)
-    namespace.update((name, _CMP[op]) for op, name in _ORDERING.items())
-    exec(
-        "def admits(m):\n"
-        "    try:\n"
-        f"        return {' and '.join(tests) or 'True'}\n"
-        "    except TypeError:\n"
-        "        return True\n",
-        namespace,
-    )
+        # identity tests: hashing an Enum member is a Python call
+        names = [scope.constant(kind) for kind in EventKind if kind in kinds]
+        tests.append("(" + " or ".join(f"m.kind is {name}" for name in names) + ")")
+    tests += [source for _, source in decided if source is not None]
     return preds, Admission(
-        test=namespace["admits"], keys=min(key_sets, key=len) if key_sets else None
+        test=scope.define(" and ".join(tests) or "True"),
+        keys=min(key_sets, key=len) if key_sets else None,
     )
 
 
@@ -410,6 +615,7 @@ def compile_ast(ast: PatternAST) -> NfaProgram:
         latest = max(positive_index[name] for name in refs)
         step_preds[latest].append(conjunct)
 
+    kleene = frozenset(element.binding for element in steps if element.kleene)
     compiled_steps = []
     for index, element in enumerate(steps):
         preds, admission = _push_down(element.kinds(), element.binding, step_preds[index])
@@ -421,6 +627,7 @@ def compile_ast(ast: PatternAST) -> NfaProgram:
                 kleene=element.kleene,
                 preds=preds,
                 admission=admission,
+                test=compile_exprs(preds, element.binding, kleene),
             )
         )
     guards = []
@@ -433,6 +640,7 @@ def compile_ast(ast: PatternAST) -> NfaProgram:
                 kinds=kinds,
                 preds=preds,
                 admission=admission,
+                test=compile_exprs(preds, binding, kleene),
             )
         )
 
@@ -450,6 +658,10 @@ def compile_ast(ast: PatternAST) -> NfaProgram:
         once_per_epoch=ast.once_per_epoch,
         partition_attr=partition_attr,
         absence=absence,
+        fire=compile_exprs(tuple(fire_preds), kleene=kleene),
+        returns=compile_exprs(
+            tuple(item.expr for item in ast.returns), kleene=kleene, conjoin=False
+        ),
     )
 
 

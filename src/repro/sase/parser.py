@@ -24,7 +24,8 @@ Grammar (EBNF; keywords are case-insensitive, bindings case-sensitive)::
     tag-literal = packaging-level ":" integer ;          (* e.g. case:3 *)
 
 Every syntax error names what was expected and where
-(:class:`~repro.sase.errors.PatternSyntaxError` carries the offset).
+(:class:`~repro.sase.errors.PatternSyntaxError` carries the offset),
+an expression nested deeper than :data:`MAX_NESTING` included.
 """
 
 from __future__ import annotations
@@ -73,6 +74,14 @@ _RESERVED = frozenset(
 
 _LEVEL_NAMES = frozenset(level.name.lower() for level in PackagingLevel)
 
+#: how many levels an expression may nest: the expression and the
+#: parenthesized groups open at any point of its source, and the height
+#: of the tree it parses to.  The parser recurses six frames per group
+#: and :mod:`repro.sase.nfa` generates one Python parenthesis per tree
+#: level plus two (CPython refuses 200), so 64 keeps both far inside the
+#: interpreter's limits wherever the compiler is called from.
+MAX_NESTING = 64
+
 
 @dataclass(frozen=True)
 class _Token:
@@ -102,6 +111,7 @@ class _Parser:
         self.source = source
         self.tokens = _tokenize(source)
         self.index = 0
+        self.depth = 0  # parse_expr calls in progress
 
     # -- token plumbing -------------------------------------------------
 
@@ -259,11 +269,27 @@ class _Parser:
     # -- expressions ----------------------------------------------------
 
     def parse_expr(self) -> Expr:
+        start = self.peek()
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise self.too_deep(start)
         parts = [self.parse_and()]
         while self.at_keyword("OR"):
             self.advance()
             parts.append(self.parse_and())
-        return parts[0] if len(parts) == 1 else Or(tuple(parts))
+        self.depth -= 1
+        expr = parts[0] if len(parts) == 1 else Or(tuple(parts))
+        # operator chains (``1 + 1 + ...``, ``NOT NOT ...``) grow the tree
+        # without a parenthesis
+        if expr.height > MAX_NESTING:
+            raise self.too_deep(start)
+        return expr
+
+    @staticmethod
+    def too_deep(token: _Token) -> PatternSyntaxError:
+        return PatternSyntaxError(
+            f"expression nests more than {MAX_NESTING} levels deep", offset=token.pos
+        )
 
     def parse_and(self) -> Expr:
         parts = [self.parse_not()]
@@ -273,9 +299,13 @@ class _Parser:
         return parts[0] if len(parts) == 1 else And(tuple(parts))
 
     def parse_not(self) -> Expr:
-        if self.take_keyword("NOT"):
-            return Not(self.parse_not())
-        return self.parse_comparison()
+        negations = 0
+        while self.take_keyword("NOT"):  # a loop: a chain of NOTs must not recurse
+            negations += 1
+        expr = self.parse_comparison()
+        for _ in range(negations):
+            expr = Not(expr)
+        return expr
 
     def parse_comparison(self) -> Expr:
         left = self.parse_sum()

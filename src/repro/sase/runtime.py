@@ -38,8 +38,8 @@ from dataclasses import dataclass
 from operator import attrgetter
 
 from repro.events.messages import INFINITY, EventKind, EventMessage
-from repro.sase.ast import EvalContext, Expr, event_left, event_ve
-from repro.sase.nfa import KEY_FIELDS, NfaProgram
+from repro.sase.ast import Attr
+from repro.sase.nfa import KEY_FIELDS, NfaProgram, compile_exprs
 
 #: partition key used when the program has no partition attribute
 #: (one shared stack) — a private sentinel no attribute value equals
@@ -51,34 +51,14 @@ UNKNOWN_PLACE = -1
 
 
 class EventView:
-    """An event message plus the epoch it arrived, with attribute access
-    for predicate evaluation (``Attr.eval`` calls :meth:`attr`)."""
+    """An event message plus the epoch it arrived: what a binding holds
+    and what the generated predicates (:mod:`repro.sase.nfa`) read."""
 
     __slots__ = ("msg", "epoch")
 
     def __init__(self, msg: EventMessage, epoch: int) -> None:
         self.msg = msg
         self.epoch = epoch
-
-    def attr(self, name: str):
-        msg = self.msg
-        if name == "obj":
-            return msg.obj
-        if name == "place":
-            return msg.place
-        if name == "container":
-            return msg.container
-        if name == "vs":
-            return msg.vs
-        if name == "ve":
-            return event_ve(msg)
-        if name == "epoch":
-            return self.epoch
-        if name == "kind":
-            return msg.kind.value
-        if name == "left":
-            return event_left(msg)
-        raise AttributeError(name)  # pragma: no cover - parser validates
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"EventView({self.msg}, epoch={self.epoch})"
@@ -146,8 +126,15 @@ class PatternRuntime:
             self._total == 1 and not program.absence and not program.steps[0].kleene
         )
         attr = program.partition_attr
-        #: the partition attribute as a plain message field, when it is one
+        #: the partition attribute as a plain message field, when it is
+        #: one; any other (``ve``, ``left``, ``kind``, ``epoch``) is read
+        #: the way a predicate would read it
         self._key_field = attrgetter(attr) if attr in KEY_FIELDS else None
+        self._key_values = (
+            compile_exprs((Attr("e", attr),), own="e", conjoin=False)
+            if attr is not None and self._key_field is None
+            else None
+        )
 
     # -- introspection ---------------------------------------------------
 
@@ -214,7 +201,7 @@ class PatternRuntime:
             for instance in stack:
                 if instance.state != guard.guard_state or instance in doomed:
                     continue
-                if self._eval(guard.preds, instance, guard.binding, view, epoch, index):
+                if guard.test(instance.bindings, view, epoch, index):
                     doomed.append(instance)
         for instance in doomed:
             self._remove(key, instance)
@@ -234,16 +221,15 @@ class PatternRuntime:
                 step is not None
                 and step.admission.test(view.msg)
                 and (window is None or view.epoch - instance.anchor <= window)
-                and self._eval(step.preds, instance, step.binding, view, epoch, index)
+                and step.test(instance.bindings, view, epoch, index)
             ):
                 completing = state + 1 == self._total and not program.absence
-                if completing and not step.kleene:
+                if completing and not step.kleene and program.fire_preds:
                     # completion of a non-Kleene final step also requires
                     # the fire-time predicates; a failing candidate is
                     # skipped, leaving the instance open for a later one
-                    env = dict(instance.bindings)
-                    env[step.binding] = view
-                    if not self._eval_env(program.fire_preds, env, epoch, index):
+                    env = {**instance.bindings, step.binding: view}
+                    if not program.fire(env, None, epoch, index):
                         continue
                 instance.bindings[step.binding] = [view] if step.kleene else view
                 instance.state = state + 1
@@ -259,9 +245,7 @@ class PatternRuntime:
                     run_step.kleene
                     and run_step.admission.test(view.msg)
                     and (window is None or view.epoch - instance.anchor <= window)
-                    and self._eval(
-                        run_step.preds, instance, run_step.binding, view, epoch, index
-                    )
+                    and run_step.test(instance.bindings, view, epoch, index)
                 ):
                     instance.bindings[run_step.binding].append(view)
                     if state == self._total and not program.absence:
@@ -273,8 +257,7 @@ class PatternRuntime:
         step = program.steps[0]
         if view.msg.kind not in step.kinds:
             return
-        env = {step.binding: view}
-        if not self._eval_env(step.preds, env, epoch, index):
+        if not step.test({}, view, epoch, index):
             return
         anchor = view.msg.vs
         if self._total == 1 and not program.absence:
@@ -282,7 +265,7 @@ class PatternRuntime:
             # unless the only step is Kleene+ (the run stays open for
             # extensions)
             bindings = {step.binding: [view] if step.kleene else view}
-            if self._eval_env(program.fire_preds, bindings, epoch, index):
+            if program.fire(bindings, None, epoch, index):
                 instance = _Instance(1, bindings, anchor)
                 self._emit(instance, key, epoch, index, matches, fired_keys)
                 if step.kleene:
@@ -318,9 +301,7 @@ class PatternRuntime:
                     if instance.spent or age < window:
                         continue
                     # the window elapsed without the negated event: fire
-                    if self._eval_env(
-                        program.fire_preds, instance.bindings, epoch, index
-                    ):
+                    if program.fire(instance.bindings, None, epoch, index):
                         self._emit(instance, key, epoch, index, matches, fired_keys)
                     if program.replace_on_restart:
                         # stay in the stack, spent: a later re-arm keeps
@@ -338,10 +319,9 @@ class PatternRuntime:
     def _key_for(self, msg: EventMessage, epoch: int):
         if self._key_field is not None:
             return self._key_field(msg)
-        attr = self.program.partition_attr
-        if attr is None:
+        if self._key_values is None:
             return _SHARED
-        return EventView(msg, epoch).attr(attr)
+        return self._key_values(None, EventView(msg, epoch), epoch, None)[0]
 
     def _store(self, key, instance: _Instance) -> None:
         self._partitions.setdefault(key, []).append(instance)
@@ -371,20 +351,6 @@ class PatternRuntime:
         }
         matches.append(Match(epoch=epoch, bindings=bindings, key=out_key))
         self.stats.matches += 1
-
-    def _eval(self, preds, instance, binding, view, epoch, index) -> bool:
-        if not preds:
-            return True
-        env = dict(instance.bindings)
-        env[binding] = view
-        return self._eval_env(preds, env, epoch, index)
-
-    @staticmethod
-    def _eval_env(preds: tuple[Expr, ...], env: dict, epoch: int, index) -> bool:
-        if not preds:
-            return True
-        ctx = EvalContext(env, epoch, index)
-        return all(pred.eval(ctx) for pred in preds)
 
     # -- priming from an index -------------------------------------------
 

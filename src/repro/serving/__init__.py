@@ -5,9 +5,10 @@ SPIRE is a substrate *feeding* higher-level stream and query processors
 complex event processing, the distributed RFID query processors in
 PAPERS.md) motivate its shape.  Three pieces:
 
-* :mod:`repro.serving.patterns` — standing predicates (tails, point
-  watches, dwell/missing thresholds, compound containment anomalies)
-  evaluated incrementally against each epoch's event batch;
+* :mod:`repro.serving.patterns` — what a standing predicate is to the
+  wire and the engine (interface, spec, notification); the predicates
+  themselves — tails, point watches, dwell/missing thresholds, compound
+  containment anomalies — are :mod:`repro.sase` patterns;
 * :mod:`repro.serving.engine` — the **shared fan-out tree**: a live
   incremental :class:`~repro.query.index.EventStreamIndex`, subscriptions
   keyed by canonical pattern identity so N subscribers to the same
@@ -32,40 +33,24 @@ from repro.serving.engine import (
     StandingQueryEngine,
     Subscription,
 )
-from repro.serving.patterns import (
-    DwellExceeded,
-    LeftWithoutContainer,
-    MissingOverdue,
-    Notification,
-    ObjectWatch,
-    Pattern,
-    PlaceWatch,
-    Tail,
-    pattern_from_spec,
-)
+from repro.serving.patterns import Notification, Pattern, pattern_from_spec
 from repro.serving.server import SpireServer, pump_coordinator
 from repro.serving.client import ClientSubscription, ServingError, SpireClient
 from repro.serving.frontend import MultiProcessFrontend, try_install_uvloop
 
 __all__ = [
     "ClientSubscription",
-    "DwellExceeded",
     "MultiProcessFrontend",
     "ServingError",
     "SharedRuntime",
     "try_install_uvloop",
-    "LeftWithoutContainer",
-    "MissingOverdue",
     "Notification",
-    "ObjectWatch",
     "Pattern",
-    "PlaceWatch",
     "ServingStats",
     "SpireClient",
     "SpireServer",
     "StandingQueryEngine",
     "Subscription",
-    "Tail",
     "pattern_from_spec",
     "pump_coordinator",
 ]

@@ -76,24 +76,9 @@ def _log2_bucket(seconds: float) -> int:
 
 
 def describe_pattern(pattern: Pattern) -> str:
-    """Canonical human/wire-readable identity of a pattern.
-
-    Compiled patterns answer with the ``unparse`` fixpoint of their
-    source; hand-coded catalogue patterns fall back to a rendering of
-    their :class:`~repro.serving.patterns.PatternSpec`.
-    """
-    canonical = getattr(pattern, "canonical_source", None)
-    if canonical:
-        return canonical
-    spec = pattern.spec()
-    parts = [f"kind={spec.kind}"]
-    if spec.obj is not None:
-        parts.append(f"obj={spec.obj.level.name.lower()}:{spec.obj.serial}")
-    if spec.place is not None:
-        parts.append(f"place={spec.place}")
-    if spec.k:
-        parts.append(f"k={spec.k}")
-    return "spec(" + ", ".join(parts) + ")"
+    """Canonical human/wire-readable identity of a pattern: the
+    ``unparse`` fixpoint of its source."""
+    return pattern.canonical_source
 
 
 @dataclass
@@ -528,11 +513,8 @@ class StandingQueryEngine:
             spec = sub.pattern.spec()
             entry: dict = {"id": sub.sub_id, "max_queue": sub.max_queue}
             if spec.kind == PATTERN_SASE:
-                source = getattr(sub.pattern, "canonical_source", None) or spec.source
-                if not source:
-                    continue  # unspeakable pattern (custom render); skip
                 entry["kind"] = PATTERN_SASE
-                entry["source"] = source
+                entry["source"] = sub.pattern.canonical_source
             else:
                 entry["kind"] = spec.kind
                 entry["obj"] = spec.obj.key() if spec.obj is not None else 0

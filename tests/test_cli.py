@@ -207,6 +207,11 @@ class TestClientPatternParsing:
             ("SEQ(arrival a", "does not compile"),
             ("SEQ(arrival a) WHERE x.place == 1", "unknown binding"),
             ("PATTERN SEQ(landing e)", "event class"),
+            pytest.param(
+                "SEQ(any e) WHERE " + "NOT (" * 5000 + "e.place == 1" + ")" * 5000,
+                "nests more than 64 levels",
+                id="nested-5000-deep",
+            ),
         ],
     )
     def test_bad_pattern_source_reports_the_compiler_error(self, bad, needle):

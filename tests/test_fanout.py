@@ -30,7 +30,7 @@ from hypothesis import strategies as st
 from repro.distributed.wire import FrameDecoder, encode_frame, encode_frames
 from repro.events.messages import missing, start_containment, start_location
 from repro.faults.warnings import WarningKind
-from repro.sase import compile_pattern
+from repro.sase import compile_pattern, library
 from repro.serving import protocol
 from repro.serving.engine import StandingQueryEngine, describe_pattern
 from repro.serving.patterns import (
@@ -39,8 +39,6 @@ from repro.serving.patterns import (
     PATTERN_TAIL,
     Notification,
     PatternSpec,
-    PlaceWatch,
-    Tail,
     pattern_from_spec,
 )
 
@@ -94,13 +92,13 @@ class TestSharedFanout:
         engine = StandingQueryEngine()
         engine.subscribe(pattern_from_spec(PatternSpec(PATTERN_PLACE, place=L1)))
         engine.subscribe(pattern_from_spec(PatternSpec(PATTERN_PLACE, place=L2)))
-        engine.subscribe(Tail())
+        engine.subscribe(library.tail())
         assert len(engine.runtimes) == 3
 
     def test_unsubscribe_retires_empty_runtime(self):
         engine = StandingQueryEngine()
-        a = engine.subscribe(PlaceWatch(place=L1))
-        b = engine.subscribe(PlaceWatch(place=L1))
+        a = engine.subscribe(library.place_watch(place=L1))
+        b = engine.subscribe(library.place_watch(place=L1))
         assert len(engine.runtimes) == 1
         engine.unsubscribe(a.sub_id)
         assert len(engine.runtimes) == 1
@@ -142,9 +140,9 @@ class TestSharedFanout:
 
     def test_late_joiner_gets_events_from_join_onward(self):
         engine = StandingQueryEngine()
-        early = engine.subscribe(PlaceWatch(place=L1))
+        early = engine.subscribe(library.place_watch(place=L1))
         engine.publish(0, [start_location(item(1), L1, 0)])
-        late = engine.subscribe(PlaceWatch(place=L1))
+        late = engine.subscribe(library.place_watch(place=L1))
         assert early.runtime is late.runtime
         engine.publish(1, [start_location(item(2), L1, 1)])
         assert len(engine.drain(early.sub_id)) == 2
@@ -159,7 +157,7 @@ class TestSharedFanout:
 class TestTieredBackpressure:
     def _overflowing_engine(self, evict_after: int):
         engine = StandingQueryEngine(evict_after=evict_after)
-        sub = engine.subscribe(PlaceWatch(place=L1), max_queue=1)
+        sub = engine.subscribe(library.place_watch(place=L1), max_queue=1)
         return engine, sub
 
     def test_slow_consumer_evicted_after_streak(self):
@@ -200,7 +198,7 @@ class TestTieredBackpressure:
 
     def test_durable_subscriptions_are_exempt(self):
         engine = StandingQueryEngine(evict_after=1)
-        sub = engine.subscribe(PlaceWatch(place=L1), max_queue=1)
+        sub = engine.subscribe(library.place_watch(place=L1), max_queue=1)
         data = engine.dump_subscriptions()
         restored = StandingQueryEngine(evict_after=1)
         assert restored.restore_subscriptions(data) == 1
@@ -211,7 +209,7 @@ class TestTieredBackpressure:
 
     def test_overflow_and_eviction_warnings_name_the_pattern(self):
         engine = StandingQueryEngine(evict_after=1)
-        sub = engine.subscribe(PlaceWatch(place=L1), max_queue=1)
+        sub = engine.subscribe(library.place_watch(place=L1), max_queue=1)
         canonical = describe_pattern(sub.pattern)
         engine.publish(
             0, [start_location(item(1), L1, 0), start_location(item(2), L1, 0)]
@@ -335,22 +333,25 @@ class TestEventBatchCodec:
 class TestSubscriptionPersistence:
     def test_round_trip_preserves_ids_and_recoalesces(self):
         engine = StandingQueryEngine()
-        a = engine.subscribe(PlaceWatch(place=L1), max_queue=7)
+        a = engine.subscribe(library.place_watch(place=L1), max_queue=7)
         b = engine.subscribe(pattern_from_spec(PatternSpec(PATTERN_PLACE, place=L1)))
         c = engine.subscribe(
             compile_pattern("PATTERN SEQ(arrival a) WHERE a.place == 1")
         )
+        # a string holding a quote: its canonical text must parse again
+        d = engine.subscribe(compile_pattern('SEQ(any e) WHERE e.kind == "it\'s"'))
         data = engine.dump_subscriptions()
 
         restored = StandingQueryEngine()
-        assert restored.restore_subscriptions(data) == 3
-        assert set(restored.subscriptions) == {a.sub_id, b.sub_id, c.sub_id}
+        assert restored.restore_subscriptions(data) == 4
+        assert set(restored.subscriptions) == {a.sub_id, b.sub_id, c.sub_id, d.sub_id}
         assert restored.subscriptions[a.sub_id].max_queue == 7
-        # spec twins re-coalesce into one runtime; the sase pattern is its own
-        assert len(restored.runtimes) == 2
+        assert restored.subscriptions[d.sub_id].pattern.ast == d.pattern.ast
+        # spec twins re-coalesce into one runtime; each sase pattern is its own
+        assert len(restored.runtimes) == 3
         # new subscriptions never collide with restored ids
-        fresh = restored.subscribe(Tail())
-        assert fresh.sub_id > max(a.sub_id, b.sub_id, c.sub_id)
+        fresh = restored.subscribe(library.tail())
+        assert fresh.sub_id > max(a.sub_id, b.sub_id, c.sub_id, d.sub_id)
 
     def test_restored_engine_delivers_equivalently(self):
         engine = StandingQueryEngine()
@@ -376,8 +377,8 @@ class TestSubscriptionPersistence:
 
         state = tmp_path / "subs.json"
         server = SpireServer()
-        server.engine.subscribe(PlaceWatch(place=L1))
-        server.engine.subscribe(PlaceWatch(place=L1))
+        server.engine.subscribe(library.place_watch(place=L1))
+        server.engine.subscribe(library.place_watch(place=L1))
         assert server.save_subscriptions(state) == 2
         reborn = SpireServer()
         assert reborn.load_subscriptions(state) == 2

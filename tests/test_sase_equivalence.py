@@ -1,10 +1,13 @@
-"""Legacy catalogue vs compiled patterns: byte-for-byte equivalence.
+"""Reference catalogue vs compiled patterns: byte-for-byte equivalence.
 
 The acceptance property of the pattern compiler: every hand-coded
-catalogue pattern, re-expressed as a :mod:`repro.sase` library
-definition, produces the **identical encoded notification frames** over
-chaos-enabled simulated streams (drops + delays, three pinned seeds).
-Also covers the subscription edge cases that ride along in this change:
+catalogue pattern (``tests/reference_patterns.py``), re-expressed as a
+:mod:`repro.sase` library definition, produces the **identical encoded
+notification frames** over chaos-enabled simulated streams (drops +
+delays, three pinned seeds) and over the Table III growth workload.  The
+compiled side runs inside a :class:`StandingQueryEngine`, routed and
+shared as the server runs it; the reference is driven bare, over its own
+expansion and index.  Also covers the subscription edge cases that ride along in this change:
 unknown-id unsubscribe, resubscribe after overflow eviction, and
 notification ordering across two subscriptions to the same pattern.
 """
@@ -13,12 +16,22 @@ from __future__ import annotations
 
 import pytest
 
+from repro.compression.decompress import StreamingLevel2Decompressor
 from repro.distributed import Coordinator, Zone
+from repro.experiments.table3 import (
+    DEFAULT_CASES_PER_PALLET,
+    DEFAULT_SEED,
+    duration_for,
+    table3_config,
+)
 from repro.model.objects import PackagingLevel, TagId
+from repro.query.index import EventStreamIndex
 from repro.sase import library
 from repro.serving import protocol
 from repro.serving.engine import StandingQueryEngine
-from repro.serving.patterns import (
+from repro.simulator.warehouse import WarehouseSimulator
+
+from tests.reference_patterns import (
     DwellExceeded,
     LeftWithoutContainer,
     MissingOverdue,
@@ -26,15 +39,18 @@ from repro.serving.patterns import (
     PlaceWatch,
     Tail,
 )
-
 from tests.test_serving_e2e import _chaos_epochs
 
 SEEDS = [5, 17, 29]
 
+#: the Table III growth workload (nothing leaves the shelves), grown to
+#: this many tracked objects: long dwells, many objects per place, and
+#: the items that fall off their case on the receiving belt
+TABLE3 = "table3"
+TABLE3_MILESTONE = 1500
 
-def _interpret(seed: int):
-    """One chaos-enabled run: the interpreted per-epoch message batches."""
-    sim, epochs = _chaos_epochs(seed)
+
+def _replay(sim, epochs):
     coordinator = Coordinator(
         [Zone.build("all", sim.layout.readers, sim.layout.registry)]
     )
@@ -42,6 +58,13 @@ def _interpret(seed: int):
     for readings in epochs:
         result = coordinator.process_epoch(readings)
         batches.append((result.epoch, result.messages))
+    return batches
+
+
+def _interpret(seed: int):
+    """One chaos-enabled run: the interpreted per-epoch message batches."""
+    sim, epochs = _chaos_epochs(seed)
+    batches = _replay(sim, epochs)
     places = sorted(
         {msg.place for _, messages in batches for msg in messages
          if msg.place is not None}
@@ -49,11 +72,23 @@ def _interpret(seed: int):
     return batches, places
 
 
-def _pattern_pairs(places):
-    """(legacy, compiled) pairs covering the whole catalogue."""
-    obj = TagId(PackagingLevel.CASE, 1)
-    place = places[0]
-    k = 5
+def _trace(name):
+    """``(batches, obj, place, k)``: a stream and catalogue arguments
+    anchored to objects and places that occur in it."""
+    if name != TABLE3:
+        batches, places = _interpret(name)
+        assert places, "chaos run produced no located events"
+        return batches, TagId(PackagingLevel.CASE, 1), places[0], 5
+    duration = duration_for([TABLE3_MILESTONE], DEFAULT_CASES_PER_PALLET)
+    sim = WarehouseSimulator(
+        table3_config(DEFAULT_CASES_PER_PALLET, duration, DEFAULT_SEED)
+    ).run()
+    belt = sim.layout.receiving_belt.color
+    return _replay(sim, sim.stream), TagId(PackagingLevel.CASE, 3), belt, 25
+
+
+def _pattern_pairs(obj, place, k):
+    """(reference, compiled) pairs covering the whole catalogue."""
     return [
         (Tail(), library.tail()),
         (Tail(obj=obj, place=place), library.tail(obj=obj, place=place)),
@@ -65,19 +100,18 @@ def _pattern_pairs(places):
     ]
 
 
-def _frames_per_epoch(pattern, batches, subscribe_at=None):
-    """Run one pattern through its own engine; encoded frames per epoch.
+def _frames_per_epoch(pattern, batches, subscribe_at=0):
+    """Run one compiled pattern through its own engine; encoded frames
+    per epoch.
 
     ``subscribe_at`` delays the subscription to that epoch index, so the
     prime path (seeding from the live index) is compared too.
     """
     engine = StandingQueryEngine(expand_level2=True)
     sub = None
-    if subscribe_at is None:
-        sub = engine.subscribe(pattern, max_queue=1 << 20)
     frames = []
     for position, (epoch, messages) in enumerate(batches):
-        if sub is None and subscribe_at is not None and position == subscribe_at:
+        if position == subscribe_at:
             sub = engine.subscribe(pattern, max_queue=1 << 20)
         engine.publish(epoch, messages)
         notes = sub.drain() if sub is not None else []
@@ -85,17 +119,39 @@ def _frames_per_epoch(pattern, batches, subscribe_at=None):
     return frames
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-def test_catalogue_byte_equivalence_across_chaos_seeds(seed):
-    batches, places = _interpret(seed)
-    assert places, "chaos run produced no located events"
-    for legacy, compiled in _pattern_pairs(places):
-        expected = _frames_per_epoch(legacy, batches)
+def _reference_frames(pattern, batches, subscribe_at=0):
+    """The same for a reference pattern: primed from the index as it
+    stood before epoch ``subscribe_at``, then handed every expanded
+    batch from that epoch on."""
+    expander = StreamingLevel2Decompressor()
+    index = EventStreamIndex()
+    last_epoch = None
+    frames = []
+    for position, (epoch, messages) in enumerate(batches):
+        if position == subscribe_at:
+            pattern.prime(index, last_epoch)
+        batch = [out for msg in messages for out in expander.feed(msg)]
+        batch.extend(expander.flush())
+        index.extend(batch)
+        last_epoch = epoch
+        notes = pattern.evaluate(epoch, batch, index) if position >= subscribe_at else []
+        frames.append([protocol.encode_event(0, note) for note in notes])
+    return frames
+
+
+@pytest.mark.parametrize("trace", [*SEEDS, TABLE3])
+def test_catalogue_byte_equivalence_across_chaos_seeds(trace):
+    batches, obj, place, k = _trace(trace)
+    matches = 0
+    for reference, compiled in _pattern_pairs(obj, place, k):
+        expected = _reference_frames(reference, batches)
         actual = _frames_per_epoch(compiled, batches)
         assert actual == expected, (
-            f"{type(legacy).__name__} diverged (seed {seed}): "
+            f"{type(reference).__name__} diverged (trace {trace}): "
             f"{sum(map(len, actual))} vs {sum(map(len, expected))} frames"
         )
+        matches += sum(map(len, expected))
+    assert matches, "the catalogue matched nothing: the trace is degenerate"
 
 
 def test_mid_stream_subscription_prime_is_equivalent():
@@ -107,10 +163,10 @@ def test_mid_stream_subscription_prime_is_equivalent():
         (DwellExceeded(place=place, k=k), library.dwell_exceeded(place, k)),
         (MissingOverdue(k=k), library.missing_overdue(k)),
     ]
-    for legacy, compiled in pairs:
-        expected = _frames_per_epoch(legacy, batches, subscribe_at=midpoint)
+    for reference, compiled in pairs:
+        expected = _reference_frames(reference, batches, subscribe_at=midpoint)
         actual = _frames_per_epoch(compiled, batches, subscribe_at=midpoint)
-        assert actual == expected, f"{type(legacy).__name__} diverged after prime"
+        assert actual == expected, f"{type(reference).__name__} diverged after prime"
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,9 @@ import random
 
 import pytest
 
-from repro.events.messages import EventKind
+from repro.events.messages import EventKind, start_location
 from repro.model.objects import PackagingLevel, TagId
-from repro.sase import PatternSemanticError, PatternSyntaxError, unparse
+from repro.sase import PatternSemanticError, PatternSyntaxError, compile_pattern, unparse
 from repro.sase.ast import (
     And,
     Attr,
@@ -32,7 +32,7 @@ from repro.sase.ast import (
     ReturnItem,
 )
 from repro.sase.nfa import compile_ast
-from repro.sase.parser import parse_pattern_source
+from repro.sase.parser import MAX_NESTING, parse_pattern_source
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +177,62 @@ class TestErrors:
         assert err.value.offset == source.index(",", 30 + 1)
 
 
+def nested(depth: int) -> str:
+    """``NOT (NOT (... e.place == 1 ...))``, ``depth`` times."""
+    return "SEQ(any e) WHERE " + "NOT (" * depth + "e.place == 1" + ")" * depth
+
+
+class TestNesting:
+    #: the comparison and its operands are two levels of their own
+    DEEPEST = MAX_NESTING - 2
+    ITEM = TagId(PackagingLevel.ITEM, 1)
+
+    def matches(self, source, place=1, vs=0):
+        runtime = compile_pattern(source).runtime
+        return len(runtime.process_epoch(0, [start_location(self.ITEM, place, vs)]))
+
+    def test_the_deepest_accepted_pattern_compiles_and_evaluates(self):
+        assert self.DEEPEST % 2 == 0  # an even number of NOTs is none
+        assert self.matches(nested(self.DEEPEST), place=1) == 1
+        assert self.matches(nested(self.DEEPEST), place=2) == 0
+
+    def test_one_level_more_is_a_syntax_error_with_its_offset(self):
+        with pytest.raises(PatternSyntaxError, match="nests more than 64 levels") as err:
+            compile_pattern(nested(self.DEEPEST + 1))
+        assert err.value.offset == len("SEQ(any e) WHERE ")
+
+    def test_absurd_depth_is_the_same_error_not_a_recursion_error(self):
+        with pytest.raises(PatternSyntaxError, match="nests more than") as err:
+            compile_pattern(nested(5000))
+        # raised on the way down: the expression is level one, and this
+        # is what its 64th parenthesis would hold
+        assert err.value.offset == len("SEQ(any e) WHERE ") + len("NOT (") * MAX_NESTING
+        with pytest.raises(PatternSyntaxError, match="nests more than"):
+            compile_pattern("SEQ(any e) WHERE " + "NOT " * 5000 + "e.place == 1")
+
+    def test_operator_chains_count_though_they_open_no_parenthesis(self):
+        chain = "SEQ(any e) WHERE e.vs" + " + 1" * self.DEEPEST + f" == {self.DEEPEST}"
+        assert self.matches(chain, vs=0) == 1
+        with pytest.raises(PatternSyntaxError, match="nests more than"):
+            compile_pattern(chain.replace("e.vs", "e.vs + 1"))
+        with pytest.raises(PatternSyntaxError, match="nests more than"):
+            compile_pattern("SEQ(any e) WHERE e.vs" + " + 1" * 5000 + " == 0")
+
+    def test_the_tallest_tree_generates_source_python_accepts(self):
+        # what nests deepest in generated code: another binding's
+        # attribute under MAX_NESTING - 1 calls, inside the RETURN tuple
+        calls = MAX_NESTING - 1
+        pattern = compile_pattern(
+            "SEQ(arrival a, arrival b) WHERE b.obj == a.obj "
+            "RETURN " + "max(" * calls + "a.ve" + ", 1)" * calls
+        )
+        assert pattern.ast.returns[0].expr.height == MAX_NESTING
+        arrival = start_location(self.ITEM, 1, 0)
+        pattern.runtime.process_epoch(0, [arrival])
+        (note,) = pattern.evaluate(1, [arrival], None)
+        assert note.detail.endswith("=None")  # a.ve is open: None poisons max
+
+
 class TestSemanticErrors:
     @pytest.mark.parametrize(
         "source, message",
@@ -208,6 +264,8 @@ class TestSemanticErrors:
 
 _CLASS_NAMES = sorted(EVENT_CLASSES)
 _BINDINGS = "abcdefgh"
+#: the grammar has no escapes: a string holds one kind of quote at most
+_STRINGS = ["s0", "s1", "s2", "s3", "s4", "s5", "it's", 'say "hi"', "'", '"']
 
 
 def _random_expr(rng: random.Random, bindings: list[str], depth: int):
@@ -216,7 +274,7 @@ def _random_expr(rng: random.Random, bindings: list[str], depth: int):
         if leaf == 0:
             return Literal(rng.randrange(100))
         if leaf == 1:
-            return Literal("s" + str(rng.randrange(10)))
+            return Literal(_STRINGS[rng.randrange(10)])
         if leaf == 2:
             return Literal(TagId(rng.choice(list(PackagingLevel)), rng.randrange(50)))
         if leaf == 3:

@@ -26,10 +26,23 @@ from repro.events.messages import (
 from repro.model.objects import PackagingLevel, TagId
 from repro.query.index import EventStreamIndex
 from repro.sase import PatternSemanticError, compile_pattern, library
-from repro.sase.ast import And, Attr, Cmp, Literal, Not, Or
-from repro.sase.nfa import Admission, compile_ast
-from repro.sase.runtime import PatternRuntime
+from repro.sase.ast import (
+    EVENT_ATTRS,
+    KNOWN_FUNCS,
+    And,
+    Attr,
+    BinOp,
+    Cmp,
+    Func,
+    Literal,
+    Not,
+    Now,
+    Or,
+)
+from repro.sase.nfa import Admission, compile_ast, compile_exprs
+from repro.sase.runtime import EventView, PatternRuntime
 from repro.serving.engine import StandingQueryEngine
+from tests import sase_reference
 from tests.test_sase_parser import _random_ast
 
 ITEM = TagId(PackagingLevel.ITEM, 1)
@@ -506,3 +519,140 @@ def test_routed_publish_equals_full_batch_publish():
             engine.unsubscribe(sub_id)
         assert not any(engine._kind_routes.values())
         assert not any(table for _getter, table in engine._key_routes.values())
+
+
+# ---------------------------------------------------------------------------
+# the generated evaluator vs the tree walk it replaced
+# ---------------------------------------------------------------------------
+
+NAMES = ["a", "b"]
+EVERY_READ = [Attr(name, attr) for name in NAMES + ["unbound"] for attr in EVENT_ATTRS]
+
+
+@st.composite
+def events(draw):
+    """One bound event: every kind, so ``place``/``container`` are
+    ``None`` on some and ``ve`` is open on the start events."""
+    obj = draw(st.sampled_from(OBJECTS))
+    vs = draw(st.integers(0, 6))
+    kind = draw(st.sampled_from(list(EventKind)))
+    if kind is EventKind.START_LOCATION:
+        msg = start_location(obj, draw(st.integers(1, 3)), vs)
+    elif kind is EventKind.END_LOCATION:
+        msg = end_location(obj, draw(st.integers(1, 3)), vs, vs + draw(st.integers(0, 3)))
+    elif kind is EventKind.MISSING:
+        msg = missing(obj, draw(st.integers(1, 3)), vs)
+    elif kind is EventKind.START_CONTAINMENT:
+        msg = start_containment(obj, draw(st.sampled_from(CONTAINERS)), vs)
+    else:
+        msg = end_containment(obj, draw(st.sampled_from(CONTAINERS)), vs, vs + 1)
+    return EventView(msg, draw(st.integers(0, 9)))
+
+
+def expressions():
+    """Expression trees over ``NAMES`` and one name no environment binds:
+    mixed-type literals, every attribute, every operator, functions at
+    every arity up to three, booleans as operands."""
+    constants = st.one_of(
+        st.integers(0, 6).map(Literal),
+        st.sampled_from(["s1", "Missing", ""]).map(Literal),
+        st.sampled_from(OBJECTS + CONTAINERS).map(Literal),
+        st.just(Now()),
+    )
+    attributes = st.builds(
+        Attr, st.sampled_from(NAMES + ["unbound"]), st.sampled_from(EVENT_ATTRS)
+    )
+    leaves = attributes | constants  # half of all leaves read an event
+
+    def grow(sub):
+        return st.one_of(
+            st.builds(Cmp, st.sampled_from(["==", "!=", "<", "<=", ">", ">="]), sub, sub),
+            st.builds(BinOp, st.sampled_from(["+", "-"]), sub, sub),
+            st.builds(Not, sub),
+            st.lists(sub, max_size=3).map(lambda parts: And(tuple(parts))),
+            st.lists(sub, max_size=3).map(lambda parts: Or(tuple(parts))),
+            st.builds(
+                Func,
+                st.sampled_from(sorted(KNOWN_FUNCS)),
+                st.lists(sub, max_size=3).map(tuple),
+            ),
+        )
+
+    return st.recursive(leaves, grow, max_leaves=12)
+
+
+@st.composite
+def environments(draw):
+    """``(bindings, own, view, now, index)``: each name bound to an event,
+    to a Kleene+ run (an empty one too), to nothing, or absent."""
+    bindings = {}
+    for name in NAMES:
+        shape = draw(st.integers(0, 5))
+        if shape < 2:
+            bindings[name] = draw(events())
+        elif shape < 4:
+            bindings[name] = draw(st.lists(events(), max_size=3))
+        elif shape == 4:
+            bindings[name] = None
+    own = draw(st.none() | st.sampled_from(NAMES))
+    view = draw(events()) if own is not None else None
+    index = None
+    if draw(st.booleans()):
+        index = EventStreamIndex([
+            start_location(ITEM, 1, 0),
+            start_containment(ITEM, CASE, 0),
+            start_location(CASE, 1, 0),
+            end_location(ITEM, 1, 0, 3),
+            missing(ITEM, 1, 3),
+        ])
+    return bindings, own, view, draw(st.integers(0, 9)), index
+
+
+def outcome(function, *args):
+    """``("=", value)`` or ``("!", exception type)``."""
+    try:
+        return "=", function(*args)
+    except Exception as error:
+        return "!", type(error)
+
+
+@settings(max_examples=500, deadline=None)
+@given(exprs=st.lists(expressions(), min_size=1, max_size=4), environment=environments())
+def test_generated_functions_equal_the_reference_evaluator(exprs, environment):
+    """Value for value and type for type, or the same exception out of
+    the same conjunct: what ``compile_exprs`` generates is what
+    ``tests/sase_reference.py`` computes by walking the tree."""
+    bindings, own, view, now, index = environment
+    kleene = frozenset(name for name, bound in bindings.items() if isinstance(bound, list))
+    env = bindings if own is None else {**bindings, own: view}
+    for expr in [*exprs, *EVERY_READ]:
+        generated = compile_exprs((expr,), own, kleene, conjoin=False)
+        got = outcome(lambda: generated(bindings, view, now, index)[0])
+        want = outcome(sase_reference.evaluate, expr, env, now, index)
+        assert got == want and type(got[1]) is type(want[1]), (expr.unparse(), got, want)
+    # as the conjuncts of one predicate: evaluated in order, stopping at
+    # the first that is false — or that raises
+    verdicts = []
+    for expr in exprs:
+        verdicts.append(outcome(lambda: bool(sase_reference.evaluate(expr, env, now, index))))
+        if verdicts[-1] != ("=", True):
+            break
+    conjoined = compile_exprs(tuple(exprs), own, kleene)
+    got = outcome(lambda: bool(conjoined(bindings, view, now, index)))
+    assert got == verdicts[-1]
+    before = compile_exprs(tuple(exprs[: len(verdicts) - 1]), own, kleene)
+    assert before(bindings, view, now, index)
+
+
+def test_client_text_reaches_generated_code_only_as_data():
+    """Literals go in through the function's namespace and bindings get
+    compiler-chosen locals: nothing a client wrote is ever source."""
+    hostile = '" + __import__("os").system("true") #\n\\'
+    pattern = compile_pattern(
+        f"SEQ(arrival class, departure lambda) "
+        f"WHERE lambda.obj == class.obj AND class.kind != '{hostile}' "
+        f"RETURN '{hostile}' AS text, lambda.kind == '{hostile}' AS same"
+    )
+    assert pattern.evaluate(1, [start_location(ITEM, 3, 1)], None) == []
+    (note,) = pattern.evaluate(2, [end_location(ITEM, 3, 1, 2)], None)
+    assert note.detail == f"text={hostile}, same=False"

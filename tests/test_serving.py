@@ -17,6 +17,7 @@ from repro.events.messages import (
     start_location,
 )
 from repro.faults.warnings import Quarantine, WarningKind
+from repro.sase import library
 from repro.serving import protocol
 from repro.serving.engine import ServingStats, StandingQueryEngine, Subscription
 from repro.serving.patterns import (
@@ -26,14 +27,8 @@ from repro.serving.patterns import (
     PATTERN_OBJECT,
     PATTERN_PLACE,
     PATTERN_TAIL,
-    DwellExceeded,
-    LeftWithoutContainer,
-    MissingOverdue,
     Notification,
-    ObjectWatch,
     PatternSpec,
-    PlaceWatch,
-    Tail,
     pattern_from_spec,
 )
 
@@ -49,7 +44,7 @@ def _publish(engine, epoch, messages):
 class TestSimplePatterns:
     def test_tail_forwards_everything(self):
         engine = StandingQueryEngine()
-        sub = engine.subscribe(Tail())
+        sub = engine.subscribe(library.tail())
         _publish(engine, 0, [start_location(item(1), L1, 0),
                              start_location(case(1), L1, 0)])
         notes = engine.drain(sub.sub_id)
@@ -58,7 +53,7 @@ class TestSimplePatterns:
 
     def test_tail_place_filter(self):
         engine = StandingQueryEngine()
-        sub = engine.subscribe(Tail(place=L2))
+        sub = engine.subscribe(library.tail(place=L2))
         _publish(engine, 0, [start_location(item(1), L1, 0)])
         assert engine.drain(sub.sub_id) == []
         _publish(engine, 1, [end_location(item(1), L1, 0, 1),
@@ -68,7 +63,7 @@ class TestSimplePatterns:
 
     def test_object_watch_includes_containment(self):
         engine = StandingQueryEngine()
-        sub = engine.subscribe(ObjectWatch(obj=case(1)))
+        sub = engine.subscribe(library.object_watch(obj=case(1)))
         _publish(engine, 0, [start_location(item(1), L1, 0),
                              start_location(case(1), L1, 0),
                              start_containment(item(1), case(1), 0)])
@@ -79,7 +74,7 @@ class TestSimplePatterns:
 
     def test_place_watch_ignores_containment(self):
         engine = StandingQueryEngine()
-        sub = engine.subscribe(PlaceWatch(place=L1))
+        sub = engine.subscribe(library.place_watch(place=L1))
         _publish(engine, 0, [start_location(item(1), L1, 0),
                              start_containment(item(1), case(1), 0)])
         notes = engine.drain(sub.sub_id)
@@ -90,7 +85,7 @@ class TestSimplePatterns:
 class TestThresholdPatterns:
     def test_dwell_fires_once_per_stay(self):
         engine = StandingQueryEngine()
-        sub = engine.subscribe(DwellExceeded(place=L1, k=3))
+        sub = engine.subscribe(library.dwell_exceeded(place=L1, k=3))
         _publish(engine, 0, [start_location(item(1), L1, 0)])
         _publish(engine, 1, [])
         _publish(engine, 2, [])
@@ -115,7 +110,7 @@ class TestThresholdPatterns:
         _publish(engine, 0, [start_location(item(1), L1, 0)])
         _publish(engine, 1, [])
         # subscribe mid-stay: the clock counts from epoch 0, not from now
-        sub = engine.subscribe(DwellExceeded(place=L1, k=3))
+        sub = engine.subscribe(library.dwell_exceeded(place=L1, k=3))
         _publish(engine, 2, [])
         assert engine.drain(sub.sub_id) == []
         _publish(engine, 3, [])
@@ -124,7 +119,7 @@ class TestThresholdPatterns:
 
     def test_missing_overdue(self):
         engine = StandingQueryEngine()
-        sub = engine.subscribe(MissingOverdue(k=2))
+        sub = engine.subscribe(library.missing_overdue(k=2))
         _publish(engine, 0, [start_location(item(1), L1, 0)])
         _publish(engine, 4, [end_location(item(1), L1, 0, 4),
                              missing(item(1), L1, 4)])
@@ -138,7 +133,7 @@ class TestThresholdPatterns:
 
     def test_missing_cancelled_by_relocation(self):
         engine = StandingQueryEngine()
-        sub = engine.subscribe(MissingOverdue(k=3))
+        sub = engine.subscribe(library.missing_overdue(k=3))
         _publish(engine, 0, [start_location(item(1), L1, 0)])
         _publish(engine, 2, [end_location(item(1), L1, 0, 2),
                              missing(item(1), L1, 2)])
@@ -157,7 +152,7 @@ class TestContainmentAnomaly:
 
     def test_item_leaves_without_case(self):
         engine = StandingQueryEngine()
-        sub = engine.subscribe(LeftWithoutContainer(place=L1))
+        sub = engine.subscribe(library.left_without_container(place=L1))
         self._setup(engine)
         _publish(engine, 5, [
             end_containment(item(1), case(1), 0, 5),
@@ -174,7 +169,7 @@ class TestContainmentAnomaly:
 
     def test_moving_with_case_is_not_anomalous(self):
         engine = StandingQueryEngine()
-        sub = engine.subscribe(LeftWithoutContainer(place=L1))
+        sub = engine.subscribe(library.left_without_container(place=L1))
         self._setup(engine)
         _publish(engine, 5, [
             end_location(item(1), L1, 0, 5),
@@ -186,7 +181,7 @@ class TestContainmentAnomaly:
 
     def test_uncontained_departure_is_not_anomalous(self):
         engine = StandingQueryEngine()
-        sub = engine.subscribe(LeftWithoutContainer(place=L1))
+        sub = engine.subscribe(library.left_without_container(place=L1))
         _publish(engine, 0, [start_location(item(2), L1, 0)])
         _publish(engine, 5, [end_location(item(2), L1, 0, 5),
                              start_location(item(2), L2, 5)])
@@ -194,7 +189,7 @@ class TestContainmentAnomaly:
 
     def test_missing_departure_counts(self):
         engine = StandingQueryEngine()
-        sub = engine.subscribe(LeftWithoutContainer(place=L1))
+        sub = engine.subscribe(library.left_without_container(place=L1))
         self._setup(engine)
         _publish(engine, 5, [
             end_containment(item(1), case(1), 0, 5),
@@ -209,7 +204,7 @@ class TestEngine:
     def test_backpressure_drops_oldest_and_warns(self):
         quarantine = Quarantine()
         engine = StandingQueryEngine(quarantine=quarantine)
-        sub = engine.subscribe(Tail(), max_queue=3)
+        sub = engine.subscribe(library.tail(), max_queue=3)
         batch = [start_location(item(n), L1, 0) for n in range(1, 6)]
         _publish(engine, 0, batch)
         assert len(sub.queue) == 3
@@ -221,7 +216,7 @@ class TestEngine:
 
     def test_push_trims_the_overflow_of_a_partly_full_queue(self):
         notes = [Notification(kind="event", epoch=n) for n in range(12)]
-        sub = Subscription(1, Tail(), max_queue=4)
+        sub = Subscription(1, library.tail(), max_queue=4)
         assert sub.push(notes[:2]) == 0
         assert sub.push(notes[2:6]) == 2 and list(sub.queue) == notes[2:6]
         # a burst longer than the queue: only its tail survives
@@ -230,7 +225,7 @@ class TestEngine:
 
     def test_unsubscribe_stops_delivery(self):
         engine = StandingQueryEngine()
-        sub = engine.subscribe(Tail())
+        sub = engine.subscribe(library.tail())
         assert engine.unsubscribe(sub.sub_id) is True
         assert engine.unsubscribe(sub.sub_id) is False
         _publish(engine, 0, [start_location(item(1), L1, 0)])
@@ -239,7 +234,7 @@ class TestEngine:
 
     def test_level2_expansion_feeds_patterns(self):
         # a level-2 stream moves contained objects implicitly (only the
-        # container's move is emitted); with expansion on, an ObjectWatch
+        # container's move is emitted); with expansion on, an object watch
         # on the contained item still sees its moves
         from repro.compression.level2 import ContainmentCompressor
 
@@ -252,7 +247,7 @@ class TestEngine:
         epoch5 += compressor.observe(case(1), L2, None, now=5)
 
         engine = StandingQueryEngine(expand_level2=True)
-        sub = engine.subscribe(ObjectWatch(obj=item(1)))
+        sub = engine.subscribe(library.object_watch(obj=item(1)))
         _publish(engine, 0, epoch0)
         engine.drain(sub.sub_id)
         _publish(engine, 5, epoch5)
@@ -271,7 +266,7 @@ class TestEngine:
 
     def test_subscription_rejects_bad_queue(self):
         with pytest.raises(ValueError):
-            Subscription(1, Tail(), max_queue=0)
+            Subscription(1, library.tail(), max_queue=0)
 
 
 class TestPatternSpecs:

@@ -330,6 +330,13 @@ class TestServerPlumbing:
 
                     with pytest.raises(ServingError):
                         await client.subscribe(PatternSpec(99))
+                    # a pattern nested past the compiler's bound is one
+                    # more error reply, and the connection lives on
+                    for depth in (63, 5000):
+                        deep = "NOT (" * depth + "e.place == 1" + ")" * depth
+                        with pytest.raises(ServingError, match="nests more than 64 levels"):
+                            await client.subscribe("SEQ(any e) WHERE " + deep)
+                    assert await client.location_of(item(1), 0) is None
                 finally:
                     await client.close()
 
