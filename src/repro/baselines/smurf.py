@@ -136,7 +136,6 @@ class SmurfPipeline:
             messages.extend(self.compressor.depart(tag, now))
             self.tags.pop(tag, None)
             self.estimates.pop(tag, None)
-            self.dedup.forget(tag)
         return messages
 
     def run(self, stream: ReadingStream | Iterable[EpochReadings]) -> list[EventMessage]:

@@ -20,9 +20,10 @@ Subcommands cover the trace lifecycle:
   schedule (reader outages, dropped/delayed/duplicated batches, unknown
   readers) through the resilient ingestion front-end, and report the
   event-stream F-measure degradation;
-* ``bench`` — run the Table III per-epoch cost sweep and write the
-  ``BENCH_table3.json`` payload (optionally gating against a committed
-  baseline; see docs/BENCHMARKS.md);
+* ``bench`` — run the paper's Table III per-epoch cost sweep and write
+  the ``BENCH_table3.json`` payload (optionally gating against a
+  committed baseline; the repo's own speed is measured by
+  ``benchmarks/e2e/run.py`` only — see docs/BENCHMARKS.md);
 * ``worker`` — run one remote zone-worker daemon: a TCP process that
   hosts zone substrates for a ``RemoteCoordinator`` on another host
   (see docs/SCALING.md).
@@ -530,49 +531,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
     print(f"peak RSS {payload['peak_rss_kb']} kB")
 
     exit_code = 0
-    if args.workers:
-        scaling = table3.run_scaling(
-            milestones=milestones,
-            worker_counts=tuple(args.workers),
-            cases_per_pallet=args.cases,
-            seed=args.seed,
-        )
-        payload["scaling"] = scaling
-        print(f"scaling sweep over {scaling['workload']['zones']} zones "
-              f"(machine has {scaling['machine']['cpu_count']} CPU(s)):")
-        print(f"  {'config':>24}  {'total':>8}  {'msg/s':>8}  stream sha256")
-        for label, run in (
-            ("in-process", scaling["serial"]),
-            *((f"{run['workers']} worker(s)", run) for run in scaling["parallel"].values()),
-        ):
-            rate = run["messages"] / max(run["total_s"], 1e-12)
-            print(f"  {label:>24}  {run['total_s']:>7.2f}s  {rate:>8.0f}  "
-                  f"{run['stream_sha256'][:16]}")
-        print(f"  streams identical: {scaling['streams_identical']}")
-        for name, run in scaling["parallel"].items():
-            ipc = run["ipc"]
-            print(f"  {name}: {ipc['bytes_to_workers']} B out / "
-                  f"{ipc['bytes_from_workers']} B back, fan-out {ipc['fanout_s']:.2f}s, "
-                  f"fan-in wait {ipc['fanin_wait_s']:.2f}s, "
-                  f"{ipc['checkpoints']} in-worker checkpoint(s) "
-                  f"in {ipc['checkpoint_s']:.2f}s")
-        if not scaling["streams_identical"]:
-            print("error: parallel merged stream diverged from serial", file=sys.stderr)
-            exit_code = 1
-        if args.check_parallel:
-            problems = table3.check_parallel_throughput(
-                scaling,
-                workers_key=f"workers_{args.workers[0]}",
-                tolerance=args.parallel_tolerance,
-            )
-            if problems:
-                for problem in problems:
-                    print(f"parallel gate: {problem}", file=sys.stderr)
-                exit_code = 1
-            else:
-                print(f"parallel throughput gate (workers={args.workers[0]}, "
-                      f"tolerance {args.parallel_tolerance:.0%}): ok")
-
     if args.remote_workers:
         from repro.experiments.remote import run_remote
         from repro.faults import schedule_from_dict
@@ -619,7 +577,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             distinct=args.fanout_distinct,
         )
         payload["fanout"] = fanout
-        inproc, tcp = fanout["fanout"], fanout["tcp"]
+        inproc = fanout["fanout"]
         print(f"fan-out @ {inproc['milestone']}: {inproc['subscribers']} "
               f"subscriber(s) over {inproc['distinct_patterns']} pattern(s), "
               f"{inproc['shared_runtimes']} shared runtime(s), "
@@ -628,9 +586,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
               f"{inproc['notifications_delivered']} delivered")
         print(f"  equivalence: byte_identical={fanout['equivalence']['byte_identical']}, "
               f"{fanout['equivalence']['evaluation_savings_x']:.1f}x fewer evaluations")
-        print(f"  tcp @ {tcp['milestone']}: {tcp['queries_per_s']:.0f} queries/s "
-              f"sustained under {tcp['tcp_subscribers']} pushed subscription(s), "
-              f"{tcp['subscriptions_evicted']} eviction(s)")
         for problem in fanout_mod.check_fanout(fanout):
             print(f"fanout gate: {problem}", file=sys.stderr)
             exit_code = 1
@@ -1125,18 +1080,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--max-regression", type=float, default=0.25,
                        help="allowed fractional avg-epoch regression vs the baseline")
     bench.add_argument(
-        "--workers", type=int, nargs="+", default=None,
-        help="also run the multi-worker scaling sweep at these worker counts "
-             "(e.g. --workers 1 2 4 8); adds a 'scaling' section to the payload",
-    )
-    bench.add_argument(
-        "--check-parallel", action="store_true",
-        help="with --workers: fail unless the first worker count's throughput "
-             "is within --parallel-tolerance of the serial run and streams match",
-    )
-    bench.add_argument("--parallel-tolerance", type=float, default=0.25,
-                       help="allowed fractional throughput shortfall vs serial")
-    bench.add_argument(
         "--remote-workers", type=int, default=None,
         help="also run the remote-transport determinism sweep over this many "
              "localhost TCP workers; adds a 'remote' section to the payload "
@@ -1150,8 +1093,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--fanout", action="store_true",
         help="also run the subscription fan-out bench at the largest "
-             "milestone (shared fan-out tree, batched push frames, "
-             "sustained queries under push load); adds a 'fanout' section "
+             "milestone (shared fan-out tree, shared-vs-independent "
+             "equivalence); adds a 'fanout' section "
              "and fails (exit 1) on any floor violation",
     )
     bench.add_argument("--fanout-subscribers", type=int, default=10_000,

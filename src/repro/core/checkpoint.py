@@ -48,7 +48,7 @@ def loads_spire(data: bytes) -> Spire:
 
 
 def save_checkpoint(spire: Spire, destination: str | Path | BinaryIO) -> None:
-    """Persist ``spire`` (graph, estimates, compressor, dedup state).
+    """Persist ``spire`` (graph, estimates, compressor state).
 
     Path destinations are written **atomically**: the payload goes to a
     temporary file in the same directory, is fsynced, and then replaces the

@@ -43,7 +43,7 @@ from repro.core.pipeline import CurrentEstimate, Spire
 from repro.model.objects import TagId
 
 #: bump when the section layout changes shape
-FAST_FORMAT_VERSION = 2
+FAST_FORMAT_VERSION = 3
 
 #: sentinel for "None" in signed int fields (colors are small ints and
 #: UNKNOWN_COLOR is -1, so any huge negative works)
@@ -242,13 +242,6 @@ def encode_spire(spire: Spire) -> bytes:
             cont[1] if cont is not None else _NONE,
         ))
     _write_ints(out, len(inner._states), ints)
-
-    # --- dedup sticky assignments (insertion order) --------------------
-    ints = array("q")
-    ext = ints.extend
-    for tag, reader_id in spire.dedup._last_reader.items():
-        ext((tag.key(), reader_id))
-    _write_ints(out, len(spire.dedup._last_reader), ints)
 
     return bytes(out)
 
@@ -450,12 +443,5 @@ def decode_spire(data: bytes) -> Spire:
             containment=(from_key(cont_key), ints[base + 6]) if cont_key else None,
         )
         base += _STATE_INTS
-
-    # --- dedup sticky assignments ---------------------------------------
-    dedup_count = cur.u64()
-    ints = cur.ints(dedup_count * 2)
-    last_reader = spire.dedup._last_reader
-    for i in range(0, dedup_count * 2, 2):
-        last_reader[from_key(ints[i])] = ints[i + 1]
 
     return spire

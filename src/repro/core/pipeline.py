@@ -416,7 +416,6 @@ class Spire:
         if node is not None:
             self.graph.remove_node(tag)
         self.estimates.pop(tag, None)
-        self.dedup.forget(tag)
         return record, messages
 
     def adopt(self, record: dict, now: int) -> None:
@@ -448,6 +447,5 @@ class Spire:
             messages.extend(self.compressor.depart(tag, now))
             self.graph.remove_node(tag)
             self.estimates.pop(tag, None)
-            self.dedup.forget(tag)
             departed.append(tag)
         return departed

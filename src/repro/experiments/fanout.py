@@ -1,7 +1,7 @@
 """Fan-out benchmark: 10k subscribers over a shared fan-out tree.
 
 Backs the ``fanout`` section of ``BENCH_table3.json`` and the CI
-fan-out gate.  Three phases over the Table III high-injection workload:
+fan-out gate.  Two phases over the Table III high-injection workload:
 
 * **In-process fan-out** — ``subscribers`` standing queries spread over
   ``distinct`` pattern shapes replay the full workload.  The shared
@@ -16,16 +16,13 @@ fan-out gate.  Three phases over the Table III high-injection workload:
   the same stream; drained notifications must be byte-identical under
   :func:`repro.serving.protocol.encode_notification` while the shared
   side evaluates each pattern once instead of N times.
-* **Sustained TCP queries under push load** — a server pumps the
-  workload at full epoch rate to a batched-frame subscriber connection
-  carrying ``tcp_subscribers`` subscriptions while a second connection
-  issues one-shot queries back-to-back; the sustained query rate during
-  the replay is the headline number (floor: 1k/s).
+
+Queries competing with pushes over TCP are measured by the ``serve_tcp``
+workload of ``benchmarks/e2e``, not here.
 """
 
 from __future__ import annotations
 
-import asyncio
 import time
 
 from repro.distributed import Coordinator, partition_by_location
@@ -38,7 +35,6 @@ from repro.experiments.table3 import (
 )
 from repro.model.objects import PackagingLevel, TagId
 from repro.obs.metrics import Histogram
-from repro.serving.client import SpireClient
 from repro.serving.engine import StandingQueryEngine
 from repro.serving.patterns import (
     PATTERN_DWELL,
@@ -49,11 +45,9 @@ from repro.serving.patterns import (
     pattern_from_spec,
 )
 from repro.serving.protocol import encode_notification
-from repro.serving.server import SpireServer, pump_coordinator
 from repro.simulator.warehouse import WarehouseSimulator
 
-#: acceptance floors recorded alongside the measurements
-MIN_TCP_QUERIES_PER_S = 1_000
+#: acceptance floor recorded alongside the measurements
 MIN_DISTINCT_PATTERNS = 100
 
 
@@ -228,74 +222,6 @@ def _equivalence_phase(
     }
 
 
-async def _tcp_phase(
-    milestone: int,
-    cases_per_pallet: int,
-    seed: int,
-    tcp_subscribers: int,
-    distinct: int,
-    query_window: int = 128,
-) -> dict:
-    """One-shot query throughput sustained while the pump runs full-rate."""
-    config, sim, zones = _workload(milestone, cases_per_pallet, seed)
-    coordinator = Coordinator(zones, checkpoint_interval=50)
-    colors = [loc.color for loc in sim.layout.registry.known_locations()]
-    specs = _distinct_specs(colors, distinct)
-
-    queries = 0
-    async with SpireServer(expand_level2=True) as server:
-        follower = await SpireClient.connect(server.host, server.port)
-        querier = await SpireClient.connect(server.host, server.port)
-        try:
-            handles = [
-                await follower.subscribe(specs[i % distinct], max_queue=64)
-                for i in range(tcp_subscribers)
-            ]
-            pump = asyncio.ensure_future(
-                pump_coordinator(server, coordinator, sim.stream)
-            )
-
-            def one_query(i: int):
-                obj = TagId(PackagingLevel.ITEM, 1 + i % max(milestone, 1))
-                at = server.engine.last_epoch or 0
-                if i % 2 == 0:
-                    return querier.location_of(obj, at)
-                return querier.is_missing(obj, at)
-
-            # requests are pipelined: keep a window of queries in flight so
-            # every gap between (synchronous) epoch publishes drains a
-            # whole batch, the access pattern of many independent dashboards
-            window = query_window
-            t0 = time.perf_counter()
-            i = 0
-            # at least a couple of windows even if the replay finishes
-            # before the query loop gets scheduled
-            while not pump.done() or i < 2 * window:
-                await asyncio.gather(*(one_query(i + j) for j in range(window)))
-                queries += window
-                i += window
-            elapsed = time.perf_counter() - t0
-            pumped = await pump
-            stats = await querier.stats()
-        finally:
-            await follower.close()
-            await querier.close()
-
-    return {
-        "milestone": milestone,
-        "epochs": pumped,
-        "tcp_subscribers": tcp_subscribers,
-        "distinct_patterns": distinct,
-        "shared_runtimes": stats["shared_runtimes"],
-        "batched_frames": follower.features != 0,
-        "queries_during_replay": queries,
-        "replay_s": elapsed,
-        "queries_per_s": queries / max(elapsed, 1e-12),
-        "subscriptions_evicted": stats["subscriptions_evicted"],
-        "notifications_delivered": stats["notifications_delivered"],
-    }
-
-
 def run_fanout_bench(
     milestone: int = 12_000,
     cases_per_pallet: int = DEFAULT_CASES_PER_PALLET,
@@ -306,10 +232,8 @@ def run_fanout_bench(
     drain_every: int = 8,
     equivalence_milestone: int = 1_000,
     equivalence_duplicates: int = 4,
-    tcp_milestone: int = 2_000,
-    tcp_subscribers: int = 1_000,
 ) -> dict:
-    """Run all three phases; returns the ``fanout`` payload for
+    """Run both phases; returns the ``fanout`` payload for
     ``BENCH_table3.json``."""
     fanout = _fanout_phase(
         milestone, cases_per_pallet, seed, subscribers, distinct,
@@ -318,17 +242,10 @@ def run_fanout_bench(
     equivalence = _equivalence_phase(
         equivalence_milestone, cases_per_pallet, seed, equivalence_duplicates
     )
-    tcp = asyncio.run(
-        _tcp_phase(tcp_milestone, cases_per_pallet, seed, tcp_subscribers, distinct)
-    )
     return {
         "fanout": fanout,
         "equivalence": equivalence,
-        "tcp": tcp,
-        "floors": {
-            "min_tcp_queries_per_s": MIN_TCP_QUERIES_PER_S,
-            "min_distinct_patterns": MIN_DISTINCT_PATTERNS,
-        },
+        "floors": {"min_distinct_patterns": MIN_DISTINCT_PATTERNS},
     }
 
 
@@ -340,7 +257,6 @@ def check_fanout(payload: dict) -> list[str]:
     problems: list[str] = []
     fanout = payload.get("fanout", {})
     equivalence = payload.get("equivalence", {})
-    tcp = payload.get("tcp", {})
     if fanout.get("distinct_patterns", 0) < MIN_DISTINCT_PATTERNS:
         problems.append(
             f"only {fanout.get('distinct_patterns', 0)} distinct patterns "
@@ -365,15 +281,5 @@ def check_fanout(payload: dict) -> list[str]:
     if not equivalence.get("byte_identical", False):
         problems.append(
             "shared fan-out notifications diverged from independent engines"
-        )
-    if tcp.get("queries_per_s", 0.0) < MIN_TCP_QUERIES_PER_S:
-        problems.append(
-            f"sustained query throughput {tcp.get('queries_per_s', 0.0):.0f}/s "
-            f"under push load is below the {MIN_TCP_QUERIES_PER_S}/s floor"
-        )
-    if tcp.get("subscriptions_evicted", 0) != 0:
-        problems.append(
-            f"{tcp.get('subscriptions_evicted')} subscriber(s) evicted "
-            f"during the TCP replay (expected none)"
         )
     return problems

@@ -16,9 +16,8 @@ Two cost views are recorded per milestone:
   the worst case that must still fit inside an epoch.
 
 The resulting payload (:func:`run_table3` / :func:`write_payload`) is what
-``BENCH_table3.json`` holds: workload, machine identification, peak RSS,
-the milestone rows, and — when a reference run is requested — before/after
-rows plus speedups.  :func:`check_regression` compares a fresh payload
+``BENCH_table3.json`` holds: workload, machine identification, peak RSS
+and the milestone rows.  :func:`check_regression` compares a fresh payload
 against a committed baseline with a relative tolerance, normalising away
 machine-speed differences via the recorded :func:`calibrate` score so a CI
 runner is compared fairly against the machine that produced the baseline.
@@ -294,209 +293,18 @@ def load_payload(path: str | Path) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# multi-worker scaling sweep (docs/SCALING.md)
+# the sharded Table III deployment (docs/SCALING.md)
 # ---------------------------------------------------------------------------
 
-#: worker counts recorded in the scaling section of BENCH_table3.json
-DEFAULT_WORKER_COUNTS = (1, 2, 4, 8)
 DEFAULT_CHECKPOINT_INTERVAL = 50
 
 
 def scaling_zone_assignment(num_shelves: int = 8) -> dict[str, list[str]]:
-    """Zone layout for the scaling sweep: inbound + one zone per shelf +
-    outbound, so an 8-shelf warehouse yields 10 zones (enough to occupy 8
-    workers)."""
+    """Zone layout of the sharded Table III runs: inbound + one zone per
+    shelf + outbound, so an 8-shelf warehouse yields 10 zones (enough to
+    occupy 8 workers)."""
     assignment: dict[str, list[str]] = {"inbound": ["entry-door", "receiving-belt"]}
     for i in range(num_shelves):
         assignment[f"shelf-{i + 1:02d}"] = [f"shelf-{i + 1}"]
     assignment["outbound"] = ["packaging-area", "exit-belt", "exit-door"]
     return assignment
-
-
-def run_coordinator_sweep(
-    sim: SimulationResult,
-    milestones: tuple[int, ...] | list[int],
-    workers: int | None = None,
-    checkpoint_interval: int = DEFAULT_CHECKPOINT_INTERVAL,
-    params: InferenceParams | None = None,
-) -> dict:
-    """Run the Table III trace through the zone coordinator and window
-    per-epoch wall cost at tracked-object milestones.
-
-    ``workers=None`` runs the in-process :class:`Coordinator`;
-    otherwise a :class:`ParallelCoordinator` with that many worker
-    processes.  Returns milestone rows plus the SHA-256 of the merged
-    event stream — the digest is the cross-configuration determinism
-    receipt (every row of a scaling sweep must report the same digest).
-    """
-    import hashlib
-
-    from repro.distributed import (
-        Coordinator,
-        ParallelCoordinator,
-        partition_by_location,
-    )
-    from repro.events.codec import encode_stream
-
-    zones = partition_by_location(
-        sim.layout.readers,
-        scaling_zone_assignment(sim.config.num_shelves),
-        sim.layout.registry,
-        params=params,
-    )
-    if workers is None:
-        coordinator = Coordinator(zones, checkpoint_interval=checkpoint_interval)
-    else:
-        coordinator = ParallelCoordinator(
-            zones, checkpoint_interval=checkpoint_interval, workers=workers
-        )
-    try:
-        digest = hashlib.sha256()
-        pending = sorted(milestones)
-        rows: list[dict] = []
-        win_wall = 0.0
-        win_epochs = 0
-        messages = 0
-        started = time.perf_counter()
-        for readings in sim.stream:
-            t0 = time.perf_counter()
-            result = coordinator.process_epoch(readings)
-            win_wall += time.perf_counter() - t0
-            win_epochs += 1
-            messages += len(result.messages)
-            digest.update(encode_stream(result.messages))
-            if pending and coordinator.tracked_objects >= pending[0]:
-                rows.append(
-                    {
-                        "milestone": pending.pop(0),
-                        "objects": coordinator.tracked_objects,
-                        "epoch": readings.epoch,
-                        "epochs_in_window": win_epochs,
-                        "avg_epoch_s": win_wall / win_epochs,
-                    }
-                )
-                win_wall = 0.0
-                win_epochs = 0
-        total_s = time.perf_counter() - started
-    finally:
-        coordinator.close()
-    out = {
-        "workers": workers,
-        "milestones": rows,
-        "messages": messages,
-        "total_s": total_s,
-        "stream_sha256": digest.hexdigest(),
-        "tracked_objects": coordinator.tracked_objects,
-    }
-    if workers is not None:
-        stats = coordinator.stats
-        out["ipc"] = {
-            "bytes_to_workers": stats.bytes_to_workers,
-            "bytes_from_workers": stats.bytes_from_workers,
-            "fanout_s": stats.fanout_s,
-            "fanin_wait_s": stats.fanin_wait_s,
-            "checkpoints": stats.checkpoints,
-            "checkpoint_s": stats.checkpoint_s,
-        }
-    return out
-
-
-def run_scaling(
-    milestones: tuple[int, ...] | list[int] = DEFAULT_MILESTONES,
-    worker_counts: tuple[int, ...] | list[int] = DEFAULT_WORKER_COUNTS,
-    cases_per_pallet: int = DEFAULT_CASES_PER_PALLET,
-    seed: int = DEFAULT_SEED,
-    checkpoint_interval: int = DEFAULT_CHECKPOINT_INTERVAL,
-) -> dict:
-    """The multi-worker scaling sweep recorded in ``BENCH_table3.json``.
-
-    Runs the Table III workload through the in-process coordinator and
-    through :class:`ParallelCoordinator` at each worker count.  Attaches
-    per-milestone and end-to-end speedups against the in-process row and
-    the shared stream digest (all configurations must produce
-    byte-identical output or the payload is marked non-deterministic).
-    """
-    config = table3_config(cases_per_pallet, duration_for(milestones, cases_per_pallet), seed)
-    sim = WarehouseSimulator(config).run()
-    payload: dict = {
-        "workload": {
-            "milestones": list(milestones),
-            "cases_per_pallet": cases_per_pallet,
-            "duration": config.duration,
-            "seed": seed,
-            "checkpoint_interval": checkpoint_interval,
-            "zones": len(scaling_zone_assignment(config.num_shelves)),
-        },
-        "machine": machine_info(),
-        "calibration_s": calibrate(),
-    }
-    serial = run_coordinator_sweep(
-        sim, milestones, workers=None, checkpoint_interval=checkpoint_interval
-    )
-    payload["serial"] = serial
-    runs = {}
-    for count in worker_counts:
-        runs[f"workers_{count}"] = run_coordinator_sweep(
-            sim, milestones, workers=count, checkpoint_interval=checkpoint_interval
-        )
-    payload["parallel"] = runs
-
-    digests = {serial["stream_sha256"]}
-    digests.update(run["stream_sha256"] for run in runs.values())
-    payload["streams_identical"] = len(digests) == 1
-    payload["stream_sha256"] = serial["stream_sha256"]
-
-    payload["speedups"] = {
-        name: {
-            "total": serial["total_s"] / max(run["total_s"], 1e-12),
-            "milestones": _scaling_speedups(serial["milestones"], run["milestones"]),
-        }
-        for name, run in runs.items()
-    }
-    payload["peak_rss_kb"] = peak_rss_kb()
-    return payload
-
-
-def _scaling_speedups(before_rows: list[dict], after_rows: list[dict]) -> list[dict]:
-    by_milestone = {row["milestone"]: row for row in before_rows}
-    out = []
-    for after in after_rows:
-        before = by_milestone.get(after["milestone"])
-        if before is None:
-            continue
-        out.append(
-            {
-                "milestone": after["milestone"],
-                "avg_epoch": before["avg_epoch_s"] / max(after["avg_epoch_s"], 1e-12),
-            }
-        )
-    return out
-
-
-def check_parallel_throughput(
-    current: dict, workers_key: str = "workers_2", tolerance: float = 0.25
-) -> list[str]:
-    """CI gate for the parallel path: the merged-stream throughput of the
-    given parallel configuration must be within ``tolerance`` of the
-    in-process run of the *same payload*, and the streams
-    must be byte-identical.  Same-payload comparison makes the check
-    machine-independent (both runs share the calibration environment).
-
-    Returns human-readable violations (empty = pass).
-    """
-    problems: list[str] = []
-    if not current.get("streams_identical", False):
-        problems.append("parallel merged stream differs from the serial stream")
-    serial = current.get("serial")
-    run = (current.get("parallel") or {}).get(workers_key)
-    if serial is None or run is None:
-        problems.append(f"payload is missing serial or {workers_key} scaling rows")
-        return problems
-    serial_tp = serial["messages"] / max(serial["total_s"], 1e-12)
-    parallel_tp = run["messages"] / max(run["total_s"], 1e-12)
-    if parallel_tp < serial_tp * (1.0 - tolerance):
-        problems.append(
-            f"{workers_key} throughput {parallel_tp:.0f} msg/s is more than "
-            f"{tolerance:.0%} below serial {serial_tp:.0f} msg/s"
-        )
-    return problems

@@ -33,6 +33,7 @@ class WarningKind:
     EMPTY_ZONE = "empty_zone"
     SUBSCRIPTION_OVERFLOW = "subscription_overflow"
     SUBSCRIPTION_EVICTED = "subscription_evicted"
+    PATTERN_QUARANTINED = "pattern_quarantined"
     WORKER_LOST = "worker_lost"
     WORKER_ZOMBIE = "worker_zombie"
 

@@ -11,9 +11,8 @@ ordered by ascending reader id and then list position, exactly the order
 increasing ``seq`` numbers in.  Because ``seq`` strictly increases over
 that traversal, the *last* occurrence of a tag always wins — so the
 deduplicator processes the per-reader batches directly, without
-materialising a ``Reading`` triplet per raw read.  Across epochs the
-deduplicator remembers each tag's last assignment (consumed by zone
-handoff; see :meth:`forget`).
+materialising a ``Reading`` triplet per raw read.  Nothing is remembered
+across epochs: every epoch is resolved from its own reports alone.
 """
 
 from __future__ import annotations
@@ -23,16 +22,13 @@ from repro.readers.stream import EpochReadings
 
 
 class Deduplicator:
-    """Stateful per-tag deduplication across epochs.
+    """Per-epoch deduplication of multiply-read tags.
 
     Usage::
 
         dedup = Deduplicator()
         clean = dedup.process(epoch_readings)   # one call per epoch
     """
-
-    def __init__(self) -> None:
-        self._last_reader: dict[TagId, int] = {}
 
     def process(self, epoch_readings: EpochReadings) -> EpochReadings:
         """Return a copy of ``epoch_readings`` with each tag reported once.
@@ -65,22 +61,11 @@ class Deduplicator:
 
         clean = EpochReadings(epoch=epoch_readings.epoch)
         out = clean.by_reader
-        last = self._last_reader
         for tag, reader_id in winner.items():
             bucket = out.get(reader_id)
             if bucket is None:
                 out[reader_id] = [tag]
             else:
                 bucket.append(tag)
-            last[tag] = reader_id
         clean.cache_tag_map(winner)
         return clean
-
-    def forget(self, tag: TagId) -> None:
-        """Drop sticky state for a departed tag (keeps memory bounded)."""
-        self._last_reader.pop(tag, None)
-
-    @property
-    def tracked_tags(self) -> int:
-        """Number of tags with sticky assignment state."""
-        return len(self._last_reader)

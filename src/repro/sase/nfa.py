@@ -292,6 +292,10 @@ def _source(expr: Expr, scope: _Scope, truth: bool = False) -> str | None:
         if call not in KNOWN_FUNCS:
             raise PatternSemanticError(f"unknown function {call!r}")
         if call in INDEX_FUNCS:
+            if len(operands) != 2:
+                raise PatternSemanticError(
+                    f"{call}() takes (object, epoch), got {len(operands)} argument(s)"
+                )
             if not full:
                 return None
             operands.insert(0, "index")

@@ -29,6 +29,10 @@ around it):
   is **evicted** with a
   :data:`~repro.faults.warnings.WarningKind.SUBSCRIPTION_EVICTED`
   warning so a stalled consumer eventually costs nothing at all;
+* it **quarantines a raising pattern**: an exception out of one shared
+  runtime's evaluation retires that runtime and evicts its subscribers
+  (:data:`~repro.faults.warnings.WarningKind.PATTERN_QUARANTINED`);
+  the epoch goes on for everyone else;
 * it records **serving counters** (:class:`ServingStats`): epochs and
   messages published, notifications delivered/dropped, evictions,
   pattern evaluations, one-shot query count, and log₂-bucketed latency
@@ -425,7 +429,11 @@ class StandingQueryEngine:
         self._route(batch)
         for runtime in list(self._runtimes.values()):
             offered = batch if runtime.routing is None else runtime.candidates
-            notes = runtime.pattern.evaluate(epoch, offered, self.index)
+            try:
+                notes = runtime.pattern.evaluate(epoch, offered, self.index)
+            except Exception as exc:
+                self._quarantine(runtime, epoch, exc)
+                continue
             runtime.evaluations += 1
             self.stats.pattern_evaluations += 1
             if not notes:
@@ -456,23 +464,37 @@ class StandingQueryEngine:
                 ):
                     overflowed.append(sub)
             for sub in overflowed:
-                self._evict(sub, epoch)
+                # second backpressure tier: remove a persistently slow consumer
+                detail = (
+                    f"subscription {sub.sub_id} evicted after {sub.overflow_streak} "
+                    f"consecutive overflowing epochs ({sub.dropped} dropped total); "
+                    f"pattern {runtime.canonical!r} "
+                    f"({len(runtime.members)} subscriber(s))"
+                )
+                self._evict(sub, epoch, detail)
+                self.quarantine.warn(
+                    WarningKind.SUBSCRIPTION_EVICTED, epoch, detail=detail
+                )
         self.stats.observe_publish(time.perf_counter() - start)
         return queued
 
-    def _evict(self, sub: Subscription, epoch: int) -> None:
-        """Second backpressure tier: remove a persistently slow consumer."""
-        runtime = sub.runtime
-        canonical = runtime.canonical if runtime is not None else "?"
-        members = len(runtime.members) if runtime is not None else 0
+    def _quarantine(self, runtime: SharedRuntime, epoch: int, exc: Exception) -> None:
+        """Retire a pattern whose evaluation raised (it compiled but is
+        ill-typed, e.g. ``e.place < 'x'``) together with every subscriber
+        to it, durable or not, so the epoch goes on for everyone else."""
         detail = (
-            f"subscription {sub.sub_id} evicted after {sub.overflow_streak} "
-            f"consecutive overflowing epochs ({sub.dropped} dropped total); "
-            f"pattern {canonical!r} ({members} subscriber(s))"
+            f"pattern {runtime.canonical!r} raised {type(exc).__name__} ({exc}); "
+            f"{len(runtime.members)} subscriber(s) evicted"
         )
+        self.quarantine.warn(WarningKind.PATTERN_QUARANTINED, epoch, detail=detail)
+        for sub in list(runtime.members.values()):
+            self._evict(sub, epoch, detail)  # the last one out retires the runtime
+
+    def _evict(self, sub: Subscription, epoch: int, detail: str) -> None:
+        """Drop a subscription the engine gave up on, leaving its notice
+        in :attr:`evicted` for the owner."""
         self.unsubscribe(sub.sub_id)
         self.stats.subscriptions_evicted += 1
-        self.quarantine.warn(WarningKind.SUBSCRIPTION_EVICTED, epoch, detail=detail)
         self.evicted.append(
             (
                 sub.sub_id,
@@ -664,7 +686,7 @@ class StandingQueryEngine:
             "spire_serving_notifications_dropped_total": "Notifications dropped by bounded queues",
             "spire_serving_subscriptions_opened_total": "Subscriptions opened",
             "spire_serving_subscriptions_closed_total": "Subscriptions closed",
-            "spire_serving_evictions_total": "Slow-consumer subscriptions evicted",
+            "spire_serving_evictions_total": "Subscriptions evicted (slow consumer or raising pattern)",
             "spire_serving_pattern_evaluations_total": "Shared-runtime pattern evaluations",
             "spire_serving_queries_total": "One-shot queries served",
             "spire_serving_active_subscriptions": "Currently active subscriptions",

@@ -104,15 +104,28 @@ class _WritesFile:
 
 
 class TestValidation:
-    def test_format_1_checkpoint_refused(self):
-        """Format 1 had three more int columns and a float column per node
-        and two more sections; it is refused by its header, never half-read."""
+    def _refused_by_header(self, old, monkeypatch):
+        import repro.core.fastcheckpoint as fast
+
         data = bytearray(dumps_spire(_warm_spire()))
         header = len(b"SPIREfast")
-        assert data[header] == FAST_FORMAT_VERSION == 2
-        data[header] = 1
-        with pytest.raises(CheckpointError, match="format 1 incompatible"):
+        assert data[header] == FAST_FORMAT_VERSION == 3
+        data[header] = old
+        monkeypatch.setattr(
+            fast, "_Cursor", lambda data: pytest.fail("read past the header")
+        )
+        with pytest.raises(CheckpointError, match=f"format {old} incompatible"):
             loads_spire(bytes(data))
+
+    def test_format_1_checkpoint_refused(self, monkeypatch):
+        """Format 1 had three more int columns and a float column per node
+        and two more sections; it is refused by its header, never half-read."""
+        self._refused_by_header(1, monkeypatch)
+
+    def test_format_2_checkpoint_refused(self, monkeypatch):
+        """Format 2 ended in a dedup section that nothing read; a blob that
+        still carries one is refused by its header like format 1."""
+        self._refused_by_header(2, monkeypatch)
 
     def test_config_blob_naming_a_foreign_callable_is_refused(self, tmp_path):
         """Checkpoint bytes reach a worker from its TCP port (MSG_INSTALL) and

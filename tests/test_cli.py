@@ -404,3 +404,27 @@ class TestChaos:
         rc = main(["chaos", *SIM_ARGS, "--max-degradation", "-101"])
         assert rc == 1
         assert "exceeds" in capsys.readouterr().err
+
+
+class TestBench:
+    def test_sweep_writes_a_payload_it_can_gate_against(self, tmp_path, capsys):
+        out = tmp_path / "out.json"
+        assert main(["bench", "--milestones", "200", "-o", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert [row["milestone"] for row in payload["sweep"]["milestones"]] == [200]
+        assert set(payload) == {
+            "workload", "machine", "calibration_s", "sweep", "peak_rss_kb",
+        }
+        # generous tolerance: a 200-node window is a few milliseconds of work
+        rc = main(["bench", "--milestones", "200", "--check-against", str(out),
+                   "--max-regression", "20"])
+        assert rc == 0
+        assert "regression check" in capsys.readouterr().out
+        assert main(["bench", "--milestones", "200", "--check-against",
+                     str(tmp_path / "absent.json")]) == 2
+
+    def test_retired_scaling_sweep_flag_is_an_argparse_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--milestones", "200", "--workers", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --workers" in capsys.readouterr().err

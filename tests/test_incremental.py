@@ -23,7 +23,6 @@ import pytest
 from repro.core.capture import ReaderInfo
 from repro.core.checkpoint import dumps_spire, load_checkpoint, save_checkpoint
 from repro.core.graph import Graph
-from repro.core.fastcheckpoint import FAST_FORMAT_VERSION
 from repro.core.interpretation import Estimate, InterpretationResult, LocationSource
 from repro.core.params import InferenceParams
 from repro.core.pipeline import CurrentEstimate, Deployment, Spire
@@ -62,8 +61,9 @@ CHAOS_SHA256 = {
 PARENT_CHECKPOINT_BYTES = 7435
 #: sha256 of the seed-7 checkpoint at epoch 125 (37 nodes, 38 edges) from
 #: the end of its pickled config blob on — every flat section —
-#: recorded at 26f255b, before the edge section was filled by columns
-CHECKPOINT_SECTIONS_SHA256 = "c029e132c7ea7f062f0dc8f56d2547844189cea950ffa38f34f7037f511d3cd4"
+#: recorded at 26f255b, before the edge section was filled by columns,
+#: less the trailing dedup section that format 3 dropped (8 + 16 x 37 bytes)
+CHECKPOINT_SECTIONS_SHA256 = "2224a74be7e7b735ec5474298998c44bd0c8512eaa24309f260cab5ddc060b08"
 
 
 def _sim(seed: int, duration: int = 500) -> "WarehouseSimulator":
@@ -238,14 +238,13 @@ class TestNoDeltaShortCircuit:
 
     def test_restored_substrate_keeps_emitting_the_same(self):
         """Checkpoint at epoch 120 -> restore -> continue: the restored
-        store and compressor states still pair up (format stays 2)."""
+        store and compressor states still pair up."""
         sim = _sim(seed=7, duration=240)
         epochs = list(sim.stream)
         real, naive = _spire(Spire, sim), _spire(_NaiveSpire, sim)
         _assert_same_epochs(real, naive, epochs[:120])
         buffer = io.BytesIO()
         save_checkpoint(real, buffer)
-        assert FAST_FORMAT_VERSION == 2
         buffer.seek(0)
         _assert_same_epochs(load_checkpoint(buffer), naive, epochs[120:])
 
@@ -285,7 +284,7 @@ class TestNoDeltaShortCircuit:
 
 
 def test_checkpoint_sections_byte_identical():
-    """The encoder may be rearranged, the bytes may not move (format 2).
+    """The encoder may be rearranged, the bytes may not move (format 3).
     The config blob is left out: it is a pickle, whose bytes are the
     interpreter's business."""
     sim = _sim(seed=7, duration=240)

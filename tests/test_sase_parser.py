@@ -249,6 +249,16 @@ class TestSemanticErrors:
         with pytest.raises(PatternSemanticError, match=message):
             compile_ast(parse_pattern_source(source))
 
+    @pytest.mark.parametrize(
+        "call", ["loc(e.obj)", "container(e.obj, now, 1)", "missing()"]
+    )
+    def test_index_function_arity_is_checked_at_compile_time(self, call):
+        source = f"SEQ(any e) WHERE {call} == 1"
+        with pytest.raises(PatternSemanticError, match=r"takes \(object, epoch\)"):
+            compile_ast(parse_pattern_source(source))
+        with pytest.raises(PatternSemanticError, match=r"takes \(object, epoch\)"):
+            compile_pattern(f"SEQ(any e) RETURN {call}")
+
     def test_fire_time_predicate_on_negated_binding(self):
         source = (
             "SEQ(arrival a, !departure d) "

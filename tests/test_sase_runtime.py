@@ -28,7 +28,8 @@ from repro.query.index import EventStreamIndex
 from repro.sase import PatternSemanticError, compile_pattern, library
 from repro.sase.ast import (
     EVENT_ATTRS,
-    KNOWN_FUNCS,
+    INDEX_FUNCS,
+    PURE_FUNCS,
     And,
     Attr,
     BinOp,
@@ -573,9 +574,11 @@ def expressions():
             st.lists(sub, max_size=3).map(lambda parts: Or(tuple(parts))),
             st.builds(
                 Func,
-                st.sampled_from(sorted(KNOWN_FUNCS)),
+                st.sampled_from(sorted(PURE_FUNCS)),
                 st.lists(sub, max_size=3).map(tuple),
             ),
+            # (object, epoch): any other arity does not compile
+            st.builds(Func, st.sampled_from(sorted(INDEX_FUNCS)), st.tuples(sub, sub)),
         )
 
     return st.recursive(leaves, grow, max_leaves=12)

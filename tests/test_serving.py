@@ -17,7 +17,7 @@ from repro.events.messages import (
     start_location,
 )
 from repro.faults.warnings import Quarantine, WarningKind
-from repro.sase import library
+from repro.sase import compile_pattern, library
 from repro.serving import protocol
 from repro.serving.engine import ServingStats, StandingQueryEngine, Subscription
 from repro.serving.patterns import (
@@ -222,6 +222,48 @@ class TestEngine:
         # a burst longer than the queue: only its tail survives
         assert sub.push(notes[6:]) == 6 and list(sub.queue) == notes[8:]
         assert sub.dropped == 8
+
+    def test_raising_pattern_is_quarantined_and_the_epoch_goes_on(self):
+        """A pattern that compiles but is ill-typed raises at its first
+        evaluation; it leaves with its subscribers, nobody else notices."""
+        quarantine = Quarantine()
+        engine = StandingQueryEngine(quarantine=quarantine)
+        bad_source = "SEQ(any e) WHERE e.place < 'x'"
+        bad = [engine.subscribe(compile_pattern(bad_source)) for _ in range(2)]
+        healthy = engine.subscribe(library.tail())
+        assert len(engine.runtimes) == 2
+
+        _publish(engine, 0, [start_location(item(1), L1, 0)])
+
+        assert [n.obj for n in engine.drain(healthy.sub_id)] == [item(1)]
+        # one notice per evicted member, naming the exception type
+        assert [sub_id for sub_id, _ in engine.evicted] == [s.sub_id for s in bad]
+        for _, note in engine.evicted:
+            assert note.kind == "subscription_evicted" and "TypeError" in note.detail
+        assert [r.pattern for r in engine.runtimes.values()] == [healthy.pattern]
+        assert set(engine.subscriptions) == {healthy.sub_id}
+        assert engine.stats.subscriptions_evicted == 2
+        # one warning for the pattern, not one per subscriber
+        assert quarantine.counts() == {WarningKind.PATTERN_QUARANTINED: 1}
+
+        _publish(engine, 1, [start_location(item(2), L1, 1)])
+        assert engine.evicted == []
+        assert [n.obj for n in engine.drain(healthy.sub_id)] == [item(2)]
+
+    def test_quarantine_spares_neither_durable_nor_routed_subscriptions(self):
+        engine = StandingQueryEngine()
+        engine.subscribe(compile_pattern("SEQ(arrival a) WHERE a.place == 0 AND a.vs < 'x'"))
+        restored = StandingQueryEngine()
+        assert restored.restore_subscriptions(engine.dump_subscriptions()) == 1
+        (sub,) = restored.subscriptions.values()
+        assert sub.durable
+        _publish(restored, 0, [start_location(item(1), L1, 0)])
+        assert [sub_id for sub_id, _ in restored.evicted] == [sub.sub_id]
+        assert not restored.runtimes and not restored.subscriptions
+        # its routes went with it: no table still hands events to the runtime
+        assert not any(restored._kind_routes.values())
+        assert not any(table for _, table in restored._key_routes.values())
+        assert _publish(restored, 1, [start_location(item(2), L1, 1)]) == 0
 
     def test_unsubscribe_stops_delivery(self):
         engine = StandingQueryEngine()
