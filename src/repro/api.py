@@ -112,16 +112,19 @@ class SpireConfig:
             a single substrate (or a single ``site`` zone under workers).
         workers: ``None`` stays in-process; an integer spawns that many
             persistent worker processes (:class:`ParallelCoordinator`).
+            With ``checkpoint_interval`` set, a worker that dies is
+            respawned and its zones failed over inside the epoch that
+            finds out (warnings and spliced messages in its result, no
+            exception); without it a lost worker raises ``WireError``.
         remote_workers: Run the zones on this many supervised localhost
             TCP worker daemons instead
             (:class:`~repro.distributed.remote.RemoteCoordinator`);
             mutually exclusive with ``workers``.  Remote mode always
-            checkpoints (failover rebuilds zones from checkpoints), so a
-            ``None`` ``checkpoint_interval`` defaults to 50 here.
-        remote_request_timeout / remote_retries / remote_lease_interval:
-            The :class:`~repro.distributed.supervisor.RetryPolicy` knobs
-            for remote mode (per-attempt deadline, resend budget,
-            heartbeat lease).
+            checkpoints (a lost daemon's zones are rebuilt on the
+            survivors from checkpoints), so a ``None``
+            ``checkpoint_interval`` defaults to 50 here; deadlines and
+            retries are :class:`~repro.distributed.supervisor.RetryPolicy`'s
+            defaults.
         strict: Raise on readings from unmapped readers instead of
             quarantining them.
         resilient: Wrap input streams in a :class:`ResilientStream`
@@ -147,9 +150,6 @@ class SpireConfig:
     zone_map: Mapping[str, Sequence[str]] | None = None
     workers: int | None = None
     remote_workers: int | None = None
-    remote_request_timeout: float = 5.0
-    remote_retries: int = 4
-    remote_lease_interval: float = 2.0
     strict: bool = False
     resilient: bool = False
     max_delay: int = 0
@@ -254,19 +254,12 @@ class SpireSession:
                 metrics=self.metrics,
             )
             if config.remote_workers is not None:
-                from repro.distributed import RemoteCoordinator, RetryPolicy
+                from repro.distributed import RemoteCoordinator
 
                 if config.checkpoint_interval is None:
                     common["checkpoint_interval"] = 50
                 self.coordinator: Coordinator | None = RemoteCoordinator(
-                    zones,
-                    workers=config.remote_workers,
-                    policy=RetryPolicy(
-                        request_timeout=config.remote_request_timeout,
-                        max_retries=config.remote_retries,
-                        lease_interval=config.remote_lease_interval,
-                    ),
-                    **common,
+                    zones, workers=config.remote_workers, **common
                 )
             elif config.workers is not None:
                 self.coordinator = ParallelCoordinator(zones, workers=config.workers, **common)

@@ -85,11 +85,6 @@ class SmurfTagState:
     def window_epochs(self) -> int:
         return self.window * self.period
 
-    def interrogations_in_window(self, now: int) -> int:
-        """Interrogation cycles of the current reader inside the window."""
-        span = min(self.window_epochs(), now - self.readings[0] + 1) if self.readings else self.window_epochs()
-        return max(1, span // self.period)
-
 
 class SmurfPipeline:
     """SMURF cleaning + location events + level-1 compression.

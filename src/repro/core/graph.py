@@ -148,9 +148,6 @@ class GraphNode:
         yield from self.parents.values()
         yield from self.children.values()
 
-    def degree(self) -> int:
-        return len(self.parents) + len(self.children)
-
     def __repr__(self) -> str:
         color = self.color if self.color is not None else "-"
         return f"GraphNode({self.tag}, color={color})"

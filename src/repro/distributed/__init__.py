@@ -24,7 +24,6 @@ from repro.distributed.coordinator import (
     Coordinator,
     EpochResult,
     HandoffRecord,
-    WorkerFailure,
     Zone,
     partition_by_location,
 )
@@ -55,7 +54,6 @@ __all__ = [
     "SupervisorStats",
     "WorkerDaemon",
     "WorkerDied",
-    "WorkerFailure",
     "WorkerStats",
     "WorkerSupervisor",
     "partition_by_location",

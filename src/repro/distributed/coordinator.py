@@ -26,7 +26,10 @@ the whole site:
   state exactly; :meth:`Coordinator.fail_zone` /
   :meth:`Coordinator.recover_zone` close and re-open a crashed zone's
   intervals around the same rebuild, so the merged stream stays
-  well-formed and no tag is left permanently orphaned.
+  well-formed and no tag is left permanently orphaned.  Losing a
+  *worker* is that pair run at once for every zone it hosted, in every
+  pool: the messages land in the epoch's own result, the loss in its
+  warnings, and the epoch loop carries on.
 
 Where a zone *runs* is not the coordinator's business: zone state lives
 behind worker handles (:mod:`repro.distributed.worker`) — one in-process
@@ -103,26 +106,6 @@ class EpochResult:
     handoffs: list[tuple[TagId, str, str]] = field(default_factory=list)  # (tag, from, to)
     #: structured warnings recorded this epoch (quarantined readings etc.)
     warnings: list[IngestWarning] = field(default_factory=list)
-
-
-class WorkerFailure(wire.WireError):
-    """A worker was lost mid-epoch; the coordinator failed its zones over.
-
-    Raised by :meth:`Coordinator.process_epoch` over a pool of worker
-    processes when a worker reports :data:`wire.MSG_ERROR` or its pipe
-    breaks.  The torn epoch couples all zones through merge order, so
-    every live zone is marked failed for a global resync.  ``messages``
-    holds what the caller must splice into the merged stream to keep it
-    well-formed (the epoch's handoff closures plus the closures from
-    failing each zone); :meth:`~Coordinator.recover_zone` each and continue.
-    """
-
-    def __init__(
-        self, message: str, failed_zones: list[str], messages: list[EventMessage]
-    ) -> None:
-        super().__init__(message)
-        self.failed_zones = failed_zones
-        self.messages = messages
 
 
 @dataclass
@@ -308,9 +291,13 @@ class Coordinator:
             self._zone_metrics[zone_id] = spire.metrics
 
     def _submit(self, worker, request: tuple) -> None:
-        """Queue ``request``; a dead worker is found out by :meth:`_collect`."""
-        if worker.alive:
-            worker.submit(request)
+        """Queue ``request``; a dead worker (or one that dies under the
+        write) is found out by :meth:`_collect`."""
+        try:
+            if worker.alive:
+                worker.submit(request)
+        except OSError:
+            pass
 
     def _collect(self, worker, lost: dict):
         """The reply to ``worker``'s oldest request — or ``None`` after
@@ -333,17 +320,15 @@ class Coordinator:
         """Quarantine-warning sink for a worker that would not die."""
         self.quarantine.warn(WarningKind.WORKER_ZOMBIE, self._last_epoch or 0, detail=detail)
 
-    def close(self, stop_workers: bool | None = None) -> None:
+    def close(self) -> None:
         """Release the worker pool; the coordinator is unusable afterwards.
-        ``stop_workers`` overrides whether the workers are told to shut
-        down (default: only workers the pool spawned)."""
+        Workers the pool spawned are told to shut down."""
         if self._closed:
             return
         self._closed = True
-        stop = self._stop_on_close if stop_workers is None else stop_workers
         for worker in self._workers:
             try:
-                if stop and worker.alive:
+                if self._stop_on_close and worker.alive:
                     worker.submit((wire.MSG_STOP,))
                     worker.collect()
             except (OSError, EOFError, RemoteError, wire.WireError):
@@ -409,12 +394,14 @@ class Coordinator:
         result = EpochResult(epoch=now, messages=self._deferred)
         self._deferred = []
 
-        # between-epoch supervision: a worker found dead here has its
+        # between-epoch death check: a worker found dead here has its
         # zones rehomed *before* this epoch's readings are split, which
         # reproduces a scripted fail_zone/recover_zone pair exactly
         if self.supervisor is not None:
-            boundary = self._last_epoch if self._last_epoch is not None else now
-            for worker in self.supervisor.check_leases():
+            self.supervisor.check_leases()
+        boundary = self._last_epoch if self._last_epoch is not None else now
+        for worker in list(self._workers):
+            if not worker.alive:
                 self._rehome_worker(worker, result.messages, boundary)
 
         self._last_epoch = now
@@ -618,85 +605,56 @@ class Coordinator:
             self._worker_lost(lost, now, out_messages)
 
     # ------------------------------------------------------------------
-    # losing a worker: the two policies
+    # losing a worker
     # ------------------------------------------------------------------
 
-    def _resync_after_loss(
-        self, lost: dict, now: int, out_messages: list[EventMessage]
-    ) -> None:
-        """Policy of a pool that respawns lost workers: give the epoch up.
-
-        A worker died with the epoch half applied, so no zone's view of
-        it can be merged consistently.  Every live zone is failed and
-        the :class:`WorkerFailure` carries the messages the caller must
-        splice into the stream (the epoch's own so far, which were never
-        returned, plus the fail closures); recovering the zones respawns
-        the workers.  Without failover there is nothing to recover from;
-        the raw :class:`wire.WireError` is all we can offer.
-        """
-        message = "; ".join(
-            f"worker {worker.name} lost: {reason}" for worker, reason in lost.items()
-        )
-        if not self.failover_enabled:
-            raise wire.WireError(message)
-        self._track_messages(out_messages)
-        spliced = list(out_messages)
-        failed: list[str] = []
-        for zone_id in sorted(self.zones):
-            if zone_id not in self._failed:
-                spliced.extend(self.fail_zone(zone_id, now))
-                failed.append(zone_id)
-        raise WorkerFailure(message, failed, spliced)
-
-    def _rehome_after_loss(
-        self, lost: dict, now: int, out_messages: list[EventMessage]
-    ) -> None:
-        """Policy of a pool whose workers are not ours to resurrect:
-        rebuild the lost workers' zones on the survivors and carry on.
+    def _worker_lost(self, lost: dict, now: int, out_messages: list[EventMessage]) -> None:
+        """Workers were lost with requests in flight: rebuild their zones
+        at a live home and carry on.
 
         The interval tracker is synced with everything emitted so far, so
         the failover closes exactly the intervals that are really open.
         The rebuilds replay the current epoch's readings too, so the
         epoch loop skips those zones from here on.
         """
+        self._track_messages(out_messages)
         for worker in lost:
-            self._track_messages(out_messages)
             self._rehomed.update(self._rehome_worker(worker, out_messages, now))
 
-    _worker_lost = _resync_after_loss
-
     def _rehome_worker(self, worker, spliced: list[EventMessage], at: int) -> list[str]:
-        """Fail a dead worker's zones over to survivors.
+        """Fail a dead worker's zones over to a live home.
 
         Runs the failover pair per zone — ``fail_zone`` (close open
         intervals) then ``recover_zone`` (rebuild from checkpoint +
-        replay, install on the new home) — appending the closing and
-        re-opening messages to ``spliced`` in zone-sorted order: exactly
-        what a scripted ``fail_zone`` / ``recover_zone`` at the same
-        epoch emits, which keeps a between-epoch death byte-identical to
-        the scripted run.  Returns the zones the worker hosted.
+        replay, install at the home :meth:`_ensure_home` picks) —
+        appending the closing and re-opening messages to ``spliced`` in
+        zone-sorted order: exactly what a scripted ``fail_zone`` /
+        ``recover_zone`` at the same epoch emits, which keeps a
+        between-epoch death byte-identical to the scripted run.  Returns
+        the zones the worker hosted.  Without checkpoints there is
+        nothing to rebuild from; naming the worker is all we can offer.
         """
         hosted = sorted(z for z, w in self._worker_of_zone.items() if w is worker)
         if not hosted:
             return hosted  # already handled (idempotence under repeated signals)
+        if not self.failover_enabled:
+            raise wire.WireError(f"worker {worker.name} lost: {worker.death_reason}")
         self.quarantine.warn(
             WarningKind.WORKER_LOST,
             at,
             detail=(
-                f"remote worker {worker.name} declared dead "
+                f"worker {worker.name} declared dead "
                 f"({worker.death_reason}); rehoming zone(s) {', '.join(hosted)}"
             ),
         )
-        to_recover = []
-        for zone_id in hosted:
-            if zone_id in self._failed:
-                # was already failed by the user; just needs a new home
-                # whenever recover_zone is eventually called
-                self._worker_of_zone[zone_id] = self._pick_home()
-            else:
-                to_recover.append(zone_id)
+        worker.kill(self._kill_warn)  # let go of its pipe or socket
+        to_recover = [zone_id for zone_id in hosted if zone_id not in self._failed]
         for zone_id in to_recover:
             spliced.extend(self.fail_zone(zone_id, at))
+        for zone_id in hosted:
+            # also the zones the user had failed already: they just need a
+            # live home for whenever recover_zone is eventually called
+            self._ensure_home(zone_id)
         for zone_id in to_recover:
             checkpoint_epoch = self._checkpoints[zone_id].epoch
             spliced.extend(self.recover_zone(zone_id, at))
@@ -717,7 +675,7 @@ class Coordinator:
         """The least-loaded live worker (ties to the lowest index)."""
         survivors = [worker for worker in self._workers if worker.alive]
         if not survivors:
-            raise RemoteError("every remote worker is dead; cannot rehome zones")
+            raise RemoteError("every worker is dead; cannot rehome zones")
         load = {worker.index: 0 for worker in survivors}
         for owner in self._worker_of_zone.values():
             if owner.alive:

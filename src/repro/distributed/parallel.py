@@ -12,10 +12,11 @@ coordinator's because it *is* the same epoch loop; the pipe only has to
 preserve per-worker FIFO order and the reader/tag insertion order inside
 epoch frames, so each worker's deduplication sees what a local one would.
 
-A worker that errors or whose pipe breaks mid-epoch tears the epoch:
-:class:`~repro.distributed.coordinator.WorkerFailure` is raised after
-every live zone is failed over (a global resync).  ``recover_zone``
-respawns the dead process and restores the zones it hosted, exactly.
+A worker that errors, or whose process dies, is respawned in its slot
+and the zones it hosted are failed over there (``fail_zone`` +
+``recover_zone``, DESIGN.md §9): the closing and re-opening messages and
+the ``worker_lost`` / ``zone_rehomed`` warnings land in the epoch's own
+result and the run carries on — there is no exception to catch.
 """
 
 from __future__ import annotations
@@ -23,11 +24,11 @@ from __future__ import annotations
 import multiprocessing
 from typing import Iterable
 
-from repro.distributed.coordinator import Coordinator, WorkerFailure, Zone
+from repro.distributed.coordinator import Coordinator, Zone
 from repro.distributed.worker import WireWorker, WorkerStats, ZoneHost
 from repro.obs.metrics import MetricRegistry
 
-__all__ = ["ParallelCoordinator", "WorkerFailure", "WorkerStats"]
+__all__ = ["ParallelCoordinator", "WorkerStats"]
 
 
 def _worker_main(conn) -> None:
@@ -47,6 +48,8 @@ def _worker_main(conn) -> None:
 class _Worker(WireWorker):
     """Coordinator-side handle to one worker process."""
 
+    _given_up: str | None = None  #: why the coordinator abandoned it
+
     def __init__(self, ctx, index: int) -> None:
         self.index = index
         self.name = f"spire-worker-{index}"
@@ -61,6 +64,10 @@ class _Worker(WireWorker):
     @property
     def alive(self) -> bool:
         return self.process.is_alive()
+
+    @property
+    def death_reason(self) -> str:
+        return self._given_up or f"process exited with code {self.process.exitcode}"
 
     def send_bytes(self, payload: bytes) -> None:
         self.conn.send_bytes(payload)
@@ -96,6 +103,7 @@ class _Worker(WireWorker):
         """Reap the process *now*: a worker that reported an error is
         mid-exit, and recovery must respawn it rather than race the dying
         process's half-closed pipe."""
+        self._given_up = reason
         self.kill(warn)
 
     def respawn(self) -> "_Worker":

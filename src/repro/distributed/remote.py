@@ -25,12 +25,13 @@ the paper's follow-up work describes).  Three pieces:
   (:class:`~repro.distributed.supervisor.RemoteWorker`).  The epoch
   loop is the one every pool runs; what this pool brings is survival:
   lease/heartbeat checks at every epoch boundary, bounded retries
-  under backoff for every request, and — when a worker is declared
-  dead — failover of its zones onto the survivors using the
-  checkpoint + replay machinery (``fail_zone`` / ``recover_zone``),
-  with the rebuilt substrate shipped to its new home via the flat-array
-  checkpoint codec.  The run degrades to fewer workers instead of
-  aborting; only losing *every* worker raises
+  under backoff for every request.  A worker declared dead is lost the
+  way every pool loses one (DESIGN.md §9): its zones are failed over
+  with the checkpoint + replay machinery (``fail_zone`` /
+  ``recover_zone``) — here onto the survivors, a daemon not being ours
+  to restart — and the rebuilt substrate is shipped to its new home via
+  the flat-array checkpoint codec.  The run degrades to fewer workers
+  instead of aborting; only losing *every* worker raises
   :class:`~repro.distributed.supervisor.RemoteError`.
 
 Determinism contract: with live workers (including any amount of
@@ -259,8 +260,8 @@ def spawn_worker_process(
 
     Reads the daemon's ``spire-worker listening on host:port`` banner to
     learn the bound port (``port=0`` lets the OS pick).  The caller owns
-    the process; a coordinator ``close(stop_workers=True)`` or
-    ``proc.terminate()`` ends it.
+    the process; closing a coordinator built with
+    ``stop_workers_on_close=True``, or ``proc.terminate()``, ends it.
     """
     # the directory CONTAINING the repro package, so `-m repro.cli` resolves
     package_root = os.path.dirname(
@@ -306,7 +307,6 @@ class RemoteCoordinator(Coordinator):
             on localhost TCP instead — same code path, no deployment
             (handy default; also what ``SpireSession`` uses).
         policy: :class:`RetryPolicy` deadlines/retries/lease parameters.
-        supervise_seed: Seed for the retry-jitter RNG.
         checkpoint_interval: **Required** (must not be ``None``): the
             checkpoints are what worker failover rebuilds zones from.
         stop_workers_on_close: Send ``MSG_STOP`` to the daemons on
@@ -324,7 +324,6 @@ class RemoteCoordinator(Coordinator):
         addresses: Sequence | None = None,
         workers: int | None = None,
         policy: RetryPolicy | None = None,
-        supervise_seed: int = 0,
         strict: bool = False,
         checkpoint_interval: int | None = 50,
         metrics: MetricRegistry | None = None,
@@ -350,10 +349,9 @@ class RemoteCoordinator(Coordinator):
         self._stop_on_close = (
             (addresses is None) if stop_workers_on_close is None else stop_workers_on_close
         )
-        self._worker_lost = self._rehome_after_loss
         try:
             self.supervisor = WorkerSupervisor(
-                resolved[: len(zones)], policy or RetryPolicy(), seed=supervise_seed, metrics=metrics
+                resolved[: len(zones)], policy or RetryPolicy(), metrics=metrics
             )
             self._workers = self.supervisor.workers
             super().__init__(

@@ -421,12 +421,11 @@ class WorkerSupervisor:
         self,
         addresses: list[tuple[str, int]],
         policy: RetryPolicy,
-        seed: int = 0,
         metrics=None,
     ) -> None:
         self.policy = policy
         self.stats = SupervisorStats()
-        self._rng = random.Random(seed)
+        self._rng = random.Random(0)  # retry jitter only: never reaches the stream
         self._observe_rtt = None
         self._metrics = metrics if metrics is not None and metrics.enabled else None
         if self._metrics is not None:
@@ -478,15 +477,15 @@ class WorkerSupervisor:
             if total > counter.value:
                 counter.inc(total - counter.value)
 
-    def check_leases(self) -> list[RemoteWorker]:
-        """Between-epoch supervision pass; returns newly dead workers.
+    def check_leases(self) -> None:
+        """Between-epoch supervision pass: declares the workers it finds
+        dead so; the coordinator then rehomes whoever is not ``alive``.
 
         Two probes per worker: a zero-cost EOF check (catches a daemon
         that crashed and closed its socket), and — once the worker has
         been silent past its lease — a PING with the request deadline.
         ``max_missed_leases`` consecutive failed pings declare it dead.
         """
-        newly_dead: list[RemoteWorker] = []
         now = time.monotonic()
         for worker in self.workers:
             if worker.dead:
@@ -494,7 +493,6 @@ class WorkerSupervisor:
             if worker.eof_probe():
                 if not worker.dead:
                     worker._declare_dead("connection closed and reconnect refused")
-                newly_dead.append(worker)
                 continue
             if now - worker.last_activity < self.policy.lease_interval:
                 continue
@@ -508,6 +506,4 @@ class WorkerSupervisor:
                 worker._declare_dead(
                     f"{worker.missed_leases} consecutive missed lease(s)"
                 )
-                newly_dead.append(worker)
         self._sync_gauges()
-        return newly_dead

@@ -20,12 +20,15 @@ and replies are the plain tuples of :meth:`ZoneHost.handle_request`:
   connection in :mod:`repro.distributed.supervisor`), and unpacks the
   reply.  The far side unpacks, calls ``handle_request``, packs.
 
-Beyond submit/collect a handle provides ``alive``, ``host`` (the resident
+Beyond submit/collect a handle provides ``alive`` (checked at every
+epoch boundary: a worker that is not is lost, and its zones fail over),
+``death_reason`` (why, once it is not), ``host`` (the resident
 :class:`ZoneHost` when the worker is this process, else ``None``),
-``kill(warn)`` (crash it, or at close let go of it), ``abandon(reason,
-warn)`` (the coordinator gives the worker up) and ``respawn()`` (a fresh
-worker for the same slot, or ``None`` when the worker is not ours to
-resurrect).
+``kill(warn)`` (crash it, or let go of what is left of it),
+``abandon(reason, warn)`` (the coordinator gives the worker up) and
+``respawn()`` (a fresh worker for the same slot — where a lost worker's
+zones are rebuilt — or ``None`` when the worker is not ours to
+resurrect, and they move in with the survivors).
 """
 
 from __future__ import annotations

@@ -51,14 +51,6 @@ class SpireRunReport:
     def compression_ratio(self) -> float:
         return compression_ratio(self.messages, self.raw_bytes)
 
-    @property
-    def update_seconds_per_epoch(self) -> float:
-        return self.update_seconds / self.epochs if self.epochs else 0.0
-
-    @property
-    def inference_seconds_per_epoch(self) -> float:
-        return self.inference_seconds / self.epochs if self.epochs else 0.0
-
 
 def run_spire(
     sim: SimulationResult,

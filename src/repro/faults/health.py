@@ -103,10 +103,6 @@ class ReaderHealthMonitor:
 
     # ------------------------------------------------------------------
 
-    def silent_readers(self) -> frozenset[int]:
-        """Readers currently presumed down."""
-        return frozenset(self._down)
-
     def is_silent(self, reader_id: int) -> bool:
         return reader_id in self._down
 

@@ -263,8 +263,14 @@ class NetFaultProxy:
             pass
         finally:
             # half-close propagation: a dead direction kills the pair, so
-            # the endpoints see the hangup and the retry layer reconnects
+            # the endpoints see the hangup and the retry layer reconnects.
+            # shutdown() first: the other direction's select() holds a
+            # reference, so close() alone would send no FIN until it wakes
             for sock in (source, sink):
+                try:
+                    sock.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass
                 try:
                     sock.close()
                 except OSError:

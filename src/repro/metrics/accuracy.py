@@ -59,9 +59,8 @@ class AccuracyAccumulator:
     location_total: int = 0
     containment_errors: int = 0
     containment_total: int = 0
-    #: per-packaging-level (level value -> [errors, total]) breakdowns
+    #: per-packaging-level (level value -> [errors, total]) breakdown
     location_by_level: dict[int, list[int]] = field(default_factory=dict)
-    containment_by_level: dict[int, list[int]] = field(default_factory=dict)
 
     # ------------------------------------------------------------------
 
@@ -91,11 +90,8 @@ class AccuracyAccumulator:
             estimated_container = current.container if current is not None else None
             if true_container is not None or estimated_container is not None:
                 self.containment_total += 1
-                level = self.containment_by_level.setdefault(tag.level, [0, 0])
-                level[1] += 1
                 if estimated_container != true_container:
                     self.containment_errors += 1
-                    level[0] += 1
 
         # ghost objects: SPIRE still tracks them, the world no longer holds
         # them (their exit reading was missed); the correct answer is the
@@ -139,11 +135,6 @@ class AccuracyAccumulator:
     def location_error_rate_for_level(self, level: int) -> float:
         """Location error rate restricted to one packaging level."""
         errors, total = self.location_by_level.get(level, [0, 0])
-        return errors / total if total else 0.0
-
-    def containment_error_rate_for_level(self, level: int) -> float:
-        """Containment error rate restricted to one packaging level."""
-        errors, total = self.containment_by_level.get(level, [0, 0])
         return errors / total if total else 0.0
 
     def summary(self) -> dict[str, float]:

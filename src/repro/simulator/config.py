@@ -156,7 +156,3 @@ class SimulationConfig:
             if kind_name == kind.value:
                 return rate
         return self.read_rate
-
-    def paper_accuracy_workload(self) -> "SimulationConfig":
-        """The Section VI-B workload: this config's documented defaults."""
-        return SimulationConfig(seed=self.seed)

@@ -94,13 +94,3 @@ class WarehouseLayout:
             if reader.reader_id == reader_id:
                 return reader
         raise KeyError(f"no reader with id {reader_id}")
-
-    @property
-    def special_reader_ids(self) -> frozenset[int]:
-        """Reader ids of the containment-confirming belt readers."""
-        return frozenset(r.reader_id for r in self.readers if r.is_special)
-
-    @property
-    def exit_reader_ids(self) -> frozenset[int]:
-        """Reader ids of the proper-exit-channel readers."""
-        return frozenset(r.reader_id for r in self.readers if r.is_exit)

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
 import re
+import signal
 
 import pytest
 
@@ -21,7 +23,9 @@ from repro.core.checkpoint import loads_spire
 from repro.core.pipeline import Deployment, Spire
 from repro.distributed import Coordinator, ParallelCoordinator, partition_by_location
 from repro.events.codec import encode_stream
+from repro.events.messages import INFINITY, EventKind, EventMessage
 from repro.events.wellformed import check_well_formed
+from repro.sase import library
 from repro.serving.client import SpireClient
 from repro.simulator.config import SimulationConfig
 from repro.simulator.warehouse import WarehouseSimulator
@@ -337,3 +341,58 @@ def test_serve_and_pump_over_tcp(sim):
     ):
         assert core in text, core
     assert_prometheus_well_formed(text)
+
+
+def _stream_seen_by(notes) -> list[EventMessage]:
+    """The event stream a tail subscriber received.  A notification says
+    what happened to whom and when it arrived, but not ``Vs``: an end
+    message takes the ``Vs`` of the interval it closes — or -1 when its
+    subject has none open, which ``check_well_formed`` rejects."""
+    kinds = list(EventKind)
+    opened: dict = {}
+    stream = []
+    for note in notes:
+        kind = kinds[note.value]
+        vs, ve = note.epoch, note.epoch
+        if kind in (EventKind.START_LOCATION, EventKind.START_CONTAINMENT):
+            opened[note.obj, note.container] = vs
+            ve = INFINITY
+        elif kind is not EventKind.MISSING:
+            vs = opened.pop((note.obj, note.container), -1)
+        stream.append(EventMessage(kind, note.obj, vs, ve, note.place, note.container))
+    return stream
+
+
+def test_a_killed_worker_process_never_reaches_the_subscriber(sim):
+    """Every layer above the coordinator inherits the worker-lost policy:
+    the pump finishes every epoch and what a TCP subscriber received is
+    still a well-formed stream."""
+
+    async def run():
+        config = SpireConfig.from_simulation(
+            sim, workers=2, zone_map=ZONE_MAP, checkpoint_interval=10, expand_level2=False
+        )
+        with SpireSession(config) as session:
+            workers = session.coordinator._workers
+
+            def kill_one(_epoch, pumped):
+                if pumped == 60:
+                    os.kill(workers[0].process.pid, signal.SIGKILL)
+
+            async with session.serve() as server:
+                async with await SpireClient.connect(server.host, server.port) as client:
+                    tail = await client.subscribe(library.tail(), max_queue=1_000_000)
+                    pumped = await session.pump(server, sim.stream, on_epoch=kill_one)
+                    published = server.engine.stats.notifications_delivered
+                    notes = [await tail.next(timeout=5) for _ in range(published)]
+                    assert tail.dropped == 0 and len(tail) == 0
+            return pumped, notes, session.coordinator.quarantine.counts()
+
+    pumped, notes, counts = asyncio.run(run())
+    assert pumped == len(sim.stream)
+    assert counts["worker_lost"] == 1 and counts["zone_rehomed"] == 2
+    rehoming_epoch = list(sim.stream)[60].epoch
+    assert {"EndLocation", "StartLocation"} <= {
+        n.detail for n in notes if n.epoch == rehoming_epoch
+    }
+    check_well_formed(_stream_seen_by(notes))

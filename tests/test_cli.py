@@ -254,7 +254,7 @@ class TestServeAndClient:
         server = threading.Thread(
             target=main,
             args=(["serve", str(trace), "--port", str(port),
-                   "--epoch-interval", "0.05", "--linger", "10"],),
+                   "--epoch-interval", "0.02", "--linger", "1"],),
             daemon=True,
         )
         server.start()
@@ -290,7 +290,7 @@ class TestServeAndClient:
         server = threading.Thread(
             target=main,
             args=(["serve", str(trace), "--port", str(port),
-                   "--epoch-interval", "0.02", "--linger", "20"],),
+                   "--epoch-interval", "0.02", "--linger", "4"],),
             daemon=True,
         )
         server.start()
@@ -326,7 +326,7 @@ class TestServeAndClient:
         server = threading.Thread(
             target=main,
             args=(["serve", str(trace), "--port", str(port),
-                   "--epoch-interval", "0.05", "--linger", "10"],),
+                   "--epoch-interval", "0.02", "--linger", "1"],),
             daemon=True,
         )
         server.start()

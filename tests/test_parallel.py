@@ -5,6 +5,8 @@ equivalence**: the merged event stream must be byte-identical to the
 serial :class:`Coordinator`'s on the same input — across clean runs,
 chaos-injected runs, mid-run zone failure and recovery (including a real
 worker-process kill), and checkpoint round-trips — under 2 and 4 workers.
+What a pool does when it *loses* a worker is part of the coordination
+contract and lives in ``tests/test_coordination_contract.py``.
 """
 
 from __future__ import annotations
@@ -356,60 +358,3 @@ class TestKillEscalation:
         assert "survived" in warnings[0] and "4242" in warnings[0]
         assert worker.conn.closed  # the pipe never leaks
 
-
-class TestWorkerErrorFailover:
-    def test_mid_epoch_error_raises_worker_failure_and_recovers(self):
-        """A worker exception mid-epoch surfaces as WorkerFailure with the
-        splice messages and traceback; recovery resumes a well-formed run."""
-        from repro.core.pipeline import Spire
-        from repro.distributed.parallel import WorkerFailure
-        from repro.events.codec import decode_stream
-
-        config = _config(seed=17)
-        sim, epochs = _epochs(config)
-        target = epochs[60].epoch
-        original = Spire.process_epoch
-
-        def poisoned(self, readings):
-            if readings.epoch == target:
-                raise RuntimeError("injected worker fault")
-            return original(self, readings)
-
-        # patch before construction: forked workers inherit the poison
-        Spire.process_epoch = poisoned
-        try:
-            coordinator = ParallelCoordinator(
-                _zones(sim), checkpoint_interval=10, workers=2
-            )
-            try:
-                parts = []
-                failure = None
-                for i, readings in enumerate(epochs):
-                    try:
-                        parts.append(
-                            encode_stream(coordinator.process_epoch(readings).messages)
-                        )
-                    except WorkerFailure as exc:
-                        assert i == 60 and failure is None
-                        failure = exc
-                        parts.append(encode_stream(exc.messages))
-                        # heal before recovery: the respawned workers fork
-                        # from the (now-restored) parent
-                        Spire.process_epoch = original
-                        for zone_id in exc.failed_zones:
-                            parts.append(
-                                encode_stream(coordinator.recover_zone(zone_id))
-                            )
-                assert failure is not None
-                assert "injected worker fault" in str(failure)
-                assert sorted(failure.failed_zones) == sorted(ASSIGNMENT)
-                counts = coordinator.quarantine.counts()
-                assert counts[WarningKind.ZONE_FAILED] == len(ASSIGNMENT)
-                assert counts[WarningKind.ZONE_RECOVERED] == len(ASSIGNMENT)
-            finally:
-                coordinator.close()
-        finally:
-            Spire.process_epoch = original
-        from repro.events.wellformed import check_well_formed
-
-        check_well_formed(list(decode_stream(b"".join(parts))))
