@@ -13,12 +13,20 @@ are handled naturally.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
+from operator import attrgetter
+from typing import Sequence
 
-from repro.core.graph import Graph, GraphNode
+from repro.core.graph import Graph, GraphNode, by_tag
 from repro.core.params import InferenceParams
 from repro.model.objects import PackagingLevel, TagId
 from repro.readers.reader import Reader
 from repro.readers.stream import EpochReadings
+
+_by_level = attrgetter("level")
+
+#: one co-located level as step-2 candidates: (all, unbound, bound by parent tag)
+_LevelCandidates = tuple[list[GraphNode], list[GraphNode], dict[TagId, list[GraphNode]]]
 
 
 @dataclass(frozen=True)
@@ -148,17 +156,32 @@ class GraphUpdater:
         readers: dict[int, ReaderInfo],
         now: int,
     ) -> None:
-        """Apply a full (deduplicated) epoch of readings, one reader at a time."""
-        if readers is not self._registered:
-            self.register_readers(readers)
+        """Apply a full (deduplicated) epoch of readings, one reader at a time.
+
+        Raises ``KeyError`` for a reading from an unregistered reader id
+        before the graph is touched (see :meth:`check_readers`).
+        """
+        self.check_readers(readings, readers)
         derived = self._derived
         self.begin_epoch()
         for reader_id in sorted(readings.by_reader):
-            entry = derived.get(reader_id)
-            if entry is None:
-                raise KeyError(f"reading from unknown reader id {reader_id}")
-            self.apply_reader(readings.by_reader[reader_id], entry[0], now)
+            self.apply_reader(readings.by_reader[reader_id], derived[reader_id][0], now)
         self.graph.finalize_epoch()
+
+    def check_readers(
+        self, readings: EpochReadings, readers: dict[int, ReaderInfo]
+    ) -> None:
+        """Raise ``KeyError`` if any reporting reader id is not in ``readers``.
+
+        Mutates nothing the epoch rhythm depends on, so a caller can reject
+        a bad batch while it is still free to accept a corrected one for
+        the same epoch.
+        """
+        if readers is not self._registered:
+            self.register_readers(readers)
+        unknown = readings.by_reader.keys() - self._derived.keys()
+        if unknown:
+            raise KeyError(f"reading from unknown reader id {min(unknown)}")
 
     def apply_reader(self, tags: list[TagId], info: ReaderInfo, now: int) -> None:
         """The ``graph_update(G, R_k)`` procedure of Fig. 4 for one reader."""
@@ -187,8 +210,8 @@ class GraphUpdater:
         # Step 2: add candidate edges for nodes with a new color
         # (Fig. 4 lines 9-13, with the §III-B "newly colored only"
         # optimisation).  Process levels bottom-up as in the paper.
-        for node in sorted(newly_colored, key=lambda n: n.level):
-            self._add_candidate_edges(node, color, now)
+        if newly_colored:
+            self._add_candidate_edges(newly_colored, color, now)
 
         # Steps 3+4: remove outdated edges and update statistics
         # (Fig. 4 lines 14-31) for every colored node.
@@ -204,18 +227,22 @@ class GraphUpdater:
     # step 2
     # ------------------------------------------------------------------
 
-    def _add_candidate_edges(self, node: GraphNode, color: int, now: int) -> None:
-        """Connect ``node`` to same-colored nodes in the closest layers.
+    def _add_candidate_edges(
+        self, newly_colored: list[GraphNode], color: int, now: int
+    ) -> None:
+        """Connect each newly colored node to the same-colored nodes in the
+        closest layers, bottom-up (Fig. 4 lines 9-13).
 
         If the adjacent layer has no node of this color, the edge is drawn
         to the next higher/lower layer that does (§III-B step 2), so e.g. an
         item whose case was missed can still be tied to a co-located pallet.
 
-        Candidates are taken in tag order: the colored-at index holds sets,
-        whose iteration order follows object identity hashes — letting that
-        order leak into edge insertion order (and through dict-order
-        tie-breaking, into container choices) makes otherwise identical
-        runs diverge between processes.
+        Step 2 only adds edges: colors, confirmations and the node set are
+        fixed while it runs, so everything a node's candidates depend on
+        except the node itself is constant within one reading set.  It is
+        derived once per level (:meth:`_candidate_index`) and every node of
+        a level draws from that, instead of re-sorting and re-testing the
+        co-located level per node.
 
         **Confirmation-aware filtering** (DESIGN.md §8): a child bound to a
         different parent by a standing, conflict-free special-reader
@@ -230,27 +257,57 @@ class GraphUpdater:
         reopens normal candidate generation.
         """
         graph = self.graph
-        tag = node.tag
+        index: dict[int | None, _LevelCandidates] = {None: ([], [], {})}
         drawn = 0
-        above = graph.closest_colored_level(node.level, color, direction=+1)
-        if above is not None:
-            confirmed = self._binding_parent(node)
-            if confirmed is not None:
-                if confirmed.color == color and confirmed.level > node.level:
-                    graph.add_edge(confirmed, node, now)
-                    drawn += 1
-            else:
-                for parent in sorted(graph.colored_at(above, color), key=lambda n: n.tag):
-                    graph.add_edge(parent, node, now)
-                    drawn += 1
-        below = graph.closest_colored_level(node.level, color, direction=-1)
-        if below is not None:
-            for child in sorted(graph.colored_at(below, color), key=lambda n: n.tag):
-                confirmed = self._binding_parent(child)
-                if confirmed is None or confirmed.tag == tag:
-                    graph.add_edge(node, child, now)
-                    drawn += 1
+        for level, nodes in groupby(sorted(newly_colored, key=_by_level), key=_by_level):
+            above = graph.closest_colored_level(level, color, direction=+1)
+            below = graph.closest_colored_level(level, color, direction=-1)
+            candidates = self._candidate_index(index, above, color)[0]
+            _, unbound, bound = self._candidate_index(index, below, color)
+            for node in nodes:
+                parents: Sequence[GraphNode] = ()
+                if candidates:
+                    confirmed = self._binding_parent(node)
+                    if confirmed is None:
+                        parents = candidates
+                    elif confirmed.color == color and confirmed.level > level:
+                        parents = (confirmed,)
+                own = bound.get(node.tag)
+                children = unbound if own is None else sorted(unbound + own, key=by_tag)
+                graph.add_edges(node, parents, children, now)
+                drawn += len(parents) + len(children)
         self.candidate_edges += drawn
+
+    def _candidate_index(
+        self, index: dict[int | None, _LevelCandidates], level: int | None, color: int
+    ) -> _LevelCandidates:
+        """The nodes at ``level`` colored ``color`` as candidates, memoised
+        in ``index`` for the duration of one reading set (which seeds it
+        with no candidates for "no such level").
+
+        Returns ``(all, unbound, bound)``: every such node (the candidate
+        parents of a node below), those free to take any parent, and — by
+        binding parent's tag — those that accept an edge from that parent
+        only (see :meth:`_binding_parent`).  All three are in tag order:
+        the colored-at index holds sets, whose iteration order follows
+        object identity hashes — letting that order leak into edge
+        insertion order (and through dict-order tie-breaking, into
+        container choices) makes otherwise identical runs diverge between
+        processes.
+        """
+        entry = index.get(level)
+        if entry is None:
+            nodes = sorted(self.graph.colored_at(level, color), key=by_tag)
+            unbound: list[GraphNode] = []
+            bound: dict[TagId, list[GraphNode]] = {}
+            for node in nodes:
+                confirmed = self._binding_parent(node)
+                if confirmed is None:
+                    unbound.append(node)
+                else:
+                    bound.setdefault(confirmed.tag, []).append(node)
+            entry = index[level] = (nodes, unbound, bound)
+        return entry
 
     def _binding_parent(self, node: GraphNode) -> GraphNode | None:
         """The node's confirmed parent, when that confirmation still binds:

@@ -18,7 +18,8 @@ diagnostic — its size is what traces, the ``spire_dirty_nodes`` gauge and
 from __future__ import annotations
 
 import sys
-from typing import Iterable, Iterator
+from operator import attrgetter
+from typing import Iterable, Iterator, Sequence
 
 from repro.model.locations import UNKNOWN_COLOR
 from repro.model.objects import PackagingLevel, TagId
@@ -172,6 +173,19 @@ _EDGE_BYTES = (
     )
     + 2 * 104  # two dict entries (parent.children / child.parents)
 )
+
+
+#: sort key putting nodes in tag order — the order candidate edges are drawn
+#: and inference layers are swept in, so that no set's iteration order
+#: (object identity hashes) reaches an edge dict or a tie-break
+by_tag = attrgetter("tag")
+
+
+def _reject_edge(parent: GraphNode, child: GraphNode) -> None:
+    raise ValueError(
+        f"edges must point down packaging levels: "
+        f"{parent.tag} (level {parent.level}) -> {child.tag} (level {child.level})"
+    )
 
 
 class Graph:
@@ -329,21 +343,54 @@ class Graph:
 
     def add_edge(self, parent: GraphNode, child: GraphNode, now: int) -> GraphEdge:
         """Create (or return the existing) edge ``parent -> child``."""
-        if parent.level <= child.level:
-            raise ValueError(
-                f"edges must point down packaging levels: "
-                f"{parent.tag} (level {parent.level}) -> {child.tag} (level {child.level})"
-            )
-        edge = parent.children.get(child.tag)
-        if edge is not None:
-            return edge
-        edge = GraphEdge(parent, child, now)
-        parent.children[child.tag] = edge
-        child.parents[parent.tag] = edge
-        self._edge_count += 1
-        self._dirty.add(child)
-        self._dirty.add(parent)
-        return edge
+        self.add_edges(child, (parent,), (), now)
+        return parent.children[child.tag]
+
+    def add_edges(
+        self,
+        node: GraphNode,
+        parents: Sequence[GraphNode],
+        children: Sequence[GraphNode],
+        now: int,
+    ) -> None:
+        """Draw ``p -> node`` for each of ``parents``, then ``node -> c``
+        for each of ``children``.
+
+        The one place edges are created.  Capture draws all of a newly
+        colored node's candidates in one call, a co-located level on each
+        side, so ``parents`` must hold nodes of a *single* packaging level
+        and so must ``children``: level ordering is checked once per side
+        per call, on its first node, not once per edge.  A pair that
+        already has an edge keeps it untouched — ``created_at``, history
+        and its position in both endpoints' dicts stay — and new edges are
+        appended to both endpoints' dicts in iteration order, which is the
+        order every downstream tie-break sees.
+        """
+        level = node.level
+        if parents and parents[0].level <= level:
+            _reject_edge(parents[0], node)
+        if children and children[0].level >= level:
+            _reject_edge(node, children[0])
+        tag = node.tag
+        dirty_add = self._dirty.add
+        created = 0
+        mine = node.parents
+        for parent in parents:
+            parent_tag = parent.tag
+            if parent_tag not in mine:
+                mine[parent_tag] = parent.children[tag] = GraphEdge(parent, node, now)
+                dirty_add(parent)
+                created += 1
+        mine = node.children
+        for child in children:
+            child_tag = child.tag
+            if child_tag not in mine:
+                mine[child_tag] = child.parents[tag] = GraphEdge(node, child, now)
+                dirty_add(child)
+                created += 1
+        if created:
+            dirty_add(node)
+            self._edge_count += created
 
     def remove_edge(self, edge: GraphEdge) -> None:
         """Drop ``edge`` from both endpoints."""

@@ -4,7 +4,10 @@ Inference starts from the colored nodes (observed objects) and sweeps
 outwards in increasing distance ``d``: edge inference runs for nodes at
 distance ``d``, then node inference assigns them a color, and the colors
 and edge probabilities settled at distance ``d`` feed the inference at
-``d + 1``.
+``d + 1``.  The layer at ``d + 1`` is the set of unvisited nodes adjacent
+to layer ``d``; it is found from whichever of the two sides is smaller
+(see :meth:`IterativeInference._next_layer`), so an expansion costs the
+edges of the side it scans, not those of the other.
 
 *Complete* inference covers the whole graph (including nodes unreachable
 from any colored node, whose belief simply decays toward "unknown");
@@ -20,7 +23,7 @@ visited node's containment decision and location belief is computed afresh
 from __future__ import annotations
 
 from repro.core.edge_inference import infer_edges
-from repro.core.graph import UNKNOWN_COLOR, Graph, GraphNode
+from repro.core.graph import UNKNOWN_COLOR, Graph, GraphNode, by_tag
 from repro.core.interpretation import Estimate, InterpretationResult, LocationSource
 from repro.core.node_inference import infer_node
 from repro.core.params import InferenceParams
@@ -64,7 +67,7 @@ class IterativeInference:
         visited: set[GraphNode] = set()
 
         # d = 0: observed objects — edge inference only.
-        frontier = sorted(self.graph.colored_nodes(), key=lambda n: n.tag)
+        frontier = sorted(self.graph.colored_nodes(), key=by_tag)
         for node in frontier:
             effective_colors[node] = node.color  # type: ignore[assignment]
             visited.add(node)
@@ -95,8 +98,7 @@ class IterativeInference:
             # None of their neighbours was reached either, so no color
             # propagates to them: they are inferred against an empty map.
             remaining = sorted(
-                (n for n in self.graph.nodes() if n not in visited),
-                key=lambda n: n.tag,
+                (n for n in self.graph.nodes() if n not in visited), key=by_tag
             )
             self._infer_layer(remaining, {}, now, complete, result)
 
@@ -107,20 +109,57 @@ class IterativeInference:
     def _next_layer(
         self, frontier: list[GraphNode], visited: set[GraphNode]
     ) -> list[GraphNode]:
-        """Unvisited neighbours of the current frontier, in tag order."""
+        """The unvisited nodes adjacent to ``frontier``, in tag order.
+
+        Found from whichever side is smaller.  Every visited node behind
+        the frontier was itself a frontier once, all its neighbours were
+        visited then, and inference only ever removes edges — so an
+        unvisited node's visited neighbours all lie in ``frontier``, and
+        scanning the unvisited nodes for a visited neighbour yields the
+        same set as walking the frontier's edges.  In a complete epoch the
+        frontier is most of the graph (everything just read); in a partial
+        one it is a handful of nodes.
+        """
+        if len(frontier) > len(self.graph) - len(visited):
+            layer = self._adjacent_unvisited(visited)
+        else:
+            layer = self._frontier_neighbours(frontier, visited)
+        visited.update(layer)
+        layer.sort(key=by_tag)
+        return layer
+
+    @staticmethod
+    def _frontier_neighbours(
+        frontier: list[GraphNode], visited: set[GraphNode]
+    ) -> list[GraphNode]:
+        """Expansion from the frontier: its neighbours not yet visited."""
         layer: dict[GraphNode, None] = {}
         for node in frontier:
             for edge in node.parents.values():
-                neighbour = edge.parent
-                if neighbour not in visited:
-                    layer[neighbour] = None
+                if edge.parent not in visited:
+                    layer[edge.parent] = None
             for edge in node.children.values():
-                neighbour = edge.child
-                if neighbour not in visited:
-                    layer[neighbour] = None
-        for node in layer:
-            visited.add(node)
-        return sorted(layer, key=lambda n: n.tag)
+                if edge.child not in visited:
+                    layer[edge.child] = None
+        return list(layer)
+
+    def _adjacent_unvisited(self, visited: set[GraphNode]) -> list[GraphNode]:
+        """Expansion from the far side: each unvisited node is taken at its
+        first visited neighbour."""
+        layer = []
+        for node in self.graph.nodes():
+            if node in visited:
+                continue
+            for edge in node.parents.values():
+                if edge.parent in visited:
+                    layer.append(node)
+                    break
+            else:
+                for edge in node.children.values():
+                    if edge.child in visited:
+                        layer.append(node)
+                        break
+        return layer
 
     def _infer_layer(
         self,

@@ -252,8 +252,11 @@ class Spire:
                 f"{self._last_epoch}; epochs must strictly increase "
                 f"(re-sequence the stream, e.g. with repro.faults.ResilientStream)"
             )
-        self._last_epoch = now
         clean = self.dedup.process(readings)
+        # reject a batch naming an unknown reader while nothing has moved:
+        # dedup keeps no state, so the corrected epoch can still be fed
+        self.updater.check_readers(clean, self.deployment.readers)
+        self._last_epoch = now
 
         if self.health is not None:
             self.health.observe_epoch(clean, now)

@@ -67,6 +67,41 @@ class TestBasicProcessing:
             Spire(DEPLOYMENT, compression_level=3)
 
 
+class TestUnknownReader:
+    """A batch naming an unregistered reader is refused before anything
+    moves, so the corrected batch for the same epoch is still accepted."""
+
+    EPOCHS = [
+        {0: [pallet(1), case(1), item(1), item(2)]},
+        {0: [pallet(1), case(1), item(1)], 1: [case(2), item(3)]},
+        {1: [case(1), item(1), item(2)], 2: [case(2), item(3)]},
+        {2: [case(1), case(2), item(1), item(2), item(3)]},
+    ]
+
+    def test_rejected_batch_leaves_no_trace(self):
+        clean = Spire(DEPLOYMENT)
+        expected = [
+            clean.process_epoch(epoch_readings(now, by_reader)).messages
+            for now, by_reader in enumerate(self.EPOCHS)
+        ]
+
+        spire = Spire(DEPLOYMENT)
+        got = []
+        for now, by_reader in enumerate(self.EPOCHS):
+            if now == 2:
+                # reader 99 sorts last: every known reader would have been
+                # applied before the loop met it
+                bad = epoch_readings(now, {**by_reader, 99: [item(9)]})
+                with pytest.raises(KeyError, match="reading from unknown reader id 99"):
+                    spire.process_epoch(bad)
+                assert item(9) not in spire.graph
+                assert {n.tag for n in spire.graph.colored_nodes()} == {
+                    t for tags in self.EPOCHS[1].values() for t in tags
+                }
+            got.append(spire.process_epoch(epoch_readings(now, by_reader)).messages)
+        assert got == expected
+
+
 class TestCarriedForwardEstimates:
     def test_missed_reading_keeps_location(self):
         spire = Spire(DEPLOYMENT)
