@@ -311,6 +311,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         ReaderOutage,
         ResilientStream,
         schedule_from_dict,
+        split_net_schedule,
     )
     from repro.metrics.events import f_measure
 
@@ -351,19 +352,32 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         if args.dup_rate > 0:
             schedule.append(DuplicateBatches(rate=args.dup_rate))
 
+    if args.remote_workers and args.workers:
+        print("error: --workers and --remote-workers are mutually exclusive", file=sys.stderr)
+        return 2
+    # transport faults go to the remote layer and scripted crashes to the
+    # worker pool; the injector keeps the stream-level specs.  A spec no
+    # engine of this run can apply is an error, not a no-op.
     full_schedule = list(schedule)
-    net_specs: list = []
-    crashes: list = []
-    if args.remote_workers:
-        if args.workers:
-            print("error: --workers and --remote-workers are mutually exclusive",
-                  file=sys.stderr)
-            return 2
-        from repro.faults import split_net_schedule
+    schedule, net_specs, crashes = split_net_schedule(schedule)
+    pool_size = 0
+    if args.remote_workers or args.workers:
+        from repro.experiments.table3 import scaling_zone_assignment
 
-        # transport faults and scripted crashes go to the remote layer;
-        # the injector keeps only the stream-level specs
-        schedule, net_specs, crashes = split_net_schedule(schedule)
+        pool_size = min(
+            args.remote_workers or args.workers,
+            len(scaling_zone_assignment(config.num_shelves)),
+        )
+    unusable = [(spec, "needs --remote-workers") for spec in net_specs if not args.remote_workers]
+    unusable += [
+        (crash, f"the run has {pool_size} pool worker(s)")
+        for crash in crashes
+        if not 0 <= crash.worker < pool_size
+    ]
+    for spec, why in unusable:
+        print(f"error: cannot apply {spec}: {why}", file=sys.stderr)
+    if unusable:
+        return 2
 
     injector = FaultInjector(sim.stream, schedule, seed=args.fault_seed)
     resilient = ResilientStream(
@@ -379,7 +393,6 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     if args.remote_workers or args.workers:
         from repro.distributed import Coordinator, ParallelCoordinator, partition_by_location
         from repro.experiments.remote import RemoteHarness
-        from repro.experiments.table3 import scaling_zone_assignment
 
         def _zones():
             return partition_by_location(
@@ -416,7 +429,10 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         with pool:
             for epoch_readings in resilient:
                 if epoch_readings.epoch in crash_at:
-                    pool.crash_worker(crash_at[epoch_readings.epoch])
+                    if args.remote_workers:
+                        pool.crash_worker(crash_at[epoch_readings.epoch])
+                    else:
+                        pool._workers[crash_at[epoch_readings.epoch]].kill()
                 faulted_messages.extend(
                     faulted_coordinator.process_epoch(epoch_readings).messages
                 )
@@ -466,9 +482,9 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         if supervisor_stats is not None:
             for line in supervisor_stats.summary_lines():
                 print(f"  {line}")
-            counts = faulted_coordinator.quarantine.counts()
-            if counts:
-                print(f"  coordinator warnings  {counts}")
+        counts = faulted_coordinator.quarantine.counts()
+        if counts:
+            print(f"  coordinator warnings  {counts}")
     print(f"F-measure (tolerance {tolerance} epochs):")
     print(f"  fault-free   {f_baseline:8.4f}  ({len(baseline_messages)} events)")
     print(f"  under faults {f_faulted:8.4f}  ({len(faulted_messages)} events)")

@@ -21,15 +21,19 @@ the whole site:
 * **failover** — with ``checkpoint_interval`` set, every zone checkpoints
   itself periodically (a flag on the epoch request; the bytes come back
   with the reply) and the coordinator keeps the zone's *request log* since
-  that checkpoint: each epoch's readings plus the releases and adoptions
-  applied before them.  Checkpoint + log replay reproduces a live zone's
-  state exactly; :meth:`Coordinator.fail_zone` /
-  :meth:`Coordinator.recover_zone` close and re-open a crashed zone's
-  intervals around the same rebuild, so the merged stream stays
-  well-formed and no tag is left permanently orphaned.  Losing a
-  *worker* is that pair run at once for every zone it hosted, in every
-  pool: the messages land in the epoch's own result, the loss in its
-  warnings, and the epoch loop carries on.
+  that checkpoint: the release, adopt and epoch requests themselves, in
+  the order they were submitted.  Checkpoint + log replay reproduces the
+  zone's state — and the reply to its last request — exactly, and it is
+  the one way a zone is ever rebuilt.  Losing a *worker*, at an epoch
+  boundary or with a request in flight, costs time only: its zones are
+  rebuilt at a live home, the round takes the rebuilt zones' last
+  replies in place of the lost ones, and the stream, handoffs, ownership
+  and query answers are those of a run in which nothing died — the loss
+  shows in the epoch's warnings alone.  :meth:`Coordinator.fail_zone` /
+  :meth:`Coordinator.recover_zone` script an *outage* around the same
+  rebuild: intervals closed at fail time, re-opened at recovery, so the
+  merged stream stays well-formed and no tag is left permanently
+  orphaned.
 
 Where a zone *runs* is not the coordinator's business: zone state lives
 behind worker handles (:mod:`repro.distributed.worker`) — one in-process
@@ -58,7 +62,7 @@ from repro.distributed.worker import (
     ZoneHost,
     restore_zone,
 )
-from repro.events.messages import EventKind, EventMessage, end_containment, end_location
+from repro.events.messages import EventMessage
 from repro.faults.warnings import IngestWarning, Quarantine, WarningKind
 from repro.model.locations import UNKNOWN_COLOR, LocationRegistry
 from repro.model.objects import TagId
@@ -110,7 +114,8 @@ class EpochResult:
 
 @dataclass
 class _ZoneCheckpoint:
-    """Last persisted state of one zone (in-memory; bytes are portable)."""
+    """Last persisted state of one zone (in-memory; bytes are portable)
+    and what the zone was asked to do since."""
 
     epoch: int | None  # None = pristine pre-stream state
     data: bytes
@@ -118,27 +123,11 @@ class _ZoneCheckpoint:
     #: serialize registries, so this is what re-seeds a rebuilt zone's
     #: counters (otherwise failover would silently zero them)
     metrics: dict | None = None
-
-
-@dataclass
-class _ZoneEpoch:
-    """One epoch of a zone's request log, in the order it was applied."""
-
-    readings: EpochReadings
-    release: Sequence[TagId] = ()  #: tags released before the readings
-    adopt: Sequence[HandoffRecord] = ()  #: records adopted before the readings
-
-    @property
-    def epoch(self) -> int:
-        return self.readings.epoch
-
-
-@dataclass
-class _OpenIntervals:
-    """Open intervals of one object in the *merged* output stream."""
-
-    location: tuple[int, int] | None = None              # (place, vs)
-    containments: dict[TagId, int] = field(default_factory=dict)  # container -> vs
+    #: the request log: every ``MSG_RELEASE`` / ``MSG_ADOPT`` / ``MSG_EPOCH``
+    #: request submitted for the zone since (zone index 0), a failed
+    #: zone's withheld readings included
+    log: list[tuple] = field(default_factory=list)
+    epochs_logged: int = 0  #: the ``MSG_EPOCH`` requests among them
 
 
 class Coordinator:
@@ -235,15 +224,6 @@ class Coordinator:
         self._checkpoint_interval = checkpoint_interval
         self._failed: set[str] = set()
         self._checkpoints: dict[str, _ZoneCheckpoint] = {}
-        self._replay: dict[str, list[_ZoneEpoch]] = {}
-        self._open: dict[TagId, _OpenIntervals] = {}
-        #: zones rebuilt at a new home while this epoch was in flight —
-        #: the rebuild replayed the epoch's readings, so the rest of the
-        #: epoch skips them
-        self._rehomed: set[str] = set()
-        #: rehoming messages produced outside process_epoch (a worker
-        #: lost during a query), prepended to the next epoch's output
-        self._deferred: list[EventMessage] = []
 
         # zones are placed round-robin over the pool in sorted-id order;
         # each worker receives its zones' pristine substrates and holds
@@ -264,7 +244,6 @@ class Coordinator:
                 self._checkpoints[zone_id] = _ZoneCheckpoint(
                     None, blob, self._zone_metrics_snapshot(zone_id)
                 )
-                self._replay[zone_id] = []
 
     # ------------------------------------------------------------------
     # worker plumbing
@@ -316,6 +295,26 @@ class Coordinator:
         lost.setdefault(worker, reason)
         return None
 
+    def _gather(self, workers: Iterable, at: int) -> tuple[list, dict]:
+        """One round's fan-in: the reply to each of ``workers``' oldest
+        request, in order (``None`` for a lost one), and — for the zones
+        of the workers lost on the way, rebuilt at a live home — the
+        reply to each zone's last logged request, by zone id.
+
+        Every worker is drained before any loss is acted on: acting
+        sooner would leave answered requests in the other workers'
+        queues (desyncing their FIFO), and a rehoming install must not
+        race a survivor's pending reply.
+        """
+        start = perf_counter()
+        lost: dict = {}
+        replies = [self._collect(worker, lost) for worker in workers]
+        self.stats.fanin_wait_s += perf_counter() - start
+        rebuilt: dict = {}
+        for worker in lost:
+            rebuilt.update(self._rehome_worker(worker, at))
+        return replies, rebuilt
+
     def _kill_warn(self, detail: str) -> None:
         """Quarantine-warning sink for a worker that would not die."""
         self.quarantine.warn(WarningKind.WORKER_ZOMBIE, self._last_epoch or 0, detail=detail)
@@ -357,7 +356,7 @@ class Coordinator:
     # ------------------------------------------------------------------
 
     def _split_by_zone(self, readings: EpochReadings) -> dict[str, EpochReadings]:
-        """Dedup, split by owning zone, quarantine the unroutable, log."""
+        """Dedup, split by owning zone, quarantine the unroutable."""
         now = readings.epoch
         clean = self._dedup.process(readings)
 
@@ -379,30 +378,21 @@ class Coordinator:
                 )
                 continue
             per_zone[zone_id].add(reader_id, tags)
-
-        # a failed zone's readings are logged too: its recovery replays them
-        if self.failover_enabled:
-            for zone_id, zone_readings in per_zone.items():
-                self._replay[zone_id].append(_ZoneEpoch(zone_readings))
         return per_zone
 
     def process_epoch(self, readings: EpochReadings) -> EpochResult:
         """Coordinate one epoch: fan out to workers, fan in in merge order."""
         now = readings.epoch
         warnings_before = len(self.quarantine.warnings)
-        self._rehomed = set()
-        result = EpochResult(epoch=now, messages=self._deferred)
-        self._deferred = []
+        result = EpochResult(epoch=now, messages=[])
 
-        # between-epoch death check: a worker found dead here has its
-        # zones rehomed *before* this epoch's readings are split, which
-        # reproduces a scripted fail_zone/recover_zone pair exactly
+        # between-epoch death check: whoever died since the last reply
         if self.supervisor is not None:
             self.supervisor.check_leases()
         boundary = self._last_epoch if self._last_epoch is not None else now
         for worker in list(self._workers):
             if not worker.alive:
-                self._rehome_worker(worker, result.messages, boundary)
+                self._rehome_worker(worker, boundary)
 
         self._last_epoch = now
         per_zone = self._split_by_zone(readings)
@@ -428,52 +418,50 @@ class Coordinator:
             self._apply_migrations(migrations, now, result.messages)
 
         # fan out: one request per worker carrying all of its live zones'
-        # shares.  A zone checkpoints itself after the epoch that fills
-        # its log to the interval.
+        # shares, each logged as the zone's own request.  A zone
+        # checkpoints itself after the epoch that fills its log to the
+        # interval; a failed zone's readings are withheld, and logged for
+        # its recovery.
         start = perf_counter()
         order = sorted(per_zone)
         checkpointing: set[str] = set()
         batches: dict[int, tuple] = {}
         for zone_id in order:
-            if zone_id in self._failed or zone_id in self._rehomed:
-                continue
+            live = zone_id not in self._failed
             flags = 0
-            if (
-                self.failover_enabled
-                and len(self._replay[zone_id]) >= self._checkpoint_interval  # type: ignore[operator]
-            ):
-                flags = wire.FLAG_CHECKPOINT
-                checkpointing.add(zone_id)
-            worker = self._worker_of_zone[zone_id]
-            batches.setdefault(worker.index, (worker, []))[1].append(
-                (self._zone_index[zone_id], flags, per_zone[zone_id])
-            )
+            if self.failover_enabled:
+                held = self._checkpoints[zone_id]
+                held.epochs_logged += 1
+                due = held.epochs_logged >= self._checkpoint_interval  # type: ignore[operator]
+                if live and due:
+                    flags = wire.FLAG_CHECKPOINT
+                    checkpointing.add(zone_id)
+                held.log.append((wire.MSG_EPOCH, [(0, flags, per_zone[zone_id])]))
+            if live:
+                worker = self._worker_of_zone[zone_id]
+                batches.setdefault(worker.index, (worker, []))[1].append(
+                    (self._zone_index[zone_id], flags, per_zone[zone_id])
+                )
         for worker, entries in batches.values():
             self._submit(worker, (wire.MSG_EPOCH, entries))
         self.stats.fanout_s += perf_counter() - start
 
-        # fan in: one reply per worker.  Every worker is drained before
-        # any loss is acted on — acting sooner would leave answered
-        # requests in the other workers' queues (desyncing their FIFO),
-        # and a rehoming install must not race a survivor's pending reply.
-        start = perf_counter()
+        # fan in: one reply per worker, one entry per zone in it
         replies: dict[int, tuple] = {}
-        lost: dict = {}
-        for worker, _entries in batches.values():
-            for zone_reply in self._collect(worker, lost) or ():
+        answered, rebuilt = self._gather([worker for worker, _ in batches.values()], now)
+        for reply in answered:
+            for zone_reply in reply or ():  # a lost worker's reply is None
                 replies[zone_reply[0]] = zone_reply
-        self.stats.fanin_wait_s += perf_counter() - start
-        if lost:
-            self._worker_lost(lost, now, result.messages)
+        for zone_id, (zone_reply,) in rebuilt.items():
+            replies[self._zone_index[zone_id]] = zone_reply
 
         # merge per zone in sorted-id order
         for zone_id in order:
-            if zone_id in self._failed or zone_id in self._rehomed:
+            if zone_id in self._failed:
                 continue
-            zone_reply = replies.get(self._zone_index[zone_id])
-            if zone_reply is None:  # its worker died after another zone's rehome
-                continue
-            _, messages, departed, busy_s, checkpoint_s, checkpoint, metrics = zone_reply
+            _, messages, departed, busy_s, checkpoint_s, checkpoint, metrics = replies[
+                self._zone_index[zone_id]
+            ]
             result.messages.extend(messages)
             for tag in departed:
                 self._owner.pop(tag, None)
@@ -487,15 +475,12 @@ class Coordinator:
                 self._checkpoints[zone_id] = _ZoneCheckpoint(
                     now, checkpoint, self._zone_metrics_snapshot(zone_id)
                 )
-                self._replay[zone_id] = []
                 self.stats.checkpoint_s += checkpoint_s
                 self.stats.checkpoints += 1
                 if self.metrics is not None:
                     self._m_checkpoints.inc()
                     self._m_checkpoint_seconds.observe(checkpoint_s)
 
-        if self.failover_enabled:
-            self._track_messages(result.messages)
         self.stats.epochs += 1
         if self.metrics is not None:
             self._m_epochs.inc()
@@ -524,119 +509,74 @@ class Coordinator:
         zone's structures, so per-zone order is the only order that
         matters.  The closing messages are re-assembled into global
         migration order before being emitted.
-
-        When an owner's worker is lost before its release reply lands,
-        the exported records are gone: the coordinator closes those tags'
-        intervals itself and hands the targets bare records — the same
-        degradation as a migration out of an already-crashed zone.  A
-        target rebuilt mid-epoch needs no adoption: its rebuild already
-        replayed the epoch.
         """
         release_plan: dict[str, list[int]] = {}  # owner zone -> migration indices
         for i, (_tag, owner, _target, needs_release) in enumerate(migrations):
             if needs_release:
                 release_plan.setdefault(owner, []).append(i)
-
         for owner, indices in release_plan.items():
-            tags = [migrations[i][0] for i in indices]
-            if self.failover_enabled:
-                self._replay[owner][-1].release = tags
-            self._submit(
-                self._worker_of_zone[owner],
-                (wire.MSG_RELEASE, self._zone_index[owner], now, tags),
-            )
+            self._submit_logged(owner, wire.MSG_RELEASE, now, [migrations[i][0] for i in indices])
+        released, rebuilt = self._gather([self._worker_of_zone[z] for z in release_plan], now)
 
         closings: dict[int, list[EventMessage]] = {}
         records: dict[int, HandoffRecord] = {}
-        gone: list[int] = []  # release indices whose replies were lost
-        lost: dict = {}
-        start = perf_counter()
-        for owner, indices in release_plan.items():
-            releases = self._collect(self._worker_of_zone[owner], lost)
-            if releases is None:
-                # act on the loss only once every owner is drained: a
-                # rebuilt zone's install must not race a survivor's
-                # still-pending release reply
-                gone.extend(indices)
-                continue
-            for i, (record, closing) in zip(indices, releases):
+        for (owner, indices), releases in zip(release_plan.items(), released):
+            for i, (record, closing) in zip(indices, rebuilt.get(owner, releases)):
                 records[i] = record
                 closings[i] = closing
-        self.stats.fanin_wait_s += perf_counter() - start
-
-        if lost:
-            # flush what we already hold so the failover sees (and
-            # closes) only intervals that are genuinely still open
-            for i in sorted(closings):
-                out_messages.extend(closings[i])
-            closings.clear()
-            # close the lost tags' intervals *before* the failover: a
-            # rebuilt target replays this epoch and re-opens them, and
-            # the stream must close the old interval first
-            for i in gone:
-                closure = self._closures(migrations[i][0], now)
-                self._track_messages(closure)
-                out_messages.extend(closure)
-                records[i] = {"tag": migrations[i][0]}
-            self._worker_lost(lost, now, out_messages)
 
         adopt_plan: dict[str, list[HandoffRecord]] = {}  # target zone -> records in order
         for i, (tag, _owner, target, needs_release) in enumerate(migrations):
             out_messages.extend(closings.get(i, ()))
-            if target in self._rehomed:
-                continue  # the rebuilt target replayed this epoch already
             adopt_plan.setdefault(target, []).append(
                 records[i] if needs_release else {"tag": tag}
             )
-
         for target, target_records in adopt_plan.items():
-            if self.failover_enabled:
-                self._replay[target][-1].adopt = target_records
-            self._submit(
-                self._worker_of_zone[target],
-                (wire.MSG_ADOPT, self._zone_index[target], now, target_records),
-            )
-        lost = {}
-        start = perf_counter()
-        for target in adopt_plan:
-            self._collect(self._worker_of_zone[target], lost)
-        self.stats.fanin_wait_s += perf_counter() - start
-        if lost:  # after the drain, for the same reason
-            self._worker_lost(lost, now, out_messages)
+            self._submit_logged(target, wire.MSG_ADOPT, now, target_records)
+        self._gather([self._worker_of_zone[z] for z in adopt_plan], now)
+
+    def _submit_logged(self, zone_id: str, msg_type: int, now: int, payload: list) -> None:
+        """Log, then queue, a release or adopt request for ``zone_id``."""
+        if self.failover_enabled:
+            self._checkpoints[zone_id].log.append((msg_type, 0, now, payload))
+        self._submit(
+            self._worker_of_zone[zone_id], (msg_type, self._zone_index[zone_id], now, payload)
+        )
 
     # ------------------------------------------------------------------
-    # losing a worker
+    # rebuilding a zone; losing a worker
     # ------------------------------------------------------------------
 
-    def _worker_lost(self, lost: dict, now: int, out_messages: list[EventMessage]) -> None:
-        """Workers were lost with requests in flight: rebuild their zones
-        at a live home and carry on.
+    def _replay_zone(self, zone_id: str) -> tuple[Spire, object]:
+        """The zone's substrate rebuilt from its checkpoint + request log
+        — the state a live zone holds — with the reply to the last logged
+        request (``None`` when the log is empty).  Earlier replies were
+        merged when they arrived."""
+        held = self._checkpoints[zone_id]
+        spire = restore_zone(held.data, zone_id, self.metrics is not None, held.metrics)
+        host = ZoneHost()
+        host.handle_request((wire.MSG_INSTALL, 0, zone_id, spire, None))
+        reply = None
+        for request in held.log:
+            reply = host.handle_request(request)
+        return spire, reply
 
-        The interval tracker is synced with everything emitted so far, so
-        the failover closes exactly the intervals that are really open.
-        The rebuilds replay the current epoch's readings too, so the
-        epoch loop skips those zones from here on.
-        """
-        self._track_messages(out_messages)
-        for worker in lost:
-            self._rehomed.update(self._rehome_worker(worker, out_messages, now))
+    def _rehome_worker(self, worker, at: int) -> dict[str, object]:
+        """Give a dead worker's zones a live home, in the state they held.
 
-    def _rehome_worker(self, worker, spliced: list[EventMessage], at: int) -> list[str]:
-        """Fail a dead worker's zones over to a live home.
-
-        Runs the failover pair per zone — ``fail_zone`` (close open
-        intervals) then ``recover_zone`` (rebuild from checkpoint +
-        replay, install at the home :meth:`_ensure_home` picks) —
-        appending the closing and re-opening messages to ``spliced`` in
-        zone-sorted order: exactly what a scripted ``fail_zone`` /
-        ``recover_zone`` at the same epoch emits, which keeps a
-        between-epoch death byte-identical to the scripted run.  Returns
-        the zones the worker hosted.  Without checkpoints there is
-        nothing to rebuild from; naming the worker is all we can offer.
+        The home is the worker's ``respawn()`` — a fresh process in the
+        same slot — or, a worker not ours to resurrect, the least-loaded
+        survivor per zone.  Every hosted zone that is not failed (those
+        wait for :meth:`recover_zone`) is rebuilt from its checkpoint +
+        request log and installed there.  Returns, by zone id, the reply
+        to each rebuilt zone's last logged request: whatever round was in
+        flight takes it in place of the reply that was lost.  Without
+        checkpoints there is nothing to rebuild from; naming the worker
+        is all we can offer.
         """
         hosted = sorted(z for z, w in self._worker_of_zone.items() if w is worker)
         if not hosted:
-            return hosted  # already handled (idempotence under repeated signals)
+            return {}  # already handled (idempotence under repeated signals)
         if not self.failover_enabled:
             raise wire.WireError(f"worker {worker.name} lost: {worker.death_reason}")
         self.quarantine.warn(
@@ -648,28 +588,29 @@ class Coordinator:
             ),
         )
         worker.kill(self._kill_warn)  # let go of its pipe or socket
-        to_recover = [zone_id for zone_id in hosted if zone_id not in self._failed]
-        for zone_id in to_recover:
-            spliced.extend(self.fail_zone(zone_id, at))
+        replacement = worker.respawn()
+        if replacement is not None:
+            replacement.stats = self.stats
+            self._workers[self._workers.index(worker)] = replacement
+        replies = {}
         for zone_id in hosted:
-            # also the zones the user had failed already: they just need a
-            # live home for whenever recover_zone is eventually called
-            self._ensure_home(zone_id)
-        for zone_id in to_recover:
-            checkpoint_epoch = self._checkpoints[zone_id].epoch
-            spliced.extend(self.recover_zone(zone_id, at))
+            home = replacement if replacement is not None else self._pick_home()
+            self._worker_of_zone[zone_id] = home
+            if zone_id in self._failed:
+                continue
+            spire, replies[zone_id] = self._replay_zone(zone_id)
+            self._install(zone_id, spire)
             self.quarantine.warn(
                 WarningKind.ZONE_REHOMED,
                 at,
                 detail=(
-                    f"zone {zone_id!r} rebuilt on worker "
-                    f"{self._worker_of_zone[zone_id].name} from "
-                    f"checkpoint at epoch {checkpoint_epoch}"
+                    f"zone {zone_id!r} rebuilt on worker {home.name} from "
+                    f"checkpoint at epoch {self._checkpoints[zone_id].epoch}"
                 ),
             )
         if self.supervisor is not None:
             self.supervisor._sync_gauges()
-        return hosted
+        return replies
 
     def _pick_home(self):
         """The least-loaded live worker (ties to the lowest index)."""
@@ -682,30 +623,8 @@ class Coordinator:
                 load[owner.index] += 1
         return min(survivors, key=lambda worker: (load[worker.index], worker.index))
 
-    def _ensure_home(self, zone_id: str) -> None:
-        """Give a zone whose worker died a live one.
-
-        A worker we can respawn comes back in the same slot, and the
-        surviving (non-failed) zones it hosted are restored to exactly
-        the state they held (checkpoint + request-log replay).  Otherwise
-        the zone moves in with the least-loaded survivor.
-        """
-        worker = self._worker_of_zone[zone_id]
-        if worker.alive:
-            return
-        replacement = worker.respawn()
-        if replacement is None:
-            self._worker_of_zone[zone_id] = self._pick_home()
-            return
-        replacement.stats = self.stats
-        self._workers[self._workers.index(worker)] = replacement
-        for hosted_zone in sorted(z for z, w in self._worker_of_zone.items() if w is worker):
-            self._worker_of_zone[hosted_zone] = replacement
-            if hosted_zone not in self._failed:  # those wait for recover_zone
-                self._install(hosted_zone, self._replay_zone(hosted_zone, exact=True)[0])
-
     # ------------------------------------------------------------------
-    # failover
+    # scripted outages
     # ------------------------------------------------------------------
 
     def fail_zone(
@@ -716,14 +635,16 @@ class Coordinator:
         The zone's resident substrate is considered lost.  To keep the
         merged stream well-formed, every open interval of an object the
         zone owns is closed at epoch ``at`` (default: the last processed
-        epoch); append the returned messages to the merged stream.  Until
-        :meth:`recover_zone`, the zone's readings are logged and objects
-        it owned are re-adopted by any zone that observes them.
+        epoch) — as the zone's own compressor, rebuilt from checkpoint +
+        log, reports them; append the returned messages to the merged
+        stream.  Until :meth:`recover_zone`, the zone's readings are
+        logged and objects it owned are re-adopted by any zone that
+        observes them.
 
-        ``kill_worker=True`` additionally crashes the zone's worker, so
-        every zone it hosts loses its resident state.  A worker process
-        of ours is respawned at once and its other zones restored exactly,
-        at any epoch; ``zone_id`` stays down until :meth:`recover_zone`.
+        ``kill_worker=True`` additionally crashes the zone's worker: a
+        worker lost like any other, so the other zones it hosts are
+        rebuilt exactly at a live home; ``zone_id`` stays down until
+        :meth:`recover_zone`.
         """
         self._require_failover()
         if zone_id not in self.zones:
@@ -731,46 +652,46 @@ class Coordinator:
         if zone_id in self._failed:
             raise ValueError(f"zone {zone_id!r} is already failed")
         now = self._resolve_epoch(at)
+        compressor = self._replay_zone(zone_id)[0].compressor
+        closures: list[EventMessage] = []
+        for tag in sorted(t for t, z in self._owner.items() if z == zone_id):
+            closures.extend(compressor.depart(tag, now))
         self._failed.add(zone_id)
         if self.metrics is not None:
             self._m_failed.set(len(self._failed))
-        closures: list[EventMessage] = []
-        for tag in sorted(t for t, z in self._owner.items() if z == zone_id):
-            closures.extend(self._closures(tag, now))
-        self._track_messages(closures)
         self.quarantine.warn(
             WarningKind.ZONE_FAILED,
             now,
             detail=f"zone {zone_id!r} failed; {len(closures)} open interval(s) closed",
         )
         if kill_worker:
-            self._worker_of_zone[zone_id].kill(warn=self._kill_warn)
-            self._ensure_home(zone_id)
+            worker = self._worker_of_zone[zone_id]
+            worker.kill(warn=self._kill_warn)
+            if not worker.alive:  # a dropped connection is not a death
+                self._rehome_worker(worker, now)
         return closures
 
     def recover_zone(self, zone_id: str, at: int | None = None) -> list[EventMessage]:
         """Restore a failed zone from its last checkpoint and replay.
 
         The zone's substrate is rebuilt from the last checkpoint and its
-        request log since (including the readings logged during the
-        outage), installed at a live worker, and fresh interval-opening
-        messages are emitted at epoch ``at`` (default: the last processed
-        epoch) for every object the zone still owns.  Objects that
-        migrated to other zones during the outage are released quietly —
-        re-adoption already happened at observation time — so no tag
-        stays orphaned.  Returns the messages to append to the merged
-        stream.
+        request log since (the migrations before the failure and the
+        readings withheld during the outage alike), installed at a live
+        worker, and fresh interval-opening messages are emitted at epoch
+        ``at`` (default: the last processed epoch) for every object the
+        zone still owns.  Objects that migrated to other zones during the
+        outage are released quietly — re-adoption already happened at
+        observation time — so no tag stays orphaned.  Returns the
+        messages to append to the merged stream.
         """
         self._require_failover()
         if zone_id not in self._failed:
             raise ValueError(f"zone {zone_id!r} is not failed")
         now = self._resolve_epoch(at)
-        self._ensure_home(zone_id)
+        if not self._worker_of_zone[zone_id].alive:
+            self._rehome_worker(self._worker_of_zone[zone_id], now)
         checkpoint_epoch = self._checkpoints[zone_id].epoch
-        spire, departed = self._replay_zone(zone_id, exact=False)
-        for tag in departed:
-            if self._owner.get(tag) == zone_id:
-                self._owner.pop(tag)
+        spire, _reply = self._replay_zone(zone_id)
 
         # the compressor's notion of "last reported state" died with the
         # zone (the coordinator closed everything at fail time): start a
@@ -789,7 +710,8 @@ class Coordinator:
                 spire.compressor.observe(tag, estimate.location, estimate.container, now)
             )
         # owner entries pointing at objects the replayed zone no longer
-        # tracks would be permanent orphans — drop them
+        # tracks (they departed during the replay) would be permanent
+        # orphans — drop them
         for tag in [t for t, z in self._owner.items() if z == zone_id]:
             if tag not in spire.estimates:
                 self._owner.pop(tag)
@@ -799,12 +721,10 @@ class Coordinator:
         self._checkpoints[zone_id] = _ZoneCheckpoint(
             now, blob, spire.metrics.snapshot() if spire.metrics is not None else None
         )
-        self._replay[zone_id] = []
         self._failed.discard(zone_id)
         if self.metrics is not None:
             self._m_checkpoints.inc()
             self._m_failed.set(len(self._failed))
-        self._track_messages(messages)
         self.quarantine.warn(
             WarningKind.ZONE_RECOVERED,
             now,
@@ -813,47 +733,6 @@ class Coordinator:
                 f"{checkpoint_epoch}; {len(messages)} interval(s) re-opened"
             ),
         )
-        return messages
-
-    def _replay_zone(self, zone_id: str, exact: bool) -> tuple[Spire, list[TagId]]:
-        """The zone's substrate rebuilt from its checkpoint + request log.
-
-        ``exact`` replays every logged request and reproduces the state a
-        live zone held.  A *failed* zone's recovery replays the readings
-        only (:meth:`recover_zone` releases what migrated away), which
-        keeps a scripted failover's stream the one it has always been.
-        Returns the substrate with the tags that departed during the
-        replay; the replayed requests' messages were emitted already or
-        are superseded by a recovery's fresh opens, so they are dropped.
-        """
-        checkpoint = self._checkpoints[zone_id]
-        host = ZoneHost()
-        spire = restore_zone(
-            checkpoint.data, zone_id, self.metrics is not None, checkpoint.metrics
-        )
-        host.handle_request((wire.MSG_INSTALL, 0, zone_id, spire, None))
-        departed: list[TagId] = []
-        for logged in self._replay[zone_id]:
-            if exact and logged.release:
-                host.handle_request((wire.MSG_RELEASE, 0, logged.epoch, logged.release))
-            if exact and logged.adopt:
-                host.handle_request((wire.MSG_ADOPT, 0, logged.epoch, logged.adopt))
-            (reply,) = host.handle_request((wire.MSG_EPOCH, [(0, 0, logged.readings)]))
-            departed.extend(reply[2])
-        return spire, departed
-
-    def _closures(self, tag: TagId, now: int) -> list[EventMessage]:
-        """Messages closing ``tag``'s open intervals in the merged stream."""
-        state = self._open.get(tag)
-        if state is None:
-            return []
-        messages = [
-            end_containment(tag, container, state.containments[container], now)
-            for container in sorted(state.containments)
-        ]
-        if state.location is not None:
-            place, vs = state.location
-            messages.append(end_location(tag, place, vs, now))
         return messages
 
     def _require_failover(self) -> None:
@@ -878,21 +757,6 @@ class Coordinator:
         is the only zone state visible coordinator-side.
         """
         return {zone_id: ckpt.data for zone_id, ckpt in self._checkpoints.items()}
-
-    def _track_messages(self, messages: Iterable[EventMessage]) -> None:
-        """Mirror the merged stream's open intervals (for crash closures)."""
-        for msg in messages:
-            state = self._open.setdefault(msg.obj, _OpenIntervals())
-            if msg.kind is EventKind.START_LOCATION:
-                state.location = (msg.place, msg.vs)  # type: ignore[assignment]
-            elif msg.kind is EventKind.END_LOCATION:
-                state.location = None
-            elif msg.kind is EventKind.START_CONTAINMENT:
-                state.containments[msg.container] = msg.vs  # type: ignore[index]
-            elif msg.kind is EventKind.END_CONTAINMENT:
-                state.containments.pop(msg.container, None)  # type: ignore[arg-type]
-            if state.location is None and not state.containments:
-                self._open.pop(msg.obj, None)
 
     # ------------------------------------------------------------------
     # telemetry
@@ -935,7 +799,7 @@ class Coordinator:
             value = self._collect(worker, lost)
             if not lost:
                 return value
-            self._worker_lost(lost, self._last_epoch or 0, self._deferred)
+            self._rehome_worker(worker, self._last_epoch or 0)
         raise RemoteError(f"query against zone {owner!r} kept losing workers")
 
     def location_of(self, tag: TagId) -> int:

@@ -13,10 +13,11 @@ preserve per-worker FIFO order and the reader/tag insertion order inside
 epoch frames, so each worker's deduplication sees what a local one would.
 
 A worker that errors, or whose process dies, is respawned in its slot
-and the zones it hosted are failed over there (``fail_zone`` +
-``recover_zone``, DESIGN.md §9): the closing and re-opening messages and
-the ``worker_lost`` / ``zone_rehomed`` warnings land in the epoch's own
-result and the run carries on — there is no exception to catch.
+and the zones it hosted are rebuilt there from checkpoint + request log
+(DESIGN.md §9).  That costs time only: the stream, handoffs, ownership
+and query answers stay those of a run in which nothing died, the
+``worker_lost`` / ``zone_rehomed`` warnings in the epoch's result are
+the one trace, and there is no exception to catch.
 """
 
 from __future__ import annotations

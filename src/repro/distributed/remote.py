@@ -26,24 +26,20 @@ the paper's follow-up work describes).  Three pieces:
   loop is the one every pool runs; what this pool brings is survival:
   lease/heartbeat checks at every epoch boundary, bounded retries
   under backoff for every request.  A worker declared dead is lost the
-  way every pool loses one (DESIGN.md §9): its zones are failed over
-  with the checkpoint + replay machinery (``fail_zone`` /
-  ``recover_zone``) — here onto the survivors, a daemon not being ours
-  to restart — and the rebuilt substrate is shipped to its new home via
-  the flat-array checkpoint codec.  The run degrades to fewer workers
+  way every pool loses one (DESIGN.md §9): its zones are rebuilt from
+  checkpoint + request log — here onto the survivors, a daemon not
+  being ours to restart — and shipped to their new home via the
+  flat-array checkpoint codec.  The run degrades to fewer workers
   instead of aborting; only losing *every* worker raises
   :class:`~repro.distributed.supervisor.RemoteError`.
 
-Determinism contract: with live workers (including any amount of
-transport-level delay/drop/duplication absorbed by retries) the merged
-event stream is byte-identical to the in-process coordinator's.  A worker
-death *between* epochs rehomes its zones exactly like a scripted
-``fail_zone`` + ``recover_zone`` pair, so it too reproduces the scripted
-in-process stream.  A death *mid-epoch* (retries exhausted while requests were in
-flight) keeps the stream well-formed — intervals are closed before the
-rebuilt zones re-open them — but the torn epoch's zone output is
-replaced by the rebuild, which is the same degradation a scripted
-failover exhibits.
+Determinism contract: the merged event stream is byte-identical to the
+in-process coordinator's — with live workers, under any amount of
+transport-level delay/drop/duplication absorbed by retries, and when a
+worker dies, whether that is found *between* epochs (the EOF probe, a
+missed lease) or *mid-epoch* (retries exhausted while requests were in
+flight): the requests in flight were logged before they were sent, so
+the rebuilt zones have applied them and the round takes their replies.
 """
 
 from __future__ import annotations
@@ -240,7 +236,7 @@ class WorkerDaemon:
 
         The coordinator's next probe or request finds the connection
         closed and the port refusing, declares the worker dead, and
-        rehomes its zones — the scenario the failover tests script.
+        rebuilds its zones on the survivors.
         """
         self._host.spires.clear()
         self._cache.clear()

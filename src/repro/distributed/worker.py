@@ -21,14 +21,19 @@ and replies are the plain tuples of :meth:`ZoneHost.handle_request`:
   reply.  The far side unpacks, calls ``handle_request``, packs.
 
 Beyond submit/collect a handle provides ``alive`` (checked at every
-epoch boundary: a worker that is not is lost, and its zones fail over),
-``death_reason`` (why, once it is not), ``host`` (the resident
-:class:`ZoneHost` when the worker is this process, else ``None``),
-``kill(warn)`` (crash it, or let go of what is left of it),
+epoch boundary: a worker that is not is lost, and its zones are rebuilt
+at a live home), ``death_reason`` (why, once it is not), ``host`` (the
+resident :class:`ZoneHost` when the worker is this process, else
+``None``), ``kill(warn)`` (crash it, or let go of what is left of it),
 ``abandon(reason, warn)`` (the coordinator gives the worker up) and
 ``respawn()`` (a fresh worker for the same slot — where a lost worker's
 zones are rebuilt — or ``None`` when the worker is not ours to
-resurrect, and they move in with the survivors).
+resurrect, and they move in with the survivors).  A handle may lose a
+request or its reply only together with the worker: the coordinator
+logs every state-changing request before submitting it and replays the
+log through a :class:`ZoneHost` of its own when the worker is gone, so
+``handle_request`` must stay a function of the resident state and the
+request alone.
 """
 
 from __future__ import annotations

@@ -3,17 +3,14 @@
 The acceptance bar for :class:`~repro.distributed.remote.RemoteCoordinator`
 is the same one the in-host scaling sweep enforces — **byte-identical
 merged output** — extended across transport faults and worker loss:
-
-* transient network faults (delay/duplication absorbed by the retry
-  layer) must leave the stream untouched;
-* a worker crash between epochs must reproduce exactly the stream a
-  scripted serial ``fail_zone`` / ``recover_zone`` pair emits at the
-  same boundary.
+neither transient network faults (delay/duplication absorbed by the
+retry layer) nor a worker crash (its zones rebuilt from checkpoint +
+request log on the survivors) may change a byte of the stream.
 
 :func:`run_remote` runs the Table III workload through a remote pool
 (optionally behind :class:`~repro.faults.network.NetFaultProxy` shims,
-optionally crashing scripted workers mid-run), replays any crashes as
-scripted failovers against the serial :class:`Coordinator`, and compares
+optionally crashing scripted workers mid-run) and through the plain
+serial :class:`Coordinator`, in which nothing fails, and compares
 SHA-256 digests.  ``repro-spire bench --remote-workers N`` records the
 result under the ``remote`` key of ``BENCH_table3.json``; the CI
 ``remote-smoke`` job gates on ``streams_identical``.
@@ -45,8 +42,9 @@ from repro.simulator.warehouse import WarehouseSimulator
 __all__ = ["RemoteHarness", "run_remote", "CRASH_SETTLE_S"]
 
 #: grace after a scripted daemon crash, letting the FIN reach the
-#: coordinator so the next epoch's EOF probe sees a *boundary* death
-#: (the deterministic failover path) rather than a mid-epoch one
+#: coordinator so the next epoch's EOF probe finds the death at once
+#: instead of the epoch round's exhausted retries — the stream is the
+#: same either way; the probe is just the faster way to find out
 CRASH_SETTLE_S = 0.25
 
 
@@ -92,22 +90,10 @@ class RemoteHarness:
             self._stop_transport()
             raise
 
-    def crash_worker(self, index: int) -> list[str]:
-        """Hard-crash one daemon; returns the zones it hosted.
-
-        The hosted-zone list is captured *before* the crash so a serial
-        reference run can script the equivalent ``fail_zone`` /
-        ``recover_zone`` pair for each.
-        """
-        handle = self.coordinator.supervisor.workers[index]
-        hosted = sorted(
-            zone_id
-            for zone_id, worker in self.coordinator._worker_of_zone.items()
-            if worker is handle
-        )
+    def crash_worker(self, index: int) -> None:
+        """Hard-crash one daemon."""
         self.daemons[index].crash()
         time.sleep(CRASH_SETTLE_S)
-        return hosted
 
     def _stop_transport(self) -> None:
         for proxy in self.proxies:
@@ -150,10 +136,9 @@ def run_remote(
 
     ``schedule`` may mix :mod:`repro.faults.network` transport specs
     (applied by per-worker proxies) and :class:`WorkerCrash` entries
-    (applied by crashing the named daemon just before the given epoch —
-    which must be at least 1, so a prior boundary exists to fail over
-    at).  Stream-level fault specs are rejected: this sweep measures the
-    transport, not ingestion.
+    (applied by crashing the named daemon just before the given epoch,
+    which must be at least 1).  Stream-level fault specs are rejected:
+    this sweep measures the transport, not ingestion.
     """
     stream_specs, net_specs, crashes = split_net_schedule(schedule)
     if stream_specs:
@@ -170,8 +155,7 @@ def run_remote(
     config = table3_config(cases_per_pallet, duration_for(milestones, cases_per_pallet), seed)
     sim = WarehouseSimulator(config).run()
 
-    # --- the remote run (recording what each crash took down) ----------
-    scripted: list[tuple[int, list[str]]] = []
+    # --- the remote run -------------------------------------------------
     digest = hashlib.sha256()
     pending = sorted(milestones)
     rows: list[dict] = []
@@ -190,8 +174,7 @@ def run_remote(
         started = time.perf_counter()
         for readings in sim.stream:
             if readings.epoch in crash_at:
-                hosted = harness.crash_worker(crash_at[readings.epoch])
-                scripted.append((readings.epoch, hosted))
+                harness.crash_worker(crash_at[readings.epoch])
             t0 = time.perf_counter()
             result = coordinator.process_epoch(readings)
             win_wall += time.perf_counter() - t0
@@ -220,22 +203,12 @@ def run_remote(
             "fanin_wait_s": coordinator.stats.fanin_wait_s,
         }
 
-    # --- the serial reference, with each crash replayed as a scripted
-    # --- failover at the same boundary ---------------------------------
-    actions = {epoch: hosted for epoch, hosted in scripted}
-    serial = Coordinator(_zones(sim), checkpoint_interval=checkpoint_interval)
+    # --- the serial reference: the same trace, no failover at all ------
+    serial = Coordinator(_zones(sim))
     serial_digest = hashlib.sha256()
     serial_messages = 0
     started = time.perf_counter()
     for readings in sim.stream:
-        if readings.epoch in actions:
-            spliced = []
-            for zone_id in actions[readings.epoch]:
-                spliced.extend(serial.fail_zone(zone_id, at=readings.epoch - 1))
-            for zone_id in actions[readings.epoch]:
-                spliced.extend(serial.recover_zone(zone_id, at=readings.epoch - 1))
-            serial_messages += len(spliced)
-            serial_digest.update(encode_stream(spliced))
         result = serial.process_epoch(readings)
         serial_messages += len(result.messages)
         serial_digest.update(encode_stream(result.messages))

@@ -399,6 +399,42 @@ class TestChaos:
         out = capsys.readouterr().out
         assert "DropBatches" in out and "DuplicateBatches" in out
 
+    def test_chaos_pipe_pool_applies_a_scripted_worker_crash(self, tmp_path, capsys):
+        """``worker_crash`` with ``--workers N`` kills the worker process;
+        losing a worker does not show in the stream, so the faulted
+        F-measure is that of the same schedule without the crash."""
+        faulted = {}
+        for name, crash in (("crash", [{"kind": "worker_crash", "worker": 0, "at_epoch": 150}]),
+                            ("quiet", [])):
+            schedule = tmp_path / f"{name}.json"
+            schedule.write_text(json.dumps([{"kind": "drop_batches", "rate": 0.05}, *crash]))
+            rc = main(["chaos", *SIM_ARGS, "--schedule", str(schedule), "--workers", "2"])
+            assert rc == 0
+            out = capsys.readouterr().out
+            faulted[name] = next(line for line in out.splitlines() if "under faults" in line)
+            assert ("WorkerCrash(worker=0, at_epoch=150)" in out) == bool(crash)
+            assert ("'worker_lost': 1" in out) == bool(crash)
+        assert faulted["crash"] == faulted["quiet"]
+
+    @pytest.mark.parametrize(
+        "spec,pool",
+        [
+            ({"kind": "worker_crash", "worker": 0, "at_epoch": 150}, []),
+            ({"kind": "worker_crash", "worker": 2, "at_epoch": 150}, ["--workers", "2"]),
+            ({"kind": "net_dup", "rate": 0.05}, ["--workers", "2"]),
+            ({"kind": "net_delay", "rate": 0.1, "seconds": 0.005}, []),
+        ],
+    )
+    def test_chaos_rejects_a_spec_no_engine_of_the_run_can_apply(
+        self, spec, pool, tmp_path, capsys
+    ):
+        schedule = tmp_path / "faults.json"
+        schedule.write_text(json.dumps([{"kind": "drop_batches", "rate": 0.05}, spec]))
+        assert main(["chaos", *SIM_ARGS, "--schedule", str(schedule), *pool]) == 2
+        err = capsys.readouterr().err
+        assert "cannot apply" in err
+        assert ("WorkerCrash(" if spec["kind"] == "worker_crash" else "Net") in err
+
     def test_chaos_max_degradation_gate(self, capsys):
         # a negative bound no run can satisfy forces the failure path
         rc = main(["chaos", *SIM_ARGS, "--max-degradation", "-101"])

@@ -9,13 +9,14 @@ the counter exposition — with the in-process run of the same schedule,
 and checks the stream well-formed.  A new transport inherits the whole
 contract by adding one entry to ``KINDS``.
 
-Losing a worker is part of the contract too.  In the ``worker-death``
-schedule worker 0 *really* dies at an epoch boundary and the in-process
-reference is the scripted ``fail_zone`` / ``recover_zone`` of the zones
-it hosted; only what names the death itself is left out of the
-comparison.  A death with requests in flight promises less — a
-well-formed stream and a run that completes — and is checked below the
-matrix for both out-of-process kinds.
+Losing a worker is part of the contract too, and the contract is that
+it does not show: in the ``worker-death`` schedule worker 0 *really* dies
+at an epoch boundary and the in-process reference is the run in which
+nothing happened; only the warnings that name the death itself are left
+out of the comparison.  Below the matrix the same is checked for a death
+with an epoch, release or adopt request in flight and for one found by a
+point query, in both out-of-process kinds, and for a kill before each of
+24 epochs of the pipe pool.
 """
 
 from __future__ import annotations
@@ -52,10 +53,13 @@ class Schedule:
     seed: int
     chaos_seed: int | None = None
     interval: int | None = 10
-    #: epoch index -> (method name, keyword arguments) run before that epoch
+    #: (epoch index, method name, keyword argument items) run before that epoch
     actions: tuple = ()
-    #: epoch index before which worker 0 dies for real (scripted in process)
+    #: epoch index before which worker 0 dies for real (in process: nothing)
     death: int | None = None
+    #: epoch index before which the point queries are also asked — after
+    #: ``death`` at the same index, so that it is a query that finds it
+    queries_at: int | None = None
 
 
 SCHEDULES = {
@@ -63,13 +67,13 @@ SCHEDULES = {
     "chaos": Schedule(seed=13, chaos_seed=99),
     "failover": Schedule(
         seed=23,
-        actions=((60, "fail_zone", {}), (100, "recover_zone", {})),
+        actions=((60, "fail_zone", ()), (100, "recover_zone", ())),
     ),
     # index 112 is two epochs past a checkpoint: the killed worker's other
     # zone has releases and adoptions in its request log
     "worker-kill": Schedule(
         seed=23,
-        actions=((112, "fail_zone", {"kill_worker": True}), (130, "recover_zone", {})),
+        actions=((112, "fail_zone", (("kill_worker", True),)), (130, "recover_zone", ())),
     ),
     "no-failover": Schedule(seed=3, interval=None),
     "worker-death": Schedule(seed=7, death=60),
@@ -78,10 +82,11 @@ SCHEDULES = {
 #: what worker 0 of a two-worker pool hosts (round-robin over sorted ids)
 HOSTED_BY_WORKER_0 = ["inbound", "shelf-a"]
 #: the warnings (and their counter series) that name a worker's death —
-#: the one thing a scripted failover cannot show
+#: the one trace it leaves
 DEATH_KINDS = {WarningKind.WORKER_LOST, WarningKind.ZONE_REHOMED}
-#: settle after a daemon crash: lets the FIN reach the coordinator so the
-#: next epoch's EOF probe sees a boundary death
+#: settle after a daemon crash: lets the FIN reach the coordinator, so the
+#: next epoch's EOF probe finds the death at the boundary instead of the
+#: epoch round's exhausted retries — the same outcome, sooner
 SETTLE_S = 0.3
 
 
@@ -93,6 +98,8 @@ class Observed:
     owners: tuple
     answers: tuple
     counters: str
+    deaths: tuple  #: the ``DEATH_KINDS`` warnings, left out of ``warnings``
+    live_workers: int
 
 
 def _counter_text(coordinator) -> str:
@@ -113,17 +120,11 @@ def _counter_text(coordinator) -> str:
     return render_prometheus(snapshot)
 
 
-def _kill_worker_0(kind: str, coordinator, at: int) -> list:
-    """Worker 0 dies between epochs: for real out of process (the next
-    ``process_epoch`` finds out), in process as the scripted failover of
-    the zones it would have hosted.  Returns what the caller must splice."""
+def _kill_worker_0(kind: str, coordinator) -> None:
+    """Worker 0 dies between requests, for real: whatever the coordinator
+    does next finds out.  In process there is no worker to lose."""
     if kind == "in-process":
-        return [
-            message
-            for step in (coordinator.fail_zone, coordinator.recover_zone)
-            for zone_id in HOSTED_BY_WORKER_0
-            for message in step(zone_id, at=at)
-        ]
+        return
     worker = coordinator._workers[0]
     assert HOSTED_BY_WORKER_0 == sorted(
         z for z, w in coordinator._worker_of_zone.items() if w is worker
@@ -134,16 +135,26 @@ def _kill_worker_0(kind: str, coordinator, at: int) -> list:
     else:
         coordinator._daemons[0].crash()
         time.sleep(SETTLE_S)
-    return []
 
 
-def _observe(kind: str, schedule: Schedule) -> Observed:
+def _answers(coordinator) -> tuple:
+    return tuple(
+        (coordinator.location_of(tag), coordinator.container_of(tag))
+        for tag in sorted(coordinator._owner, key=str)[:25]
+    )
+
+
+def _observe(kind: str, schedule: Schedule, built=None) -> Observed:
+    """Drive one coordinator over the schedule (``built``, when given, is
+    handed the coordinator first) and record what a caller can see."""
     sim, epochs = _epochs(_config(schedule.seed), schedule.chaos_seed)
-    actions = {index: (name, kwargs) for index, name, kwargs in schedule.actions}
+    actions = {index: (name, dict(kwargs)) for index, name, kwargs in schedule.actions}
     coordinator = KINDS[kind](
         _zones(sim), checkpoint_interval=schedule.interval, metrics=MetricRegistry()
     )
-    messages, handoffs, warnings = [], [], []
+    if built is not None:
+        built(coordinator)
+    messages, handoffs, warnings, answers = [], [], [], ()
     with coordinator:
         for i, readings in enumerate(epochs):
             recorded = len(coordinator.quarantine.warnings)
@@ -151,7 +162,9 @@ def _observe(kind: str, schedule: Schedule) -> Observed:
                 name, kwargs = actions[i]
                 messages.extend(getattr(coordinator, name)("shelf-a", **kwargs))
             if i == schedule.death:
-                messages.extend(_kill_worker_0(kind, coordinator, epochs[i - 1].epoch))
+                _kill_worker_0(kind, coordinator)
+            if i == schedule.queries_at:
+                answers += _answers(coordinator)
             scripted = coordinator.quarantine.warnings[recorded:]
             result = coordinator.process_epoch(readings)
             messages.extend(result.messages)
@@ -160,25 +173,37 @@ def _observe(kind: str, schedule: Schedule) -> Observed:
                 tuple(w for w in (*scripted, *result.warnings) if w.kind not in DEATH_KINDS)
             )
         owners = tuple(sorted((str(tag), zone) for tag, zone in coordinator._owner.items()))
-        answers = tuple(
-            (coordinator.location_of(tag), coordinator.container_of(tag))
-            for tag in sorted(coordinator._owner, key=str)[:25]
-        )
+        answers += _answers(coordinator)
         counters = _counter_text(coordinator)
-        if schedule.death is not None and kind != "in-process":
-            counts = coordinator.quarantine.counts()
-            assert counts[WarningKind.WORKER_LOST] == 1
-            assert counts[WarningKind.ZONE_REHOMED] == len(HOSTED_BY_WORKER_0)
+        deaths = tuple(w for w in coordinator.quarantine.warnings if w.kind in DEATH_KINDS)
+        live_workers = sum(worker.alive for worker in coordinator._workers)
     check_well_formed(messages)
     return Observed(
         hashlib.sha256(encode_stream(messages)).hexdigest(),
-        tuple(handoffs), tuple(warnings), owners, answers, counters,
+        tuple(handoffs), tuple(warnings), owners, answers, counters, deaths, live_workers,
     )
 
 
+def _assert_same_run(observed: Observed, expected: Observed) -> None:
+    assert observed.stream_sha256 == expected.stream_sha256
+    assert observed.handoffs == expected.handoffs
+    assert observed.warnings == expected.warnings
+    assert observed.owners == expected.owners
+    assert observed.answers == expected.answers
+    assert observed.counters == expected.counters
+    assert expected.answers and any(expected.handoffs)
+
+
+def _assert_one_death(observed: Observed) -> None:
+    """The only trace: one ``worker_lost``, one ``zone_rehomed`` per zone."""
+    kinds = [w.kind for w in observed.deaths]
+    assert kinds.count(WarningKind.WORKER_LOST) == 1
+    assert kinds.count(WarningKind.ZONE_REHOMED) == len(HOSTED_BY_WORKER_0)
+
+
 @lru_cache(maxsize=None)
-def _reference(schedule_name: str) -> Observed:
-    return _observe("in-process", SCHEDULES[schedule_name])
+def _reference(schedule: Schedule) -> Observed:
+    return _observe("in-process", schedule)
 
 
 #: TCP workers fail over from checkpoints, so that pool requires the interval
@@ -192,34 +217,32 @@ CELLS = [
 
 @pytest.mark.parametrize("kind,schedule_name", CELLS)
 def test_contract(kind, schedule_name):
-    observed = _observe(kind, SCHEDULES[schedule_name])
-    expected = _reference(schedule_name)
-    assert observed.stream_sha256 == expected.stream_sha256
-    assert observed.handoffs == expected.handoffs
-    assert observed.warnings == expected.warnings
-    assert observed.owners == expected.owners
-    assert observed.answers == expected.answers
-    assert observed.counters == expected.counters
-    assert expected.answers and any(expected.handoffs)
+    schedule = SCHEDULES[schedule_name]
+    observed = _observe(kind, schedule)
+    _assert_same_run(observed, _reference(schedule))
+    if schedule.death is not None and kind != "in-process":
+        _assert_one_death(observed)
 
 
 # ---------------------------------------------------------------------------
-# death with requests in flight: the stated limit, the same in both pools
+# death with a request in flight, or found by a query: just as invisible
 # ---------------------------------------------------------------------------
 
+UNDISTURBED = Schedule(seed=17)
 
-def _poison_epoch(monkeypatch, target: int, die) -> None:
-    """``Spire.process_epoch`` calls ``die()`` at epoch ``target`` (which
-    returns at once anywhere but in the victim).  Installed before the
-    pool is built: forked workers inherit it."""
-    original = Spire.process_epoch
 
-    def poisoned(self, readings):
-        if readings.epoch == target:
+def _poison(monkeypatch, method: str, target: int, die) -> None:
+    """``Spire.<method>`` calls ``die()`` when asked to work at epoch
+    ``target`` (``die`` returns at once anywhere but in the victim).
+    Installed before the pool is built: forked workers inherit it."""
+    original = getattr(Spire, method)
+
+    def poisoned(self, subject, *now):
+        if (now[0] if now else subject.epoch) == target:
             die()
-        return original(self, readings)
+        return original(self, subject, *now)
 
-    monkeypatch.setattr(Spire, "process_epoch", poisoned)
+    monkeypatch.setattr(Spire, method, poisoned)
 
 
 def _in_pipe_worker_0() -> bool:
@@ -236,44 +259,85 @@ def _raise_in_pipe_worker():
         raise RuntimeError("injected worker fault")
 
 
-MID_EPOCH_DEATHS = {
-    # kind, how worker 0 dies, what the worker_lost warning says, live workers after
-    "pipe-exit": ("pipe-2", _exit_pipe_worker, "connection lost", 2),
-    "pipe-error": ("pipe-2", _raise_in_pipe_worker, "injected worker fault", 2),
-    "tcp-crash": ("tcp-2", None, "no reply to request", 1),
+def _first_migration(role: int) -> int:
+    """The first epoch index (past the first checkpoint) at which a zone of
+    worker 0 releases (``role`` 1) or adopts (``role`` 2) a tag."""
+    return next(
+        i
+        for i, moved in enumerate(_reference(UNDISTURBED).handoffs)
+        if i > 10 and any(handoff[role] in HOSTED_BY_WORKER_0 for handoff in moved)
+    )
+
+
+MID_ROUND_DEATHS = {
+    # kind, Spire method that dies, at which epoch index, how worker 0 dies,
+    # what the worker_lost warning says, live workers afterwards
+    "pipe-exit": ("pipe-2", "process_epoch", lambda: 60, _exit_pipe_worker, "connection lost", 2),
+    "pipe-error": (
+        "pipe-2", "process_epoch", lambda: 60, _raise_in_pipe_worker, "injected worker fault", 2,
+    ),
+    "tcp-crash": ("tcp-2", "process_epoch", lambda: 60, None, "no reply to request", 1),
+    "pipe-release": (
+        "pipe-2", "release", lambda: _first_migration(1), _exit_pipe_worker, "connection lost", 2,
+    ),
+    "tcp-release": ("tcp-2", "release", lambda: _first_migration(1), None, "no reply to", 1),
+    "pipe-adopt": (
+        "pipe-2", "adopt", lambda: _first_migration(2), _exit_pipe_worker, "connection lost", 2,
+    ),
+    "tcp-adopt": ("tcp-2", "adopt", lambda: _first_migration(2), None, "no reply to", 1),
 }
 
 
-@pytest.mark.parametrize("case", MID_EPOCH_DEATHS)
-def test_mid_epoch_death_degrades_to_well_formed(case, monkeypatch):
-    """A worker lost with the epoch half applied: nothing reaches the
-    caller but warnings and spliced messages, and the run goes on — pipes
+@pytest.mark.parametrize("case", MID_ROUND_DEATHS)
+def test_mid_epoch_death_is_invisible_in_the_stream(case, monkeypatch):
+    """A worker lost with a request half applied: the round takes the
+    rebuilt zones' replies and the run is the undisturbed one — pipes
     with the process respawned in its slot, TCP with one worker fewer."""
-    kind, die, reason, live_after = MID_EPOCH_DEATHS[case]
-    sim, epochs = _epochs(_config(seed=17))
-    box = {}
+    kind, method, index, die, reason, live_after = MID_ROUND_DEATHS[case]
+    expected = _reference(UNDISTURBED)
+    _sim, epochs = _epochs(_config(UNDISTURBED.seed))
+    target = epochs[index()].epoch
+
+    pool = []
 
     def crash_daemon_0():
-        daemon = box["coordinator"]._daemons[0]
+        daemon = pool[0]._daemons[0]
         if threading.current_thread().name == daemon.name:
             daemon.crash()  # sockets gone, state lost; the reply cannot be sent
 
-    _poison_epoch(monkeypatch, epochs[60].epoch, die or crash_daemon_0)
-    messages = []
-    with KINDS[kind](_zones(sim), checkpoint_interval=10) as coordinator:
-        box["coordinator"] = coordinator
-        for readings in epochs:
-            messages.extend(coordinator.process_epoch(readings).messages)
-        counts = coordinator.quarantine.counts()
-        lost = [w for w in coordinator.quarantine.warnings if w.kind == WarningKind.WORKER_LOST]
-        for tag in sorted(coordinator._owner, key=str)[:25]:
-            coordinator.location_of(tag)
-            coordinator.container_of(tag)
-        assert sum(worker.alive for worker in coordinator._workers) == live_after
-    check_well_formed(messages)
-    assert len(lost) == 1 and lost[0].epoch == epochs[60].epoch
-    assert reason in lost[0].detail
-    assert counts[WarningKind.ZONE_REHOMED] == len(HOSTED_BY_WORKER_0)
+    _poison(monkeypatch, method, target, die or crash_daemon_0)
+    observed = _observe(kind, UNDISTURBED, built=pool.append)
+    _assert_same_run(observed, expected)
+    _assert_one_death(observed)
+    lost = observed.deaths[0]
+    assert lost.kind is WarningKind.WORKER_LOST and lost.epoch == target
+    assert reason in lost.detail
+    assert observed.live_workers == live_after
+
+
+@pytest.mark.parametrize("kind", ["pipe-2", "tcp-2"])
+def test_death_found_by_a_query_is_invisible_too(kind):
+    """Worker 0 dies and the next thing asked is ``location_of``: the
+    query round rebuilds its zones and answers from the rebuilt state."""
+    schedule = Schedule(seed=17, death=60, queries_at=60)
+    observed = _observe(kind, schedule)
+    _assert_same_run(observed, _reference(schedule))
+    _assert_one_death(observed)
+
+
+#: kill points around the interval-10 cadence of seed 17, whose zones
+#: migrate tags at indices 5, 10, 20, 40, 105, 110, 111, 120, 126, 139 and
+#: 140: before an epoch that checkpoints (9, 19, ...), right after one
+#: (empty log: 10, 20, ...), and with releases and adoptions in the log
+KILL_POINTS = [6, 9, 10, 11, 12, 19, 20, 21, 25, 29, 30, 41, 45, 59, 60, 106, 109, 110,
+               111, 112, 115, 121, 127, 141]
+
+
+@pytest.mark.parametrize("index", KILL_POINTS)
+def test_a_kill_before_any_epoch_leaves_the_undisturbed_digest(index):
+    observed = _observe("pipe-2", Schedule(seed=17, death=index))
+    assert observed.stream_sha256 == _reference(UNDISTURBED).stream_sha256
+    _assert_one_death(observed)
 
 
 @pytest.mark.parametrize("when", ["boundary", "mid-epoch"])
@@ -282,11 +346,11 @@ def test_worker_death_without_checkpoints_names_the_worker(when, monkeypatch):
     not ``fail_zone``'s "failover requires checkpointing"."""
     sim, epochs = _epochs(_config(seed=17, duration=40))
     if when == "mid-epoch":
-        _poison_epoch(monkeypatch, epochs[20].epoch, _exit_pipe_worker)
+        _poison(monkeypatch, "process_epoch", epochs[20].epoch, _exit_pipe_worker)
     with ParallelCoordinator(_zones(sim), workers=2) as coordinator:
         for readings in epochs[:20]:
             coordinator.process_epoch(readings)
         if when == "boundary":
-            _kill_worker_0("pipe-2", coordinator, at=0)
+            _kill_worker_0("pipe-2", coordinator)
         with pytest.raises(wire.WireError, match="worker spire-worker-0 lost: "):
             coordinator.process_epoch(epochs[20])

@@ -1,12 +1,17 @@
 """Tests for coordinator quarantine and zone failover."""
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
+from repro.distributed import wire
 from repro.distributed.coordinator import Coordinator, Zone, partition_by_location
+from repro.events.messages import EventKind, end_containment, end_location
 from repro.events.wellformed import check_well_formed
 from repro.faults import WarningKind
 from repro.model.locations import UNKNOWN_COLOR, LocationKind, LocationRegistry
-from repro.readers.reader import Reader
+from repro.model.objects import PackagingLevel
+from repro.readers.reader import Reader, ReaderKind
 from repro.simulator.config import SimulationConfig
 from repro.simulator.warehouse import WarehouseSimulator
 
@@ -219,9 +224,56 @@ class TestFailover:
         assert coordinator._checkpoints["zone-a"].epoch is None  # pristine
         for epoch in range(7):
             coordinator.process_epoch(epoch_readings(epoch, {0: [item(1)]}))
-        # checkpoints at epochs 2 and 5; replay buffer holds epoch 6 only
-        assert coordinator._checkpoints["zone-a"].epoch == 5
-        assert [r.epoch for r in coordinator._replay["zone-a"]] == [6]
+        # checkpoints at epochs 2 and 5; the request log holds epoch 6 only
+        held = coordinator._checkpoints["zone-a"]
+        assert held.epoch == 5
+        ((msg_type, [(_index, _flags, readings)]),) = held.log
+        assert msg_type == wire.MSG_EPOCH and readings.epoch == 6
+        # migrations are logged beside the epochs and do not move the cadence
+        coordinator.process_epoch(epoch_readings(7, {1: [item(1)]}))
+        assert [request[0] for request in held.log] == [
+            wire.MSG_EPOCH, wire.MSG_RELEASE, wire.MSG_EPOCH,
+        ]
+        coordinator.process_epoch(epoch_readings(8, {1: [item(1)]}))
+        assert coordinator._checkpoints["zone-a"].epoch == 8
+        assert coordinator._checkpoints["zone-a"].log == []
+
+    def test_recovery_keeps_what_was_adopted_before_the_failure(self):
+        """The whole request log is replayed, migrations included: a
+        confirmation zone B adopted two epochs before it failed is still
+        there after recovery (a readings-only replay re-creates the
+        object bare)."""
+        registry = LocationRegistry()
+        belt = registry.create("belt", LocationKind.BELT)
+        shelf = registry.create("shelf", LocationKind.SHELF)
+        special = Reader(
+            0, belt, kind=ReaderKind.SPECIAL, singulation_level=PackagingLevel.CASE
+        )
+        coordinator = Coordinator(
+            [
+                Zone.build("zone-a", [special], registry),
+                Zone.build("zone-b", [Reader(1, shelf)], registry),
+            ],
+            checkpoint_interval=50,
+        )
+        messages = []
+        for epoch in range(9):
+            reader = 0 if epoch < 3 else 1  # confirmed on the belt, then shelved
+            messages.extend(
+                coordinator.process_epoch(
+                    epoch_readings(epoch, {reader: [case(1), item(1)]})
+                ).messages
+            )
+            if epoch == 4:  # adopted at epoch 3
+                adopted = coordinator.zones["zone-b"].spire.graph.get(item(1))
+                assert adopted.confirmed_parent == case(1)
+                messages.extend(coordinator.fail_zone("zone-b"))
+        messages.extend(coordinator.recover_zone("zone-b"))
+        recovered = coordinator.zones["zone-b"].spire.graph.get(item(1))
+        assert recovered.confirmed_parent == case(1)
+        assert recovered.confirmed_at == adopted.confirmed_at
+        assert coordinator.container_of(item(1)) == case(1)
+        check_well_formed(messages)
 
 
 # ---------------------------------------------------------------------------
@@ -275,4 +327,60 @@ class TestFailoverAcceptance:
         for readings in sim.stream:
             messages.extend(coordinator.process_epoch(readings).messages)
         check_well_formed(messages)
-        assert coordinator._replay == {} and coordinator._checkpoints == {}
+        assert coordinator._checkpoints == {}
+
+
+# ---------------------------------------------------------------------------
+# fail_zone's closures against the merged stream (property)
+# ---------------------------------------------------------------------------
+
+
+class MergedStreamMirror:
+    """The oracle: the open intervals of every object in the merged
+    stream, and the messages that would close them — what the rebuilt
+    zone's compressor must report without having seen that stream."""
+
+    def __init__(self):
+        self.location = {}  # obj -> (place, vs)
+        self.containments = {}  # obj -> {container: vs}
+
+    def track(self, messages):
+        for msg in messages:
+            if msg.kind is EventKind.START_LOCATION:
+                self.location[msg.obj] = (msg.place, msg.vs)
+            elif msg.kind is EventKind.END_LOCATION:
+                self.location.pop(msg.obj, None)
+            elif msg.kind is EventKind.START_CONTAINMENT:
+                self.containments.setdefault(msg.obj, {})[msg.container] = msg.vs
+            elif msg.kind is EventKind.END_CONTAINMENT:
+                self.containments.get(msg.obj, {}).pop(msg.container, None)
+
+    def closures(self, tags, now):
+        out = []
+        for tag in sorted(tags):
+            held = self.containments.get(tag, {})
+            out.extend(end_containment(tag, c, held[c], now) for c in sorted(held))
+            if tag in self.location:
+                out.append(end_location(tag, *self.location[tag], now))
+        return out
+
+
+TAGS = [case(1), case(2), item(1), item(2), item(3)]
+reading_set = st.lists(st.sampled_from(TAGS), unique=True)
+reader_schedules = st.lists(st.tuples(reading_set, reading_set), min_size=1, max_size=24)
+
+
+@given(reader_schedules, st.sampled_from(["zone-a", "zone-b"]), st.integers(1, 5))
+@settings(max_examples=150, deadline=None)
+def test_fail_zone_closes_what_the_merged_stream_has_open(schedule, zone_id, interval):
+    coordinator, *_ = two_zone_setup(checkpoint_interval=interval)
+    mirror = MergedStreamMirror()
+    messages = []
+    for epoch, (at_dock, at_shelf) in enumerate(schedule):
+        result = coordinator.process_epoch(epoch_readings(epoch, {0: at_dock, 1: at_shelf}))
+        mirror.track(result.messages)
+        messages.extend(result.messages)
+    owned = [tag for tag, zone in coordinator._owner.items() if zone == zone_id]
+    closures = coordinator.fail_zone(zone_id)
+    assert closures == mirror.closures(owned, len(schedule) - 1)
+    check_well_formed(messages + closures)
