@@ -17,19 +17,23 @@ the whole site:
   concatenated (releases first, then zones in sorted-id order) into one
   stream that stays well-formed per object, because an object's messages
   always come from its current owner and the old owner's intervals are
-  closed before the new owner opens any;
+  closed before the new owner opens any.  Replies are *collected* in
+  the order workers finish (:meth:`Coordinator._gather`), so decoding
+  one worker's reply overlaps another's compute, but they are stored by
+  submission position and merged in this fixed order;
 * **failover** — with ``checkpoint_interval`` set, every zone checkpoints
   itself periodically (a flag on the epoch request; the bytes come back
   with the reply) and the coordinator keeps the zone's *request log* since
   that checkpoint: the release, adopt and epoch requests themselves, in
   the order they were submitted.  Checkpoint + log replay reproduces the
   zone's state — and the reply to its last request — exactly, and it is
-  the one way a zone is ever rebuilt.  Losing a *worker*, at an epoch
-  boundary or with a request in flight, costs time only: its zones are
-  rebuilt at a live home, the round takes the rebuilt zones' last
-  replies in place of the lost ones, and the stream, handoffs, ownership
-  and query answers are those of a run in which nothing died — the loss
-  shows in the epoch's warnings alone.  :meth:`Coordinator.fail_zone` /
+  the one way a zone is ever rebuilt.  Losing a *worker* — at an epoch
+  boundary, with a request in flight, or to a reply that does not
+  decode — costs time only: its zones are rebuilt at a live home, the
+  round takes the rebuilt zones' last replies in place of the lost ones,
+  and the stream, handoffs, ownership and query answers are those of a
+  run in which nothing died — the loss shows in the epoch's warnings
+  alone.  :meth:`Coordinator.fail_zone` /
   :meth:`Coordinator.recover_zone` script an *outage* around the same
   rebuild: intervals closed at fail time, re-opened at recovery, so the
   merged stream stays well-formed and no tag is left permanently
@@ -44,7 +48,9 @@ migration protocol and failover path (DESIGN.md §9).
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait
 from time import perf_counter
 from typing import Iterable, Mapping, Sequence
 
@@ -281,12 +287,15 @@ class Coordinator:
     def _collect(self, worker, lost: dict):
         """The reply to ``worker``'s oldest request — or ``None`` after
         noting ``worker: reason`` in ``lost`` when it cannot answer:
-        its connection is gone, its retries ran out, or it reported an
-        error (by contract its zone state is then lost too)."""
+        its connection is gone, its retries ran out, it reported an
+        error (by contract its zone state is then lost too), or its reply
+        does not decode."""
         try:
             return worker.collect()
         except WorkerError as exc:
             reason = f"worker reported an error:\n{exc}"
+        except wire.WireError as exc:
+            reason = f"undecodable reply: {exc}"
         except WorkerDied as exc:
             reason = exc.reason
         except (OSError, EOFError) as exc:
@@ -295,24 +304,43 @@ class Coordinator:
         lost.setdefault(worker, reason)
         return None
 
-    def _gather(self, workers: Iterable, at: int) -> tuple[list, dict]:
+    def _gather(self, workers: Sequence, at: int) -> tuple[list, dict]:
         """One round's fan-in: the reply to each of ``workers``' oldest
         request, in order (``None`` for a lost one), and — for the zones
         of the workers lost on the way, rebuilt at a live home — the
         reply to each zone's last logged request, by zone id.
 
-        Every worker is drained before any loss is acted on: acting
+        Replies are taken as workers finish (a worker listed several
+        times answers its entries FIFO) and stored by position, so what
+        the caller merges does not depend on who was faster.  A handle
+        with no readable end (in process, over TCP, or one already given
+        up) is collected where it stands.  Every worker is
+        drained before any loss is acted on, in submission order: acting
         sooner would leave answered requests in the other workers'
         queues (desyncing their FIFO), and a rehoming install must not
         race a survivor's pending reply.
         """
         start = perf_counter()
         lost: dict = {}
-        replies = [self._collect(worker, lost) for worker in workers]
+        replies: list = [None] * len(workers)
+        queued: dict = {}  # worker -> its positions still unanswered, oldest first
+        for position, worker in enumerate(workers):
+            queued.setdefault(worker, deque()).append(position)
+        while queued:
+            ready = [worker for worker in queued if worker.readable is None]
+            if not ready:
+                ends = {worker.readable: worker for worker in queued}
+                ready = [ends[end] for end in wait(list(ends))]
+            for worker in ready:
+                positions = queued[worker]
+                replies[positions.popleft()] = self._collect(worker, lost)
+                if not positions:
+                    del queued[worker]
         self.stats.fanin_wait_s += perf_counter() - start
         rebuilt: dict = {}
-        for worker in lost:
-            rebuilt.update(self._rehome_worker(worker, at))
+        for worker in dict.fromkeys(workers):
+            if worker in lost:
+                rebuilt.update(self._rehome_worker(worker, at))
         return replies, rebuilt
 
     def _kill_warn(self, detail: str) -> None:
@@ -381,7 +409,8 @@ class Coordinator:
         return per_zone
 
     def process_epoch(self, readings: EpochReadings) -> EpochResult:
-        """Coordinate one epoch: fan out to workers, fan in in merge order."""
+        """Coordinate one epoch: fan out to workers, fan in as they
+        finish, merge in sorted-zone-id order."""
         now = readings.epoch
         warnings_before = len(self.quarantine.warnings)
         result = EpochResult(epoch=now, messages=[])

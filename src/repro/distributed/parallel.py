@@ -67,6 +67,10 @@ class _Worker(WireWorker):
         return self.process.is_alive()
 
     @property
+    def readable(self):
+        return None if self.conn.closed else self.conn
+
+    @property
     def death_reason(self) -> str:
         return self._given_up or f"process exited with code {self.process.exitcode}"
 

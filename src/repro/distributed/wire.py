@@ -12,7 +12,8 @@ through :mod:`pickle`.
 The protocol is strictly request/response per worker: the coordinator may
 pipeline requests to different workers, but each worker consumes its pipe
 in FIFO order and answers every request exactly once.  That invariant is
-what lets the fan-in loop simply ``recv`` per zone in merge order.
+what lets the fan-in loop take replies in whatever order the workers
+finish and still know which request each one answers.
 
 Zones are addressed by a dense index assigned at startup (the sorted
 position of the zone id), not by their string ids — 4 bytes instead of a
@@ -393,7 +394,7 @@ def decode_epoch_result(
     offset = 1
     (n_bytes,) = _U32.unpack_from(data, offset)
     offset += _U32.size
-    messages = list(decode_stream(data[offset : offset + n_bytes]))
+    messages = decode_stream(data[offset : offset + n_bytes])
     offset += n_bytes
     (n_departed,) = _U32.unpack_from(data, offset)
     offset += _U32.size
@@ -434,7 +435,7 @@ def decode_release_result(data: bytes) -> list[tuple[bytes, list[EventMessage]]]
         offset += _RECORD.size
         (block_len,) = _U32.unpack_from(data, offset)
         offset += _U32.size
-        closing = list(decode_stream(data[offset : offset + block_len]))
+        closing = decode_stream(data[offset : offset + block_len])
         offset += block_len
         releases.append((record, closing))
     return releases

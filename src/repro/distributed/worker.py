@@ -25,19 +25,23 @@ epoch boundary: a worker that is not is lost, and its zones are rebuilt
 at a live home), ``death_reason`` (why, once it is not), ``host`` (the
 resident :class:`ZoneHost` when the worker is this process, else
 ``None``), ``kill(warn)`` (crash it, or let go of what is left of it),
-``abandon(reason, warn)`` (the coordinator gives the worker up) and
+``abandon(reason, warn)`` (the coordinator gives the worker up),
 ``respawn()`` (a fresh worker for the same slot — where a lost worker's
 zones are rebuilt — or ``None`` when the worker is not ours to
-resurrect, and they move in with the survivors).  A handle may lose a
-request or its reply only together with the worker: the coordinator
-logs every state-changing request before submitting it and replays the
-log through a :class:`ZoneHost` of its own when the worker is gone, so
+resurrect, and they move in with the survivors) and ``readable`` (what
+:func:`multiprocessing.connection.wait` watches for the next reply, or
+``None`` when ``collect()`` should simply be called where the handle
+stands: in process, over TCP, or with nothing left to watch).  A handle may lose a request or its reply only
+together with the worker: the coordinator logs every state-changing
+request before submitting it and replays the log through a
+:class:`ZoneHost` of its own when the worker is gone, so
 ``handle_request`` must stay a function of the resident state and the
 request alone.
 """
 
 from __future__ import annotations
 
+import struct
 import time
 import traceback
 from collections import deque
@@ -333,6 +337,7 @@ class InProcessWorker:
 
     index = 0
     alive = True
+    readable = None  #: the reply exists as soon as the request does
 
     def __init__(self) -> None:
         self.host = ZoneHost()
@@ -352,6 +357,7 @@ class WireWorker:
     """submit/collect over a subclass's ``send_bytes`` / ``recv_bytes``."""
 
     host = None
+    readable = None
     #: the pool's byte counters; bound by the coordinator that owns the pool
     stats: WorkerStats
 
@@ -363,4 +369,10 @@ class WireWorker:
     def collect(self):
         data = self.recv_bytes()
         self.stats.bytes_from_workers += len(data)
-        return unpack_reply(data)
+        try:
+            return unpack_reply(data)
+        except (struct.error, ValueError) as exc:
+            # truncated frames, bad message blocks, tag keys or metrics:
+            # whatever does not decode is a wire error, which the
+            # coordinator counts as the worker's loss
+            raise wire.WireError(str(exc)) from exc

@@ -14,12 +14,20 @@ A single immutable :class:`EventMessage` type covers all five; the
 ``place`` field is the location color for location/missing messages and is
 unused for containment messages, whose partner object lives in
 ``container``.
+
+:class:`EventMessage` is a tuple: every stream carries hundreds of
+thousands of them through the compressor, the codec, the coordinator's
+merge and the serving index, and a tuple is the cheapest immutable record
+Python builds.  Construction — by call, ``_make``, ``_replace`` or
+unpickling — runs the same checks, so no invalid message can exist.  The
+one visible consequence is tuple equality: a message compares equal to a
+plain tuple of the same six fields (and hashes like one).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from repro.model.objects import TagId
 
@@ -53,8 +61,16 @@ class EventKind(Enum):
         return self in (EventKind.START_CONTAINMENT, EventKind.END_CONTAINMENT)
 
 
-@dataclass(frozen=True, slots=True)
-class EventMessage:
+class _EventFields(NamedTuple):
+    kind: EventKind
+    obj: TagId
+    vs: int
+    ve: float
+    place: int | None = None
+    container: TagId | None = None
+
+
+class EventMessage(_EventFields):
     """One message of the compressed event stream.
 
     Attributes:
@@ -68,24 +84,32 @@ class EventMessage:
             on missing messages).
     """
 
-    kind: EventKind
-    obj: TagId
-    vs: int
-    ve: float
-    place: int | None = None
-    container: TagId | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.kind.is_containment:
-            if self.container is None:
-                raise ValueError(f"{self.kind.value} requires a container")
-        else:
-            if self.place is None:
-                raise ValueError(f"{self.kind.value} requires a place")
-        if self.ve != INFINITY and self.ve < self.vs:
-            raise ValueError(f"validity interval ends before it starts: [{self.vs}, {self.ve}]")
-        if self.kind is EventKind.MISSING and self.ve != self.vs:
+    def __new__(
+        cls,
+        kind: EventKind,
+        obj: TagId,
+        vs: int,
+        ve: float,
+        place: int | None = None,
+        container: TagId | None = None,
+    ) -> "EventMessage":
+        if kind is EventKind.START_CONTAINMENT or kind is EventKind.END_CONTAINMENT:
+            if container is None:
+                raise ValueError(f"{kind.value} requires a container")
+        elif place is None:
+            raise ValueError(f"{kind.value} requires a place")
+        if ve != INFINITY and ve < vs:
+            raise ValueError(f"validity interval ends before it starts: [{vs}, {ve}]")
+        if kind is EventKind.MISSING and ve != vs:
             raise ValueError("Missing messages are singletons with Ve = Vs")
+        return tuple.__new__(cls, (kind, obj, vs, ve, place, container))
+
+    @classmethod
+    def _make(cls, iterable) -> "EventMessage":
+        # namedtuple's own _make (which _replace calls) skips __new__
+        return cls(*iterable)
 
     def __str__(self) -> str:
         target = self.container if self.kind.is_containment else f"L{self.place}"

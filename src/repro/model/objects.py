@@ -45,6 +45,10 @@ class PackagingLevel(IntEnum):
 #: :mod:`repro.readers.codec`)
 _KEY_SERIAL_BITS = 48
 _KEY_SERIAL_MASK = (1 << _KEY_SERIAL_BITS) - 1
+#: packaging level by value: a dict lookup, where ``PackagingLevel(v)`` is
+#: a call into the Enum machinery (tag keys sit on every wire frame, and
+#: the event codec decodes every message's levels through this table)
+LEVEL_BY_VALUE = {level.value: level for level in PackagingLevel}
 
 
 class TagId(NamedTuple):
@@ -65,12 +69,15 @@ class TagId(NamedTuple):
         names a real object and doubles as the "no tag" sentinel in compact
         encodings (checkpoints, the distributed wire protocol).
         """
-        return (self.level.value << _KEY_SERIAL_BITS) | self.serial
+        return (self.level << _KEY_SERIAL_BITS) | self.serial
 
     @classmethod
     def from_key(cls, key: int) -> "TagId":
-        """Inverse of :meth:`key`."""
-        return cls(PackagingLevel(key >> _KEY_SERIAL_BITS), key & _KEY_SERIAL_MASK)
+        """Inverse of :meth:`key`; ``ValueError`` for an unknown level."""
+        level = LEVEL_BY_VALUE.get(key >> _KEY_SERIAL_BITS)
+        if level is None:
+            raise ValueError(f"{key >> _KEY_SERIAL_BITS} is not a valid PackagingLevel")
+        return tuple.__new__(cls, (level, key & _KEY_SERIAL_MASK))
 
     def urn(self, company_prefix: str = "0614141") -> str:
         """Render an SGTIN-flavoured URN for this tag.

@@ -37,6 +37,7 @@ from repro.readers.codec import (
 )
 from repro.readers.stream import RAW_READING_BYTES, Reading
 
+from tests import reference_codec
 from tests.conftest import case, epoch_readings, item, pallet
 
 
@@ -190,3 +191,91 @@ class TestReadingCodec:
                 assert {t for ts in original.by_reader.values() for t in ts} == {
                     t for ts in loaded.by_reader.values() for t in ts
                 }
+
+
+# ---------------------------------------------------------------------------
+# the block codec against the per-message oracle, and structure-aware fuzz
+# ---------------------------------------------------------------------------
+
+SERIALS = st.one_of(
+    st.sampled_from([1, 2, (1 << 48) - 2, (1 << 48) - 1]), st.integers(1, (1 << 48) - 1)
+)
+TIMES = st.one_of(st.sampled_from([0, 1, (1 << 32) - 3, (1 << 32) - 2]), st.integers(0, (1 << 32) - 2))
+TAGS = st.builds(TagId, st.sampled_from(list(PackagingLevel)), SERIALS)
+
+
+@st.composite
+def event_messages(draw) -> EventMessage:
+    """Any valid message of any kind, at the edges of every field's range."""
+    kind = draw(st.sampled_from(list(EventKind)))
+    obj = draw(TAGS)
+    vs = draw(TIMES)
+    if kind is EventKind.MISSING:
+        ve = vs
+    elif kind in (EventKind.START_LOCATION, EventKind.START_CONTAINMENT):
+        ve = INFINITY
+    else:
+        ve = draw(st.integers(vs, (1 << 32) - 2))
+    if kind.is_containment:
+        return EventMessage(kind, obj, vs, ve, container=draw(TAGS))
+    place = draw(st.one_of(st.sampled_from([-1, 0, (1 << 48) - 2]), st.integers(-1, 10_000)))
+    return EventMessage(kind, obj, vs, ve, place=place)
+
+
+def _assert_valid(messages) -> None:
+    """Each decoded message is one the constructor builds, of the right types."""
+    for msg in messages:
+        assert type(msg) is EventMessage
+        assert msg.kind in EventKind and type(msg.obj.level) is PackagingLevel
+        assert EventMessage(*msg) == msg
+        if msg.container is not None:
+            assert type(msg.container.level) is PackagingLevel
+
+
+class TestBlockCodec:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(event_messages(), max_size=12))
+    def test_block_is_the_oracle_bytes_and_round_trips(self, messages):
+        data = encode_stream(messages)
+        assert data == reference_codec.encode_stream(messages)
+        decoded = decode_stream(data)
+        assert decoded == messages
+        assert decoded == reference_codec.decode_stream(data)
+        assert [str(m) for m in decoded] == [str(m) for m in messages]
+        _assert_valid(decoded)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(event_messages(), min_size=1, max_size=2))
+    def test_every_mutation_and_truncation_decodes_or_raises_codec_error(self, messages):
+        block = encode_stream(messages)
+        variants = [block[:cut] for cut in range(len(block))]
+        for position in range(len(block)):
+            for value in range(256):
+                if value != block[position]:
+                    variants.append(block[:position] + bytes([value]) + block[position + 1 :])
+        for variant in variants:
+            try:
+                decoded = decode_stream(variant)
+            except CodecError:
+                continue
+            _assert_valid(decoded)
+            # whatever decodes, the oracle decodes the same way
+            assert decoded == reference_codec.decode_stream(variant)
+
+    def test_malformed_records_raise_codec_error_not_value_error(self):
+        # a Missing with Ve != Vs, and a StartLocation whose Ve < Vs
+        with pytest.raises(CodecError, match="singleton"):
+            decode_message(WIRE_FORMAT.pack(4, 1, 5, 0, 4, 0, 10, 12))
+        good = encode_stream([start_location(item(1), 0, 3)])
+        with pytest.raises(CodecError, match="ends before it starts"):
+            decode_stream(good + WIRE_FORMAT.pack(0, 1, 5, 0, 4, 0, 10, 9))
+
+    def test_finite_ve_that_would_read_back_as_infinity_is_refused(self):
+        msg = end_location(item(1), 0, 0, (1 << 32) - 1)
+        with pytest.raises(CodecError):
+            encode_message(msg)
+
+    def test_one_record_entry_points_are_the_block_codec(self):
+        msg = end_containment(case(7), pallet(2), 4, 12)
+        assert encode_message(msg) == encode_stream([msg])
+        assert decode_message(encode_message(msg)) == decode_stream(encode_stream([msg]))[0]

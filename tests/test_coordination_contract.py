@@ -15,8 +15,8 @@ at an epoch boundary and the in-process reference is the run in which
 nothing happened; only the warnings that name the death itself are left
 out of the comparison.  Below the matrix the same is checked for a death
 with an epoch, release or adopt request in flight and for one found by a
-point query, in both out-of-process kinds, and for a kill before each of
-24 epochs of the pipe pool.
+point query, in both out-of-process kinds, for a kill before each of
+24 epochs of the pipe pool, and for a reply that does not decode.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ import pytest
 from repro.core.pipeline import Spire
 from repro.distributed import Coordinator, ParallelCoordinator, RemoteCoordinator, wire
 from repro.events.codec import encode_stream
+from repro.events.messages import EVENT_MESSAGE_BYTES
 from repro.events.wellformed import check_well_formed
 from repro.faults.warnings import WarningKind
 from repro.obs.metrics import MetricRegistry, counters_only, render_prometheus
@@ -354,3 +355,30 @@ def test_worker_death_without_checkpoints_names_the_worker(when, monkeypatch):
             _kill_worker_0("pipe-2", coordinator)
         with pytest.raises(wire.WireError, match="worker spire-worker-0 lost: "):
             coordinator.process_epoch(epochs[20])
+
+
+def test_an_undecodable_reply_is_a_lost_worker(monkeypatch):
+    """Worker 0 answers one epoch with a corrupted message block (a record
+    of an unknown kind): the reply counts as the worker's loss — abandon,
+    rebuild exactly — not as an exception out of ``process_epoch``."""
+    expected = _reference(UNDISTURBED)
+    _sim, epochs = _epochs(_config(UNDISTURBED.seed))
+    armed = []
+    _poison(monkeypatch, "process_epoch", epochs[60].epoch, lambda: armed.append(True))
+    encode = wire.encode_stream
+
+    def corrupting(messages):
+        block = encode(messages)
+        if armed and _in_pipe_worker_0():
+            armed.clear()
+            return b"\xff" * EVENT_MESSAGE_BYTES + block
+        return block
+
+    monkeypatch.setattr(wire, "encode_stream", corrupting)
+    observed = _observe("pipe-2", UNDISTURBED)
+    _assert_same_run(observed, expected)
+    _assert_one_death(observed)
+    lost = observed.deaths[0]
+    assert lost.epoch == epochs[60].epoch
+    assert "undecodable reply" in lost.detail and "unknown message kind" in lost.detail
+    assert observed.live_workers == 2

@@ -1,5 +1,8 @@
 """Tests for zone-partitioned distributed operation."""
 
+import multiprocessing
+import threading
+
 import pytest
 
 from repro.core.params import InferenceParams
@@ -200,3 +203,64 @@ class TestAgainstMonolithic:
                 agreements += 1
         assert total > 0
         assert agreements / total > 0.85
+
+
+class _PipeHandle:
+    """A worker handle over a one-way pipe whose replies a timer sends."""
+
+    def __init__(self, taken: list) -> None:
+        self.reader, self.writer = multiprocessing.Pipe(duplex=False)
+        self.taken = taken
+
+    @property
+    def readable(self):
+        return self.reader
+
+    def reply_after(self, delay: float, value) -> None:
+        threading.Timer(delay, self.writer.send, (value,)).start()
+
+    def collect(self):
+        value = self.reader.recv()
+        self.taken.append(value)
+        return value
+
+
+class _StandingHandle:
+    """A handle with no readable end: its reply exists already."""
+
+    readable = None
+
+    def __init__(self, taken: list, replies: list) -> None:
+        self.taken = taken
+        self.replies = replies
+
+    def collect(self):
+        value = self.replies.pop(0)
+        self.taken.append(value)
+        return value
+
+
+class TestFanIn:
+    """``Coordinator._gather`` takes replies as workers finish and returns
+    them by submission position."""
+
+    def test_replies_are_taken_in_completion_order_and_returned_in_submission_order(self):
+        coordinator, *_ = two_zone_setup()
+        taken: list = []
+        slow, fast = _PipeHandle(taken), _PipeHandle(taken)
+        fast.reply_after(0.0, "fast")
+        slow.reply_after(0.3, "slow-1")
+        slow.reply_after(0.4, "slow-2")
+        replies, rebuilt = coordinator._gather([slow, fast, slow], at=0)
+        assert taken == ["fast", "slow-1", "slow-2"]
+        assert replies == ["slow-1", "fast", "slow-2"] and rebuilt == {}
+
+    def test_a_handle_without_a_readable_end_is_collected_where_it_stands(self):
+        coordinator, *_ = two_zone_setup()
+        taken: list = []
+        piped = _PipeHandle(taken)
+        piped.reply_after(0.2, "piped")
+        standing = _StandingHandle(taken, ["standing-1", "standing-2"])
+        replies, _ = coordinator._gather([piped, standing, standing], at=0)
+        assert taken == ["standing-1", "standing-2", "piped"]
+        assert replies == ["piped", "standing-1", "standing-2"]

@@ -32,7 +32,9 @@ from repro.distributed.remote import (
     parse_address,
     spawn_worker_process,
 )
+from repro.distributed.worker import WireWorker, WorkerStats
 from repro.events.codec import decode_stream, encode_stream
+from repro.events.messages import start_location
 from repro.events.wellformed import check_well_formed
 from repro.faults.injector import schedule_from_dict
 from repro.faults.network import (
@@ -45,6 +47,7 @@ from repro.faults.network import (
     split_net_schedule,
 )
 from repro.faults.warnings import WarningKind
+from repro.model.objects import PackagingLevel, TagId
 from repro.obs.metrics import MetricRegistry, render_prometheus
 from repro.simulator.warehouse import WarehouseSimulator
 
@@ -91,6 +94,67 @@ class TestEnvelopes:
     def test_bare_message_is_not_an_envelope(self):
         with pytest.raises(wire.WireError):
             wire.decode_envelope(wire.encode_ok())
+
+
+class _CannedReply(WireWorker):
+    """A handle whose worker answers with fixed bytes."""
+
+    def __init__(self, data: bytes) -> None:
+        self.data = data
+        self.stats = WorkerStats()
+
+    def recv_bytes(self) -> bytes:
+        return self.data
+
+
+def _epoch_reply(*patches: tuple[int, int]) -> bytes:
+    """A one-zone epoch reply (one message, one departed tag) with each
+    ``(offset, byte)`` of ``patches`` written into the zone result."""
+    msg = start_location(TagId(PackagingLevel.ITEM, 1), 0, 3)
+    zone = bytearray(
+        wire.encode_epoch_result([msg], [TagId(PackagingLevel.ITEM, 2)], 0.0, 0.0, None)
+    )
+    for offset, value in patches:
+        zone[offset] = value
+    return wire.encode_epoch_batch_result([(0, bytes(zone))])
+
+
+def _release_reply() -> bytes:
+    msg = start_location(TagId(PackagingLevel.ITEM, 1), 0, 3)
+    record = wire.encode_record({"tag": TagId(PackagingLevel.ITEM, 1)})
+    release = bytearray(wire.encode_release_result([(record, [msg])]))
+    release[-25] = 0xFF  # the closing message's kind code
+    return bytes(release)
+
+
+class TestUndecodableReplies:
+    """Whatever about a reply fails to decode surfaces from ``collect()``
+    as a ``WireError``, which the coordinator counts as the worker's loss."""
+
+    def test_an_intact_reply_decodes(self):
+        [(zone_index, messages, departed, *_)] = _CannedReply(_epoch_reply()).collect()
+        assert zone_index == 0 and len(messages) == 1
+        assert departed == [TagId(PackagingLevel.ITEM, 2)]
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            # the epoch block's first record: kind code 255
+            _epoch_reply((5, 0xFF)),
+            # the departed tag key's level byte (bits 48-55 of the key at 34)
+            _epoch_reply((34 + 6, 0x0F)),
+            _release_reply(),
+            wire.encode_epoch_batch_result(
+                [(0, wire.encode_epoch_result([], [], 0.0, 0.0, None, b"{not json"))]
+            ),
+            wire.encode_epoch_batch_result([(0, b"\x41\x00")]),  # truncated zone result
+            bytes([99]),  # no such reply type
+        ],
+        ids=["message-kind", "departed-level", "release-block", "metrics", "truncated", "type"],
+    )
+    def test_collect_raises_wire_error(self, data):
+        with pytest.raises(wire.WireError):
+            _CannedReply(data).collect()
 
 
 # ---------------------------------------------------------------------------
