@@ -113,18 +113,20 @@ class SpireConfig:
         workers: ``None`` stays in-process; an integer spawns that many
             persistent worker processes (:class:`ParallelCoordinator`).
             With ``checkpoint_interval`` set, a worker that dies is
-            respawned and its zones failed over inside the epoch that
-            finds out (warnings and spliced messages in its result, no
-            exception); without it a lost worker raises ``WireError``.
-        remote_workers: Run the zones on this many supervised localhost
-            TCP worker daemons instead
+            respawned and its zones rebuilt from checkpoint + request log
+            inside the epoch that finds out: the stream is that of a run
+            in which nothing died, and ``worker_lost`` / ``zone_rehomed``
+            warnings in the result are the one trace (no exception);
+            without it a lost worker raises ``WireError``.
+        remote_workers: Run the zones on this many localhost TCP worker
+            daemons instead
             (:class:`~repro.distributed.remote.RemoteCoordinator`);
-            mutually exclusive with ``workers``.  Remote mode always
-            checkpoints (a lost daemon's zones are rebuilt on the
-            survivors from checkpoints), so a ``None``
-            ``checkpoint_interval`` defaults to 50 here; deadlines and
-            retries are :class:`~repro.distributed.supervisor.RetryPolicy`'s
-            defaults.
+            mutually exclusive with ``workers``.  A broken or silent
+            connection is a lost worker, rebuilt the same way on a fresh
+            connection or on the survivors, so remote mode always
+            checkpoints: a ``None`` ``checkpoint_interval`` defaults to
+            50 here.  Deadlines are
+            :class:`~repro.distributed.supervisor.Deadlines`' defaults.
         strict: Raise on readings from unmapped readers instead of
             quarantining them.
         resilient: Wrap input streams in a :class:`ResilientStream`

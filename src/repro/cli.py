@@ -575,7 +575,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
               f"{len(remote['crashes'])} scripted crash(es)")
         print(f"  remote {remote['remote']['total_s']:.2f}s / "
               f"serial {remote['serial']['total_s']:.2f}s; "
-              f"requests {sup['requests']}, retries {sup['retries']}, "
+              f"requests {sup['requests']}, deadline misses {sup['timeouts']}, "
               f"worker deaths {sup['worker_deaths']}")
         print(f"  streams identical: {remote['streams_identical']}")
         if not remote["streams_identical"]:
@@ -1065,7 +1065,7 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument(
         "--remote-workers", type=int, default=None,
         help="run the faulted engine over this many localhost TCP worker "
-             "daemons; net_delay/net_drop/net_dup/net_partition/worker_crash "
+             "daemons; net_delay/net_partition/worker_crash "
              "entries in --schedule apply to the transport (docs/FAULTS.md)",
     )
     chaos.set_defaults(func=cmd_chaos)

@@ -16,8 +16,9 @@ stream survives a zone crash well-formed (see ``docs/FAULTS.md``).
 
 :mod:`repro.distributed.remote` lifts the worker protocol onto TCP
 (``spire-worker`` daemons), and :mod:`repro.distributed.supervisor`
-supplies the heartbeat/lease tracking and retry/backoff machinery that
-makes the remote transport survivable (see ``docs/SCALING.md``).
+supplies the deadlines and heartbeat/lease probes that turn a broken or
+silent connection into a lost worker, rebuilt like any other (see
+``docs/SCALING.md``).
 """
 
 from repro.distributed.coordinator import (
@@ -34,26 +35,24 @@ from repro.distributed.remote import (
     spawn_worker_process,
 )
 from repro.distributed.supervisor import (
+    Deadlines,
     RemoteError,
-    RetryPolicy,
     SupervisorStats,
-    WorkerDied,
     WorkerSupervisor,
 )
 from repro.distributed.worker import WorkerStats
 
 __all__ = [
     "Coordinator",
+    "Deadlines",
     "EpochResult",
     "Zone",
     "HandoffRecord",
     "ParallelCoordinator",
     "RemoteCoordinator",
     "RemoteError",
-    "RetryPolicy",
     "SupervisorStats",
     "WorkerDaemon",
-    "WorkerDied",
     "WorkerStats",
     "WorkerSupervisor",
     "partition_by_location",

@@ -60,12 +60,13 @@ from repro.core.checkpoint import dumps_spire
 from repro.core.params import InferenceParams
 from repro.core.pipeline import Deployment, Spire
 from repro.distributed import wire
-from repro.distributed.supervisor import RemoteError, WorkerDied
+from repro.distributed.supervisor import RemoteError
 from repro.distributed.worker import (
+    LOST_WORKER_ERRORS,
     InProcessWorker,
-    WorkerError,
     WorkerStats,
     ZoneHost,
+    loss_reason,
     restore_zone,
 )
 from repro.events.messages import EventMessage
@@ -266,10 +267,11 @@ class Coordinator:
 
     def _install(self, zone_id: str, spire: Spire, blob: bytes | None = None) -> None:
         """Make ``spire`` (checkpoint bytes ``blob``, when already at
-        hand) the zone's resident state at its worker."""
+        hand) the zone's resident state at its worker.  A worker lost
+        on the way is given up, and rehomed like any other lost worker."""
         worker = self._worker_of_zone[zone_id]
-        worker.submit((wire.MSG_INSTALL, self._zone_index[zone_id], zone_id, spire, blob))
-        worker.collect()
+        self._submit(worker, (wire.MSG_INSTALL, self._zone_index[zone_id], zone_id, spire, blob))
+        self._collect(worker, {})
         # only a worker that is this process leaves the substrate reachable
         self.zones[zone_id].spire = spire if worker.host is not None else None  # type: ignore[assignment]
         if spire.metrics is not None:
@@ -287,19 +289,13 @@ class Coordinator:
     def _collect(self, worker, lost: dict):
         """The reply to ``worker``'s oldest request — or ``None`` after
         noting ``worker: reason`` in ``lost`` when it cannot answer:
-        its connection is gone, its retries ran out, it reported an
+        its connection is gone, it missed its deadline, it reported an
         error (by contract its zone state is then lost too), or its reply
         does not decode."""
         try:
             return worker.collect()
-        except WorkerError as exc:
-            reason = f"worker reported an error:\n{exc}"
-        except wire.WireError as exc:
-            reason = f"undecodable reply: {exc}"
-        except WorkerDied as exc:
-            reason = exc.reason
-        except (OSError, EOFError) as exc:
-            reason = f"connection lost: {exc!r}"
+        except LOST_WORKER_ERRORS as exc:
+            reason = loss_reason(exc)
         worker.abandon(reason, self._kill_warn)
         lost.setdefault(worker, reason)
         return None
@@ -358,7 +354,7 @@ class Coordinator:
                 if self._stop_on_close and worker.alive:
                     worker.submit((wire.MSG_STOP,))
                     worker.collect()
-            except (OSError, EOFError, RemoteError, wire.WireError):
+            except LOST_WORKER_ERRORS:
                 pass
             finally:
                 worker.kill(self._kill_warn)
@@ -590,18 +586,21 @@ class Coordinator:
             reply = host.handle_request(request)
         return spire, reply
 
-    def _rehome_worker(self, worker, at: int) -> dict[str, object]:
+    def _rehome_worker(self, worker, at: int, respawn: bool = True) -> dict[str, object]:
         """Give a dead worker's zones a live home, in the state they held.
 
-        The home is the worker's ``respawn()`` — a fresh process in the
-        same slot — or, a worker not ours to resurrect, the least-loaded
-        survivor per zone.  Every hosted zone that is not failed (those
-        wait for :meth:`recover_zone`) is rebuilt from its checkpoint +
-        request log and installed there.  Returns, by zone id, the reply
-        to each rebuilt zone's last logged request: whatever round was in
-        flight takes it in place of the reply that was lost.  Without
-        checkpoints there is nothing to rebuild from; naming the worker
-        is all we can offer.
+        The home is the worker's ``respawn()`` — a fresh process, or a
+        fresh connection to a daemon that answers, in the same slot — or,
+        when there is none, the least-loaded survivor per zone.  Every
+        hosted zone that is not failed (those wait for
+        :meth:`recover_zone`) is rebuilt from its checkpoint + request
+        log and installed there; a home lost on the way is
+        rehomed in turn, without ``respawn`` (so a daemon that answers
+        HELLO but fails every install cannot keep us redialling it).
+        Returns, by zone id, the reply to each rebuilt zone's last logged
+        request: whatever round was in flight takes it in place of the
+        reply that was lost.  Without checkpoints there is nothing to
+        rebuild from; naming the worker is all we can offer.
         """
         hosted = sorted(z for z, w in self._worker_of_zone.items() if w is worker)
         if not hosted:
@@ -617,13 +616,14 @@ class Coordinator:
             ),
         )
         worker.kill(self._kill_warn)  # let go of its pipe or socket
-        replacement = worker.respawn()
+        replacement = worker.respawn() if respawn else None
         if replacement is not None:
             replacement.stats = self.stats
             self._workers[self._workers.index(worker)] = replacement
         replies = {}
         for zone_id in hosted:
-            home = replacement if replacement is not None else self._pick_home()
+            alive = replacement is not None and replacement.alive
+            home = replacement if alive else self._pick_home()
             self._worker_of_zone[zone_id] = home
             if zone_id in self._failed:
                 continue
@@ -637,6 +637,9 @@ class Coordinator:
                     f"checkpoint at epoch {self._checkpoints[zone_id].epoch}"
                 ),
             )
+        for home in dict.fromkeys(self._worker_of_zone[zone_id] for zone_id in hosted):
+            if not home.alive:
+                self._rehome_worker(home, at, respawn=False)
         if self.supervisor is not None:
             self.supervisor._sync_gauges()
         return replies
@@ -696,7 +699,7 @@ class Coordinator:
         if kill_worker:
             worker = self._worker_of_zone[zone_id]
             worker.kill(warn=self._kill_warn)
-            if not worker.alive:  # a dropped connection is not a death
+            if not worker.alive:  # in process there is nothing to kill
                 self._rehome_worker(worker, now)
         return closures
 

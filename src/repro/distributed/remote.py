@@ -4,58 +4,51 @@ This is the pipe-based :mod:`repro.distributed.parallel` protocol lifted
 onto sockets, so zones can run on other hosts (the distributed deployment
 the paper's follow-up work describes).  Three pieces:
 
-* :class:`WorkerDaemon` — the worker side.  Listens on a TCP port,
+* :class:`WorkerDaemon` — the worker side.  Listens on a TCP port and
   answers the coordinator's ``MSG_INSTALL`` / ``MSG_EPOCH`` /
-  ``MSG_RELEASE`` / ``MSG_ADOPT`` / ``MSG_QUERY`` requests against its
-  resident zone substrates via the same
-  :class:`~repro.distributed.worker.ZoneHost` core the pipe workers
-  use — length-prefixed frames, compact struct payloads, no pickle on
-  the hot path.  Requests arrive in sequence-numbered
-  envelopes; the daemon remembers its recent replies, so a request it
-  has already served (a coordinator retry after a lost reply) is
-  answered from the cache instead of being applied twice —
-  **exactly-once effect** on top of an at-least-once transport.
-  ``spire-worker`` (the ``worker`` CLI subcommand) runs one standalone.
+  ``MSG_RELEASE`` / ``MSG_ADOPT`` / ``MSG_QUERY`` requests through the
+  same :class:`~repro.distributed.worker.ZoneHost` core the pipe workers
+  use — one length-prefixed frame per message, the pipe transport's
+  bytes as they are, no pickle on the hot path.  The zone state belongs
+  to the connection: each accepted connection starts from an empty
+  ``ZoneHost``, as each pipe worker process does.  ``spire-worker`` (the
+  ``worker`` CLI subcommand) runs one standalone.
 
 * :func:`spawn_worker_process` — launch a ``spire-worker`` daemon as a
   subprocess and parse the port it bound (for tests, benchmarks and CI).
 
 * :class:`RemoteCoordinator` — the :class:`~repro.distributed.
-  coordinator.Coordinator` over a pool of supervised TCP connections
-  (:class:`~repro.distributed.supervisor.RemoteWorker`).  The epoch
-  loop is the one every pool runs; what this pool brings is survival:
-  lease/heartbeat checks at every epoch boundary, bounded retries
-  under backoff for every request.  A worker declared dead is lost the
-  way every pool loses one (DESIGN.md §9): its zones are rebuilt from
-  checkpoint + request log — here onto the survivors, a daemon not
-  being ours to restart — and shipped to their new home via the
-  flat-array checkpoint codec.  The run degrades to fewer workers
-  instead of aborting; only losing *every* worker raises
+  coordinator.Coordinator` over a pool of TCP connections
+  (:class:`~repro.distributed.supervisor.RemoteWorker`).  The epoch loop
+  and the loss of a worker are every pool's (DESIGN.md §9): a missed
+  deadline, an end of file, a missed lease or a bad reply loses the
+  worker; its zones are rebuilt from checkpoint + request log on a fresh
+  connection to the same daemon when it answers, else on the survivors.
+  Only losing *every* worker raises
   :class:`~repro.distributed.supervisor.RemoteError`.
 
 Determinism contract: the merged event stream is byte-identical to the
-in-process coordinator's — with live workers, under any amount of
-transport-level delay/drop/duplication absorbed by retries, and when a
-worker dies, whether that is found *between* epochs (the EOF probe, a
-missed lease) or *mid-epoch* (retries exhausted while requests were in
-flight): the requests in flight were logged before they were sent, so
-the rebuilt zones have applied them and the round takes their replies.
+in-process coordinator's — with live workers, under transport delay, and
+when a worker is lost, between epochs (the EOF probe, a missed lease) or
+with requests in flight: the requests in flight were logged before they
+were sent, so the rebuilt zones have applied them and the round takes
+their replies.
 """
 
 from __future__ import annotations
 
 import os
+import select
 import socket
 import subprocess
 import sys
 import threading
 import time
-from collections import OrderedDict
 from typing import Iterable, Sequence
 
 from repro.distributed import wire
 from repro.distributed.coordinator import Coordinator, Zone
-from repro.distributed.supervisor import RetryPolicy, WorkerSupervisor
+from repro.distributed.supervisor import Deadlines, WorkerSupervisor
 from repro.distributed.worker import ZoneHost
 from repro.obs.metrics import MetricRegistry
 
@@ -77,38 +70,26 @@ def parse_address(spec) -> tuple[str, int]:
 
 
 class WorkerDaemon:
-    """One TCP zone worker: resident substrates behind a reply cache.
+    """One TCP zone worker.
 
-    Serves one coordinator connection at a time (reconnects are welcome —
-    zone state survives them; that is the point).  Thread-safe against
-    :meth:`stop` and :meth:`crash` closing its sockets from outside.
+    Serves one coordinator connection at a time, each from an empty
+    :class:`ZoneHost`: what a connection installed goes with it.
+    Thread-safe against :meth:`stop` and :meth:`crash` closing its
+    sockets from outside.
 
     Args:
         host/port: Bind address; port 0 picks a free port.
         name: Identity reported in the HELLO handshake.
-        reply_cache: Replies remembered for retry deduplication.  Must
-            comfortably exceed the coordinator's maximum in-flight
-            request count (one epoch batch plus migration traffic); the
-            default is far above it.
     """
 
-    def __init__(
-        self,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        name: str | None = None,
-        reply_cache: int = 256,
-    ) -> None:
+    def __init__(self, host: str = "127.0.0.1", port: int = 0, name: str | None = None) -> None:
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._listener.bind((host, port))
         self._listener.listen(8)
         self.host, self.port = self._listener.getsockname()[:2]
         self.name = name or f"spire-worker-{os.getpid()}-{self.port}"
-        self._cache_size = reply_cache
-        self._host = ZoneHost()
-        self._cache: OrderedDict[int, bytes] = OrderedDict()
-        self._last_seq = 0
+        self._host = ZoneHost()  #: the current connection's zones
         self._stopping = threading.Event()
         self._conn: socket.socket | None = None
         self._thread: threading.Thread | None = None
@@ -141,6 +122,7 @@ class WorkerDaemon:
                 self._serve_connection(conn)
             finally:
                 self._conn = None
+                self._host = ZoneHost()  # the zones go with the connection
                 try:
                     conn.close()
                 except OSError:
@@ -158,7 +140,7 @@ class WorkerDaemon:
             except OSError:
                 return  # connection torn down (peer reset, or crash()/stop())
             if not chunk:
-                return  # coordinator hung up; await the reconnect
+                return  # the coordinator hung up, and the zones go with it
             try:
                 for frame in decoder.feed(chunk):
                     if not self._handle_frame(conn, frame):
@@ -167,47 +149,26 @@ class WorkerDaemon:
                 return
 
     def _handle_frame(self, conn: socket.socket, data: bytes) -> bool:
-        """Serve one envelope; False ends the serving loop (STOP/fatal)."""
-        msg_type, seq, body = wire.decode_envelope(data)
+        """Serve one message; False ends the connection (STOP/failure)."""
+        msg_type = data[0] if data else 0
         if msg_type == wire.MSG_HELLO:
-            conn.sendall(
-                wire.encode_frame(
-                    wire.encode_hello_ack(self.name, os.getpid(), len(self._host.spires))
-                )
-            )
+            conn.sendall(wire.encode_frame(wire.encode_hello_ack(self.name, os.getpid())))
             return True
         if msg_type == wire.MSG_PING:
-            conn.sendall(wire.encode_frame(wire.encode_pong(seq)))
+            conn.sendall(wire.encode_frame(wire.encode_pong()))
             return True
-        if msg_type != wire.MSG_REQUEST:
-            raise wire.WireError(f"daemon got unexpected envelope type {msg_type}")
-        if seq <= self._last_seq:
-            # a retry of something already served: answer from the cache
-            # (exactly-once effect); a stale retry beyond the cache means
-            # the coordinator gave this request up long ago — drop it
-            cached = self._cache.get(seq)
-            if cached is not None:
-                conn.sendall(wire.encode_frame(wire.encode_reply(seq, cached)))
-            return True
-        self._last_seq = seq
         # a failure is reported like the pipe worker's (the traceback as
-        # MSG_ERROR, resident state dropped): the coordinator fails our
-        # zones over to a survivor, and the daemon awaits a new connection
-        reply, done = self._host.serve_bytes(body)
-        self._remember(seq, reply)
+        # MSG_ERROR, resident state dropped) and ends the connection: the
+        # coordinator dials again and rebuilds the zones here, or moves them
+        reply, done = self._host.serve_bytes(data)
         if done and reply[0] != wire.MSG_ERROR:  # MSG_STOP
             self._stopping.set()
             try:
                 self._listener.close()
             except OSError:
                 pass
-        conn.sendall(wire.encode_frame(wire.encode_reply(seq, reply)))
+        conn.sendall(wire.encode_frame(reply))
         return not done
-
-    def _remember(self, seq: int, reply: bytes) -> None:
-        self._cache[seq] = reply
-        while len(self._cache) > self._cache_size:
-            self._cache.popitem(last=False)
 
     # ------------------------------------------------------------------
 
@@ -232,14 +193,12 @@ class WorkerDaemon:
             self._thread.join(timeout=5)
 
     def crash(self) -> None:
-        """Simulate ``kill -9``: drop the sockets and lose all zone state.
+        """Simulate ``kill -9``: drop the sockets, and the zones with them.
 
         The coordinator's next probe or request finds the connection
-        closed and the port refusing, declares the worker dead, and
-        rebuilds its zones on the survivors.
+        closed, its redial finds the port refusing, and it rebuilds the
+        zones on the survivors.
         """
-        self._host.spires.clear()
-        self._cache.clear()
         self.stop()
 
     def __enter__(self) -> "WorkerDaemon":
@@ -270,21 +229,26 @@ def spawn_worker_process(
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
         env=env,
-        text=True,
     )
+    # wait for the banner line under the deadline: a blocking readline()
+    # would hang on a child that neither prints nor exits
     deadline = time.monotonic() + timeout
-    banner = ""
-    while time.monotonic() < deadline:
-        banner = proc.stdout.readline()
-        if "listening on" in banner:
-            break
-        if proc.poll() is not None:
-            raise RuntimeError(f"spire-worker exited at startup: {banner!r}")
-    else:
-        proc.kill()
-        raise RuntimeError("spire-worker did not report its address in time")
-    address = parse_address(banner.rsplit(None, 1)[-1])
-    return proc, address
+    output = b""
+    while b"\n" not in output.partition(b"listening on")[2]:
+        remaining = deadline - time.monotonic()
+        if remaining <= 0 or not select.select([proc.stdout], [], [], remaining)[0]:
+            proc.kill()
+            proc.wait()
+            proc.stdout.close()
+            raise RuntimeError("spire-worker did not report its address in time")
+        chunk = os.read(proc.stdout.fileno(), 4096)
+        if not chunk:
+            proc.wait()
+            proc.stdout.close()
+            raise RuntimeError(f"spire-worker exited at startup: {output!r}")
+        output += chunk
+    banner = output.partition(b"listening on")[2].partition(b"\n")[0]
+    return proc, parse_address(banner.decode().strip())
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +257,7 @@ def spawn_worker_process(
 
 
 class RemoteCoordinator(Coordinator):
-    """The coordinator over a pool of supervised TCP workers.
+    """The coordinator over a pool of TCP workers.
 
     Args:
         zones: The site partition, as for every coordinator.
@@ -302,7 +266,8 @@ class RemoteCoordinator(Coordinator):
         workers: Spawn this many in-process :class:`WorkerDaemon` threads
             on localhost TCP instead — same code path, no deployment
             (handy default; also what ``SpireSession`` uses).
-        policy: :class:`RetryPolicy` deadlines/retries/lease parameters.
+        deadlines: :class:`~repro.distributed.supervisor.Deadlines` for
+            connecting, replies and leases.
         checkpoint_interval: **Required** (must not be ``None``): the
             checkpoints are what worker failover rebuilds zones from.
         stop_workers_on_close: Send ``MSG_STOP`` to the daemons on
@@ -310,8 +275,8 @@ class RemoteCoordinator(Coordinator):
             externally managed workers outlive their coordinators.
 
     Remaining arguments match :class:`Coordinator`.  A worker lost
-    mid-run is not ours to resurrect: its zones are rebuilt on the
-    survivors and the run continues.
+    mid-run is redialled once: a daemon that answers gets its zones back,
+    rebuilt; else they are rebuilt on the survivors and the run continues.
     """
 
     def __init__(
@@ -319,7 +284,7 @@ class RemoteCoordinator(Coordinator):
         zones: Iterable[Zone],
         addresses: Sequence | None = None,
         workers: int | None = None,
-        policy: RetryPolicy | None = None,
+        deadlines: Deadlines | None = None,
         strict: bool = False,
         checkpoint_interval: int | None = 50,
         metrics: MetricRegistry | None = None,
@@ -347,7 +312,7 @@ class RemoteCoordinator(Coordinator):
         )
         try:
             self.supervisor = WorkerSupervisor(
-                resolved[: len(zones)], policy or RetryPolicy(), metrics=metrics
+                resolved[: len(zones)], deadlines or Deadlines(), metrics=metrics
             )
             self._workers = self.supervisor.workers
             super().__init__(

@@ -2,8 +2,10 @@
 
 Every request and reply is one framed byte string on a duplex
 :class:`multiprocessing.connection.Connection` (``send_bytes`` /
-``recv_bytes``).  The first byte is the message type; the payload layouts
-below are plain ``struct`` packing over the existing compact codecs —
+``recv_bytes``), or one length-prefixed frame (:func:`encode_frame`) on
+a TCP connection — the same bytes either way.  The first byte is the
+message type; the payload layouts below are plain ``struct`` packing
+over the existing compact codecs —
 epoch frames from :mod:`repro.readers.codec`, event-message blocks from
 :mod:`repro.events.codec`, and checkpoint blobs from
 :mod:`repro.core.checkpoint` — so nothing on the per-epoch hot path goes
@@ -45,16 +47,13 @@ MSG_RELEASE_RESULT = 66  #: worker -> coordinator: records + closing messages
 MSG_QUERY_RESULT = 67  #: worker -> coordinator: one signed query answer
 MSG_ERROR = 127  #: worker -> coordinator: traceback text (worker is dead)
 
-# remote-transport envelope types (see :mod:`repro.distributed.remote`):
-# on TCP, every request payload above travels inside a sequence-numbered
-# envelope so retries can be detected and answered from the worker's
-# last-reply cache; pings/hellos are supervision traffic, never cached
-MSG_HELLO = 16  #: coordinator -> worker: identify + ask for registration
-MSG_HELLO_ACK = 80  #: worker -> coordinator: worker name, pid, zone count
+# connection traffic of the TCP transport (see :mod:`repro.distributed.
+# remote`): the handshake that opens a connection and the lease heartbeat.
+# Everything else on TCP is the messages above, one per frame, as is
+MSG_HELLO = 16  #: coordinator -> worker: identify + open a connection
+MSG_HELLO_ACK = 80  #: worker -> coordinator: worker pid and name
 MSG_PING = 17  #: coordinator -> worker: lease heartbeat probe
 MSG_PONG = 81  #: worker -> coordinator: heartbeat answer
-MSG_REQUEST = 18  #: coordinator -> worker: seq-numbered wrapped request
-MSG_REPLY = 82  #: worker -> coordinator: seq-numbered wrapped reply
 
 #: queries routed by :data:`MSG_QUERY`
 QUERY_LOCATION = 1
@@ -452,78 +451,35 @@ def decode_query_result(data: bytes) -> int:
 
 
 # ---------------------------------------------------------------------------
-# remote-transport envelope
+# connection traffic (TCP only)
 # ---------------------------------------------------------------------------
-#
-# TCP can drop, duplicate, and delay frames (or rather: our retry layer
-# can, when it resends after a timeout that the worker actually served).
-# Every coordinator request therefore travels as MSG_REQUEST(seq, payload)
-# and every worker answer as MSG_REPLY(seq, payload); the worker caches
-# its recent replies by seq, so a retried request is answered from the
-# cache instead of being applied twice.  Heartbeats (PING/PONG) and the
-# connection handshake (HELLO/HELLO_ACK) use the same envelope but are
-# idempotent by nature and never cached.
 
-_ENVELOPE = struct.Struct("<BQ")  # type, sequence number
-
-
-def encode_request(seq: int, payload: bytes) -> bytes:
-    """Wrap one coordinator->worker request for the TCP transport."""
-    return _ENVELOPE.pack(MSG_REQUEST, seq) + payload
-
-
-def encode_reply(seq: int, payload: bytes) -> bytes:
-    """Wrap one worker->coordinator reply for the TCP transport."""
-    return _ENVELOPE.pack(MSG_REPLY, seq) + payload
-
-
-def encode_ping(seq: int) -> bytes:
-    return _ENVELOPE.pack(MSG_PING, seq)
-
-
-def encode_pong(seq: int) -> bytes:
-    return _ENVELOPE.pack(MSG_PONG, seq)
+_HELLO_ACK = struct.Struct("<Bq")  # type, worker pid
 
 
 def encode_hello(name: str) -> bytes:
     """Coordinator's connection opener: identifies the supervisor."""
-    return _ENVELOPE.pack(MSG_HELLO, 0) + name.encode("utf-8")
+    return bytes([MSG_HELLO]) + name.encode("utf-8")
 
 
-def encode_hello_ack(name: str, pid: int, zones: int) -> bytes:
-    """Worker's handshake answer: its name, pid, and hosted-zone count.
-
-    A non-zero zone count on a *fresh* connection tells the supervisor it
-    reconnected to a worker that still holds state from before the
-    network blip — resending pending requests is safe, reinstalling from
-    scratch is not required.
-    """
-    body = struct.pack("<qI", pid, zones) + name.encode("utf-8")
-    return _ENVELOPE.pack(MSG_HELLO_ACK, 0) + body
+def encode_hello_ack(name: str, pid: int) -> bytes:
+    """Worker's handshake answer: its pid and name."""
+    return _HELLO_ACK.pack(MSG_HELLO_ACK, pid) + name.encode("utf-8")
 
 
-def decode_hello_ack(body: bytes) -> tuple[str, int, int]:
-    """Returns (worker name, pid, hosted-zone count) from an ack body."""
-    pid, zones = struct.unpack_from("<qI", body)
-    return body[12:].decode("utf-8"), pid, zones
+def decode_hello_ack(data: bytes) -> tuple[str, int]:
+    """Returns (worker name, pid); anything else is a :class:`WireError`."""
+    _expect(data, MSG_HELLO_ACK)
+    try:
+        _, pid = _HELLO_ACK.unpack_from(data)
+        return data[_HELLO_ACK.size :].decode("utf-8"), pid
+    except (struct.error, UnicodeDecodeError) as exc:
+        raise WireError(f"malformed HELLO_ACK: {exc}") from exc
 
 
-def decode_envelope(data: bytes) -> tuple[int, int, bytes]:
-    """Split one transport frame into (envelope type, seq, body).
+def encode_ping() -> bytes:
+    return bytes([MSG_PING])
 
-    The body of a MSG_REQUEST/MSG_REPLY is a complete inner message
-    (first byte = message type, exactly as on the pipe transport).
-    """
-    if len(data) < _ENVELOPE.size:
-        raise WireError(f"short envelope of {len(data)} bytes")
-    msg_type, seq = _ENVELOPE.unpack_from(data)
-    if msg_type not in (
-        MSG_HELLO,
-        MSG_HELLO_ACK,
-        MSG_PING,
-        MSG_PONG,
-        MSG_REQUEST,
-        MSG_REPLY,
-    ):
-        raise WireError(f"unknown envelope type {msg_type}")
-    return msg_type, seq, data[_ENVELOPE.size :]
+
+def encode_pong() -> bytes:
+    return bytes([MSG_PONG])

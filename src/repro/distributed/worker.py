@@ -16,8 +16,8 @@ and replies are the plain tuples of :meth:`ZoneHost.handle_request`:
 * :class:`WireWorker` is the shared half of every out-of-process handle:
   it packs the request into the :mod:`repro.distributed.wire` layouts,
   moves bytes through the subclass's ``send_bytes`` / ``recv_bytes``
-  (a pipe in :mod:`repro.distributed.parallel`, a supervised TCP
-  connection in :mod:`repro.distributed.supervisor`), and unpacks the
+  (a pipe in :mod:`repro.distributed.parallel`, a TCP connection in
+  :mod:`repro.distributed.supervisor`), and unpacks the
   reply.  The far side unpacks, calls ``handle_request``, packs.
 
 Beyond submit/collect a handle provides ``alive`` (checked at every
@@ -27,8 +27,8 @@ resident :class:`ZoneHost` when the worker is this process, else
 ``None``), ``kill(warn)`` (crash it, or let go of what is left of it),
 ``abandon(reason, warn)`` (the coordinator gives the worker up),
 ``respawn()`` (a fresh worker for the same slot — where a lost worker's
-zones are rebuilt — or ``None`` when the worker is not ours to
-resurrect, and they move in with the survivors) and ``readable`` (what
+zones are rebuilt — or ``None`` when none is to be had, a daemon that
+does not answer, and they move in with the survivors) and ``readable`` (what
 :func:`multiprocessing.connection.wait` watches for the next reply, or
 ``None`` when ``collect()`` should simply be called where the handle
 stands: in process, over TCP, or with nothing left to watch).  A handle may lose a request or its reply only
@@ -89,6 +89,22 @@ class WorkerStats:
 class WorkerError(wire.WireError):
     """A worker answered :data:`wire.MSG_ERROR`: the text is its traceback
     and, by contract, its resident zone state is gone."""
+
+
+#: what a handle raises when its worker is lost
+LOST_WORKER_ERRORS = (wire.WireError, OSError, EOFError)
+
+
+def loss_reason(exc: BaseException) -> str:
+    """Why a worker whose handle raised ``exc`` (one of
+    :data:`LOST_WORKER_ERRORS`) is lost, in every pool's words."""
+    if isinstance(exc, WorkerError):
+        return f"worker reported an error:\n{exc}"
+    if isinstance(exc, wire.WireError):
+        return f"undecodable reply: {exc}"
+    if isinstance(exc, TimeoutError):
+        return str(exc)  # "no reply within N s"
+    return f"connection lost: {exc!r}"
 
 
 def restore_zone(

@@ -3,9 +3,8 @@
 The acceptance bar for :class:`~repro.distributed.remote.RemoteCoordinator`
 is the same one the in-host scaling sweep enforces — **byte-identical
 merged output** — extended across transport faults and worker loss:
-neither transient network faults (delay/duplication absorbed by the
-retry layer) nor a worker crash (its zones rebuilt from checkpoint +
-request log on the survivors) may change a byte of the stream.
+neither network delay nor a lost worker (its zones rebuilt from
+checkpoint + request log) may change a byte of the stream.
 
 :func:`run_remote` runs the Table III workload through a remote pool
 (optionally behind :class:`~repro.faults.network.NetFaultProxy` shims,
@@ -23,7 +22,7 @@ import hashlib
 import time
 from typing import Sequence
 
-from repro.distributed import Coordinator, RemoteCoordinator, RetryPolicy, partition_by_location
+from repro.distributed import Coordinator, Deadlines, RemoteCoordinator, partition_by_location
 from repro.distributed.remote import WorkerDaemon
 from repro.events.codec import encode_stream
 from repro.experiments.table3 import (
@@ -42,9 +41,9 @@ from repro.simulator.warehouse import WarehouseSimulator
 __all__ = ["RemoteHarness", "run_remote", "CRASH_SETTLE_S"]
 
 #: grace after a scripted daemon crash, letting the FIN reach the
-#: coordinator so the next epoch's EOF probe finds the death at once
-#: instead of the epoch round's exhausted retries — the stream is the
-#: same either way; the probe is just the faster way to find out
+#: coordinator so the next epoch's EOF probe finds the death at the
+#: boundary instead of the epoch round — the stream is the same either
+#: way; the probe is just the earlier way to find out
 CRASH_SETTLE_S = 0.25
 
 
@@ -63,7 +62,7 @@ class RemoteHarness:
         workers: int,
         net_specs: Sequence = (),
         net_seed: int = 0,
-        policy: RetryPolicy | None = None,
+        deadlines: Deadlines | None = None,
         checkpoint_interval: int = DEFAULT_CHECKPOINT_INTERVAL,
         metrics=None,
     ) -> None:
@@ -82,7 +81,7 @@ class RemoteHarness:
             self.coordinator = RemoteCoordinator(
                 zones,
                 addresses=addresses,
-                policy=policy,
+                deadlines=deadlines,
                 checkpoint_interval=checkpoint_interval,
                 metrics=metrics,
             )
@@ -127,7 +126,7 @@ def run_remote(
     cases_per_pallet: int = DEFAULT_CASES_PER_PALLET,
     seed: int = DEFAULT_SEED,
     checkpoint_interval: int = DEFAULT_CHECKPOINT_INTERVAL,
-    policy: RetryPolicy | None = None,
+    deadlines: Deadlines | None = None,
     schedule: Sequence = (),
     net_seed: int = 0,
 ) -> dict:
@@ -167,7 +166,7 @@ def run_remote(
         workers,
         net_specs=net_specs,
         net_seed=net_seed,
-        policy=policy,
+        deadlines=deadlines,
         checkpoint_interval=checkpoint_interval,
     ) as harness:
         coordinator = harness.coordinator
@@ -217,7 +216,7 @@ def run_remote(
     return {
         "workers": workers,
         "transport": "tcp",
-        "policy": dataclasses.asdict(policy) if policy is not None else None,
+        "deadlines": dataclasses.asdict(deadlines) if deadlines is not None else None,
         "net_schedule": [type(spec).__name__ for spec in net_specs],
         "crashes": [dataclasses.asdict(crash) for crash in crashes],
         "workload": {

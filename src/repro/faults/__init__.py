@@ -31,10 +31,7 @@ from repro.faults.injector import (
     schedule_from_dict,
 )
 from repro.faults.network import (
-    ALL_NET_FAULT_KINDS,
     NetDelay,
-    NetDrop,
-    NetDup,
     NetFaultProxy,
     NetPartition,
     WorkerCrash,
@@ -45,15 +42,12 @@ from repro.faults.warnings import IngestWarning, Quarantine, QuarantinedReading,
 
 __all__ = [
     "ALL_FAULT_KINDS",
-    "ALL_NET_FAULT_KINDS",
     "DelayBatches",
     "DropBatches",
     "DuplicateBatches",
     "FaultInjector",
     "IngestWarning",
     "NetDelay",
-    "NetDrop",
-    "NetDup",
     "NetFaultProxy",
     "NetPartition",
     "Quarantine",

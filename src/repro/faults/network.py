@@ -5,23 +5,24 @@ readers *report*; this module perturbs how coordinator and worker *talk*.
 :class:`NetFaultProxy` sits between a :class:`~repro.distributed.remote.RemoteCoordinator`
 and a worker daemon as a TCP shim that understands the wire framing
 (:mod:`repro.distributed.wire`): it reassembles length-prefixed frames per
-direction and then drops, delays, duplicates or blackholes whole frames
-according to a seeded schedule — the transport-level analogues of the
-stream faults, in the same ``{"kind": ..., ...}`` schedule format
-(``docs/FAULTS.md``).
+direction and then delays or blackholes whole frames according to a
+seeded schedule, in the same ``{"kind": ..., ...}`` schedule format as
+the stream faults (``docs/FAULTS.md``).  A live TCP connection never
+hands the application a lost or duplicated frame, so those are not
+faults this shim offers: a link either delivers, late, or goes silent.
 
 Determinism: every decision comes from a ``random.Random`` seeded per
 ``(seed, direction)`` and is indexed by the **per-direction frame
 counter**, not wall-clock time, so a given ``(schedule, seed)`` perturbs
-the same frames on every run.  The retry/heartbeat layer above is what
-turns those perturbations back into an intact request stream — which is
-exactly what the equivalence tests assert.
+the same frames on every run.  A delay inside the request deadline costs
+time only; a partition that outlasts it loses the worker, whose zones
+the coordinator rebuilds exactly — which is what the equivalence tests
+assert.
 
 :class:`WorkerCrash` rides in the same schedule lists but is applied by
 the *driver* (the chaos CLI, a test), not the proxy: it names a worker to
-kill outright at an epoch boundary, exercising zone failover rather than
-the retry path.  :func:`split_net_schedule` separates a mixed schedule
-into its stream, network and crash parts.
+kill outright at an epoch boundary.  :func:`split_net_schedule` separates
+a mixed schedule into its stream, network and crash parts.
 """
 
 from __future__ import annotations
@@ -41,12 +42,9 @@ from typing import Sequence
 
 __all__ = [
     "NetDelay",
-    "NetDrop",
-    "NetDup",
     "NetPartition",
     "WorkerCrash",
     "NetFaultSpec",
-    "ALL_NET_FAULT_KINDS",
     "NetFaultProxy",
     "split_net_schedule",
 ]
@@ -64,31 +62,11 @@ class NetDelay:
 
 
 @dataclass(frozen=True)
-class NetDrop:
-    """Each frame in the window is silently discarded with probability
-    ``rate`` — a lost request or reply; the retry layer must resend."""
-
-    rate: float
-    start: int = 0
-    end: int | None = None
-
-
-@dataclass(frozen=True)
-class NetDup:
-    """Each frame in the window is forwarded twice with probability
-    ``rate`` — the daemon's reply cache (or the coordinator's reply
-    dedup) must absorb the duplicate."""
-
-    rate: float
-    start: int = 0
-    end: int | None = None
-
-
-@dataclass(frozen=True)
 class NetPartition:
     """Every frame with index in ``[start, start + duration)`` is
-    blackholed in both directions — a finite partition the retries must
-    ride out (or, if longer than the retry budget, a worker death)."""
+    blackholed in both directions.  A partition that swallows a request,
+    its reply or a PONG loses the worker at the deadline, and it also
+    swallows the redial's HELLO_ACK when that falls in the window."""
 
     start: int
     duration: int
@@ -102,12 +80,9 @@ class WorkerCrash:
     at_epoch: int
 
 
-NetFaultSpec = NetDelay | NetDrop | NetDup | NetPartition
+NetFaultSpec = NetDelay | NetPartition
 
-#: every transport fault kind the proxy implements (tests iterate this)
-ALL_NET_FAULT_KINDS: tuple[type, ...] = (NetDelay, NetDrop, NetDup, NetPartition)
-
-_NET_SPEC_TYPES = (NetDelay, NetDrop, NetDup, NetPartition)
+_NET_SPEC_TYPES = (NetDelay, NetPartition)
 
 
 def split_net_schedule(schedule: Sequence) -> tuple[list, list, list]:
@@ -146,27 +121,20 @@ class _Direction:
         self.rng = Random((seed << 1) ^ (0 if label == "up" else 1))
         self.frames = 0
 
-    def plan(self, frame: bytes) -> list[tuple[float, bytes]]:
-        """Fault decisions for one frame: a list of (delay_s, frame) to
-        forward (empty = dropped), deterministic in the frame index."""
+    def plan(self) -> float | None:
+        """Fault decision for the next frame: seconds to hold it before
+        forwarding, or ``None`` to blackhole it — deterministic in the
+        frame index."""
         index = self.frames
         self.frames += 1
         delay = 0.0
-        copies = 1
         for spec in self.schedule:
             if isinstance(spec, NetPartition):
                 if _in_window(index, spec.start, spec.start + spec.duration):
-                    return []
-            elif isinstance(spec, NetDrop):
-                if _in_window(index, spec.start, spec.end) and self.rng.random() < spec.rate:
-                    return []
-            elif isinstance(spec, NetDelay):
-                if _in_window(index, spec.start, spec.end) and self.rng.random() < spec.rate:
-                    delay += spec.seconds
-            elif isinstance(spec, NetDup):
-                if _in_window(index, spec.start, spec.end) and self.rng.random() < spec.rate:
-                    copies = 2
-        return [(delay, frame)] * copies
+                    return None
+            elif _in_window(index, spec.start, spec.end) and self.rng.random() < spec.rate:
+                delay += spec.seconds
+        return delay
 
 
 class NetFaultProxy:
@@ -175,11 +143,10 @@ class NetFaultProxy:
     Listens on its own port and forwards to ``upstream``; point the
     coordinator at :attr:`address` instead of the daemon.  Each accepted
     connection gets two forwarder threads (one per direction) that
-    reassemble frames and apply the schedule frame-by-frame.  Reconnects
-    (the retry layer's go-back-N) open fresh connections through the same
-    proxy; the per-direction frame counters and RNGs are **proxy-global**,
-    so the fault pattern keeps advancing across reconnects instead of
-    replaying.
+    reassemble frames and apply the schedule frame-by-frame.  A redial
+    after a lost worker opens a fresh connection through the same proxy;
+    the per-direction frame counters and RNGs are **proxy-global**, so the
+    fault pattern keeps advancing across connections instead of replaying.
     """
 
     def __init__(
@@ -254,16 +221,17 @@ class NetFaultProxy:
                     break
                 for frame in decoder.feed(chunk):
                     with self._lock:
-                        plan = direction.plan(frame)
-                    for delay, payload in plan:
-                        if delay > 0:
-                            time.sleep(delay)
-                        sink.sendall(wire.encode_frame(payload))
+                        delay = direction.plan()
+                    if delay is None:
+                        continue
+                    if delay > 0:
+                        time.sleep(delay)
+                    sink.sendall(wire.encode_frame(frame))
         except (OSError, ValueError, wire.WireError):
             pass
         finally:
             # half-close propagation: a dead direction kills the pair, so
-            # the endpoints see the hangup and the retry layer reconnects.
+            # both endpoints see the hangup.
             # shutdown() first: the other direction's select() holds a
             # reference, so close() alone would send no FIN until it wakes
             for sock in (source, sink):
@@ -314,8 +282,6 @@ from repro.faults import injector as _injector  # noqa: E402
 _injector._KIND_TO_SPEC.update(
     {
         "net_delay": NetDelay,
-        "net_drop": NetDrop,
-        "net_dup": NetDup,
         "net_partition": NetPartition,
         "worker_crash": WorkerCrash,
     }

@@ -421,7 +421,7 @@ class TestChaos:
         [
             ({"kind": "worker_crash", "worker": 0, "at_epoch": 150}, []),
             ({"kind": "worker_crash", "worker": 2, "at_epoch": 150}, ["--workers", "2"]),
-            ({"kind": "net_dup", "rate": 0.05}, ["--workers", "2"]),
+            ({"kind": "net_partition", "start": 40, "duration": 20}, ["--workers", "2"]),
             ({"kind": "net_delay", "rate": 0.1, "seconds": 0.005}, []),
         ],
     )

@@ -87,7 +87,7 @@ HOSTED_BY_WORKER_0 = ["inbound", "shelf-a"]
 DEATH_KINDS = {WarningKind.WORKER_LOST, WarningKind.ZONE_REHOMED}
 #: settle after a daemon crash: lets the FIN reach the coordinator, so the
 #: next epoch's EOF probe finds the death at the boundary instead of the
-#: epoch round's exhausted retries — the same outcome, sooner
+#: epoch round — the same outcome
 SETTLE_S = 0.3
 
 
@@ -105,7 +105,7 @@ class Observed:
 
 def _counter_text(coordinator) -> str:
     """The deterministic telemetry: counters, minus the transport's own
-    (retries and heartbeats depend on wall-clock timing)."""
+    (deadline misses and heartbeats depend on wall-clock timing)."""
     snapshot = counters_only(coordinator.metrics_snapshot())
     snapshot["series"] = [
         s
@@ -277,15 +277,15 @@ MID_ROUND_DEATHS = {
     "pipe-error": (
         "pipe-2", "process_epoch", lambda: 60, _raise_in_pipe_worker, "injected worker fault", 2,
     ),
-    "tcp-crash": ("tcp-2", "process_epoch", lambda: 60, None, "no reply to request", 1),
+    "tcp-crash": ("tcp-2", "process_epoch", lambda: 60, None, "connection lost", 1),
     "pipe-release": (
         "pipe-2", "release", lambda: _first_migration(1), _exit_pipe_worker, "connection lost", 2,
     ),
-    "tcp-release": ("tcp-2", "release", lambda: _first_migration(1), None, "no reply to", 1),
+    "tcp-release": ("tcp-2", "release", lambda: _first_migration(1), None, "connection lost", 1),
     "pipe-adopt": (
         "pipe-2", "adopt", lambda: _first_migration(2), _exit_pipe_worker, "connection lost", 2,
     ),
-    "tcp-adopt": ("tcp-2", "adopt", lambda: _first_migration(2), None, "no reply to", 1),
+    "tcp-adopt": ("tcp-2", "adopt", lambda: _first_migration(2), None, "connection lost", 1),
 }
 
 

@@ -5,26 +5,34 @@ merged output against the serial :class:`Coordinator` — and extends it
 across the transport layer (DESIGN.md §12, docs/SCALING.md):
 
 * clean 3-worker TCP runs reproduce the serial stream exactly;
-* transient network faults (drop/delay/duplicate, injected by
-  :class:`NetFaultProxy`) are absorbed by the retry layer, leaving the
-  stream untouched;
-* a worker crash *between* epochs reproduces the stream a scripted
-  serial ``fail_zone`` / ``recover_zone`` pair emits at that boundary
-  (the ``worker-death`` row of ``tests/test_coordination_contract.py``);
-* a permanent partition (or a worker-side error) degrades to fewer
-  workers with a well-formed stream instead of aborting.
+* a broken connection is a lost worker: a daemon that answers the
+  redial (after reporting an error, or restarted on the same port)
+  keeps its slot, one that does not (a permanent partition injected by
+  :class:`NetFaultProxy`) hands its zones to the survivors — the stream
+  is the serial one either way;
+* a daemon's zones belong to the connection that installed them;
+* the handshake and the subprocess launcher fail cleanly.
+
+Worker deaths at the boundary, mid-request and found by a query are rows
+of ``tests/test_coordination_contract.py``, shared with the pipe pool.
 """
 
 from __future__ import annotations
+
+import socket
+import subprocess
+import sys
+import threading
+import time
 
 import pytest
 
 from repro.api import SpireConfig, SpireSession
 from repro.distributed import (
     Coordinator,
+    Deadlines,
     RemoteCoordinator,
-    RetryPolicy,
-    partition_by_location,
+    SupervisorStats,
     wire,
 )
 from repro.distributed.remote import (
@@ -32,15 +40,13 @@ from repro.distributed.remote import (
     parse_address,
     spawn_worker_process,
 )
-from repro.distributed.worker import WireWorker, WorkerStats
-from repro.events.codec import decode_stream, encode_stream
+from repro.distributed.supervisor import RemoteWorker
+from repro.distributed.worker import WireWorker, WorkerError, WorkerStats, ZoneHost
+from repro.events.codec import encode_stream
 from repro.events.messages import start_location
-from repro.events.wellformed import check_well_formed
 from repro.faults.injector import schedule_from_dict
 from repro.faults.network import (
     NetDelay,
-    NetDrop,
-    NetDup,
     NetFaultProxy,
     NetPartition,
     WorkerCrash,
@@ -76,24 +82,54 @@ class TestParseAddress:
             parse_address("just-a-host")
 
 
-class TestEnvelopes:
-    def test_request_reply_round_trip(self):
-        body = b"payload"
-        msg_type, seq, payload = wire.decode_envelope(wire.encode_request(41, body))
-        assert (msg_type, seq, payload) == (wire.MSG_REQUEST, 41, body)
-        msg_type, seq, payload = wire.decode_envelope(wire.encode_reply(41, b"ok"))
-        assert (msg_type, seq, payload) == (wire.MSG_REPLY, 41, b"ok")
+def _answer_hello_with(body: bytes, connections: int) -> socket.socket:
+    """A listener that answers each of ``connections`` HELLOs with ``body``."""
+    listener = socket.create_server(("127.0.0.1", 0))
 
-    def test_ping_pong_and_hello(self):
-        assert wire.decode_envelope(wire.encode_ping(7))[:2] == (wire.MSG_PING, 7)
-        assert wire.decode_envelope(wire.encode_pong(7))[:2] == (wire.MSG_PONG, 7)
-        ack = wire.encode_hello_ack("w-1", 123, 4)
-        name, pid, zones = wire.decode_hello_ack(wire.decode_envelope(ack)[2])
-        assert (name, pid, zones) == ("w-1", 123, 4)
+    def serve():
+        for _ in range(connections):
+            try:
+                conn, _peer = listener.accept()
+            except OSError:
+                return  # the test closed the listener
+            with conn:
+                conn.recv(65536)
+                conn.sendall(wire.encode_frame(body))
 
-    def test_bare_message_is_not_an_envelope(self):
-        with pytest.raises(wire.WireError):
-            wire.decode_envelope(wire.encode_ok())
+    threading.Thread(target=serve, daemon=True).start()
+    return listener
+
+
+class TestHandshake:
+    def test_hello_ack_round_trip(self):
+        ack = wire.encode_hello_ack("w-1", 123)
+        assert wire.decode_hello_ack(ack) == ("w-1", 123)
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            bytes([wire.MSG_HELLO_ACK]) + b"abc",  # too short for the pid
+            wire.encode_hello_ack("", 123) + b"\xff\xfe",  # name not UTF-8
+        ],
+        ids=["truncated", "not-utf8"],
+    )
+    def test_malformed_hello_ack_is_a_daemon_that_does_not_answer(self, body):
+        with pytest.raises(wire.WireError, match="malformed HELLO_ACK"):
+            wire.decode_hello_ack(body)
+        listener = _answer_hello_with(body, connections=2)
+        address = listener.getsockname()
+        deadlines = Deadlines(connect_timeout=2.0)
+        try:
+            with pytest.raises(wire.WireError):
+                RemoteWorker(0, address, deadlines, SupervisorStats())
+            with WorkerDaemon() as daemon:
+                daemon.start()
+                worker = RemoteWorker(0, daemon.address, deadlines, SupervisorStats())
+                worker.address = address
+                assert worker.respawn() is None
+                worker.kill()
+        finally:
+            listener.close()
 
 
 class _CannedReply(WireWorker):
@@ -158,60 +194,30 @@ class TestUndecodableReplies:
 
 
 # ---------------------------------------------------------------------------
-# daemon reply cache (exactly-once effect)
+# the daemon's zones belong to the connection
 # ---------------------------------------------------------------------------
 
 
-class _FakeConn:
-    """Captures what the daemon would send on its socket."""
-
-    def __init__(self):
-        self.sent: list[bytes] = []
-
-    def sendall(self, data: bytes) -> None:
-        self.sent.append(data)
-
-
-def _install_frame(seq: int) -> bytes:
-    from repro.core.checkpoint import dumps_spire
-
-    config = _config(seed=5, duration=10)
-    sim = WarehouseSimulator(config).run()
-    zone = _zones(sim)[0]
-    blob = dumps_spire(zone.spire)
-    return wire.encode_request(seq, wire.encode_install(0, blob, zone_id=zone.zone_id))
-
-
-class TestDaemonReplyCache:
-    def test_retry_is_answered_from_cache_not_reapplied(self):
-        daemon = WorkerDaemon()
-        conn = _FakeConn()
-        assert daemon._handle_frame(conn, _install_frame(seq=1)) is True
-        assert len(daemon._host.spires) == 1
-        first_reply = conn.sent[-1]
-        # poison the resident state: if the retry were *re-applied*, the
-        # install would overwrite the sentinel
-        (index,) = daemon._host.spires
-        daemon._host.spires[index] = "sentinel"
-        assert daemon._handle_frame(conn, _install_frame(seq=1)) is True
-        assert conn.sent[-1] == first_reply
-        assert daemon._host.spires[index] == "sentinel"
-        daemon.stop()
-
-    def test_stale_seq_beyond_cache_is_dropped(self):
-        daemon = WorkerDaemon()
-        conn = _FakeConn()
-        daemon._last_seq = 500  # as if 500 requests were served and evicted
-        assert daemon._handle_frame(conn, _install_frame(seq=3)) is True
-        assert conn.sent == []  # no reply: the coordinator moved on long ago
-        daemon.stop()
-
-    def test_cache_evicts_oldest(self):
-        daemon = WorkerDaemon(reply_cache=4)
-        for seq in range(1, 9):
-            daemon._remember(seq, b"r%d" % seq)
-        assert list(daemon._cache) == [5, 6, 7, 8]
-        daemon.stop()
+class TestDaemonState:
+    def test_a_new_connection_starts_with_no_zones(self):
+        sim, epochs = _epochs(_config(seed=5, duration=30))
+        with WorkerDaemon() as daemon:
+            daemon.start()
+            with RemoteCoordinator(
+                _zones(sim), addresses=[daemon.address], checkpoint_interval=10
+            ) as remote:
+                for readings in epochs:
+                    remote.process_epoch(readings)
+                query = (wire.MSG_QUERY, 0, wire.QUERY_LOCATION, next(iter(remote._owner)))
+                remote._workers[0].submit(query)
+                assert isinstance(remote._workers[0].collect(), int)  # zone 0 is there
+            # the coordinator let go of its connection, not of the daemon
+            worker = RemoteWorker(0, daemon.address, Deadlines(), SupervisorStats())
+            worker.stats = WorkerStats()
+            worker.submit(query)
+            with pytest.raises(WorkerError, match="KeyError"):
+                worker.collect()
+            worker.kill()
 
 
 # ---------------------------------------------------------------------------
@@ -244,21 +250,23 @@ class TestNetSchedule:
     def test_json_kinds(self):
         schedule = schedule_from_dict(
             [
-                {"kind": "net_delay", "rate": 0.1, "seconds": 0.01},
-                {"kind": "net_drop", "rate": 0.05, "start": 10},
-                {"kind": "net_dup", "rate": 0.05, "end": 500},
+                {"kind": "net_delay", "rate": 0.1, "seconds": 0.01, "end": 500},
                 {"kind": "net_partition", "start": 40, "duration": 20},
                 {"kind": "worker_crash", "worker": 1, "at_epoch": 60},
                 {"kind": "drop_batches", "rate": 0.03},
             ]
         )
         assert [type(s) for s in schedule] == [
-            NetDelay, NetDrop, NetDup, NetPartition, WorkerCrash, type(schedule[-1]),
+            NetDelay, NetPartition, WorkerCrash, type(schedule[-1]),
         ]
         stream_specs, net_specs, crashes = split_net_schedule(schedule)
-        assert [type(s) for s in net_specs] == [NetDelay, NetDrop, NetDup, NetPartition]
+        assert [type(s) for s in net_specs] == [NetDelay, NetPartition]
         assert crashes == [WorkerCrash(worker=1, at_epoch=60)]
         assert len(stream_specs) == 1
+        # a live TCP connection neither loses nor duplicates a frame
+        for kind in ("net_drop", "net_dup"):
+            with pytest.raises(ValueError, match=f"unknown fault kind '{kind}'"):
+                schedule_from_dict([{"kind": kind, "rate": 0.05}])
 
     def test_run_remote_rejects_bad_schedules(self):
         from repro.experiments.remote import run_remote
@@ -298,94 +306,60 @@ class TestRemoteEquivalence:
         ) as remote:
             assert _run(remote, epochs) == serial
 
-    def test_transport_faults_absorbed_by_retries(self):
-        """Drop + delay + duplication on every link: byte-identical."""
-        config = _config(seed=7)
-        serial = _serial_stream(config)
-        sim, epochs = _epochs(config)
-        daemons = [WorkerDaemon() for _ in range(3)]
-        proxies = []
-        try:
-            schedule = [
-                NetDrop(rate=0.05),
-                NetDelay(rate=0.1, seconds=0.01),
-                NetDup(rate=0.05),
-            ]
-            for i, daemon in enumerate(daemons):
-                daemon.start()
-                proxies.append(NetFaultProxy(daemon.address, schedule, seed=21 + i))
-            # a dropped frame costs one per-attempt deadline (a dropped
-            # HELLO the connect one): keep those short and the resend
-            # budget deep instead of the reverse
-            policy = RetryPolicy(
-                connect_timeout=0.2, request_timeout=0.06, max_retries=16,
-                backoff_base=0.01, backoff_max=0.1,
-            )
-            remote = RemoteCoordinator(
-                _zones(sim),
-                addresses=[proxy.address for proxy in proxies],
-                policy=policy,
-                checkpoint_interval=10,
-            )
-            stream = _run(remote, epochs)
-            stats = remote.supervisor.stats
-        finally:
-            for proxy in proxies:
-                proxy.stop()
-            for daemon in daemons:
-                daemon.stop()
-        assert stream == serial
-        assert stats.worker_deaths == 0
-        # the schedule really perturbed the link; the retry layer hid it
-        assert stats.retries + stats.dup_replies > 0
-
 
 # ---------------------------------------------------------------------------
-# degradation: permanent partition, worker-side error
+# a lost worker: redialled, else its zones move; the stream is the serial one
 # ---------------------------------------------------------------------------
+
+
+def _live_workers(remote) -> int:
+    return sum(worker.alive for worker in remote._workers)
 
 
 class TestDegradation:
     def test_permanent_partition_degrades_cleanly(self):
-        """A blackholed worker is declared dead; the run completes."""
+        """A blackholed link loses its worker, and the redial through the
+        blackhole gets no HELLO_ACK: the zones move to the survivors."""
         config = _config(seed=11)
+        serial = _serial_stream(config)
         sim, epochs = _epochs(config)
         daemons = [WorkerDaemon() for _ in range(3)]
         for daemon in daemons:
             daemon.start()
-        # only worker 0's link is partitioned, and never heals
+        # only worker 0's link is partitioned, and never heals; the delay
+        # before it costs time only
         proxy = NetFaultProxy(
-            daemons[0].address, [NetPartition(start=40, duration=10**9)], seed=3
-        )
-        policy = RetryPolicy(
-            connect_timeout=0.3,  # a reconnect through the blackhole waits this out
-            request_timeout=0.3,
-            max_retries=2,
-            backoff_base=0.01,
-            lease_interval=0.5,
-            max_missed_leases=2,
+            daemons[0].address,
+            [NetDelay(rate=0.1, seconds=0.005), NetPartition(start=40, duration=10**9)],
+            seed=3,
         )
         remote = RemoteCoordinator(
             _zones(sim),
             addresses=[proxy.address] + [d.address for d in daemons[1:]],
-            policy=policy,
+            deadlines=Deadlines(connect_timeout=0.3, request_timeout=0.3, lease_interval=0.5),
             checkpoint_interval=10,
         )
         try:
-            stream = _run(remote, epochs)
+            parts = [encode_stream(remote.process_epoch(r).messages) for r in epochs]
             stats = remote.supervisor.stats
             counts = dict(remote.quarantine.counts())
+            live = _live_workers(remote)
+            hosts = {worker.index for worker in remote._worker_of_zone.values()}
         finally:
+            remote.close()
             proxy.stop()
             for daemon in daemons:
                 daemon.stop()
         assert stats.worker_deaths == 1
         assert counts[WarningKind.WORKER_LOST] == 1
-        check_well_formed(list(decode_stream(stream)))
+        assert live == 2 and hosts == {1, 2}
+        assert b"".join(parts) == serial
 
     def test_worker_error_fails_over_with_traceback(self):
-        """MSG_ERROR mid-run: the worker is retired, its zones rehome."""
+        """MSG_ERROR mid-run: the daemon drops that connection's zones and
+        answers the redial, so they are rebuilt there."""
         config = _config(seed=7)
+        serial = _serial_stream(config)
         sim, epochs = _epochs(config)
         remote = RemoteCoordinator(_zones(sim), workers=2, checkpoint_interval=10)
         try:
@@ -404,13 +378,76 @@ class TestDegradation:
                 w for w in remote.quarantine.warnings
                 if w.kind == WarningKind.WORKER_LOST
             ]
+            live = _live_workers(remote)
+            hosts = {worker.index for worker in remote._worker_of_zone.values()}
         finally:
             remote.close()
         assert stats.worker_deaths == 1
         assert len(warnings) == 1
         assert "worker reported an error" in warnings[0].detail
         assert "Traceback" in warnings[0].detail
-        check_well_formed(list(decode_stream(b"".join(parts))))
+        assert live == 2 and hosts == {0, 1}
+        assert b"".join(parts) == serial
+
+    def test_daemon_restarted_on_the_same_port_keeps_its_slot(self):
+        config = _config(seed=7)
+        serial = _serial_stream(config)
+        sim, epochs = _epochs(config)
+        remote = RemoteCoordinator(_zones(sim), workers=2, checkpoint_interval=10)
+        restarted = None
+        try:
+            parts = []
+            for i, readings in enumerate(epochs):
+                if i == 50:
+                    crashed = remote._daemons[0]
+                    crashed.crash()
+                    restarted = WorkerDaemon(port=crashed.port)
+                    restarted.start()
+                parts.append(encode_stream(remote.process_epoch(readings).messages))
+            counts = dict(remote.quarantine.counts())
+            live = _live_workers(remote)
+            hosts = {worker.index for worker in remote._worker_of_zone.values()}
+        finally:
+            remote.close()
+            if restarted is not None:
+                restarted.stop()
+        assert counts[WarningKind.WORKER_LOST] == 1
+        assert live == 2 and hosts == {0, 1}
+        assert b"".join(parts) == serial
+
+
+    def test_a_home_lost_taking_zones_in_is_rehomed_in_turn(self, monkeypatch):
+        """Daemon 0 crashes; daemon 1, picked as a home, fails the install:
+        it is lost too and everything moves to daemon 2, exactly."""
+        config = _config(seed=7)
+        serial = _serial_stream(config)
+        sim, epochs = _epochs(config)
+        remote = RemoteCoordinator(_zones(sim), workers=3, checkpoint_interval=10)
+        handle_request = ZoneHost.handle_request
+
+        def failing_installs(host, request):
+            if (
+                request[0] == wire.MSG_INSTALL
+                and threading.current_thread().name == remote._daemons[1].name
+            ):
+                raise RuntimeError("injected install fault")
+            return handle_request(host, request)
+
+        monkeypatch.setattr(ZoneHost, "handle_request", failing_installs)
+        try:
+            parts = []
+            for i, readings in enumerate(epochs):
+                if i == 50:
+                    remote._daemons[0].crash()
+                parts.append(encode_stream(remote.process_epoch(readings).messages))
+            counts = dict(remote.quarantine.counts())
+            live = _live_workers(remote)
+            hosts = {worker.index for worker in remote._worker_of_zone.values()}
+        finally:
+            remote.close()
+        assert counts[WarningKind.WORKER_LOST] == 2
+        assert live == 1 and hosts == {2}
+        assert b"".join(parts) == serial
 
 
 # ---------------------------------------------------------------------------
@@ -419,6 +456,21 @@ class TestDegradation:
 
 
 class TestWorkerProcess:
+    def test_a_silent_child_times_out_and_is_reaped(self, monkeypatch):
+        launched = []
+        popen = subprocess.Popen
+
+        def silent(args, **kwargs):
+            launched.append(popen([sys.executable, "-c", "import time; time.sleep(60)"], **kwargs))
+            return launched[-1]
+
+        monkeypatch.setattr(subprocess, "Popen", silent)
+        started = time.monotonic()
+        with pytest.raises(RuntimeError, match="did not report its address in time"):
+            spawn_worker_process(timeout=0.5)
+        assert time.monotonic() - started < 1.5
+        assert launched[0].returncode is not None
+
     def test_spawned_daemon_serves_a_run_and_exits(self):
         config = _config(seed=5, duration=60)
         serial = _serial_stream(config, interval=10)
