@@ -16,9 +16,12 @@ trace logging, TCP serving) through whichever engine the config selects:
     ...     results = session.process(sim.stream)
     ...     print(session.render_metrics())
 
-The old entry points (``Spire``, ``Coordinator``, ``ParallelCoordinator``,
-``SpireServer`` + ``pump_coordinator``) remain public and unchanged — the
-session is a composition layer, not a replacement.
+The session is how the package's own front ends run the substrate: the
+benchmark and every ``repro-spire`` subcommand that runs SPIRE build one
+from a config.  The one exception is ``chaos --remote-workers``, whose
+network-fault proxies a config cannot express.  The engines it composes
+stay public for library use; ``tests/test_api.py`` pins the session's
+output equal to theirs per mode.
 """
 
 from __future__ import annotations
@@ -475,7 +478,13 @@ class SpireSession:
         epoch_interval: float = 0.0,
         on_epoch: "Callable[[int, int], Awaitable[None] | None] | None" = None,
     ) -> int:
-        """Drive a stream through this session into a running server."""
+        """Drive a stream through this session into a running server.
+
+        ``server`` is what :meth:`serve` returned, or another front-end
+        with the same ``publish_epoch`` / ``metrics_provider`` surface
+        (``repro-spire serve --acceptors`` pumps a
+        :class:`~repro.serving.frontend.MultiProcessFrontend`).
+        """
         return await pump_coordinator(
             server,
             self.engine,

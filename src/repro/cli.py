@@ -10,10 +10,9 @@ Subcommands cover the trace lifecycle:
   compression ratio, optional SMURF comparison);
 * ``query`` — answer point/path queries over a persisted event stream
   (``--index-cache`` persists the built index for instant reloads);
-* ``serve`` — replay a persisted trace through a (optionally sharded)
-  coordinator and serve continuous queries over TCP: one-shot lookups
-  against the live index plus standing-pattern subscriptions
-  (see docs/SERVING.md);
+* ``serve`` — replay a persisted trace through a zone-sharded session
+  and serve continuous queries over TCP: one-shot lookups against the
+  live index plus standing-pattern subscriptions (see docs/SERVING.md);
 * ``client`` — connect to a running ``serve`` instance: issue a point
   query, follow a subscription, or dump serving statistics;
 * ``chaos`` — run the same simulation fault-free and under a fault
@@ -47,9 +46,13 @@ Examples::
     repro-spire bench --milestones 2000 --remote-workers 3
     repro-spire bench --milestones 1000 2000 --check-against benchmarks/baselines/perf_smoke.json
 
-Cross-command flags are normalized: ``--seed``, ``--workers`` and
-``--metrics-json`` come from shared parent parsers, and the epoch-count
-knob is ``--epochs`` everywhere.
+Every subcommand that runs SPIRE builds it as a
+:class:`~repro.api.SpireSession` from a :class:`~repro.api.SpireConfig`
+(``chaos --remote-workers`` runs its faulted pass on
+:class:`~repro.experiments.remote.RemoteHarness`, whose network-fault
+proxies a config cannot express).  Cross-command flags are normalized:
+``--seed``, ``--workers`` and ``--metrics-json`` come from shared parent
+parsers, and the epoch-count knob is ``--epochs`` everywhere.
 """
 
 from __future__ import annotations
@@ -60,13 +63,13 @@ import json
 import sys
 from pathlib import Path
 
+from repro.api import SpireConfig, SpireSession
 from repro.baselines.smurf import SmurfPipeline
-from repro.core.params import InferenceParams
-from repro.core.pipeline import Deployment, Spire
 from repro.events import codec as event_codec
 from repro.metrics.accuracy import AccuracyAccumulator, ScoringPolicy
 from repro.metrics.sizing import compression_ratio
 from repro.model.objects import PackagingLevel, TagId
+from repro.obs.metrics import MetricRegistry
 from repro.query.index import EventStreamIndex
 from repro.readers import codec as reading_codec
 from repro.simulator.config import SimulationConfig
@@ -76,6 +79,29 @@ from repro.simulator.warehouse import WarehouseSimulator
 
 def _sidecar_path(trace_path: Path) -> Path:
     return trace_path.with_suffix(trace_path.suffix + ".json")
+
+
+def _load_trace(path: str):
+    """``(layout, stream)`` of a trace ``simulate`` wrote, rebuilt from its
+    sidecar; ``None`` (after printing why) when the sidecar is missing."""
+    trace_path = Path(path)
+    sidecar = _sidecar_path(trace_path)
+    if not sidecar.exists():
+        print(f"error: missing deployment sidecar {sidecar}", file=sys.stderr)
+        return None
+    layout = WarehouseLayout.build(SimulationConfig(**json.loads(sidecar.read_text())))
+    with trace_path.open("rb") as fp:
+        return layout, reading_codec.read_trace(fp)
+
+
+def _session_config(layout: WarehouseLayout, compression: int, **fields) -> SpireConfig:
+    """The session config every SPIRE-running subcommand starts from."""
+    return SpireConfig(
+        readers=list(layout.readers),
+        registry=layout.registry,
+        compression_level=compression,
+        **fields,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -194,25 +220,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_interpret(args: argparse.Namespace) -> int:
     """Run SPIRE over a persisted trace and write the event stream."""
-    trace_path = Path(args.trace)
-    sidecar = _sidecar_path(trace_path)
-    if not sidecar.exists():
-        print(f"error: missing deployment sidecar {sidecar}", file=sys.stderr)
+    loaded = _load_trace(args.trace)
+    if loaded is None:
         return 2
-    config = SimulationConfig(**json.loads(sidecar.read_text()))
-    layout = WarehouseLayout.build(config)
-    with trace_path.open("rb") as fp:
-        stream = reading_codec.read_trace(fp)
-
-    deployment = Deployment.from_readers(layout.readers, layout.registry)
-    spire = Spire(
-        deployment,
-        InferenceParams(),
-        compression_level=args.compression,
-    )
+    layout, stream = loaded
+    session = SpireSession(_session_config(layout, args.compression))
     messages = []
     for epoch_readings in stream:
-        messages.extend(spire.process_epoch(epoch_readings).messages)
+        messages.extend(session.process_epoch(epoch_readings).messages)
 
     with Path(args.output).open("wb") as fp:
         written = event_codec.write_stream(messages, fp)
@@ -221,7 +236,7 @@ def cmd_interpret(args: argparse.Namespace) -> int:
         f"interpreted {stream.total_readings} readings -> {len(messages)} events "
         f"({written} bytes, {ratio:.1%} of raw) to {args.output}"
     )
-    print(f"objects tracked at end: {spire.tracked_objects}")
+    print(f"objects tracked at end: {session.engine.tracked_objects}")
     return 0
 
 
@@ -229,14 +244,14 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     """Simulate, interpret and score in one go (optionally vs. SMURF)."""
     config = _config_from_args(args)
     sim = WarehouseSimulator(config).run()
-    deployment = Deployment.from_readers(sim.layout.readers, sim.layout.registry)
     exclude = frozenset({sim.layout.entry_door.color})
 
-    spire = Spire(deployment, InferenceParams(), compression_level=args.compression)
+    session = SpireSession(_session_config(sim.layout, args.compression))
+    spire = session.engine
     accuracy = AccuracyAccumulator(policy=ScoringPolicy.ALL, exclude_colors=exclude)
     messages = []
     for epoch_readings, snapshot in zip(sim.stream, sim.truth.snapshots):
-        messages.extend(spire.process_epoch(epoch_readings).messages)
+        messages.extend(session.process_epoch(epoch_readings).messages)
         accuracy.score_epoch(spire, snapshot)
 
     print(f"trace: {sim.stream.total_readings} readings, {len(sim.stream)} epochs, "
@@ -248,7 +263,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     print(f"  output events      {len(messages):8d}")
 
     if args.smurf:
-        smurf = SmurfPipeline(deployment)
+        smurf = SmurfPipeline(spire.deployment)
         smurf_messages = []
         errors = total = 0
         for epoch_readings, snapshot in zip(sim.stream, sim.truth.snapshots):
@@ -302,6 +317,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     """Run a simulation fault-free and under faults; report the degradation."""
     from repro.events.wellformed import WellFormednessError, check_well_formed
     from repro.experiments.runner import ground_truth_stream
+    from repro.experiments.table3 import scaling_zone_assignment
     from repro.faults import (
         DelayBatches,
         DropBatches,
@@ -309,7 +325,6 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         FaultInjector,
         ReaderHealthMonitor,
         ReaderOutage,
-        ResilientStream,
         schedule_from_dict,
         split_net_schedule,
     )
@@ -317,15 +332,8 @@ def cmd_chaos(args: argparse.Namespace) -> int:
 
     config = _config_from_args(args)
     sim = WarehouseSimulator(config).run()
-    deployment = Deployment.from_readers(sim.layout.readers, sim.layout.registry)
     reference = ground_truth_stream(sim)
     tolerance = max(r.period for r in sim.layout.readers) + args.max_delay + 2
-
-    registry = None
-    if args.metrics_json:
-        from repro.obs.metrics import MetricRegistry
-
-        registry = MetricRegistry()
 
     if args.schedule:
         try:
@@ -360,14 +368,17 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     # engine of this run can apply is an error, not a no-op.
     full_schedule = list(schedule)
     schedule, net_specs, crashes = split_net_schedule(schedule)
+    pool = args.remote_workers or args.workers
+    base = _session_config(sim.layout, args.compression)
     pool_size = 0
-    if args.remote_workers or args.workers:
-        from repro.experiments.table3 import scaling_zone_assignment
-
-        pool_size = min(
-            args.remote_workers or args.workers,
-            len(scaling_zone_assignment(config.num_shelves)),
+    if pool:
+        # pooled runs shard both passes over one zone map: every pool's
+        # clean-run stream is byte-identical to the in-process one, so the
+        # degradation isolates the faults
+        base = base.with_overrides(
+            zone_map=scaling_zone_assignment(config.num_shelves), checkpoint_interval=50
         )
+        pool_size = min(pool, len(base.zone_map))
     unusable = [(spec, "needs --remote-workers") for spec in net_specs if not args.remote_workers]
     unusable += [
         (crash, f"the run has {pool_size} pool worker(s)")
@@ -379,82 +390,58 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     if unusable:
         return 2
 
+    with SpireSession(base) as baseline:
+        baseline_messages = [m for out in baseline.process(sim.stream) for m in out.messages]
+
+    # faulted run: injector -> resilient ingestion -> engine
     injector = FaultInjector(sim.stream, schedule, seed=args.fault_seed)
-    resilient = ResilientStream(
-        injector,
-        max_delay=args.max_delay,
-        known_readers=[r.reader_id for r in sim.layout.readers],
-        metrics=registry,
-    )
-
-    faulted = None
-    faulted_coordinator = None
-    supervisor_stats = None
-    if args.remote_workers or args.workers:
-        from repro.distributed import Coordinator, ParallelCoordinator, partition_by_location
+    if args.remote_workers:
+        # net faults need NetFaultProxy shims between the coordinator and
+        # its TCP workers, which SpireConfig cannot express: the harness
+        # builds this run, with the ingestion a session would have applied
+        from repro.distributed import partition_by_location
         from repro.experiments.remote import RemoteHarness
+        from repro.faults import ResilientStream
 
-        def _zones():
-            return partition_by_location(
-                sim.layout.readers,
-                scaling_zone_assignment(config.num_shelves),
-                sim.layout.registry,
-                compression_level=args.compression,
-            )
-
-        # in-process baseline: every worker pool's clean-run stream is
-        # byte-identical to it, so the degradation isolates the faults
-        baseline_messages = []
-        with Coordinator(_zones(), checkpoint_interval=50) as baseline_coordinator:
-            for epoch_readings in sim.stream:
-                baseline_messages.extend(
-                    baseline_coordinator.process_epoch(epoch_readings).messages
-                )
-        crash_at = {crash.at_epoch: crash.worker for crash in crashes}
-        if args.remote_workers:
-            pool = RemoteHarness(
-                _zones(),
-                args.remote_workers,
-                net_specs=net_specs,
-                net_seed=args.fault_seed,
-                metrics=registry,
-            )
-            faulted_coordinator = pool.coordinator
-            supervisor_stats = faulted_coordinator.supervisor.stats
-        else:
-            pool = faulted_coordinator = ParallelCoordinator(
-                _zones(), checkpoint_interval=50, workers=args.workers, metrics=registry
-            )
-        faulted_messages = []
-        with pool:
-            for epoch_readings in resilient:
-                if epoch_readings.epoch in crash_at:
-                    if args.remote_workers:
-                        pool.crash_worker(crash_at[epoch_readings.epoch])
-                    else:
-                        pool._workers[crash_at[epoch_readings.epoch]].kill()
-                faulted_messages.extend(
-                    faulted_coordinator.process_epoch(epoch_readings).messages
-                )
-        faulted_stats = faulted_coordinator.stats
-    else:
-        # fault-free baseline
-        baseline = Spire(deployment, InferenceParams(), compression_level=args.compression)
-        baseline_messages = []
-        for epoch_readings in sim.stream:
-            baseline_messages.extend(baseline.process_epoch(epoch_readings).messages)
-
-        # faulted run: injector -> resilient front-end -> substrate with health
-        faulted = Spire(
-            deployment,
-            InferenceParams(),
-            compression_level=args.compression,
-            health=ReaderHealthMonitor(deployment.readers, k=args.health_k),
+        registry = MetricRegistry() if args.metrics_json else None
+        resilient = ResilientStream(
+            injector,
+            max_delay=args.max_delay,
+            known_readers=[r.reader_id for r in sim.layout.readers],
             metrics=registry,
         )
-        faulted_messages = []
+        runner = RemoteHarness(
+            partition_by_location(
+                sim.layout.readers, base.zone_map, sim.layout.registry,
+                compression_level=args.compression,
+            ),
+            args.remote_workers,
+            net_specs=net_specs,
+            net_seed=args.fault_seed,
+            metrics=registry,
+        )
+        engine = runner.coordinator
+        kill_worker, metrics_snapshot = runner.crash_worker, engine.metrics_snapshot
+    else:
+        runner = SpireSession(base.with_overrides(
+            workers=args.workers or None,
+            resilient=True,
+            max_delay=args.max_delay,
+            metrics=bool(args.metrics_json),
+        ))
+        resilient = runner.ingest(injector)
+        engine = runner.engine
+        if not pool:  # Spire reads its health monitor at run time
+            engine.health = ReaderHealthMonitor(engine.deployment.readers, k=args.health_k)
+        kill_worker = lambda i: engine._workers[i].kill()
+        metrics_snapshot = runner.metrics_snapshot
+    crash_at = {crash.at_epoch: crash.worker for crash in crashes}
+    faulted_messages = []
+    with runner:
         for epoch_readings in resilient:
-            faulted_messages.extend(faulted.process_epoch(epoch_readings).messages)
+            if epoch_readings.epoch in crash_at:
+                kill_worker(crash_at[epoch_readings.epoch])
+            faulted_messages.extend(engine.process_epoch(epoch_readings).messages)
 
     f_baseline = f_measure(baseline_messages, reference, tolerance)
     f_faulted = f_measure(faulted_messages, reference, tolerance)
@@ -469,20 +456,19 @@ def cmd_chaos(args: argparse.Namespace) -> int:
           f"{len(injector.duplicated_epochs)} duplicated batch(es)")
     print(f"absorbed: {resilient.synthesized_epochs} epoch(s) synthesized; warnings "
           f"{resilient.quarantine.counts() or '{}'}")
-    if faulted is not None and faulted.health is not None:
-        silent = sum(1 for w in faulted.health.events if w.kind == "reader_silent")
+    if not pool:
+        silent = sum(1 for w in engine.health.events if w.kind == "reader_silent")
         print(f"reader health: {silent} silent transition(s), "
-              f"{len(faulted.health.events) - silent} recovery transition(s)")
-    if faulted_coordinator is not None:
-        engine = "remote" if args.remote_workers else "parallel"
-        print(f"{engine} engine: {args.remote_workers or args.workers} worker(s), "
-              f"{len(faulted_coordinator.zones)} zones")
-        for line in faulted_stats.summary_lines():
+              f"{len(engine.health.events) - silent} recovery transition(s)")
+    else:
+        print(f"{'remote' if args.remote_workers else 'parallel'} engine: "
+              f"{pool} worker(s), {len(engine.zones)} zones")
+        for line in engine.stats.summary_lines():
             print(f"  {line}")
-        if supervisor_stats is not None:
-            for line in supervisor_stats.summary_lines():
+        if args.remote_workers:
+            for line in engine.supervisor.stats.summary_lines():
                 print(f"  {line}")
-        counts = faulted_coordinator.quarantine.counts()
+        counts = engine.quarantine.counts()
         if counts:
             print(f"  coordinator warnings  {counts}")
     print(f"F-measure (tolerance {tolerance} epochs):")
@@ -505,15 +491,8 @@ def cmd_chaos(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         exit_code = 1
-    if registry is not None:
-        # coordinator snapshots fold in the per-zone registries its
-        # workers shipped; the in-process path is all in one registry
-        snapshot = (
-            faulted_coordinator.metrics_snapshot()
-            if faulted_coordinator is not None
-            else registry.snapshot()
-        )
-        _dump_metrics_json(snapshot, args.metrics_json)
+    if args.metrics_json:
+        _dump_metrics_json(metrics_snapshot(), args.metrics_json)
     return exit_code
 
 
@@ -523,11 +502,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
     if args.seed is None:
         args.seed = 41
-    registry = None
-    if args.metrics_json:
-        from repro.obs.metrics import MetricRegistry
-
-        registry = MetricRegistry()
+    registry = MetricRegistry() if args.metrics_json else None
     milestones = args.milestones or list(table3.DEFAULT_MILESTONES)
     payload = table3.run_table3(
         milestones=milestones,
@@ -814,78 +789,38 @@ def parse_pattern(text: str):
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
-    """Replay a trace through a coordinator and serve continuous queries."""
+    """Replay a trace through a session and serve continuous queries."""
     import asyncio
     import itertools
 
-    from repro.distributed import (
-        Coordinator,
-        ParallelCoordinator,
-        partition_by_location,
-    )
     from repro.experiments.table3 import scaling_zone_assignment
     from repro.serving.frontend import MultiProcessFrontend, try_install_uvloop
-    from repro.serving.server import SpireServer, pump_coordinator
 
+    if args.evict_after < 0:
+        print(f"error: --evict-after must be >= 0 (0 disables eviction), "
+              f"got {args.evict_after}", file=sys.stderr)
+        return 2
     if args.uvloop:
         installed = try_install_uvloop()
         print(f"uvloop {'installed' if installed else 'not importable; using asyncio'}")
 
-    trace_path = Path(args.trace)
-    sidecar = _sidecar_path(trace_path)
-    if not sidecar.exists():
-        print(f"error: missing deployment sidecar {sidecar}", file=sys.stderr)
+    loaded = _load_trace(args.trace)
+    if loaded is None:
         return 2
-    config = SimulationConfig(**json.loads(sidecar.read_text()))
-    layout = WarehouseLayout.build(config)
-    with trace_path.open("rb") as fp:
-        stream = reading_codec.read_trace(fp)
-
-    registry = None
-    if args.metrics_json:
-        from repro.obs.metrics import MetricRegistry
-
-        registry = MetricRegistry()
-    multiproc = args.acceptors > 0
-    if multiproc:
-        server = MultiProcessFrontend(
-            args.host,
-            args.port,
-            acceptors=args.acceptors,
-            expand_level2=(args.compression == 2),
-            evict_after=args.evict_after,
-            use_uvloop=args.uvloop,
-        )
-        if args.state:
-            print("warning: --state is ignored with --acceptors "
-                  "(subscription persistence is single-process only)",
-                  file=sys.stderr)
-        quarantine = None
-    else:
-        server = SpireServer(
-            args.host,
-            args.port,
-            expand_level2=(args.compression == 2),
-            evict_after=args.evict_after,
-        )
-        if args.state:
-            restored = server.load_subscriptions(args.state)
-            if restored:
-                print(f"restored {restored} subscription(s) from {args.state}")
-        quarantine = server.engine.quarantine
-    zones = partition_by_location(
-        layout.readers,
-        scaling_zone_assignment(config.num_shelves),
-        layout.registry,
-        compression_level=args.compression,
-        quarantine=quarantine,
+    layout, stream = loaded
+    config = _session_config(
+        layout,
+        args.compression,
+        zone_map=scaling_zone_assignment(len(layout.shelves)),
+        workers=args.workers or None,
+        checkpoint_interval=50,
+        host=args.host,
+        port=args.port,
+        evict_after=args.evict_after,
+        expand_level2=(args.compression == 2),
+        metrics=bool(args.metrics_json),
     )
-    if args.workers:
-        coordinator = ParallelCoordinator(
-            zones, checkpoint_interval=50, workers=args.workers, metrics=registry
-        )
-    else:
-        coordinator = Coordinator(zones, checkpoint_interval=50, metrics=registry)
+    multiproc = args.acceptors > 0
 
     async def run() -> int:
         epochs = stream
@@ -894,15 +829,13 @@ def cmd_serve(args: argparse.Namespace) -> int:
         async with server:
             print(
                 f"serving on {server.host}:{server.port} "
-                f"({len(zones)} zone(s), "
+                f"({len(config.zone_map)} zone(s), "
                 f"{args.workers or 'no'} worker(s), "
                 f"compression level {args.compression}"
                 + (f", {args.acceptors} acceptor(s)" if multiproc else "")
                 + ")"
             )
-            pumped = await pump_coordinator(
-                server, coordinator, epochs, epoch_interval=args.epoch_interval
-            )
+            pumped = await session.pump(server, epochs, epoch_interval=args.epoch_interval)
             print(f"pumped {pumped} epoch(s); stream exhausted")
             if args.linger > 0:
                 print(f"lingering {args.linger:.0f}s for queries")
@@ -912,24 +845,45 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 print(f"saved {saved} subscription(s) to {args.state}")
         return pumped
 
-    try:
-        asyncio.run(run())
-    except KeyboardInterrupt:
-        print("interrupted", file=sys.stderr)
-    finally:
-        coordinator.close()
-        print("serving statistics:")
+    with SpireSession(config) as session:
         if multiproc:
-            for key, value in sorted(server.stats_dict().items()):
-                print(f"  {key:26} {value}")
+            server = MultiProcessFrontend(
+                args.host,
+                args.port,
+                acceptors=args.acceptors,
+                expand_level2=config.expand_level2,
+                evict_after=args.evict_after,
+                use_uvloop=args.uvloop,
+            )
+            if args.state:
+                print("warning: --state is ignored with --acceptors "
+                      "(subscription persistence is single-process only)",
+                      file=sys.stderr)
         else:
-            for line in server.engine.stats.summary_lines():
-                print(f"  {line}")
-            counts = server.engine.quarantine.counts()
-            if counts:
-                print(f"  warnings              {counts}")
-            if registry is not None:
-                _dump_metrics_json(server.metrics_snapshot(), args.metrics_json)
+            server = session.serve()
+            if args.state:
+                restored = server.load_subscriptions(args.state)
+                if restored:
+                    print(f"restored {restored} subscription(s) from {args.state}")
+        try:
+            asyncio.run(run())
+        except KeyboardInterrupt:
+            print("interrupted", file=sys.stderr)
+        finally:
+            print("serving statistics:")
+            if multiproc:
+                for key, value in sorted(server.stats_dict().items()):
+                    print(f"  {key:26} {value}")
+            else:
+                for line in server.engine.stats.summary_lines():
+                    print(f"  {line}")
+                counts = server.engine.quarantine.counts()
+                if counts:
+                    print(f"  warnings              {counts}")
+            if args.metrics_json:
+                # acceptors keep their serving series in their own processes
+                source = session if multiproc else server
+                _dump_metrics_json(source.metrics_snapshot(), args.metrics_json)
     return 0
 
 

@@ -253,6 +253,7 @@ class StandingQueryEngine:
         evict_after: Evict a subscription after this many *consecutive*
             overflowing publishes (0 disables eviction, the default —
             drop-oldest alone then bounds memory but not enqueue work).
+            Negative values raise ``ValueError``.
     """
 
     def __init__(
@@ -261,6 +262,10 @@ class StandingQueryEngine:
         quarantine: Quarantine | None = None,
         evict_after: int = 0,
     ) -> None:
+        if evict_after < 0:
+            raise ValueError(
+                f"evict_after must be >= 0 (0 disables eviction), got {evict_after}"
+            )
         self.index = EventStreamIndex()
         self.quarantine = quarantine if quarantine is not None else Quarantine()
         self.stats = ServingStats()

@@ -97,6 +97,7 @@ class MultiProcessFrontend:
             first acceptor binds, the rest join it via SO_REUSEPORT).
         acceptors: Number of acceptor processes.
         expand_level2 / evict_after: Forwarded to each acceptor's engine.
+            A negative ``evict_after`` raises ``ValueError`` here.
         use_uvloop: Ask each acceptor to install uvloop when importable.
     """
 
@@ -111,6 +112,12 @@ class MultiProcessFrontend:
     ) -> None:
         if acceptors < 1:
             raise ValueError(f"acceptors must be >= 1, got {acceptors}")
+        # checked here: each acceptor builds its engine in a child process,
+        # where the engine's own ValueError would be lost
+        if evict_after < 0:
+            raise ValueError(
+                f"evict_after must be >= 0 (0 disables eviction), got {evict_after}"
+            )
         self.host = host
         self.port = port
         self.acceptors = acceptors

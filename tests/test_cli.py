@@ -464,3 +464,111 @@ class TestBench:
             main(["bench", "--milestones", "200", "--workers", "2"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --workers" in capsys.readouterr().err
+
+
+# the Spire substrate's own series, as (name, labels) pairs
+SPIRE_SERIES = {
+    (name, ()) for name in (
+        "spire_candidate_edges_total", "spire_departed_objects_total",
+        "spire_dirty_nodes", "spire_dirty_nodes_total", "spire_event_bytes_total",
+        "spire_events_total", "spire_graph_edges", "spire_graph_nodes",
+        "spire_inference_seconds", "spire_raw_bytes_total",
+        "spire_readings_deduped_total", "spire_readings_total",
+        "spire_tracked_objects", "spire_update_seconds",
+    )
+} | {("spire_epochs_total", (("mode", mode),)) for mode in ("complete", "partial")}
+COORDINATOR_SERIES = {
+    (name, ()) for name in (
+        "spire_checkpoint_seconds", "spire_checkpoints_total",
+        "spire_coordinator_epochs_total", "spire_failed_zones", "spire_handoffs_total",
+    )
+}
+INGEST_SERIES = {
+    ("spire_ingest_batches_released_total", ()),
+    ("spire_ingest_synthesized_epochs_total", ()),
+    ("spire_warnings_total", (("kind", "gap_synthesized"),)),
+}
+SERVING_SERIES = {
+    (name, ()) for name in (
+        "spire_sase_active_instances", "spire_sase_compile_seconds_total",
+        "spire_sase_compiled_patterns", "spire_sase_events_admitted_total",
+        "spire_sase_events_offered_total", "spire_sase_kills_total",
+        "spire_sase_matches_total", "spire_sase_partitions", "spire_sase_prunes_total",
+        "spire_serving_active_subscriptions", "spire_serving_epochs_published_total",
+        "spire_serving_evictions_total", "spire_serving_messages_published_total",
+        "spire_serving_notifications_delivered_total",
+        "spire_serving_notifications_dropped_total",
+        "spire_serving_pattern_evaluations_total",
+        "spire_serving_publish_latency_microseconds", "spire_serving_queries_total",
+        "spire_serving_query_latency_microseconds", "spire_serving_queued_notifications",
+        "spire_serving_shared_runtimes", "spire_serving_subscriptions_closed_total",
+        "spire_serving_subscriptions_opened_total",
+    )
+}
+# the zone map of the SIM_ARGS layout (four shelves)
+ZONES = ("inbound", "shelf-01", "shelf-02", "shelf-03", "shelf-04", "outbound")
+
+
+def _zoned(series):
+    return {
+        (name, tuple(sorted({**dict(labels), "zone": zone}.items())))
+        for name, labels in series
+        for zone in ZONES
+    }
+
+
+def _written_series(path):
+    snapshot = json.loads(path.read_text())
+    return {
+        (entry["name"], tuple(sorted(entry["labels"].items())))
+        for entry in snapshot["series"]
+    }
+
+
+class TestMetricsJson:
+    """What ``--metrics-json`` writes, pinned as (series name, labels)."""
+
+    @pytest.fixture
+    def trace(self, tmp_path):
+        path = tmp_path / "trace.bin"
+        assert main(["simulate", *SIM_ARGS, "-o", str(path)]) == 0
+        return path
+
+    def test_chaos_local(self, tmp_path, capsys):
+        path = tmp_path / "metrics.json"
+        assert main(["chaos", *SIM_ARGS, "--metrics-json", str(path)]) == 0
+        assert _written_series(path) == SPIRE_SERIES | INGEST_SERIES
+        assert f"wrote metrics snapshot to {path}" in capsys.readouterr().out
+
+    def test_chaos_worker_pool(self, tmp_path):
+        path = tmp_path / "metrics.json"
+        assert main(["chaos", *SIM_ARGS, "--workers", "2", "--metrics-json", str(path)]) == 0
+        assert _written_series(path) == (
+            _zoned(SPIRE_SERIES) | COORDINATOR_SERIES | INGEST_SERIES
+        )
+
+    def test_serve(self, trace, tmp_path):
+        path = tmp_path / "metrics.json"
+        assert main(["serve", str(trace), "--metrics-json", str(path)]) == 0
+        assert _written_series(path) == (
+            _zoned(SPIRE_SERIES) | COORDINATOR_SERIES | SERVING_SERIES
+        )
+
+    def test_serve_with_acceptors_writes_the_substrate_snapshot(self, trace, tmp_path):
+        path = tmp_path / "metrics.json"
+        assert main(["serve", str(trace), "--epochs", "30", "--acceptors", "1",
+                     "--metrics-json", str(path)]) == 0
+        # the acceptors' serving counters stay in their processes; the
+        # file carries the session's substrate series
+        assert _written_series(path) == _zoned(SPIRE_SERIES) | COORDINATOR_SERIES
+
+
+class TestServeArguments:
+    def test_negative_evict_after_is_an_error(self, tmp_path, capsys):
+        trace = tmp_path / "trace.bin"
+        assert main(["simulate", *SIM_ARGS, "--epochs", "30", "-o", str(trace)]) == 0
+        capsys.readouterr()
+        assert main(["serve", str(trace), "--evict-after", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert "error: --evict-after" in captured.err
+        assert "serving on" not in captured.out

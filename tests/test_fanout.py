@@ -196,6 +196,12 @@ class TestTieredBackpressure:
         assert sub.sub_id in engine.subscriptions
         assert engine.stats.subscriptions_evicted == 0
 
+    def test_negative_evict_after_is_rejected(self):
+        # 0 is the documented "off"; a negative streak bound would evict
+        # at the first overflow
+        with pytest.raises(ValueError, match="evict_after must be >= 0"):
+            StandingQueryEngine(evict_after=-1)
+
     def test_durable_subscriptions_are_exempt(self):
         engine = StandingQueryEngine(evict_after=1)
         sub = engine.subscribe(library.place_watch(place=L1), max_queue=1)
@@ -576,6 +582,14 @@ class TestMultiProcessFrontend:
             assert totals["epochs_published"] == 6  # 3 epochs x 2 replicas
 
         asyncio.run(run())
+
+    def test_negative_evict_after_is_rejected_before_any_acceptor_starts(self):
+        # the acceptors build their engines in child processes, where the
+        # engine's own check would be lost
+        from repro.serving.frontend import MultiProcessFrontend
+
+        with pytest.raises(ValueError, match="evict_after must be >= 0"):
+            MultiProcessFrontend(acceptors=1, evict_after=-1)
 
     def test_uvloop_probe_never_raises(self):
         from repro.serving.frontend import try_install_uvloop
