@@ -480,10 +480,12 @@ class SpireSession:
     ) -> int:
         """Drive a stream through this session into a running server.
 
-        ``server`` is what :meth:`serve` returned, or another front-end
-        with the same ``publish_epoch`` / ``metrics_provider`` surface
-        (``repro-spire serve --acceptors`` pumps a
-        :class:`~repro.serving.frontend.MultiProcessFrontend`).
+        ``server`` is what :meth:`serve` returned, or anything with the
+        same ``publish_epoch`` / ``metrics_provider`` surface (a wrapper
+        that observes each published epoch, say).  Each epoch is processed
+        in the default executor while the server's loop keeps answering;
+        a session with ``workers`` runs inference in worker processes,
+        off the serving process's GIL.
         """
         return await pump_coordinator(
             server,

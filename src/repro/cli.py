@@ -794,15 +794,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
     import itertools
 
     from repro.experiments.table3 import scaling_zone_assignment
-    from repro.serving.frontend import MultiProcessFrontend, try_install_uvloop
 
     if args.evict_after < 0:
         print(f"error: --evict-after must be >= 0 (0 disables eviction), "
               f"got {args.evict_after}", file=sys.stderr)
         return 2
-    if args.uvloop:
-        installed = try_install_uvloop()
-        print(f"uvloop {'installed' if installed else 'not importable; using asyncio'}")
 
     loaded = _load_trace(args.trace)
     if loaded is None:
@@ -820,7 +816,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         expand_level2=(args.compression == 2),
         metrics=bool(args.metrics_json),
     )
-    multiproc = args.acceptors > 0
 
     async def run() -> int:
         epochs = stream
@@ -831,59 +826,37 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 f"serving on {server.host}:{server.port} "
                 f"({len(config.zone_map)} zone(s), "
                 f"{args.workers or 'no'} worker(s), "
-                f"compression level {args.compression}"
-                + (f", {args.acceptors} acceptor(s)" if multiproc else "")
-                + ")"
+                f"compression level {args.compression})"
             )
             pumped = await session.pump(server, epochs, epoch_interval=args.epoch_interval)
             print(f"pumped {pumped} epoch(s); stream exhausted")
             if args.linger > 0:
                 print(f"lingering {args.linger:.0f}s for queries")
                 await asyncio.sleep(args.linger)
-            if not multiproc and args.state:
+            if args.state:
                 saved = server.save_subscriptions(args.state)
                 print(f"saved {saved} subscription(s) to {args.state}")
         return pumped
 
     with SpireSession(config) as session:
-        if multiproc:
-            server = MultiProcessFrontend(
-                args.host,
-                args.port,
-                acceptors=args.acceptors,
-                expand_level2=config.expand_level2,
-                evict_after=args.evict_after,
-                use_uvloop=args.uvloop,
-            )
-            if args.state:
-                print("warning: --state is ignored with --acceptors "
-                      "(subscription persistence is single-process only)",
-                      file=sys.stderr)
-        else:
-            server = session.serve()
-            if args.state:
-                restored = server.load_subscriptions(args.state)
-                if restored:
-                    print(f"restored {restored} subscription(s) from {args.state}")
+        server = session.serve()
+        if args.state:
+            restored = server.load_subscriptions(args.state)
+            if restored:
+                print(f"restored {restored} subscription(s) from {args.state}")
         try:
             asyncio.run(run())
         except KeyboardInterrupt:
             print("interrupted", file=sys.stderr)
         finally:
             print("serving statistics:")
-            if multiproc:
-                for key, value in sorted(server.stats_dict().items()):
-                    print(f"  {key:26} {value}")
-            else:
-                for line in server.engine.stats.summary_lines():
-                    print(f"  {line}")
-                counts = server.engine.quarantine.counts()
-                if counts:
-                    print(f"  warnings              {counts}")
+            for line in server.engine.stats.summary_lines():
+                print(f"  {line}")
+            counts = server.engine.quarantine.counts()
+            if counts:
+                print(f"  warnings              {counts}")
             if args.metrics_json:
-                # acceptors keep their serving series in their own processes
-                source = session if multiproc else server
-                _dump_metrics_json(source.metrics_snapshot(), args.metrics_json)
+                _dump_metrics_json(server.metrics_snapshot(), args.metrics_json)
     return 0
 
 
@@ -1118,14 +1091,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--state", default=None,
                        help="subscription state file: restore standing "
                             "patterns from it on start and save them on "
-                            "shutdown (single-process mode only)")
-    serve.add_argument("--acceptors", type=int, default=0,
-                       help="run this many SO_REUSEPORT acceptor processes "
-                            "instead of a single in-process server "
-                            "(0 = single process)")
-    serve.add_argument("--uvloop", action="store_true",
-                       help="install uvloop when importable (silently ignored "
-                            "when the package is absent)")
+                            "shutdown")
     serve.set_defaults(func=cmd_serve)
 
     client = subparsers.add_parser(

@@ -16,12 +16,11 @@ PAPERS.md) motivate its shape.  Three pieces:
   queues with tiered backpressure (drop-oldest escalating to
   slow-consumer eviction), and serving counters;
 * :mod:`repro.serving.server` / :mod:`repro.serving.client` — an asyncio
-  TCP front-end speaking the length-prefixed binary protocol of
-  :mod:`repro.serving.protocol` (batched per-epoch event frames when
-  negotiated), fed by a coordinator pump so serving composes with
-  sharded execution and zone failover;
-* :mod:`repro.serving.frontend` — SO_REUSEPORT multi-process acceptors
-  sharing one logical engine, plus optional uvloop installation.
+  TCP front-end, in the process that owns the engine, speaking the
+  length-prefixed binary protocol of :mod:`repro.serving.protocol` (one
+  batched event frame per epoch per connection), fed by a coordinator
+  pump so serving composes with sharded execution and zone failover.
+  ``serve --workers N`` takes inference off the serving process.
 
 See docs/SERVING.md for a quickstart and DESIGN.md §10 for the
 architecture.
@@ -36,14 +35,11 @@ from repro.serving.engine import (
 from repro.serving.patterns import Notification, Pattern, pattern_from_spec
 from repro.serving.server import SpireServer, pump_coordinator
 from repro.serving.client import ClientSubscription, ServingError, SpireClient
-from repro.serving.frontend import MultiProcessFrontend, try_install_uvloop
 
 __all__ = [
     "ClientSubscription",
-    "MultiProcessFrontend",
     "ServingError",
     "SharedRuntime",
-    "try_install_uvloop",
     "Notification",
     "Pattern",
     "ServingStats",

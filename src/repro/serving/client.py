@@ -2,12 +2,13 @@
 
 :class:`SpireClient` opens one TCP connection, runs a background reader
 task that demultiplexes the server's frames — replies resolve the future
-registered under their request id; subscription events (single or
-batched, see ``FLAG_BATCH_EVENTS``) are routed to their
-:class:`ClientSubscription` handle *and* mirrored onto the legacy
-``notifications`` queue as ``(sub_id, Notification)`` pairs — and exposes
-typed helpers for every query kind.  Requests may be pipelined; ids are
-assigned per-connection.
+registered under their request id; each epoch's batch frame is unpacked
+and its notifications routed to their :class:`ClientSubscription` handle
+*and* mirrored onto the legacy ``notifications`` queue as
+``(sub_id, Notification)`` pairs — and exposes typed helpers for every
+query kind.  Requests may be pipelined; ids are assigned per-connection.
+When the server hangs up, the client is closed: pending and later
+requests, and waits on an empty queue, raise :class:`ServingError`.
 
     async with SpireClient.connect(host, port) as client:
         sub = await client.subscribe("PATTERN SEQ(arrival a) WHERE a.place == 3")
@@ -53,7 +54,8 @@ class ClientSubscription:
     :meth:`next`; :meth:`cancel` unsubscribes.  If the server evicts the
     subscription (tiered backpressure), the eviction notice is the last
     notification delivered and subsequent :meth:`next` calls raise
-    :class:`ServingError`.
+    :class:`ServingError`, as they do once the connection is closed and
+    the queue is drained.
     """
 
     def __init__(
@@ -89,13 +91,15 @@ class ClientSubscription:
 
         Raises :class:`asyncio.TimeoutError` on timeout and
         :class:`ServingError` once the subscription is cancelled or
-        evicted and its queue is drained.
+        evicted, or the connection is closed, and its queue is drained.
         """
         while not self._queue:
             if self.cancelled:
                 raise ServingError(f"subscription {self.id} is cancelled")
             if self.evicted:
                 raise ServingError(f"subscription {self.id} was evicted by the server")
+            if self._client.closed:
+                raise ServingError("connection closed")
             self._wakeup.clear()
             if timeout is None:
                 await self._wakeup.wait()
@@ -132,28 +136,16 @@ class SpireClient:
         self._next_request = 1
         #: sub_id -> ClientSubscription receiving that subscription's events
         self._routes: dict[int, ClientSubscription] = {}
-        #: accepted OP_CONFIGURE flags (0 until negotiated)
-        self.features = 0
+        #: set when the read loop ends (server hung up, or :meth:`close`)
+        self.closed = False
         self.notifications: asyncio.Queue[tuple[int, Notification]] = asyncio.Queue()
         self._reader_task = asyncio.ensure_future(self._read_loop())
 
     @classmethod
-    async def connect(
-        cls, host: str, port: int, batch_events: bool = True
-    ) -> "SpireClient":
-        """Open a connection; negotiates batched event frames by default.
-
-        A server that predates ``OP_CONFIGURE`` answers with an error
-        reply, which downgrades the connection to per-event frames.
-        """
+    async def connect(cls, host: str, port: int) -> "SpireClient":
+        """Open a connection to a running server."""
         reader, writer = await asyncio.open_connection(host, port)
-        client = cls(reader, writer)
-        if batch_events:
-            try:
-                await client.configure(protocol.FLAG_BATCH_EVENTS)
-            except ServingError:
-                pass
-        return client
+        return cls(reader, writer)
 
     async def close(self) -> None:
         self._reader_task.cancel()
@@ -188,16 +180,15 @@ class SpireClient:
         except (ConnectionError, WireError, asyncio.CancelledError):
             pass
         finally:
+            self.closed = True
             for future in self._pending.values():
                 if not future.done():
                     future.set_exception(ServingError("connection closed"))
+            for handle in self._routes.values():
+                handle._wakeup.set()
 
     def _on_frame(self, payload: bytes) -> None:
         kind = protocol.frame_type(payload)
-        if kind == protocol.FRAME_EVENT:
-            sub_id, note = protocol.decode_event(payload)
-            self._dispatch_event(sub_id, note)
-            return
         if kind == protocol.FRAME_EVENT_BATCH:
             _, groups = protocol.decode_event_batch(payload)
             for sub_ids, notes in groups:
@@ -222,6 +213,8 @@ class SpireClient:
         self.notifications.put_nowait((sub_id, note))
 
     async def _request(self, encode, *args) -> bytes:
+        if self.closed:
+            raise ServingError("connection closed")
         request_id = self._next_request
         self._next_request += 1
         future: asyncio.Future = asyncio.get_running_loop().create_future()
@@ -289,12 +282,6 @@ class SpireClient:
     # ------------------------------------------------------------------
     # subscriptions / diagnostics
     # ------------------------------------------------------------------
-
-    async def configure(self, flags: int) -> int:
-        """Negotiate per-connection features; returns the accepted flags."""
-        body = await self._request(lambda rid: protocol.encode_configure(rid, flags))
-        self.features = protocol.decode_configured(body)
-        return self.features
 
     async def subscribe(self, pattern, max_queue: int = 1024) -> ClientSubscription:
         """Register a standing query; returns its subscription handle.
@@ -366,8 +353,26 @@ class SpireClient:
 
         The connection-wide view: every subscription's events land here
         (as well as on their handles).  Prefer the per-handle
-        :meth:`ClientSubscription.next` for new code.
+        :meth:`ClientSubscription.next` for new code.  Raises
+        :class:`asyncio.TimeoutError` on timeout and :class:`ServingError`
+        once the connection is closed and the queue is drained.
         """
-        if timeout is None:
-            return await self.notifications.get()
-        return await asyncio.wait_for(self.notifications.get(), timeout)
+        if self.notifications.empty() and not self.closed:
+            # the queue carries notifications only, so the end of the read
+            # loop is awaited beside it rather than signalled through it
+            getter = asyncio.ensure_future(self.notifications.get())
+            try:
+                await asyncio.wait(
+                    (getter, self._reader_task),
+                    timeout=timeout,
+                    return_when=asyncio.FIRST_COMPLETED,
+                )
+            finally:
+                getter.cancel()  # a no-op once it has its item
+            if getter.done():
+                return getter.result()
+        if not self.notifications.empty():
+            return self.notifications.get_nowait()
+        if self.closed:
+            raise ServingError("connection closed")
+        raise asyncio.TimeoutError

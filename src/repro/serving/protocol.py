@@ -10,29 +10,30 @@ and tag/none conventions are shared with it
 Client → server payloads start with ``op(1) | request_id(4)``; the server
 answers every request with exactly one reply frame carrying the same
 request id, so a client may pipeline requests.  Subscription matches
-arrive as unsolicited event frames tagged with the subscription id —
-clients demultiplex on the first byte.
+arrive as unsolicited ``FRAME_EVENT_BATCH`` frames: one per published
+epoch per connection, with subscriptions that drained the identical
+notification sequence sharing one encoded group.  An eviction notice is
+one more group, ``([sub_id], [notice])``.  Clients demultiplex on the
+first byte.
 
 Ops:
 
 * ``OP_QUERY`` — one-shot point/range query against the live index;
 * ``OP_SUBSCRIBE`` — register a standing pattern; replies with the
-  subscription id, then event frames flow after each served epoch;
+  subscription id, then batch frames carry its matches after each
+  served epoch;
 * ``OP_SUBSCRIBE_PATTERN`` — like subscribe, but the payload is pattern
   *source text* compiled server-side (:mod:`repro.sase`); compile errors
   come back as error replies carrying the compiler message;
-* ``OP_UNSUBSCRIBE`` — stop a subscription (its queued frames may still
-  be in flight);
+* ``OP_UNSUBSCRIBE`` — stop a subscription the requesting connection
+  opened (its queued notifications may still be in flight);
 * ``OP_STATS`` — serving counters as JSON (diagnostics, not hot path);
 * ``OP_METRICS`` — the merged telemetry registry rendered as Prometheus
-  text exposition (scrape-ready; see docs/OBSERVABILITY.md);
-* ``OP_CONFIGURE`` — per-connection feature negotiation: the client
-  sends a flag bitmask, the server answers with the subset it accepted.
-  :data:`FLAG_BATCH_EVENTS` switches the connection's push path from
-  per-event ``FRAME_EVENT`` frames to coalesced ``FRAME_EVENT_BATCH``
-  frames (protocol v2): one frame per epoch per connection, with
-  subscribers that received the identical notification sequence sharing
-  one encoded group.
+  text exposition (scrape-ready; see docs/OBSERVABILITY.md).
+
+Codes are extended, never renumbered: op 7 (a retired feature
+negotiation) and frame type 65 (a retired per-event push frame) stay
+reserved, and a server answers op 7 with an ``unknown op`` error reply.
 """
 
 from __future__ import annotations
@@ -56,14 +57,11 @@ OP_UNSUBSCRIBE = 3
 OP_STATS = 4
 OP_METRICS = 5
 OP_SUBSCRIBE_PATTERN = 6  # pattern source text, compiled server-side
-OP_CONFIGURE = 7  # feature negotiation (flag bitmask)
+# 7 is reserved (retired feature negotiation)
 
 FRAME_REPLY = 64
-FRAME_EVENT = 65
+# 65 is reserved (retired per-event push frame)
 FRAME_EVENT_BATCH = 66  # one coalesced frame per epoch per connection
-
-#: OP_CONFIGURE flags
-FLAG_BATCH_EVENTS = 1
 
 STATUS_OK = 0
 STATUS_ERROR = 1
@@ -97,7 +95,6 @@ _QUERY = struct.Struct("<BQqqq")  # kind, obj key, place, t1, t2
 _SUBSCRIBE = struct.Struct("<BQqqI")  # pattern kind, obj key, place, k, max queue
 _UNSUBSCRIBE = struct.Struct("<I")  # subscription id
 _REPLY = struct.Struct("<BIB")  # frame type, request id, status
-_EVENT = struct.Struct("<BI")  # frame type, subscription id
 _NOTIFICATION = struct.Struct("<BqQqQq")  # kind, epoch, obj, place, container, value
 _I64 = struct.Struct("<q")
 _U32 = struct.Struct("<I")
@@ -188,21 +185,6 @@ def encode_unsubscribe(request_id: int, sub_id: int) -> bytes:
 def decode_unsubscribe(payload: bytes) -> int:
     (sub_id,) = _UNSUBSCRIBE.unpack_from(payload, _REQUEST.size)
     return sub_id
-
-
-def encode_configure(request_id: int, flags: int) -> bytes:
-    """Negotiate per-connection features (``FLAG_*`` bitmask).
-
-    The reply body is the accepted-flags bitmask (u32) — an older server
-    answers with an error reply instead, which clients treat as "no
-    optional features".
-    """
-    return _REQUEST.pack(OP_CONFIGURE, request_id) + _U32.pack(flags)
-
-
-def decode_configure(payload: bytes) -> int:
-    (flags,) = _U32.unpack_from(payload, _REQUEST.size)
-    return flags
 
 
 def encode_stats_request(request_id: int) -> bytes:
@@ -303,16 +285,6 @@ def decode_metrics_body(body: bytes) -> str:
     return body.decode("utf-8")
 
 
-def encode_configured(flags: int) -> bytes:
-    """Reply body of OP_CONFIGURE: the accepted-flags bitmask."""
-    return _U32.pack(flags)
-
-
-def decode_configured(body: bytes) -> int:
-    (flags,) = _U32.unpack_from(body)
-    return flags
-
-
 def encode_subscribed(sub_id: int) -> bytes:
     return _U32.pack(sub_id)
 
@@ -323,7 +295,7 @@ def decode_subscribed(body: bytes) -> int:
 
 
 def encode_notification(note: Notification) -> bytes:
-    """One notification body (shared by FRAME_EVENT and batch groups)."""
+    """One notification body, as carried in a batch group."""
     code = NOTIFY_CODES.get(note.kind)
     if code is None:
         raise WireError(f"unknown notification kind {note.kind!r}")
@@ -357,19 +329,10 @@ def decode_notification(body: bytes, offset: int = 0, end: int | None = None) ->
     )
 
 
-def encode_event(sub_id: int, note: Notification) -> bytes:
-    return _EVENT.pack(FRAME_EVENT, sub_id) + encode_notification(note)
-
-
-def decode_event(payload: bytes) -> tuple[int, Notification]:
-    _, sub_id = _EVENT.unpack_from(payload)
-    return sub_id, decode_notification(payload, _EVENT.size)
-
-
 def encode_event_batch(
     epoch: int, groups: list[tuple[list[int], list[Notification]]]
 ) -> bytes:
-    """Coalesce one epoch's push traffic for one connection (protocol v2).
+    """Coalesce one epoch's push traffic for one connection.
 
     ``groups`` pairs a list of subscription ids with the notification
     sequence each of them received — subscribers whose drained sequences
@@ -417,7 +380,7 @@ def decode_event_batch(
 
 
 def frame_type(payload: bytes) -> int:
-    """First byte of a server frame (FRAME_REPLY or FRAME_EVENT)."""
+    """First byte of a server frame (FRAME_REPLY or FRAME_EVENT_BATCH)."""
     if not payload:
         raise WireError("empty frame")
     return payload[0]

@@ -14,13 +14,13 @@ one epoch at a time in the default executor, so serving composes with
 sharded execution and zone failover: whatever the substrate emits —
 including the splice messages of ``fail_zone``/``recover_zone`` — is what
 subscribers see.  After each published epoch, every subscription's queue
-is flushed to its connection — on batch-negotiated connections
-(``OP_CONFIGURE`` + ``FLAG_BATCH_EVENTS``) as **one coalesced
-``FRAME_EVENT_BATCH`` frame per epoch**, with subscriptions that drained
-the identical notification sequence sharing one encoded group; the
-engine's bounded queues (drop-oldest, escalating to eviction when
-``evict_after`` is set) are the backpressure boundary, so a stalled
-client costs memory ``O(max_queue)`` and never blocks the pump.
+is flushed to its connection as **one coalesced ``FRAME_EVENT_BATCH``
+frame per epoch**, with subscriptions that drained the identical
+notification sequence sharing one encoded group, and the epoch's
+eviction notices riding the same frame; the engine's bounded queues
+(drop-oldest, escalating to eviction when ``evict_after`` is set) are the
+backpressure boundary, so a stalled client costs memory ``O(max_queue)``
+and never blocks the pump.
 """
 
 from __future__ import annotations
@@ -28,9 +28,8 @@ from __future__ import annotations
 import asyncio
 from typing import Awaitable, Callable, Iterable
 
-from repro.distributed.wire import FrameDecoder, WireError, encode_frame, encode_frames
+from repro.distributed.wire import FrameDecoder, WireError, encode_frame
 from repro.events.messages import EventMessage
-from repro.faults.warnings import Quarantine
 from repro.obs.metrics import merge_snapshots, render_prometheus
 from repro.readers.stream import EpochReadings
 from repro.serving import protocol
@@ -46,30 +45,22 @@ class SpireServer:
         self,
         host: str = "127.0.0.1",
         port: int = 0,
-        expand_level2: bool = True,
-        quarantine: Quarantine | None = None,
         engine: StandingQueryEngine | None = None,
         metrics_provider: Callable[[], dict] | None = None,
         evict_after: int = 0,
-        reuse_port: bool = False,
     ) -> None:
         self.host = host
         self.port = port
         self.engine = engine if engine is not None else StandingQueryEngine(
-            expand_level2=expand_level2, quarantine=quarantine, evict_after=evict_after
+            expand_level2=True, evict_after=evict_after
         )
         #: optional callback returning a substrate obs snapshot (e.g. a
         #: coordinator's ``metrics_snapshot``) merged into ``METRICS`` replies
         self.metrics_provider = metrics_provider
-        #: bind with SO_REUSEPORT so several acceptor processes can share
-        #: the port (see repro.serving.frontend)
-        self.reuse_port = reuse_port
         self._server: asyncio.AbstractServer | None = None
         #: sub_id -> writer owning that subscription
         self._sub_owner: dict[int, asyncio.StreamWriter] = {}
         self._writers: set[asyncio.StreamWriter] = set()
-        #: writers that negotiated FLAG_BATCH_EVENTS (protocol v2 push)
-        self._batched: set[asyncio.StreamWriter] = set()
         self._conn_tasks: set[asyncio.Task] = set()
         self._lock = asyncio.Lock()
 
@@ -79,7 +70,7 @@ class SpireServer:
 
     async def start(self) -> None:
         self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port, reuse_port=self.reuse_port or None
+            self._handle_connection, self.host, self.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
 
@@ -110,26 +101,19 @@ class SpireServer:
         """Feed one epoch's merged output; flush matches to subscribers."""
         async with self._lock:
             queued = self.engine.publish(epoch, messages)
-            await self._notify_evictions()
             await self._flush_subscriptions()
         return queued
-
-    async def _notify_evictions(self) -> None:
-        """Deliver eviction notices to owners the engine just evicted."""
-        for sub_id, note in self.engine.evicted:
-            writer = self._sub_owner.pop(sub_id, None)
-            if writer is None or writer.is_closing():
-                continue
-            writer.write(encode_frame(protocol.encode_event(sub_id, note)))
-            try:
-                await writer.drain()
-            except (ConnectionError, RuntimeError):
-                pass
 
     async def _flush_subscriptions(self) -> None:
         dead: list[int] = []
         #: per-writer drained output, preserving subscription order
         by_writer: dict[asyncio.StreamWriter, list[tuple[int, list]]] = {}
+        # the engine already dropped the subscriptions it just evicted;
+        # each notice goes to its owner ahead of the epoch's matches
+        for sub_id, note in self.engine.evicted:
+            writer = self._sub_owner.pop(sub_id, None)
+            if writer is not None and not writer.is_closing():
+                by_writer.setdefault(writer, []).append((sub_id, [note]))
         for sub_id, writer in list(self._sub_owner.items()):
             notes = self.engine.drain(sub_id)
             if not notes:
@@ -140,31 +124,23 @@ class SpireServer:
             by_writer.setdefault(writer, []).append((sub_id, notes))
         epoch = self.engine.last_epoch or 0
         for writer, entries in by_writer.items():
-            if writer in self._batched:
-                # protocol v2: one coalesced frame per epoch per connection;
-                # subscriptions that drained the *identical* notification
-                # sequence (the common case under shared fan-out) share one
-                # encoded group, so N duplicate subscribers cost one body
-                groups: dict[tuple, list[int]] = {}
-                sequences: dict[tuple, list] = {}
-                for sub_id, notes in entries:
-                    key = tuple(map(id, notes))
-                    if key in groups:
-                        groups[key].append(sub_id)
-                    else:
-                        groups[key] = [sub_id]
-                        sequences[key] = notes
-                payload = protocol.encode_event_batch(
-                    epoch, [(groups[key], sequences[key]) for key in groups]
-                )
-                data = encode_frame(payload)
-            else:
-                data = encode_frames(
-                    protocol.encode_event(sub_id, note)
-                    for sub_id, notes in entries
-                    for note in notes
-                )
-            writer.write(data)
+            # one coalesced frame per epoch per connection; subscriptions
+            # that drained the *identical* notification sequence (the common
+            # case under shared fan-out) share one encoded group, so N
+            # duplicate subscribers cost one body
+            groups: dict[tuple, list[int]] = {}
+            sequences: dict[tuple, list] = {}
+            for sub_id, notes in entries:
+                key = tuple(map(id, notes))
+                if key in groups:
+                    groups[key].append(sub_id)
+                else:
+                    groups[key] = [sub_id]
+                    sequences[key] = notes
+            payload = protocol.encode_event_batch(
+                epoch, [(groups[key], sequences[key]) for key in groups]
+            )
+            writer.write(encode_frame(payload))
             try:
                 await writer.drain()
             except (ConnectionError, RuntimeError):
@@ -212,7 +188,6 @@ class SpireServer:
                 for sub_id in owned:
                     self._drop_subscription(sub_id)
             self._writers.discard(writer)
-            self._batched.discard(writer)
             if task is not None:
                 self._conn_tasks.discard(task)
             writer.close()
@@ -232,9 +207,7 @@ class SpireServer:
             if op == protocol.OP_SUBSCRIBE_PATTERN:
                 return await self._handle_subscribe_pattern(request_id, payload, writer)
             if op == protocol.OP_UNSUBSCRIBE:
-                return await self._handle_unsubscribe(request_id, payload)
-            if op == protocol.OP_CONFIGURE:
-                return self._handle_configure(request_id, payload, writer)
+                return await self._handle_unsubscribe(request_id, payload, writer)
             if op == protocol.OP_STATS:
                 return protocol.encode_reply(
                     request_id, protocol.encode_stats_body(self.stats_dict())
@@ -296,23 +269,17 @@ class SpireServer:
             self._sub_owner[sub.sub_id] = writer
         return protocol.encode_reply(request_id, protocol.encode_subscribed(sub.sub_id))
 
-    def _handle_configure(
+    async def _handle_unsubscribe(
         self, request_id: int, payload: bytes, writer: asyncio.StreamWriter
     ) -> bytes:
-        requested = protocol.decode_configure(payload)
-        accepted = requested & protocol.FLAG_BATCH_EVENTS
-        if accepted & protocol.FLAG_BATCH_EVENTS:
-            self._batched.add(writer)
-        else:
-            self._batched.discard(writer)
-        return protocol.encode_reply(request_id, protocol.encode_configured(accepted))
-
-    async def _handle_unsubscribe(self, request_id: int, payload: bytes) -> bytes:
         sub_id = protocol.decode_unsubscribe(payload)
         async with self._lock:
-            existed = sub_id in self._sub_owner
-            self._drop_subscription(sub_id)
-        return protocol.encode_reply(request_id, protocol.encode_subscribed(sub_id if existed else 0))
+            # only the owning connection may cancel; any other id, known
+            # or not, gets the same "no such subscription" answer
+            owned = self._sub_owner.get(sub_id) is writer
+            if owned:
+                self._drop_subscription(sub_id)
+        return protocol.encode_reply(request_id, protocol.encode_subscribed(sub_id if owned else 0))
 
     # ------------------------------------------------------------------
     # diagnostics

@@ -554,14 +554,6 @@ class TestMetricsJson:
             _zoned(SPIRE_SERIES) | COORDINATOR_SERIES | SERVING_SERIES
         )
 
-    def test_serve_with_acceptors_writes_the_substrate_snapshot(self, trace, tmp_path):
-        path = tmp_path / "metrics.json"
-        assert main(["serve", str(trace), "--epochs", "30", "--acceptors", "1",
-                     "--metrics-json", str(path)]) == 0
-        # the acceptors' serving counters stay in their processes; the
-        # file carries the session's substrate series
-        assert _written_series(path) == _zoned(SPIRE_SERIES) | COORDINATOR_SERIES
-
 
 class TestServeArguments:
     def test_negative_evict_after_is_an_error(self, tmp_path, capsys):

@@ -1,6 +1,6 @@
-"""Fan-out tier coverage: shared runtimes, tiered backpressure, protocol
-v2 batched frames, subscription persistence, and the redesigned
-subscription API.
+"""Fan-out tier coverage: shared runtimes, tiered backpressure, batched
+event frames, subscription persistence, and the redesigned subscription
+API.
 
 Pins the load-bearing properties of the 10k-subscriber serving redesign:
 
@@ -229,7 +229,7 @@ class TestTieredBackpressure:
 
 
 # ---------------------------------------------------------------------------
-# protocol v2: batched event frames + feature negotiation
+# batched event frames
 # ---------------------------------------------------------------------------
 
 
@@ -265,19 +265,18 @@ class TestEventBatchCodec:
         assert len(ids) == 3 and len(notes) == 2
 
     def test_batch_equals_singles(self):
-        """The batched codec must carry exactly what per-sub FRAME_EVENT
-        frames would have carried."""
+        """The batched codec carries each notification byte for byte as
+        the one-notification codec encodes it."""
         groups = _sample_groups()
         payload = protocol.encode_event_batch(7, groups)
         _, decoded = protocol.decode_event_batch(payload)
+        assert len(decoded) == len(groups)
         for (ids, notes), (dids, dnotes) in zip(groups, decoded):
             assert ids == dids
-            for want, got in zip(notes, dnotes):
-                for sub_id in ids:
-                    single = protocol.decode_event(
-                        protocol.encode_event(sub_id, want)
-                    )
-                    assert single == (sub_id, got)
+            assert dnotes == notes
+            assert [protocol.encode_notification(n) for n in dnotes] == [
+                protocol.encode_notification(n) for n in notes
+            ]
 
     @pytest.mark.parametrize("chunk_size", [1, 2, 3, 7, 16, 64, 4096])
     def test_framed_batch_survives_fixed_chunking(self, chunk_size):
@@ -318,17 +317,14 @@ class TestEventBatchCodec:
         assert blob == b"".join(encode_frame(p) for p in payloads)
         assert FrameDecoder().feed(blob) == payloads
 
-    def test_configure_round_trip(self):
-        payload = protocol.encode_configure(9, protocol.FLAG_BATCH_EVENTS)
-        assert protocol.decode_configure(payload) == protocol.FLAG_BATCH_EVENTS
-        body = protocol.encode_configured(protocol.FLAG_BATCH_EVENTS)
-        assert protocol.decode_configured(body) == protocol.FLAG_BATCH_EVENTS
-
     def test_eviction_notice_codes(self):
+        """An eviction notice rides a batch frame as a one-group batch."""
         note = Notification(kind=NOTIFY_SUBSCRIPTION_EVICTED, epoch=4,
                             value=17, detail="slow consumer")
-        sub_id, decoded = protocol.decode_event(protocol.encode_event(12, note))
-        assert sub_id == 12 and decoded == note
+        epoch, groups = protocol.decode_event_batch(
+            protocol.encode_event_batch(4, [([12], [note])])
+        )
+        assert epoch == 4 and groups == [([12], [note])]
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +389,7 @@ class TestSubscriptionPersistence:
 
 
 # ---------------------------------------------------------------------------
-# client/server: negotiation, handles, eviction notices, batched push
+# client/server: handles, eviction notices, batched push, hang-ups
 # ---------------------------------------------------------------------------
 
 
@@ -410,7 +406,6 @@ class TestServingV2EndToEnd:
             async with SpireServer() as server:
                 client = await SpireClient.connect(server.host, server.port)
                 try:
-                    assert client.features & protocol.FLAG_BATCH_EVENTS
                     subs = [
                         await client.subscribe(PatternSpec(PATTERN_PLACE, place=L1))
                         for _ in range(3)
@@ -422,26 +417,6 @@ class TestServingV2EndToEnd:
                         first = await sub.next(timeout=5)
                         assert first.kind == "place_event" and first.place == L1
                     assert (await client.stats())["shared_runtimes"] == 1
-                finally:
-                    await client.close()
-
-        asyncio.run(run())
-
-    def test_unbatched_fallback_still_delivers(self):
-        async def run():
-            from repro.serving.client import SpireClient
-            from repro.serving.server import SpireServer
-
-            async with SpireServer() as server:
-                client = await SpireClient.connect(
-                    server.host, server.port, batch_events=False
-                )
-                try:
-                    assert client.features == 0
-                    sub = await client.subscribe(PatternSpec(PATTERN_PLACE, place=L1))
-                    await _drive(server, 0, [start_location(item(1), L1, 0)])
-                    note = await sub.next(timeout=5)
-                    assert note.kind == "place_event"
                 finally:
                     await client.close()
 
@@ -499,9 +474,123 @@ class TestServingV2EndToEnd:
 
         asyncio.run(run())
 
+    def test_unsubscribe_cancels_only_the_connections_own(self):
+        async def run():
+            from repro.serving.client import SpireClient
+            from repro.serving.server import SpireServer
+
+            async with SpireServer() as server:
+                owner = await SpireClient.connect(server.host, server.port)
+                other = await SpireClient.connect(server.host, server.port)
+                try:
+                    sub = await owner.subscribe(PatternSpec(PATTERN_PLACE, place=L1))
+                    # another connection's id gets the unknown-id answer
+                    assert not await other.unsubscribe(sub.id)
+                    assert sub.id in server.engine.subscriptions
+                    await _drive(server, 0, [start_location(item(1), L1, 0)])
+                    assert (await sub.next(timeout=5)).place == L1
+                    assert await owner.unsubscribe(sub.id)
+                    assert sub.id not in server.engine.subscriptions
+                finally:
+                    await owner.close()
+                    await other.close()
+
+        asyncio.run(run())
+
+    def test_retired_configure_op_is_an_unknown_op(self):
+        async def run():
+            import struct
+
+            from repro.serving.client import ServingError, SpireClient
+            from repro.serving.server import SpireServer
+
+            async with SpireServer() as server:
+                client = await SpireClient.connect(server.host, server.port)
+                try:
+                    with pytest.raises(ServingError, match="unknown op 7"):
+                        await client._request(
+                            lambda rid: struct.pack("<BII", 7, rid, 1)
+                        )
+                    assert await client.location_of(item(1), 0) is None
+                finally:
+                    await client.close()
+
+        asyncio.run(run())
+
+
+async def _hung_up_client(server):
+    """A client with one delivered notification queued, whose server has
+    since closed; every wait on it is bounded so a hang fails the test."""
+    from repro.serving.client import SpireClient
+
+    client = await SpireClient.connect(server.host, server.port)
+    sub = await client.subscribe(PatternSpec(PATTERN_PLACE, place=L1))
+    await _drive(server, 0, [start_location(item(1), L1, 0)])
+    # the reply follows the epoch's batch frame on the same socket
+    await client.stats()
+    await server.close()
+    await asyncio.wait([client._reader_task], timeout=5)
+    assert client._reader_task.done(), "the client never saw the hang-up"
+    return client, sub
+
+
+class TestServerHangUp:
+    def test_handle_drains_then_raises(self):
+        async def run():
+            from repro.serving.client import ServingError
+            from repro.serving.server import SpireServer
+
+            server = SpireServer()
+            await server.start()
+            client, sub = await _hung_up_client(server)
+            try:
+                assert (await sub.next(timeout=5)).place == L1
+                with pytest.raises(ServingError, match="connection closed"):
+                    await sub.next(timeout=5)
+            finally:
+                await client.close()
+
+        asyncio.run(run())
+
+    def test_next_notification_drains_then_raises(self):
+        async def run():
+            from repro.serving.client import ServingError
+            from repro.serving.server import SpireServer
+
+            server = SpireServer()
+            await server.start()
+            client, sub = await _hung_up_client(server)
+            try:
+                sub_id, note = await client.next_notification(timeout=5)
+                assert sub_id == sub.id and note.place == L1
+                with pytest.raises(ServingError, match="connection closed"):
+                    await client.next_notification(timeout=5)
+                # the queue holds notifications only
+                assert client.notifications.empty()
+            finally:
+                await client.close()
+
+        asyncio.run(run())
+
+    def test_later_request_raises(self):
+        async def run():
+            from repro.serving.client import ServingError
+            from repro.serving.server import SpireServer
+
+            server = SpireServer()
+            await server.start()
+            client, _ = await _hung_up_client(server)
+            try:
+                with pytest.raises(ServingError, match="connection closed"):
+                    await asyncio.wait_for(client.stats(), 5)
+            finally:
+                await client.close()
+
+        asyncio.run(run())
+
 
 # ---------------------------------------------------------------------------
-# session API + multi-process front-end
+# session API
 # ---------------------------------------------------------------------------
 
 
@@ -555,43 +644,3 @@ class TestSessionSubscribe:
                 session.process_epoch(readings)
             notes = sub.drain()
             assert notes and all(n.kind == "sase_match" for n in notes)
-
-
-class TestMultiProcessFrontend:
-    def test_two_acceptors_share_a_port_and_replicate(self):
-        async def run():
-            from repro.serving.client import SpireClient
-            from repro.serving.frontend import MultiProcessFrontend
-
-            async with MultiProcessFrontend(acceptors=2) as frontend:
-                assert frontend.port != 0
-                for epoch, batch in _epochs(3):
-                    await frontend.publish_epoch(epoch, batch)
-                # every accepted connection (kernel-balanced) must answer
-                # from an identical replica
-                for _ in range(4):
-                    client = await SpireClient.connect(frontend.host, frontend.port)
-                    try:
-                        assert await client.location_of(item(1), 2) == L1
-                        stats = await client.stats()
-                        assert stats["epochs_published"] == 3
-                    finally:
-                        await client.close()
-            totals = frontend.stats_dict()
-            assert totals["acceptors"] == 2
-            assert totals["epochs_published"] == 6  # 3 epochs x 2 replicas
-
-        asyncio.run(run())
-
-    def test_negative_evict_after_is_rejected_before_any_acceptor_starts(self):
-        # the acceptors build their engines in child processes, where the
-        # engine's own check would be lost
-        from repro.serving.frontend import MultiProcessFrontend
-
-        with pytest.raises(ValueError, match="evict_after must be >= 0"):
-            MultiProcessFrontend(acceptors=1, evict_after=-1)
-
-    def test_uvloop_probe_never_raises(self):
-        from repro.serving.frontend import try_install_uvloop
-
-        assert try_install_uvloop() in (True, False)

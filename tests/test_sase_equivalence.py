@@ -3,7 +3,7 @@
 The acceptance property of the pattern compiler: every hand-coded
 catalogue pattern (``tests/reference_patterns.py``), re-expressed as a
 :mod:`repro.sase` library definition, produces the **identical encoded
-notification frames** over chaos-enabled simulated streams (drops +
+notification bodies** (the bytes a batch frame carries) over chaos-enabled simulated streams (drops +
 delays, three pinned seeds) and over the Table III growth workload.  The
 compiled side runs inside a :class:`StandingQueryEngine`, routed and
 shared as the server runs it; the reference is driven bare, over its own
@@ -101,8 +101,8 @@ def _pattern_pairs(obj, place, k):
 
 
 def _frames_per_epoch(pattern, batches, subscribe_at=0):
-    """Run one compiled pattern through its own engine; encoded frames
-    per epoch.
+    """Run one compiled pattern through its own engine; encoded
+    notification bodies per epoch.
 
     ``subscribe_at`` delays the subscription to that epoch index, so the
     prime path (seeding from the live index) is compared too.
@@ -115,7 +115,7 @@ def _frames_per_epoch(pattern, batches, subscribe_at=0):
             sub = engine.subscribe(pattern, max_queue=1 << 20)
         engine.publish(epoch, messages)
         notes = sub.drain() if sub is not None else []
-        frames.append([protocol.encode_event(0, note) for note in notes])
+        frames.append([protocol.encode_notification(note) for note in notes])
     return frames
 
 
@@ -135,7 +135,7 @@ def _reference_frames(pattern, batches, subscribe_at=0):
         index.extend(batch)
         last_epoch = epoch
         notes = pattern.evaluate(epoch, batch, index) if position >= subscribe_at else []
-        frames.append([protocol.encode_event(0, note) for note in notes])
+        frames.append([protocol.encode_notification(note) for note in notes])
     return frames
 
 
@@ -207,6 +207,6 @@ class TestSubscriptionEdgeCases:
         second = engine.subscribe(library.place_watch(places[0]), max_queue=1 << 20)
         for epoch, messages in batches:
             engine.publish(epoch, messages)
-        a = [protocol.encode_event(0, n) for n in first.drain()]
-        b = [protocol.encode_event(0, n) for n in second.drain()]
+        a = [protocol.encode_notification(n) for n in first.drain()]
+        b = [protocol.encode_notification(n) for n in second.drain()]
         assert a and a == b

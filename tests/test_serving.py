@@ -393,8 +393,11 @@ class TestProtocol:
             value=3,
             detail="left L0 at 41; case:9 stayed",
         )
-        sub_id, decoded = protocol.decode_event(protocol.encode_event(17, note))
-        assert sub_id == 17 and decoded == note
+        assert protocol.decode_notification(protocol.encode_notification(note)) == note
+        _, groups = protocol.decode_event_batch(
+            protocol.encode_event_batch(42, [([17], [note])])
+        )
+        assert groups == [([17], [note])]
 
     def test_scalar_none(self):
         assert protocol.decode_scalar(protocol.encode_scalar(None)) is None
