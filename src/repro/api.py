@@ -33,7 +33,12 @@ from typing import TYPE_CHECKING, Awaitable, Callable, Iterable, Mapping, Sequen
 from repro.core.checkpoint import dumps_spire
 from repro.core.params import InferenceParams
 from repro.core.pipeline import Deployment, Spire
-from repro.distributed.coordinator import Coordinator, Zone, partition_by_location
+from repro.distributed.coordinator import (
+    DEFAULT_CHECKPOINT_INTERVAL,
+    Coordinator,
+    Zone,
+    partition_by_location,
+)
 from repro.distributed.parallel import ParallelCoordinator
 from repro.faults.resilient import ResilientStream
 from repro.model.locations import LocationRegistry
@@ -262,7 +267,7 @@ class SpireSession:
                 from repro.distributed import RemoteCoordinator
 
                 if config.checkpoint_interval is None:
-                    common["checkpoint_interval"] = 50
+                    common["checkpoint_interval"] = DEFAULT_CHECKPOINT_INTERVAL
                 self.coordinator: Coordinator | None = RemoteCoordinator(
                     zones, workers=config.remote_workers, **common
                 )

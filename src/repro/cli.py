@@ -65,6 +65,7 @@ from pathlib import Path
 
 from repro.api import SpireConfig, SpireSession
 from repro.baselines.smurf import SmurfPipeline
+from repro.distributed.coordinator import DEFAULT_CHECKPOINT_INTERVAL
 from repro.events import codec as event_codec
 from repro.metrics.accuracy import AccuracyAccumulator, ScoringPolicy
 from repro.metrics.sizing import compression_ratio
@@ -376,7 +377,8 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         # clean-run stream is byte-identical to the in-process one, so the
         # degradation isolates the faults
         base = base.with_overrides(
-            zone_map=scaling_zone_assignment(config.num_shelves), checkpoint_interval=50
+            zone_map=scaling_zone_assignment(config.num_shelves),
+            checkpoint_interval=DEFAULT_CHECKPOINT_INTERVAL,
         )
         pool_size = min(pool, len(base.zone_map))
     unusable = [(spec, "needs --remote-workers") for spec in net_specs if not args.remote_workers]
@@ -809,7 +811,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         args.compression,
         zone_map=scaling_zone_assignment(len(layout.shelves)),
         workers=args.workers or None,
-        checkpoint_interval=50,
+        checkpoint_interval=DEFAULT_CHECKPOINT_INTERVAL,
         host=args.host,
         port=args.port,
         evict_after=args.evict_after,

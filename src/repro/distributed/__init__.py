@@ -13,15 +13,14 @@ With ``checkpoint_interval`` set, the coordinator also provides zone
 failover: periodic per-zone checkpoints, ``fail_zone`` / ``recover_zone``
 with replay of buffered epochs, and orphan-tag re-adoption, so the merged
 stream survives a zone crash well-formed (see ``docs/FAULTS.md``).
-
-:mod:`repro.distributed.remote` lifts the worker protocol onto TCP
-(``spire-worker`` daemons), and :mod:`repro.distributed.supervisor`
-supplies the deadlines and heartbeat/lease probes that turn a broken or
-silent connection into a lost worker, rebuilt like any other (see
-``docs/SCALING.md``).
+Zones run in process, on forked worker processes
+(:mod:`repro.distributed.parallel`) or on ``spire-worker`` TCP daemons
+(:mod:`repro.distributed.remote`); a worker that breaks its connection or
+misses its deadline is lost and its zones rebuilt (``docs/SCALING.md``).
 """
 
 from repro.distributed.coordinator import (
+    DEFAULT_CHECKPOINT_INTERVAL,
     Coordinator,
     EpochResult,
     HandoffRecord,
@@ -43,6 +42,7 @@ from repro.distributed.supervisor import (
 from repro.distributed.worker import WorkerStats
 
 __all__ = [
+    "DEFAULT_CHECKPOINT_INTERVAL",
     "Coordinator",
     "Deadlines",
     "EpochResult",

@@ -60,7 +60,7 @@ from repro.core.checkpoint import dumps_spire
 from repro.core.params import InferenceParams
 from repro.core.pipeline import Deployment, Spire
 from repro.distributed import wire
-from repro.distributed.supervisor import RemoteError
+from repro.distributed.supervisor import Deadlines, RemoteError
 from repro.distributed.worker import (
     LOST_WORKER_ERRORS,
     InProcessWorker,
@@ -80,6 +80,9 @@ from repro.readers.stream import EpochReadings
 
 #: portable knowledge exported at handoff (see ``Spire.release``)
 HandoffRecord = dict
+
+#: the checkpoint interval wherever failover is on and the caller picks none
+DEFAULT_CHECKPOINT_INTERVAL = 50
 
 
 @dataclass
@@ -163,6 +166,7 @@ class Coordinator:
     _workers: Sequence = ()
     _daemons: Sequence = ()  #: worker daemons spawned for the pool, stopped on close
     supervisor = None  #: the pool's lease/heartbeat view, when it has one
+    deadlines = Deadlines()  #: what each fan-in round and worker read waits under
     _stop_on_close = True
     _closed = False
 
@@ -295,10 +299,13 @@ class Coordinator:
         try:
             return worker.collect()
         except LOST_WORKER_ERRORS as exc:
-            reason = loss_reason(exc)
+            self._lose(worker, exc, lost)
+        return None
+
+    def _lose(self, worker, exc: BaseException, lost: dict) -> None:
+        reason = loss_reason(exc)
         worker.abandon(reason, self._kill_warn)
         lost.setdefault(worker, reason)
-        return None
 
     def _gather(self, workers: Sequence, at: int) -> tuple[list, dict]:
         """One round's fan-in: the reply to each of ``workers``' oldest
@@ -308,15 +315,16 @@ class Coordinator:
 
         Replies are taken as workers finish (a worker listed several
         times answers its entries FIFO) and stored by position, so what
-        the caller merges does not depend on who was faster.  A handle
-        with no readable end (in process, over TCP, or one already given
-        up) is collected where it stands.  Every worker is
-        drained before any loss is acted on, in submission order: acting
-        sooner would leave answered requests in the other workers'
-        queues (desyncing their FIFO), and a rehoming install must not
-        race a survivor's pending reply.
+        the caller merges does not depend on who was faster; a handle
+        with no readable end (in process, or given up) is collected
+        where it stands.  A worker with no reply readable within
+        ``deadlines.request_timeout`` of the round's start is lost.
+        Losses are acted on after every worker is drained, in submission
+        order: sooner would desync the other workers' FIFO queues, and a
+        rehoming install must not race a survivor's pending reply.
         """
         start = perf_counter()
+        timeout = self.deadlines.request_timeout
         lost: dict = {}
         replies: list = [None] * len(workers)
         queued: dict = {}  # worker -> its positions still unanswered, oldest first
@@ -326,7 +334,13 @@ class Coordinator:
             ready = [worker for worker in queued if worker.readable is None]
             if not ready:
                 ends = {worker.readable: worker for worker in queued}
-                ready = [ends[end] for end in wait(list(ends))]
+                remaining = max(0.0, start + timeout - perf_counter())
+                ready = [ends[end] for end in wait(list(ends), remaining)]
+                if not ready:  # past the round's deadline
+                    for worker in queued:
+                        worker.transport.timeouts += 1
+                        self._lose(worker, TimeoutError(f"no reply within {timeout:g} s"), lost)
+                    break
             for worker in ready:
                 positions = queued[worker]
                 replies[positions.popleft()] = self._collect(worker, lost)
@@ -615,7 +629,7 @@ class Coordinator:
                 f"({worker.death_reason}); rehoming zone(s) {', '.join(hosted)}"
             ),
         )
-        worker.kill(self._kill_warn)  # let go of its pipe or socket
+        worker.kill(self._kill_warn)  # let go of its process and socket
         replacement = worker.respawn() if respawn else None
         if replacement is not None:
             replacement.stats = self.stats

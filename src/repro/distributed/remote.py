@@ -1,38 +1,24 @@
-"""Remote zone workers over TCP: daemon, transport, and coordinator.
+"""Remote zone workers over TCP: the daemon and the coordinator.
 
-This is the pipe-based :mod:`repro.distributed.parallel` protocol lifted
-onto sockets, so zones can run on other hosts (the distributed deployment
-the paper's follow-up work describes).  Three pieces:
+The :mod:`repro.distributed.parallel` pool with TCP connections in place
+of socket pairs, so zones can run on other hosts (the distributed
+deployment the paper's follow-up work describes):
 
-* :class:`WorkerDaemon` — the worker side.  Listens on a TCP port and
-  answers the coordinator's ``MSG_INSTALL`` / ``MSG_EPOCH`` /
-  ``MSG_RELEASE`` / ``MSG_ADOPT`` / ``MSG_QUERY`` requests through the
-  same :class:`~repro.distributed.worker.ZoneHost` core the pipe workers
-  use — one length-prefixed frame per message, the pipe transport's
-  bytes as they are, no pickle on the hot path.  The zone state belongs
-  to the connection: each accepted connection starts from an empty
-  ``ZoneHost``, as each pipe worker process does.  ``spire-worker`` (the
-  ``worker`` CLI subcommand) runs one standalone.
-
-* :func:`spawn_worker_process` — launch a ``spire-worker`` daemon as a
-  subprocess and parse the port it bound (for tests, benchmarks and CI).
-
+* :class:`WorkerDaemon` — the worker side: serves each accepted
+  connection with :func:`~repro.distributed.worker.serve_connection`,
+  the loop a pool process runs, from an empty ``ZoneHost`` (the zone
+  state belongs to the connection).  ``spire-worker`` (the ``worker``
+  CLI subcommand) runs one standalone, and :func:`spawn_worker_process`
+  launches one as a subprocess and parses the port it bound;
 * :class:`RemoteCoordinator` — the :class:`~repro.distributed.
-  coordinator.Coordinator` over a pool of TCP connections
-  (:class:`~repro.distributed.supervisor.RemoteWorker`).  The epoch loop
-  and the loss of a worker are every pool's (DESIGN.md §9): a missed
-  deadline, an end of file, a missed lease or a bad reply loses the
-  worker; its zones are rebuilt from checkpoint + request log on a fresh
-  connection to the same daemon when it answers, else on the survivors.
-  Only losing *every* worker raises
+  coordinator.Coordinator` over a pool of TCP connections, supervised by
+  :class:`~repro.distributed.supervisor.WorkerSupervisor`.  A lost
+  worker is handled as in every pool (DESIGN.md §9, §12): its zones are
+  rebuilt from checkpoint + request log on a fresh connection to the
+  same daemon when it answers, else on the survivors, and the merged
+  stream stays byte-identical to the in-process coordinator's.  Only
+  losing *every* worker raises
   :class:`~repro.distributed.supervisor.RemoteError`.
-
-Determinism contract: the merged event stream is byte-identical to the
-in-process coordinator's — with live workers, under transport delay, and
-when a worker is lost, between epochs (the EOF probe, a missed lease) or
-with requests in flight: the requests in flight were logged before they
-were sent, so the rebuilt zones have applied them and the round takes
-their replies.
 """
 
 from __future__ import annotations
@@ -46,10 +32,9 @@ import threading
 import time
 from typing import Iterable, Sequence
 
-from repro.distributed import wire
-from repro.distributed.coordinator import Coordinator, Zone
+from repro.distributed.coordinator import DEFAULT_CHECKPOINT_INTERVAL, Coordinator, Zone
 from repro.distributed.supervisor import Deadlines, WorkerSupervisor
-from repro.distributed.worker import ZoneHost
+from repro.distributed.worker import ZoneHost, serve_connection
 from repro.obs.metrics import MetricRegistry
 
 
@@ -119,7 +104,8 @@ class WorkerDaemon:
             conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             self._conn = conn
             try:
-                self._serve_connection(conn)
+                if serve_connection(conn, self._host, self.name):  # MSG_STOP
+                    self._stopping.set()
             finally:
                 self._conn = None
                 self._host = ZoneHost()  # the zones go with the connection
@@ -131,44 +117,6 @@ class WorkerDaemon:
             self._listener.close()
         except OSError:
             pass
-
-    def _serve_connection(self, conn: socket.socket) -> None:
-        decoder = wire.FrameDecoder()
-        while not self._stopping.is_set():
-            try:
-                chunk = conn.recv(65536)
-            except OSError:
-                return  # connection torn down (peer reset, or crash()/stop())
-            if not chunk:
-                return  # the coordinator hung up, and the zones go with it
-            try:
-                for frame in decoder.feed(chunk):
-                    if not self._handle_frame(conn, frame):
-                        return
-            except (OSError, wire.WireError):
-                return
-
-    def _handle_frame(self, conn: socket.socket, data: bytes) -> bool:
-        """Serve one message; False ends the connection (STOP/failure)."""
-        msg_type = data[0] if data else 0
-        if msg_type == wire.MSG_HELLO:
-            conn.sendall(wire.encode_frame(wire.encode_hello_ack(self.name, os.getpid())))
-            return True
-        if msg_type == wire.MSG_PING:
-            conn.sendall(wire.encode_frame(wire.encode_pong()))
-            return True
-        # a failure is reported like the pipe worker's (the traceback as
-        # MSG_ERROR, resident state dropped) and ends the connection: the
-        # coordinator dials again and rebuilds the zones here, or moves them
-        reply, done = self._host.serve_bytes(data)
-        if done and reply[0] != wire.MSG_ERROR:  # MSG_STOP
-            self._stopping.set()
-            try:
-                self._listener.close()
-            except OSError:
-                pass
-        conn.sendall(wire.encode_frame(reply))
-        return not done
 
     # ------------------------------------------------------------------
 
@@ -286,7 +234,7 @@ class RemoteCoordinator(Coordinator):
         workers: int | None = None,
         deadlines: Deadlines | None = None,
         strict: bool = False,
-        checkpoint_interval: int | None = 50,
+        checkpoint_interval: int | None = DEFAULT_CHECKPOINT_INTERVAL,
         metrics: MetricRegistry | None = None,
         stop_workers_on_close: bool | None = None,
     ) -> None:
@@ -310,9 +258,11 @@ class RemoteCoordinator(Coordinator):
         self._stop_on_close = (
             (addresses is None) if stop_workers_on_close is None else stop_workers_on_close
         )
+        if deadlines is not None:
+            self.deadlines = deadlines
         try:
             self.supervisor = WorkerSupervisor(
-                resolved[: len(zones)], deadlines or Deadlines(), metrics=metrics
+                resolved[: len(zones)], self.deadlines, metrics=metrics
             )
             self._workers = self.supervisor.workers
             super().__init__(

@@ -1,9 +1,9 @@
 """Wire protocol between the parallel coordinator and its zone workers.
 
-Every request and reply is one framed byte string on a duplex
-:class:`multiprocessing.connection.Connection` (``send_bytes`` /
-``recv_bytes``), or one length-prefixed frame (:func:`encode_frame`) on
-a TCP connection — the same bytes either way.  The first byte is the
+Every request and reply is one length-prefixed frame on a stream socket
+— one end of a socket pair for a pool worker process, a TCP connection
+for a worker daemon; :mod:`repro.distributed.worker` writes and reads
+them.  The first byte is the
 message type; the payload layouts below are plain ``struct`` packing
 over the existing compact codecs —
 epoch frames from :mod:`repro.readers.codec`, event-message blocks from
@@ -12,8 +12,8 @@ epoch frames from :mod:`repro.readers.codec`, event-message blocks from
 through :mod:`pickle`.
 
 The protocol is strictly request/response per worker: the coordinator may
-pipeline requests to different workers, but each worker consumes its pipe
-in FIFO order and answers every request exactly once.  That invariant is
+pipeline requests to different workers, but each worker consumes its
+connection in FIFO order and answers every request exactly once.  That invariant is
 what lets the fan-in loop take replies in whatever order the workers
 finish and still know which request each one answers.
 
@@ -47,9 +47,9 @@ MSG_RELEASE_RESULT = 66  #: worker -> coordinator: records + closing messages
 MSG_QUERY_RESULT = 67  #: worker -> coordinator: one signed query answer
 MSG_ERROR = 127  #: worker -> coordinator: traceback text (worker is dead)
 
-# connection traffic of the TCP transport (see :mod:`repro.distributed.
-# remote`): the handshake that opens a connection and the lease heartbeat.
-# Everything else on TCP is the messages above, one per frame, as is
+# connection traffic: the handshake that opens every worker connection, and
+# the TCP pool's lease heartbeat (see :mod:`repro.distributed.supervisor`).
+# Everything else is the messages above, one per frame, as is
 MSG_HELLO = 16  #: coordinator -> worker: identify + open a connection
 MSG_HELLO_ACK = 80  #: worker -> coordinator: worker pid and name
 MSG_PING = 17  #: coordinator -> worker: lease heartbeat probe
@@ -89,10 +89,9 @@ class WireError(RuntimeError):
 # byte-stream framing
 # ---------------------------------------------------------------------------
 #
-# Pipes frame messages for free (``send_bytes``/``recv_bytes``); TCP does
-# not.  The serving front-end (:mod:`repro.serving.protocol`) carries the
-# same style of struct-packed payloads over sockets, so the length-prefix
-# framing lives here next to the payload conventions it extends.
+# A 4-byte length prefix per frame.  Worker connections read a frame at its
+# exact length (``repro.distributed.worker.recv_frame``); the serving tier
+# splits whatever chunks arrive with :class:`FrameDecoder`.
 
 FRAME_HEADER = struct.Struct("<I")
 
@@ -105,24 +104,6 @@ def encode_frame(payload: bytes) -> bytes:
     if len(payload) > MAX_FRAME_BYTES:
         raise WireError(f"frame of {len(payload)} bytes exceeds {MAX_FRAME_BYTES}")
     return FRAME_HEADER.pack(len(payload)) + payload
-
-
-def encode_frames(payloads) -> bytes:
-    """Length-prefix several payloads into one contiguous write.
-
-    The serving tier's push path coalesces all of a connection's frames
-    for an epoch into a single buffer so the fan-out to thousands of
-    subscribers costs one ``write()`` per connection, not one per event.
-    Decoding is unchanged — :class:`FrameDecoder` splits the frames back
-    apart wherever the transport chunks them.
-    """
-    parts = []
-    for payload in payloads:
-        if len(payload) > MAX_FRAME_BYTES:
-            raise WireError(f"frame of {len(payload)} bytes exceeds {MAX_FRAME_BYTES}")
-        parts.append(FRAME_HEADER.pack(len(payload)))
-        parts.append(payload)
-    return b"".join(parts)
 
 
 class FrameDecoder:
@@ -256,7 +237,7 @@ _BATCH_ENTRY = struct.Struct("<IBI")  # zone index, flags, frame length
 
 def encode_epoch_batch(entries: list[tuple[int, int, bytes]]) -> bytes:
     """One epoch for *all* of a worker's zones: ``(zone_index, flags,
-    epoch frame)`` per entry.  A single pipe round-trip per worker per
+    epoch frame)`` per entry.  A single round trip per worker per
     epoch instead of one per zone."""
     parts = [bytes([MSG_EPOCH]), _U32.pack(len(entries))]
     for zone_index, flags, frame in entries:
@@ -451,7 +432,7 @@ def decode_query_result(data: bytes) -> int:
 
 
 # ---------------------------------------------------------------------------
-# connection traffic (TCP only)
+# connection traffic
 # ---------------------------------------------------------------------------
 
 _HELLO_ACK = struct.Struct("<Bq")  # type, worker pid

@@ -7,40 +7,27 @@ answer a point query, stop.  :class:`ZoneHost` is that core — the one
 place a zone's :class:`~repro.core.pipeline.Spire` is driven — and
 :meth:`ZoneHost.handle_request` its only entry point.
 
-The coordinator talks to a *handle* with two methods, ``submit(request)``
-and ``collect()`` (the reply to the oldest unanswered request).  Requests
-and replies are the plain tuples of :meth:`ZoneHost.handle_request`:
-
-* :class:`InProcessWorker` owns a host in this process and calls it with
-  the request as is — nothing is encoded;
-* :class:`WireWorker` is the shared half of every out-of-process handle:
-  it packs the request into the :mod:`repro.distributed.wire` layouts,
-  moves bytes through the subclass's ``send_bytes`` / ``recv_bytes``
-  (a pipe in :mod:`repro.distributed.parallel`, a TCP connection in
-  :mod:`repro.distributed.supervisor`), and unpacks the
-  reply.  The far side unpacks, calls ``handle_request``, packs.
-
-Beyond submit/collect a handle provides ``alive`` (checked at every
-epoch boundary: a worker that is not is lost, and its zones are rebuilt
-at a live home), ``death_reason`` (why, once it is not), ``host`` (the
-resident :class:`ZoneHost` when the worker is this process, else
-``None``), ``kill(warn)`` (crash it, or let go of what is left of it),
-``abandon(reason, warn)`` (the coordinator gives the worker up),
-``respawn()`` (a fresh worker for the same slot — where a lost worker's
-zones are rebuilt — or ``None`` when none is to be had, a daemon that
-does not answer, and they move in with the survivors) and ``readable`` (what
-:func:`multiprocessing.connection.wait` watches for the next reply, or
-``None`` when ``collect()`` should simply be called where the handle
-stands: in process, over TCP, or with nothing left to watch).  A handle may lose a request or its reply only
-together with the worker: the coordinator logs every state-changing
-request before submitting it and replays the log through a
-:class:`ZoneHost` of its own when the worker is gone, so
+The coordinator talks to a *handle*: ``submit(request)`` and
+``collect()`` (the reply to the oldest unanswered request), plus
+``alive``, ``death_reason``, ``host``, ``kill(warn)``,
+``abandon(reason, warn)``, ``respawn()`` and ``readable`` (DESIGN.md
+§9).  :class:`InProcessWorker` calls a host in this process with the
+request tuple as is.  :class:`SocketWorker` is every out-of-process
+worker: it writes the request as one length-prefixed frame on a stream
+socket, read at the far end by :func:`serve_connection` — in a forked
+pool child over a socket pair, or in a TCP daemon — and reads the reply
+back at its exact length, under the request deadline.  A handle may lose
+a request or its reply only together with the worker: the coordinator
+logs every state-changing request before submitting it and replays the
+log through a :class:`ZoneHost` of its own when the worker is gone, so
 ``handle_request`` must stay a function of the resident state and the
 request alone.
 """
 
 from __future__ import annotations
 
+import os
+import select
 import struct
 import time
 import traceback
@@ -72,7 +59,7 @@ class WorkerStats:
         """Human-readable block for the ``bench`` subcommand."""
         lines = [
             f"epochs coordinated      {self.epochs}",
-            f"bytes over pipes        {self.bytes_to_workers} out / "
+            f"bytes to / from workers {self.bytes_to_workers} out / "
             f"{self.bytes_from_workers} back",
             f"fan-out / fan-in wait   {self.fanout_s:.3f}s / {self.fanin_wait_s:.3f}s",
             f"checkpoints (in-worker) {self.checkpoints} in {self.checkpoint_s:.3f}s",
@@ -344,6 +331,78 @@ def unpack_reply(data: bytes):
 
 
 # ---------------------------------------------------------------------------
+# frames on a stream socket, and the worker's end of one
+# ---------------------------------------------------------------------------
+
+
+def send_frame(sock, payload) -> None:
+    """Write one length-prefixed frame: header and payload go out in one
+    ``sendmsg``, never concatenated (a reply can be megabytes)."""
+    if len(payload) > wire.MAX_FRAME_BYTES:
+        raise wire.WireError(f"frame of {len(payload)} bytes exceeds {wire.MAX_FRAME_BYTES}")
+    header = wire.FRAME_HEADER.pack(len(payload))
+    sent = sock.sendmsg([header, payload])
+    if sent < len(header):
+        sock.sendall(header[sent:])
+        sent = len(header)
+    if sent < len(header) + len(payload):
+        sock.sendall(memoryview(payload)[sent - len(header) :])
+
+
+def recv_frame(sock, deadline: float | None = None) -> bytearray:
+    """Read one frame at its exact length: the header, then the payload
+    into a buffer of the announced size — nothing past the frame is
+    taken off the socket.  ``deadline`` (a :func:`time.monotonic` time)
+    bounds the whole read: past it ``TimeoutError``; ``EOFError`` when
+    the peer hung up; :class:`~repro.distributed.wire.WireError` for a
+    header announcing more than ``MAX_FRAME_BYTES``."""
+    (length,) = wire.FRAME_HEADER.unpack(_recv_exact(sock, wire.FRAME_HEADER.size, deadline))
+    if length > wire.MAX_FRAME_BYTES:
+        raise wire.WireError(f"frame of {length} bytes exceeds {wire.MAX_FRAME_BYTES}")
+    return _recv_exact(sock, length, deadline)
+
+
+def _recv_exact(sock, size: int, deadline: float | None) -> bytearray:
+    buffer = bytearray(size)
+    view = memoryview(buffer)
+    got = 0
+    while got < size:
+        if deadline is not None:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                raise TimeoutError
+            sock.settimeout(remaining)
+        n = sock.recv_into(view[got:])
+        if not n:
+            raise EOFError("connection closed by the peer")
+        got += n
+    return buffer
+
+
+def serve_connection(sock, host: ZoneHost, name: str) -> bool:
+    """A worker's end of one coordinator connection: answer HELLO with
+    ``name`` and this pid, PING with PONG, and every other frame with
+    ``host``'s reply, FIFO, until the coordinator hangs up, stops it or
+    a failure (reported as ``MSG_ERROR``) ends it.  Returns whether it
+    ended with ``MSG_STOP``."""
+    try:
+        while True:
+            data = recv_frame(sock)
+            msg_type = data[0] if data else 0
+            if msg_type == wire.MSG_HELLO:
+                reply, done = wire.encode_hello_ack(name, os.getpid()), False
+            elif msg_type == wire.MSG_PING:
+                reply, done = wire.encode_pong(), False
+            else:
+                reply, done = host.serve_bytes(data)
+            send_frame(sock, reply)
+            if done:
+                return reply[0] != wire.MSG_ERROR
+    except (OSError, EOFError, wire.WireError):
+        return False  # the connection is gone, and the zones go with it
+
+
+# ---------------------------------------------------------------------------
 # coordinator-side handles
 # ---------------------------------------------------------------------------
 
@@ -369,21 +428,82 @@ class InProcessWorker:
         """Nothing to crash: the zones share the coordinator's fate."""
 
 
-class WireWorker:
-    """submit/collect over a subclass's ``send_bytes`` / ``recv_bytes``."""
+class SocketWorker:
+    """One out-of-process worker: a stream socket to :func:`serve_connection`.
+
+    ``connect()`` returns ``(socket, process)``: the process is the worker
+    when this handle owns it (a forked pool child), else ``None`` (a TCP
+    daemon is not ours to reap).  Construction completes the HELLO
+    handshake within ``deadlines.connect_timeout`` or raises one of
+    :data:`LOST_WORKER_ERRORS`.  ``collect()`` raises ``TimeoutError("no
+    reply within N s")`` past ``deadlines.request_timeout`` and
+    ``EOFError`` when the worker hung up: the zone state belongs to the
+    connection, so a broken connection is a lost worker.  ``transport``
+    (a :class:`~repro.distributed.supervisor.SupervisorStats`) counts
+    requests, replies, deadline misses and deaths.
+    """
 
     host = None
-    readable = None
-    #: the pool's byte counters; bound by the coordinator that owns the pool
-    stats: WorkerStats
+    _given_up: str | None = None  #: why the coordinator gave the worker up
+
+    def __init__(self, index, name, connect, deadlines, transport, observe_rtt=None) -> None:
+        self.index = index
+        self.name = name
+        self.connect = connect
+        self.deadlines = deadlines
+        self.transport = transport
+        #: the pool's byte counters, rebound by the coordinator that owns the pool
+        self.stats = WorkerStats()
+        self._observe_rtt = observe_rtt
+        self._sent: deque[float] = deque()  #: submit times of unanswered requests
+        self.sock, self.process = connect()
+        try:
+            self.sock.settimeout(deadlines.connect_timeout)
+            send_frame(self.sock, wire.encode_hello("coordinator"))
+            wire.decode_hello_ack(self._recv(deadlines.connect_timeout))
+        except BaseException:
+            self.kill()
+            raise
+
+    @property
+    def alive(self) -> bool:
+        running = self.process is None or self.process.is_alive()
+        return self._given_up is None and self.sock.fileno() >= 0 and running
+
+    @property
+    def readable(self):
+        return None if self.sock.fileno() < 0 else self.sock
+
+    @property
+    def death_reason(self) -> str:
+        if self._given_up is None and self.process is not None and not self.process.is_alive():
+            return f"process exited with code {self.process.exitcode}"
+        return self._given_up or "connection closed by the coordinator"
+
+    def _recv(self, timeout: float) -> bytearray:
+        """The next frame, within ``timeout`` seconds."""
+        try:
+            data = recv_frame(self.sock, time.monotonic() + timeout)
+        except TimeoutError:
+            self.transport.timeouts += 1
+            raise TimeoutError(f"no reply within {timeout:g} s") from None
+        self.last_activity = time.monotonic()
+        return data
 
     def submit(self, request: tuple) -> None:
         payload = pack_request(request)
-        self.send_bytes(payload)
+        self.sock.settimeout(self.deadlines.request_timeout)
+        send_frame(self.sock, payload)
+        self._sent.append(time.monotonic())
+        self.transport.requests += 1
         self.stats.bytes_to_workers += len(payload)
 
     def collect(self):
-        data = self.recv_bytes()
+        data = self._recv(self.deadlines.request_timeout)
+        sent = self._sent.popleft()
+        self.transport.replies += 1
+        if self._observe_rtt is not None:
+            self._observe_rtt(self.last_activity - sent)
         self.stats.bytes_from_workers += len(data)
         try:
             return unpack_reply(data)
@@ -392,3 +512,58 @@ class WireWorker:
             # whatever does not decode is a wire error, which the
             # coordinator counts as the worker's loss
             raise wire.WireError(str(exc)) from exc
+
+    # supervision probes of the TCP pool, between requests
+
+    def check_eof(self) -> None:
+        """Raise ``EOFError`` if the worker hung up; never blocks."""
+        if select.select([self.sock], [], [], 0)[0]:
+            if self.sock.recv(1):
+                raise wire.WireError("unsolicited bytes from an idle worker")
+            raise EOFError("connection closed by worker")
+
+    def ping(self) -> None:
+        """One heartbeat: the PONG must be back within the request deadline."""
+        self.sock.settimeout(self.deadlines.request_timeout)
+        send_frame(self.sock, wire.encode_ping())
+        if self._recv(self.deadlines.request_timeout) != wire.encode_pong():
+            raise wire.WireError("expected PONG")
+
+    def kill(self, warn=None) -> None:
+        """Let go of the worker: close the socket, after stopping a
+        process this handle owns.  ``terminate`` (SIGTERM) can be absorbed
+        by a worker wedged in uninterruptible I/O, so SIGKILL follows; a
+        process that survives both is reported to ``warn`` (a ``detail ->
+        None`` callable), so the leak lands in the quarantine."""
+        process = self.process
+        if process is not None and process.is_alive():
+            process.terminate()
+            process.join(timeout=5)
+            if process.is_alive():
+                process.kill()
+                process.join(timeout=5)
+            if process.is_alive() and warn is not None:
+                warn(
+                    f"worker {self.index} (pid {process.pid}) survived "
+                    "terminate and kill; leaking it as a zombie"
+                )
+        self.sock.close()
+
+    def abandon(self, reason: str, warn=None) -> None:
+        """The coordinator gives this worker up, and lets go of it now."""
+        if self._given_up is None:
+            self._given_up = reason
+            self.transport.worker_deaths += 1
+        self.kill(warn)
+
+    def respawn(self) -> "SocketWorker | None":
+        """A fresh worker in the same slot — a new process, or a new
+        connection to the same daemon — or ``None`` when it does not
+        answer HELLO (the lost worker's zones then go to the survivors)."""
+        try:
+            return SocketWorker(
+                self.index, self.name, self.connect, self.deadlines,
+                self.transport, self._observe_rtt,
+            )
+        except LOST_WORKER_ERRORS:
+            return None

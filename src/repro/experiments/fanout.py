@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import time
 
-from repro.distributed import Coordinator, partition_by_location
+from repro.distributed import DEFAULT_CHECKPOINT_INTERVAL, Coordinator, partition_by_location
 from repro.experiments.table3 import (
     DEFAULT_CASES_PER_PALLET,
     DEFAULT_SEED,
@@ -103,7 +103,7 @@ def _fanout_phase(
 ) -> dict:
     """Replay the workload under ``subscribers`` shared subscriptions."""
     config, sim, zones = _workload(milestone, cases_per_pallet, seed)
-    coordinator = Coordinator(zones, checkpoint_interval=50)
+    coordinator = Coordinator(zones, checkpoint_interval=DEFAULT_CHECKPOINT_INTERVAL)
     engine = StandingQueryEngine(expand_level2=True)
     colors = [loc.color for loc in sim.layout.registry.known_locations()]
     specs = _distinct_specs(colors, distinct)
@@ -183,7 +183,7 @@ def _equivalence_phase(
         for engine in independent
     ]
 
-    coordinator = Coordinator(zones, checkpoint_interval=50)
+    coordinator = Coordinator(zones, checkpoint_interval=DEFAULT_CHECKPOINT_INTERVAL)
     epochs = 0
     for readings in sim.stream:
         result = coordinator.process_epoch(readings)

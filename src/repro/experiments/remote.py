@@ -22,12 +22,17 @@ import hashlib
 import time
 from typing import Sequence
 
-from repro.distributed import Coordinator, Deadlines, RemoteCoordinator, partition_by_location
+from repro.distributed import (
+    DEFAULT_CHECKPOINT_INTERVAL,
+    Coordinator,
+    Deadlines,
+    RemoteCoordinator,
+    partition_by_location,
+)
 from repro.distributed.remote import WorkerDaemon
 from repro.events.codec import encode_stream
 from repro.experiments.table3 import (
     DEFAULT_CASES_PER_PALLET,
-    DEFAULT_CHECKPOINT_INTERVAL,
     DEFAULT_MILESTONES,
     DEFAULT_SEED,
     duration_for,

@@ -296,9 +296,6 @@ def load_payload(path: str | Path) -> dict:
 # the sharded Table III deployment (docs/SCALING.md)
 # ---------------------------------------------------------------------------
 
-DEFAULT_CHECKPOINT_INTERVAL = 50
-
-
 def scaling_zone_assignment(num_shelves: int = 8) -> dict[str, list[str]]:
     """Zone layout of the sharded Table III runs: inbound + one zone per
     shelf + outbound, so an 8-shelf warehouse yields 10 zones (enough to

@@ -60,6 +60,9 @@ class SpireServer:
         self._server: asyncio.AbstractServer | None = None
         #: sub_id -> writer owning that subscription
         self._sub_owner: dict[int, asyncio.StreamWriter] = {}
+        #: (share key, max_queue) -> ids of restored subscriptions no
+        #: connection has taken over yet, oldest first
+        self._unowned: dict[tuple, list[int]] = {}
         self._writers: set[asyncio.StreamWriter] = set()
         self._conn_tasks: set[asyncio.Task] = set()
         self._lock = asyncio.Lock()
@@ -250,11 +253,7 @@ class SpireServer:
         self, request_id: int, payload: bytes, writer: asyncio.StreamWriter
     ) -> bytes:
         spec, max_queue = protocol.decode_subscribe(payload)
-        pattern = pattern_from_spec(spec)
-        async with self._lock:
-            sub = self.engine.subscribe(pattern, max_queue=max_queue)
-            self._sub_owner[sub.sub_id] = writer
-        return protocol.encode_reply(request_id, protocol.encode_subscribed(sub.sub_id))
+        return await self._subscribe(request_id, pattern_from_spec(spec), max_queue, writer)
 
     async def _handle_subscribe_pattern(
         self, request_id: int, payload: bytes, writer: asyncio.StreamWriter
@@ -263,9 +262,24 @@ class SpireServer:
         # compile outside the lock; PatternError (a ValueError) propagates
         # to _dispatch's boundary handler and becomes the compile-error
         # reply the client surfaces verbatim
-        pattern = compile_pattern(source)
+        return await self._subscribe(request_id, compile_pattern(source), max_queue, writer)
+
+    async def _subscribe(
+        self, request_id: int, pattern, max_queue: int, writer: asyncio.StreamWriter
+    ) -> bytes:
+        """Open a subscription owned by ``writer`` — or hand it the first
+        unowned one restored by :meth:`load_subscriptions` with the same
+        share key and ``max_queue``: that consumer has reconnected, so it
+        keeps the restored id, its held notifications go out at the next
+        flush, and it is no longer durable."""
+        unowned = self._unowned.get((pattern.share_key(), max_queue))
         async with self._lock:
-            sub = self.engine.subscribe(pattern, max_queue=max_queue)
+            sub = None
+            while unowned and sub is None:  # skip any the engine has dropped since
+                sub = self.engine.subscriptions.get(unowned.pop(0))
+            if sub is None:
+                sub = self.engine.subscribe(pattern, max_queue=max_queue)
+            sub.durable = False
             self._sub_owner[sub.sub_id] = writer
         return protocol.encode_reply(request_id, protocol.encode_subscribed(sub.sub_id))
 
@@ -324,8 +338,10 @@ class SpireServer:
         return len(self.engine.subscriptions)
 
     def load_subscriptions(self, path) -> int:
-        """Re-arm persisted subscriptions (restored subs are durable —
-        exempt from eviction until their consumers reconnect).  Returns
+        """Re-arm persisted subscriptions.  A restored subscription has no
+        owner and is durable — exempt from eviction, its notifications
+        held — until its consumer reconnects: a subscribe with the same
+        pattern and ``max_queue`` takes it over, id included.  Returns
         the number restored; a missing file restores nothing."""
         import os
 
@@ -333,7 +349,11 @@ class SpireServer:
             return 0
         with open(path, "rb") as fh:
             data = fh.read()
-        return self.engine.restore_subscriptions(data)
+        restored = self.engine.restore_subscriptions(data)
+        for sub in self.engine.subscriptions.values():
+            if sub.durable:
+                self._unowned.setdefault((sub.runtime.key, sub.max_queue), []).append(sub.sub_id)
+        return restored
 
     def metrics_snapshot(self) -> dict:
         """Serving-layer snapshot merged with the substrate's (if wired)."""

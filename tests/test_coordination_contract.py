@@ -14,9 +14,11 @@ it does not show: in the ``worker-death`` schedule worker 0 *really* dies
 at an epoch boundary and the in-process reference is the run in which
 nothing happened; only the warnings that name the death itself are left
 out of the comparison.  Below the matrix the same is checked for a death
-with an epoch, release or adopt request in flight and for one found by a
-point query, in both out-of-process kinds, for a kill before each of
-24 epochs of the pipe pool, and for a reply that does not decode.
+with an epoch, release or adopt request in flight, for a worker wedged
+past the request deadline and for one found by a point query, in both
+out-of-process kinds, for a kill before each of 24 epochs of the pipe
+pool, and for a reply that does not decode or announces an oversized
+frame.
 """
 
 from __future__ import annotations
@@ -33,7 +35,14 @@ from functools import lru_cache
 import pytest
 
 from repro.core.pipeline import Spire
-from repro.distributed import Coordinator, ParallelCoordinator, RemoteCoordinator, wire
+from repro.distributed import (
+    Coordinator,
+    Deadlines,
+    ParallelCoordinator,
+    RemoteCoordinator,
+    wire,
+)
+from repro.distributed import worker as worker_module
 from repro.events.codec import encode_stream
 from repro.events.messages import EVENT_MESSAGE_BYTES
 from repro.events.wellformed import check_well_formed
@@ -316,6 +325,60 @@ def test_mid_epoch_death_is_invisible_in_the_stream(case, monkeypatch):
     assert observed.live_workers == live_after
 
 
+#: how long a wedged worker sleeps: past the request deadline, so the
+#: coordinator gives it up, but not by much, so a TCP daemon is back at
+#: its accept loop in time to answer the redial
+WEDGE_S = Deadlines().request_timeout + 1.0
+
+
+@pytest.mark.parametrize("kind", ["pipe-2", "tcp-2"])
+def test_a_wedged_worker_is_lost_at_the_deadline(kind, monkeypatch):
+    """Worker 0 sleeps inside an epoch past the request deadline: the
+    round waits no longer than the deadline, loses the worker, and the run
+    is the undisturbed one — with the process killed and respawned in its
+    slot (pipes), or the daemon redialled once it is back (TCP)."""
+    expected = _reference(UNDISTURBED)
+    _sim, epochs = _epochs(_config(UNDISTURBED.seed))
+    target = epochs[60].epoch
+    pool, armed = [], [True]
+
+    def wedge():
+        if kind == "pipe-2":
+            inside = _in_pipe_worker_0()
+        else:
+            inside = threading.current_thread().name == pool[0]._daemons[0].name
+        if inside and armed:
+            armed.clear()  # once: a daemon thread cannot be killed
+            time.sleep(WEDGE_S)
+
+    _poison(monkeypatch, "process_epoch", target, wedge)
+    observed = _observe(kind, UNDISTURBED, built=pool.append)
+    _assert_same_run(observed, expected)
+    _assert_one_death(observed)
+    lost = observed.deaths[0]
+    assert lost.epoch == target
+    assert f"no reply within {Deadlines().request_timeout:g} s" in lost.detail
+    assert observed.live_workers == 2
+
+
+def test_close_lets_go_of_a_wedged_pipe_worker(monkeypatch):
+    """``close()`` waits for a wedged worker's reply no longer than the
+    request deadline, then kills it: it returns within the deadline plus
+    the kill escalation (terminate, then kill, 5 s each at most)."""
+    sim, epochs = _epochs(_config(seed=17, duration=20))
+    target = epochs[5].epoch
+    _poison(monkeypatch, "process_epoch", target, lambda: _in_pipe_worker_0() and time.sleep(60))
+    coordinator = ParallelCoordinator(_zones(sim), workers=2, checkpoint_interval=10)
+    for readings in epochs[:5]:
+        coordinator.process_epoch(readings)
+    worker = coordinator._workers[0]
+    coordinator._submit(worker, (wire.MSG_EPOCH, [(0, 0, epochs[5])]))
+    started = time.monotonic()
+    coordinator.close()
+    assert time.monotonic() - started < Deadlines().request_timeout + 10.0
+    assert not worker.process.is_alive()
+
+
 @pytest.mark.parametrize("kind", ["pipe-2", "tcp-2"])
 def test_death_found_by_a_query_is_invisible_too(kind):
     """Worker 0 dies and the next thing asked is ``location_of``: the
@@ -381,4 +444,31 @@ def test_an_undecodable_reply_is_a_lost_worker(monkeypatch):
     lost = observed.deaths[0]
     assert lost.epoch == epochs[60].epoch
     assert "undecodable reply" in lost.detail and "unknown message kind" in lost.detail
+    assert observed.live_workers == 2
+
+
+def test_an_oversized_frame_header_is_a_lost_worker(monkeypatch):
+    """Worker 0 answers one epoch with a header announcing more than
+    ``MAX_FRAME_BYTES``: the coordinator reads no further and loses the
+    worker — rebuilt exactly — instead of raising out of ``process_epoch``."""
+    expected = _reference(UNDISTURBED)
+    _sim, epochs = _epochs(_config(UNDISTURBED.seed))
+    armed = []
+    _poison(monkeypatch, "process_epoch", epochs[60].epoch, lambda: armed.append(True))
+    send_frame = worker_module.send_frame
+
+    def oversized(sock, payload):
+        if armed and _in_pipe_worker_0():
+            armed.clear()
+            sock.sendall(wire.FRAME_HEADER.pack(wire.MAX_FRAME_BYTES + 1))
+            return
+        send_frame(sock, payload)
+
+    monkeypatch.setattr(worker_module, "send_frame", oversized)
+    observed = _observe("pipe-2", UNDISTURBED)
+    _assert_same_run(observed, expected)
+    _assert_one_death(observed)
+    lost = observed.deaths[0]
+    assert lost.epoch == epochs[60].epoch
+    assert "undecodable reply" in lost.detail and "exceeds" in lost.detail
     assert observed.live_workers == 2

@@ -1,12 +1,17 @@
 """Tests for zone-partitioned distributed operation."""
 
 import multiprocessing
+import socket
 import threading
+import time
 
 import pytest
 
 from repro.core.params import InferenceParams
+from repro.distributed import wire
 from repro.distributed.coordinator import Coordinator, Zone, partition_by_location
+from repro.distributed.supervisor import Deadlines, SupervisorStats
+from repro.distributed.worker import SocketWorker, recv_frame, send_frame
 from repro.events.wellformed import check_well_formed
 from repro.model.locations import UNKNOWN_COLOR
 from repro.model.objects import PackagingLevel
@@ -264,3 +269,77 @@ class TestFanIn:
         replies, _ = coordinator._gather([piped, standing, standing], at=0)
         assert taken == ["standing-1", "standing-2", "piped"]
         assert replies == ["piped", "standing-1", "standing-2"]
+
+
+def _far_end_worker():
+    """A :class:`SocketWorker` whose worker is the returned socket end:
+    the test writes its replies by hand."""
+    ours, theirs = socket.socketpair()
+    send_frame(theirs, wire.encode_hello_ack("far", 0))
+    worker = SocketWorker(0, "far", lambda: (ours, None), Deadlines(), SupervisorStats())
+    return worker, theirs
+
+
+def _framed(payload: bytes) -> bytes:
+    return wire.FRAME_HEADER.pack(len(payload)) + payload
+
+
+class TestExactLengthFrames:
+    """A frame is read at its exact length — the header, then the payload
+    it announces — so a reply is whole however the bytes arrive, and
+    bytes past it stay on the socket for the next read."""
+
+    QUERY = (wire.MSG_QUERY, 0, wire.QUERY_LOCATION, item(1))
+
+    def test_a_reply_written_one_byte_at_a_time_is_read_whole(self):
+        worker, far = _far_end_worker()
+        frame = _framed(wire.encode_query_result(-7)) + _framed(wire.encode_query_result(8))
+
+        def trickle():
+            for i in range(len(frame)):
+                far.sendall(frame[i : i + 1])
+                time.sleep(0.001)
+
+        worker.submit(self.QUERY)
+        worker.submit(self.QUERY)
+        threading.Thread(target=trickle, daemon=True).start()
+        assert [worker.collect(), worker.collect()] == [-7, 8]
+        worker.kill()
+        far.close()
+
+    def test_two_replies_in_one_write_are_both_taken_in_one_round(self):
+        """The worker listed twice answers both requests in one write: the
+        second reply is still readable after the first is taken."""
+        coordinator, *_ = two_zone_setup()
+        worker, far = _far_end_worker()
+        worker.submit(self.QUERY)
+        worker.submit(self.QUERY)
+        far.sendall(_framed(wire.encode_query_result(1)) + _framed(wire.encode_query_result(2)))
+        started = time.monotonic()
+        replies, rebuilt = coordinator._gather([worker, worker], at=0)
+        assert replies == [1, 2] and rebuilt == {}
+        assert time.monotonic() - started < 1.0  # read, not waited out
+        assert worker.alive
+        worker.kill()
+        far.close()
+
+    def test_a_payload_larger_than_a_socket_buffer_is_read_whole(self):
+        ours, theirs = socket.socketpair()
+        payload = bytes(range(256)) * 8192  # 2 MiB
+        writer = threading.Thread(target=send_frame, args=(theirs, payload), daemon=True)
+        writer.start()
+        assert recv_frame(ours, time.monotonic() + 5.0) == payload
+        writer.join()
+        ours.close()
+        theirs.close()
+
+    def test_an_oversized_header_is_refused_before_any_payload_is_read(self):
+        ours, theirs = socket.socketpair()
+        theirs.sendall(wire.FRAME_HEADER.pack(wire.MAX_FRAME_BYTES + 1) + b"x")
+        with pytest.raises(wire.WireError, match="exceeds"):
+            recv_frame(ours, time.monotonic() + 5.0)
+        oversized = type("Oversized", (), {"__len__": lambda self: wire.MAX_FRAME_BYTES + 1})
+        with pytest.raises(wire.WireError, match="exceeds"):
+            send_frame(ours, oversized())
+        ours.close()
+        theirs.close()

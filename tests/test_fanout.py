@@ -27,7 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.distributed.wire import FrameDecoder, encode_frame, encode_frames
+from repro.distributed.wire import FrameDecoder, encode_frame
 from repro.events.messages import missing, start_containment, start_location
 from repro.faults.warnings import WarningKind
 from repro.sase import compile_pattern, library
@@ -311,12 +311,6 @@ class TestEventBatchCodec:
             i += 1
         assert [protocol.decode_event_batch(p)[0] for p in out] == [0, 1, 2]
 
-    def test_encode_frames_coalesces(self):
-        payloads = [b"abc", b"", b"0123456789"]
-        blob = encode_frames(payloads)
-        assert blob == b"".join(encode_frame(p) for p in payloads)
-        assert FrameDecoder().feed(blob) == payloads
-
     def test_eviction_notice_codes(self):
         """An eviction notice rides a batch frame as a one-group batch."""
         note = Notification(kind=NOTIFY_SUBSCRIPTION_EVICTED, epoch=4,
@@ -494,6 +488,43 @@ class TestServingV2EndToEnd:
                 finally:
                     await owner.close()
                     await other.close()
+
+        asyncio.run(run())
+
+    def test_a_reconnecting_consumer_takes_over_its_restored_subscription(self, tmp_path):
+        """A subscription restored by ``load_subscriptions`` holds what it
+        matches until a subscribe with its pattern and queue bound comes:
+        that connection gets the old id, the held notifications and the
+        right to cancel it."""
+
+        async def run():
+            from repro.serving.client import SpireClient
+            from repro.serving.server import SpireServer
+
+            state = tmp_path / "subs.json"
+            spec = PatternSpec(PATTERN_PLACE, place=L1)
+            before = SpireServer()
+            saved = before.engine.subscribe(pattern_from_spec(spec), max_queue=16)
+            assert before.save_subscriptions(state) == 1
+            async with SpireServer() as server:
+                assert server.load_subscriptions(state) == 1
+                for epoch, batch in _epochs(5):
+                    await _drive(server, epoch, batch)
+                assert len(server.engine.subscriptions[saved.sub_id].queue) == 5
+                client = await SpireClient.connect(server.host, server.port)
+                try:
+                    sub = await client.subscribe(spec, max_queue=16)
+                    assert sub.id == saved.sub_id
+                    assert len(server.engine.subscriptions) == 1
+                    assert not server.engine.subscriptions[sub.id].durable
+                    await _drive(server, 5, [])  # the next flush
+                    held = [await sub.next(timeout=5) for _ in range(5)]
+                    assert [note.epoch for note in held] == [0, 1, 2, 3, 4]
+                    assert all(note.place == L1 for note in held)
+                    assert await client.unsubscribe(sub.id)
+                    assert sub.id not in server.engine.subscriptions
+                finally:
+                    await client.close()
 
         asyncio.run(run())
 

@@ -314,7 +314,7 @@ class _FakeProcess:
         self.calls.append("join")
 
 
-class _FakePipe:
+class _FakeSocket:
     def __init__(self) -> None:
         self.closed = False
 
@@ -323,12 +323,12 @@ class _FakePipe:
 
 
 def _fake_worker(dies_on: str | None):
-    from repro.distributed.parallel import _Worker
+    from repro.distributed.worker import SocketWorker
 
-    worker = object.__new__(_Worker)
+    worker = object.__new__(SocketWorker)
     worker.index = 3
     worker.process = _FakeProcess(dies_on)
-    worker.conn = _FakePipe()
+    worker.sock = _FakeSocket()
     return worker
 
 
@@ -339,7 +339,7 @@ class TestKillEscalation:
         worker.kill(warn=warnings.append)
         assert worker.process.calls == ["terminate", "join"]
         assert warnings == []
-        assert worker.conn.closed
+        assert worker.sock.closed
 
     def test_sigkill_follows_ignored_terminate(self):
         worker = _fake_worker(dies_on="kill")
@@ -347,7 +347,7 @@ class TestKillEscalation:
         worker.kill(warn=warnings.append)
         assert worker.process.calls == ["terminate", "join", "kill", "join"]
         assert warnings == []
-        assert worker.conn.closed
+        assert worker.sock.closed
 
     def test_unkillable_process_lands_in_quarantine(self):
         worker = _fake_worker(dies_on=None)
@@ -356,5 +356,5 @@ class TestKillEscalation:
         assert worker.process.calls == ["terminate", "join", "kill", "join"]
         assert len(warnings) == 1
         assert "survived" in warnings[0] and "4242" in warnings[0]
-        assert worker.conn.closed  # the pipe never leaks
+        assert worker.sock.closed  # the socket never leaks
 

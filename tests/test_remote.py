@@ -40,8 +40,14 @@ from repro.distributed.remote import (
     parse_address,
     spawn_worker_process,
 )
-from repro.distributed.supervisor import RemoteWorker
-from repro.distributed.worker import WireWorker, WorkerError, WorkerStats, ZoneHost
+from repro.distributed.supervisor import dial_worker
+from repro.distributed.worker import (
+    SocketWorker,
+    WorkerError,
+    WorkerStats,
+    ZoneHost,
+    send_frame,
+)
 from repro.events.codec import encode_stream
 from repro.events.messages import start_location
 from repro.faults.injector import schedule_from_dict
@@ -121,26 +127,27 @@ class TestHandshake:
         deadlines = Deadlines(connect_timeout=2.0)
         try:
             with pytest.raises(wire.WireError):
-                RemoteWorker(0, address, deadlines, SupervisorStats())
+                dial_worker(0, address, deadlines, SupervisorStats())
             with WorkerDaemon() as daemon:
                 daemon.start()
-                worker = RemoteWorker(0, daemon.address, deadlines, SupervisorStats())
-                worker.address = address
+                worker = dial_worker(0, daemon.address, deadlines, SupervisorStats())
+                # the redial reaches the listener that answers badly
+                worker.connect = lambda: (socket.create_connection(address, 2.0), None)
                 assert worker.respawn() is None
                 worker.kill()
         finally:
             listener.close()
 
 
-class _CannedReply(WireWorker):
-    """A handle whose worker answers with fixed bytes."""
-
-    def __init__(self, data: bytes) -> None:
-        self.data = data
-        self.stats = WorkerStats()
-
-    def recv_bytes(self) -> bytes:
-        return self.data
+def _canned_reply(data: bytes) -> SocketWorker:
+    """A handle whose worker answers its one request with fixed bytes."""
+    ours, theirs = socket.socketpair()
+    send_frame(theirs, wire.encode_hello_ack("canned", 0))
+    send_frame(theirs, data)
+    worker = SocketWorker(0, "canned", lambda: (ours, None), Deadlines(), SupervisorStats())
+    worker.far_end = theirs  # open until the handle is dropped
+    worker.submit((wire.MSG_STOP,))
+    return worker
 
 
 def _epoch_reply(*patches: tuple[int, int]) -> bytes:
@@ -168,7 +175,7 @@ class TestUndecodableReplies:
     as a ``WireError``, which the coordinator counts as the worker's loss."""
 
     def test_an_intact_reply_decodes(self):
-        [(zone_index, messages, departed, *_)] = _CannedReply(_epoch_reply()).collect()
+        [(zone_index, messages, departed, *_)] = _canned_reply(_epoch_reply()).collect()
         assert zone_index == 0 and len(messages) == 1
         assert departed == [TagId(PackagingLevel.ITEM, 2)]
 
@@ -190,7 +197,7 @@ class TestUndecodableReplies:
     )
     def test_collect_raises_wire_error(self, data):
         with pytest.raises(wire.WireError):
-            _CannedReply(data).collect()
+            _canned_reply(data).collect()
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +219,7 @@ class TestDaemonState:
                 remote._workers[0].submit(query)
                 assert isinstance(remote._workers[0].collect(), int)  # zone 0 is there
             # the coordinator let go of its connection, not of the daemon
-            worker = RemoteWorker(0, daemon.address, Deadlines(), SupervisorStats())
+            worker = dial_worker(0, daemon.address, Deadlines(), SupervisorStats())
             worker.stats = WorkerStats()
             worker.submit(query)
             with pytest.raises(WorkerError, match="KeyError"):
