@@ -444,4 +444,6 @@ def decode_spire(data: bytes) -> Spire:
         )
         base += _STATE_INTS
 
+    if cur.offset != len(data):
+        raise FastCheckpointError(f"{len(data) - cur.offset} bytes past the fast checkpoint")
     return spire

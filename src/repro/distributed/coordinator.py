@@ -67,7 +67,6 @@ from repro.distributed.worker import (
     WorkerStats,
     ZoneHost,
     loss_reason,
-    restore_zone,
 )
 from repro.events.messages import EventMessage
 from repro.faults.warnings import IngestWarning, Quarantine, WarningKind
@@ -592,7 +591,7 @@ class Coordinator:
         request (``None`` when the log is empty).  Earlier replies were
         merged when they arrived."""
         held = self._checkpoints[zone_id]
-        spire = restore_zone(held.data, zone_id, self.metrics is not None, held.metrics)
+        spire = wire.restore_zone(held.data, zone_id, self.metrics is not None, held.metrics)
         host = ZoneHost()
         host.handle_request((wire.MSG_INSTALL, 0, zone_id, spire, None))
         reply = None

@@ -23,6 +23,7 @@ from __future__ import annotations
 import multiprocessing
 import socket
 from functools import partial
+from multiprocessing.util import register_after_fork
 from typing import Iterable
 
 from repro.distributed.coordinator import Coordinator, Zone
@@ -37,6 +38,9 @@ def _fork_worker(ctx, name: str):
     """Start worker process ``name`` on one end of a socket pair; returns
     the other end and the process."""
     sock, child_end = socket.socketpair()
+    # no child keeps the coordinator's end, or its worker would never
+    # read end of file from a coordinator that dies without close()
+    register_after_fork(sock, socket.socket.close)
     try:
         process = ctx.Process(
             target=serve_connection, args=(child_end, ZoneHost(), name), daemon=True, name=name

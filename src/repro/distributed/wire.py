@@ -1,15 +1,25 @@
-"""Wire protocol between the parallel coordinator and its zone workers.
+"""Wire protocol between the coordinator and its zone workers.
 
 Every request and reply is one length-prefixed frame on a stream socket
 — one end of a socket pair for a pool worker process, a TCP connection
 for a worker daemon; :mod:`repro.distributed.worker` writes and reads
-them.  The first byte is the
-message type; the payload layouts below are plain ``struct`` packing
-over the existing compact codecs —
-epoch frames from :mod:`repro.readers.codec`, event-message blocks from
-:mod:`repro.events.codec`, and checkpoint blobs from
-:mod:`repro.core.checkpoint` — so nothing on the per-epoch hot path goes
-through :mod:`pickle`.
+them.  This module is their one codec: :func:`encode_request` /
+:func:`decode_request` and :func:`encode_reply` / :func:`decode_reply`
+take and return the tuples that
+:meth:`~repro.distributed.worker.ZoneHost.handle_request` takes and
+returns, and each is the one place its direction and side branch on the
+message type.  The first byte of a payload is the message type; the
+layouts (DESIGN.md §9) are plain ``struct`` packing over the existing
+compact codecs — epoch frames from :mod:`repro.readers.codec`,
+event-message blocks from :mod:`repro.events.codec`, and checkpoint
+blobs from :mod:`repro.core.checkpoint` — so nothing on the per-epoch
+hot path goes through :mod:`pickle`.
+
+Decoding is strict, because a payload is input from another process or
+host: every length field is checked against the bytes left, and a
+payload must be consumed exactly.  Whatever does not decode — truncated,
+trailing bytes, an unknown type, a bad tag key, message block,
+checkpoint or metrics snapshot — raises :class:`WireError`.
 
 The protocol is strictly request/response per worker: the coordinator may
 pipeline requests to different workers, but each worker consumes its
@@ -26,9 +36,12 @@ from __future__ import annotations
 
 import struct
 
+from repro.core.checkpoint import dumps_spire, loads_spire
+from repro.core.pipeline import Spire
 from repro.events.codec import decode_stream, encode_stream
-from repro.events.messages import EventMessage
 from repro.model.objects import TagId
+from repro.obs.metrics import MetricRegistry, snapshot_from_json, snapshot_to_json
+from repro.readers.codec import decode_epoch_frame, encode_epoch_frame
 
 # ---------------------------------------------------------------------------
 # message types (first byte of every frame)
@@ -63,12 +76,24 @@ QUERY_CONTAINER = 2
 #: are both taken; this mirrors the fast-checkpoint codec's convention)
 NONE_SENTINEL = -(1 << 62)
 
-_HEADER = struct.Struct("<BI")  # type, zone index
+# payload layouts: each struct below, and DESIGN.md §9's table of them
+
+_TYPE = struct.Struct("<B")
+_HEADER = struct.Struct("<BI")  # type, then a zone index, count or length
 _QUERY_HEADER = struct.Struct("<BIBQ")  # type, zone index, query kind, tag key
-_RELEASE_HEADER = struct.Struct("<BIqI")  # type, zone index, now, n tags
-_ADOPT_HEADER = struct.Struct("<BIqI")  # type, zone index, now, n records
+_HANDOFF_HEADER = struct.Struct("<BIqI")  # type, zone index, now, n tags or records
+_QUERY_RESULT = struct.Struct("<Bq")  # type, answer
 _U32 = struct.Struct("<I")
-_I64 = struct.Struct("<q")
+
+_BATCH_ENTRY = struct.Struct("<IBI")  # zone index, flags, frame length
+_ZONE_RESULT = struct.Struct("<II")  # zone index, result length
+
+#: install header: type, zone index, flags, zone id length, metrics-seed
+#: length (the zone id and seed follow; the checkpoint blob is the remainder)
+_INSTALL_HEADER = struct.Struct("<BIBHI")
+
+#: flag bits on MSG_INSTALL
+FLAG_METRICS = 1  #: worker must attach a zone-labelled metric registry
 
 #: flag bits on MSG_EPOCH
 FLAG_CHECKPOINT = 1  #: checkpoint the zone after processing this epoch
@@ -83,6 +108,11 @@ _RESULT_STATS = struct.Struct("<dd")
 
 class WireError(RuntimeError):
     """Raised on malformed frames or a worker-reported failure."""
+
+
+class WorkerError(WireError):
+    """A worker answered :data:`MSG_ERROR`: the text is its traceback
+    and, by contract, its resident zone state is gone."""
 
 
 # ---------------------------------------------------------------------------
@@ -138,18 +168,44 @@ class FrameDecoder:
             del self._buffer[:end]
 
 
-def _expect(data: bytes, msg_type: int) -> None:
-    if not data or data[0] != msg_type:
-        got = data[0] if data else None
-        raise WireError(f"expected message type {msg_type}, got {got}")
+class _Payload:
+    """One payload, read front to back: a read past its end, or bytes left
+    over at :meth:`end`, is a :class:`WireError`."""
+
+    __slots__ = ("view", "offset")
+
+    def __init__(self, data) -> None:
+        self.view = memoryview(data)
+        self.offset = 0
+
+    def take(self, size: int) -> memoryview:
+        """The next ``size`` bytes, which must be in the payload."""
+        start = self.offset
+        left = len(self.view) - start
+        if size > left:
+            raise WireError(f"truncated frame: {size} bytes wanted at offset {start}, {left} left")
+        self.offset = start + size
+        return self.view[start : self.offset]
+
+    def unpack(self, layout: struct.Struct) -> tuple:
+        return layout.unpack(self.take(layout.size))
+
+    def sized(self) -> memoryview:
+        """A block behind its 4-byte length."""
+        (size,) = self.unpack(_U32)
+        return self.take(size)
+
+    def tags(self, count: int) -> list[TagId]:
+        keys = struct.unpack(f"<{count}Q", self.take(8 * count))
+        return [TagId.from_key(key) for key in keys]
+
+    def end(self) -> None:
+        left = len(self.view) - self.offset
+        if left:
+            raise WireError(f"{left} trailing bytes after the frame")
 
 
-# ---------------------------------------------------------------------------
-# handoff records
-# ---------------------------------------------------------------------------
-
-
-def encode_record(record: dict) -> bytes:
+def _encode_record(record: dict) -> bytes:
     """Pack one ``Spire.release`` handoff record."""
     tag: TagId = record["tag"]
     recent = record.get("recent_color")
@@ -164,12 +220,9 @@ def encode_record(record: dict) -> bytes:
     )
 
 
-def decode_record(data: bytes, offset: int = 0) -> tuple[dict, int]:
-    """Unpack one handoff record; returns (record, next offset)."""
-    tag_key, recent, seen_at, confirmed_key, confirmed_at, conflicts = _RECORD.unpack_from(
-        data, offset
-    )
-    record = {
+def _decode_record(tag_key, recent, seen_at, confirmed_key, confirmed_at, conflicts) -> dict:
+    """One handoff record from its unpacked :data:`_RECORD` fields."""
+    return {
         "tag": TagId.from_key(tag_key),
         "recent_color": None if recent == NONE_SENTINEL else recent,
         "seen_at": seen_at,
@@ -177,258 +230,211 @@ def decode_record(data: bytes, offset: int = 0) -> tuple[dict, int]:
         "confirmed_at": confirmed_at,
         "confirmed_conflicts": conflicts,
     }
-    return record, offset + _RECORD.size
 
 
 # ---------------------------------------------------------------------------
-# coordinator -> worker requests
+# requests and replies: the one codec
 # ---------------------------------------------------------------------------
 
 
-#: install payload header after the common header: flags, zone id length,
-#: metrics-seed length (the checkpoint blob is the remainder)
-_INSTALL_EXTRA = struct.Struct("<BHI")
-
-#: flag bits on MSG_INSTALL
-FLAG_METRICS = 1  #: worker must attach a zone-labelled metric registry
-
-
-def encode_install(
-    zone_index: int,
-    checkpoint: bytes,
-    zone_id: str = "",
-    metrics: bool = False,
-    metrics_seed: bytes = b"",
-) -> bytes:
-    """Ship a zone substrate to its worker.
-
-    ``metrics=True`` directs the worker to attach a registry labelled
-    ``zone=zone_id`` and to snapshot it into every epoch reply;
-    ``metrics_seed`` (a JSON snapshot) pre-loads the registry so counter
-    totals survive recovery installs — checkpoints never carry
-    registries themselves.
-    """
-    zone_bytes = zone_id.encode("utf-8")
-    flags = FLAG_METRICS if metrics else 0
-    return (
-        _HEADER.pack(MSG_INSTALL, zone_index)
-        + _INSTALL_EXTRA.pack(flags, len(zone_bytes), len(metrics_seed))
-        + zone_bytes
-        + metrics_seed
-        + checkpoint
-    )
-
-
-def decode_install(data: bytes) -> tuple[int, bytes, str, bool, bytes]:
-    """Returns (zone index, checkpoint, zone id, metrics enabled, seed)."""
-    _, zone_index = _HEADER.unpack_from(data)
-    offset = _HEADER.size
-    flags, zone_len, seed_len = _INSTALL_EXTRA.unpack_from(data, offset)
-    offset += _INSTALL_EXTRA.size
-    zone_id = data[offset : offset + zone_len].decode("utf-8")
-    offset += zone_len
-    seed = data[offset : offset + seed_len]
-    offset += seed_len
-    return zone_index, data[offset:], zone_id, bool(flags & FLAG_METRICS), seed
+def encode_request(request: tuple) -> bytes:
+    """The payload of one :meth:`~repro.distributed.worker.ZoneHost.
+    handle_request` request tuple.  An install ships the substrate's
+    checkpoint — ``blob`` when the sender has it, else encoded here —
+    and, when the substrate has a registry, its snapshot as the seed of
+    the worker's own (checkpoints never carry registries, so the seed is
+    what keeps counter totals across recovery installs)."""
+    msg_type = request[0]
+    if msg_type == MSG_EPOCH:
+        parts = [_HEADER.pack(MSG_EPOCH, len(request[1]))]
+        for zone_index, flags, readings in request[1]:
+            frame = encode_epoch_frame(readings)
+            parts += (_BATCH_ENTRY.pack(zone_index, flags, len(frame)), frame)
+        return b"".join(parts)
+    if msg_type in (MSG_RELEASE, MSG_ADOPT):
+        _, zone_index, now, items = request  # tags to release, records to adopt
+        head = _HANDOFF_HEADER.pack(msg_type, zone_index, now, len(items))
+        if msg_type == MSG_RELEASE:
+            return head + struct.pack(f"<{len(items)}Q", *(tag.key() for tag in items))
+        return head + b"".join(_encode_record(record) for record in items)
+    if msg_type == MSG_QUERY:
+        _, zone_index, kind, tag = request
+        return _QUERY_HEADER.pack(MSG_QUERY, zone_index, kind, tag.key())
+    if msg_type == MSG_INSTALL:
+        _, zone_index, zone_id, spire, blob = request
+        registry = spire.metrics
+        zone_bytes = zone_id.encode("utf-8")
+        seed = b"" if registry is None else snapshot_to_json(registry.snapshot())
+        flags = 0 if registry is None else FLAG_METRICS
+        return b"".join(
+            (
+                _INSTALL_HEADER.pack(MSG_INSTALL, zone_index, flags, len(zone_bytes), len(seed)),
+                zone_bytes,
+                seed,
+                dumps_spire(spire) if blob is None else blob,
+            )
+        )
+    if msg_type == MSG_STOP:
+        return _TYPE.pack(MSG_STOP)
+    raise ValueError(f"unknown message type {msg_type}")
 
 
-_BATCH_ENTRY = struct.Struct("<IBI")  # zone index, flags, frame length
+def decode_request(data) -> tuple:
+    """The request tuple an :func:`encode_request` payload carries; an
+    install's substrate is restored from its checkpoint (see
+    :func:`restore_zone`).  Raises :class:`WireError` for anything that
+    does not decode."""
+    payload = _Payload(data)
+    msg_type = data[0] if len(data) else None
+    try:
+        if msg_type == MSG_EPOCH:
+            _, count = payload.unpack(_HEADER)
+            entries = []
+            for _ in range(count):
+                zone_index, flags, size = payload.unpack(_BATCH_ENTRY)
+                readings, end = decode_epoch_frame(payload.take(size))
+                if end != size:
+                    raise WireError(f"{size - end} trailing bytes after an epoch frame")
+                entries.append((zone_index, flags, readings))
+            request = (msg_type, entries)
+        elif msg_type in (MSG_RELEASE, MSG_ADOPT):
+            _, zone_index, now, count = payload.unpack(_HANDOFF_HEADER)
+            if msg_type == MSG_RELEASE:
+                items = payload.tags(count)
+            else:
+                records = _RECORD.iter_unpack(payload.take(count * _RECORD.size))
+                items = [_decode_record(*fields) for fields in records]
+            request = (msg_type, zone_index, now, items)
+        elif msg_type == MSG_QUERY:
+            _, zone_index, kind, tag_key = payload.unpack(_QUERY_HEADER)
+            request = (msg_type, zone_index, kind, TagId.from_key(tag_key))
+        elif msg_type == MSG_INSTALL:
+            _, zone_index, flags, zone_len, seed_len = payload.unpack(_INSTALL_HEADER)
+            zone_id = str(payload.take(zone_len), "utf-8")
+            seed = snapshot_from_json(bytes(payload.take(seed_len))) if seed_len else None
+            checkpoint = bytes(payload.take(len(payload.view) - payload.offset))
+            spire = restore_zone(checkpoint, zone_id, bool(flags & FLAG_METRICS), seed)
+            request = (msg_type, zone_index, zone_id, spire, checkpoint)
+        elif msg_type == MSG_STOP:
+            payload.unpack(_TYPE)
+            request = (msg_type,)
+        else:
+            raise WireError(f"unknown request type {msg_type}")
+        payload.end()
+    except WireError:
+        raise
+    except Exception as exc:  # whatever the bytes make a decoder raise
+        raise WireError(str(exc)) from exc
+    return request
 
 
-def encode_epoch_batch(entries: list[tuple[int, int, bytes]]) -> bytes:
-    """One epoch for *all* of a worker's zones: ``(zone_index, flags,
-    epoch frame)`` per entry.  A single round trip per worker per
-    epoch instead of one per zone."""
-    parts = [bytes([MSG_EPOCH]), _U32.pack(len(entries))]
-    for zone_index, flags, frame in entries:
-        parts.append(_BATCH_ENTRY.pack(zone_index, flags, len(frame)))
-        parts.append(frame)
-    return b"".join(parts)
-
-
-def decode_epoch_batch(data: bytes) -> list[tuple[int, int, bytes]]:
-    offset = 1
-    (count,) = _U32.unpack_from(data, offset)
-    offset += _U32.size
-    entries = []
-    for _ in range(count):
-        zone_index, flags, frame_len = _BATCH_ENTRY.unpack_from(data, offset)
-        offset += _BATCH_ENTRY.size
-        entries.append((zone_index, flags, data[offset : offset + frame_len]))
-        offset += frame_len
-    return entries
-
-
-def encode_epoch_batch_result(results: list[tuple[int, bytes]]) -> bytes:
-    """Per zone (request order): its :func:`encode_epoch_result` bytes."""
-    parts = [bytes([MSG_EPOCH_RESULT]), _U32.pack(len(results))]
-    for zone_index, result in results:
-        parts.append(_U32.pack(zone_index))
-        parts.append(_U32.pack(len(result)))
-        parts.append(result)
-    return b"".join(parts)
-
-
-def decode_epoch_batch_result(data: bytes) -> list[tuple[int, bytes]]:
-    _expect(data, MSG_EPOCH_RESULT)
-    offset = 1
-    (count,) = _U32.unpack_from(data, offset)
-    offset += _U32.size
-    results = []
-    for _ in range(count):
-        (zone_index,) = _U32.unpack_from(data, offset)
-        offset += _U32.size
-        (result_len,) = _U32.unpack_from(data, offset)
-        offset += _U32.size
-        results.append((zone_index, data[offset : offset + result_len]))
-        offset += result_len
-    return results
-
-
-def encode_release(zone_index: int, now: int, tags: list[TagId]) -> bytes:
-    head = _RELEASE_HEADER.pack(MSG_RELEASE, zone_index, now, len(tags))
-    return head + struct.pack(f"<{len(tags)}Q", *(tag.key() for tag in tags))
-
-
-def decode_release(data: bytes) -> tuple[int, int, list[TagId]]:
-    _, zone_index, now, n_tags = _RELEASE_HEADER.unpack_from(data)
-    keys = struct.unpack_from(f"<{n_tags}Q", data, _RELEASE_HEADER.size)
-    return zone_index, now, [TagId.from_key(key) for key in keys]
-
-
-def encode_adopt(zone_index: int, now: int, records: list[bytes]) -> bytes:
-    head = _ADOPT_HEADER.pack(MSG_ADOPT, zone_index, now, len(records))
-    return head + b"".join(records)
-
-
-def decode_adopt(data: bytes) -> tuple[int, int, list[dict]]:
-    _, zone_index, now, n_records = _ADOPT_HEADER.unpack_from(data)
-    records = []
-    offset = _ADOPT_HEADER.size
-    for _ in range(n_records):
-        record, offset = decode_record(data, offset)
-        records.append(record)
-    return zone_index, now, records
-
-
-def encode_query(zone_index: int, kind: int, tag: TagId) -> bytes:
-    return _QUERY_HEADER.pack(MSG_QUERY, zone_index, kind, tag.key())
-
-
-def decode_query(data: bytes) -> tuple[int, int, TagId]:
-    _, zone_index, kind, tag_key = _QUERY_HEADER.unpack_from(data)
-    return zone_index, kind, TagId.from_key(tag_key)
-
-
-def encode_stop() -> bytes:
-    return bytes([MSG_STOP])
-
-
-# ---------------------------------------------------------------------------
-# worker -> coordinator replies
-# ---------------------------------------------------------------------------
-
-
-def encode_ok() -> bytes:
-    return bytes([MSG_OK])
-
-
-def expect_ok(data: bytes) -> None:
-    _expect(data, MSG_OK)
+def encode_reply(msg_type: int, reply) -> bytes:
+    """The payload of ``reply``, which ``handle_request`` returned for a
+    request of ``msg_type``; a zone's registry travels as its snapshot."""
+    if msg_type == MSG_EPOCH:
+        parts = [_HEADER.pack(MSG_EPOCH_RESULT, len(reply))]
+        for zone_index, messages, departed, busy_s, checkpoint_s, checkpoint, registry in reply:
+            block = encode_stream(messages)
+            checkpoint = checkpoint or b""
+            metrics = b"" if registry is None else snapshot_to_json(registry.snapshot())
+            result = (
+                _HEADER.pack(MSG_EPOCH_RESULT, len(block)),
+                block,
+                _U32.pack(len(departed)),
+                struct.pack(f"<{len(departed)}Q", *(tag.key() for tag in departed)),
+                _RESULT_STATS.pack(busy_s, checkpoint_s),
+                _U32.pack(len(checkpoint)),
+                checkpoint,
+                _U32.pack(len(metrics)),
+                metrics,
+            )
+            parts.append(_ZONE_RESULT.pack(zone_index, sum(map(len, result))))
+            parts += result
+        return b"".join(parts)
+    if msg_type == MSG_RELEASE:
+        parts = [_HEADER.pack(MSG_RELEASE_RESULT, len(reply))]
+        for record, closing in reply:
+            block = encode_stream(closing)
+            parts += (_encode_record(record), _U32.pack(len(block)), block)
+        return b"".join(parts)
+    if msg_type == MSG_QUERY:
+        return _QUERY_RESULT.pack(MSG_QUERY_RESULT, reply)
+    return _TYPE.pack(MSG_OK)
 
 
 def encode_error(traceback_text: str) -> bytes:
-    return bytes([MSG_ERROR]) + traceback_text.encode("utf-8")
+    """The reply of a worker whose request failed (its state is gone)."""
+    return _TYPE.pack(MSG_ERROR) + traceback_text.encode("utf-8")
 
 
-def encode_epoch_result(
-    messages: list[EventMessage],
-    departed: list[TagId],
-    busy_s: float,
-    checkpoint_s: float,
-    checkpoint: bytes | None,
-    metrics: bytes | None = None,
-) -> bytes:
-    """``metrics`` is the zone registry's cumulative JSON snapshot (only
-    present when the install enabled telemetry for the zone)."""
-    message_block = encode_stream(messages)
-    parts = [
-        bytes([MSG_EPOCH_RESULT]),
-        _U32.pack(len(message_block)),
-        message_block,
-        _U32.pack(len(departed)),
-        struct.pack(f"<{len(departed)}Q", *(tag.key() for tag in departed)),
-        _RESULT_STATS.pack(busy_s, checkpoint_s),
-        _U32.pack(0 if checkpoint is None else len(checkpoint)),
-        checkpoint or b"",
-        _U32.pack(0 if metrics is None else len(metrics)),
-        metrics or b"",
-    ]
-    return b"".join(parts)
+def decode_reply(data):
+    """The reply :func:`encode_reply` wrote, as ``handle_request``
+    returned it — except that a zone's registry arrives as its snapshot.
+    Raises :class:`WorkerError` for :data:`MSG_ERROR` and
+    :class:`WireError` for anything that does not decode."""
+    payload = _Payload(data)
+    msg_type = data[0] if len(data) else None
+    try:
+        if msg_type == MSG_EPOCH_RESULT:
+            _, count = payload.unpack(_HEADER)
+            reply = []
+            for _ in range(count):
+                zone_index, size = payload.unpack(_ZONE_RESULT)
+                result = _Payload(payload.take(size))
+                result_type, block_size = result.unpack(_HEADER)
+                if result_type != MSG_EPOCH_RESULT:
+                    raise WireError(f"zone result of type {result_type}")
+                messages = decode_stream(result.take(block_size))
+                departed = result.tags(*result.unpack(_U32))
+                busy_s, checkpoint_s = result.unpack(_RESULT_STATS)
+                checkpoint = bytes(result.sized()) or None
+                metrics = bytes(result.sized())
+                result.end()
+                reply.append(
+                    (
+                        zone_index, messages, departed, busy_s, checkpoint_s, checkpoint,
+                        snapshot_from_json(metrics) if metrics else None,
+                    )
+                )
+        elif msg_type == MSG_RELEASE_RESULT:
+            _, count = payload.unpack(_HEADER)
+            reply = []
+            for _ in range(count):
+                record = _decode_record(*payload.unpack(_RECORD))
+                reply.append((record, decode_stream(payload.sized())))
+        elif msg_type == MSG_QUERY_RESULT:
+            _, reply = payload.unpack(_QUERY_RESULT)
+        elif msg_type == MSG_OK:
+            payload.unpack(_TYPE)
+            reply = None
+        elif msg_type == MSG_ERROR:
+            raise WorkerError(str(payload.view[1:], "utf-8", "replace"))
+        else:
+            raise WireError(f"unknown reply type {msg_type}")
+        payload.end()
+    except WireError:
+        raise
+    except Exception as exc:  # whatever the bytes make a decoder raise
+        raise WireError(str(exc)) from exc
+    return reply
 
 
-def decode_epoch_result(
-    data: bytes,
-) -> tuple[list[EventMessage], list[TagId], float, float, bytes | None, bytes | None]:
-    _expect(data, MSG_EPOCH_RESULT)
-    offset = 1
-    (n_bytes,) = _U32.unpack_from(data, offset)
-    offset += _U32.size
-    messages = decode_stream(data[offset : offset + n_bytes])
-    offset += n_bytes
-    (n_departed,) = _U32.unpack_from(data, offset)
-    offset += _U32.size
-    departed_keys = struct.unpack_from(f"<{n_departed}Q", data, offset)
-    offset += 8 * n_departed
-    busy_s, checkpoint_s = _RESULT_STATS.unpack_from(data, offset)
-    offset += _RESULT_STATS.size
-    (ckpt_len,) = _U32.unpack_from(data, offset)
-    offset += _U32.size
-    checkpoint = data[offset : offset + ckpt_len] if ckpt_len else None
-    offset += ckpt_len
-    (metrics_len,) = _U32.unpack_from(data, offset)
-    offset += _U32.size
-    metrics = data[offset : offset + metrics_len] if metrics_len else None
-    departed = [TagId.from_key(key) for key in departed_keys]
-    return messages, departed, busy_s, checkpoint_s, checkpoint, metrics
+def restore_zone(checkpoint: bytes, zone_id: str, metrics: bool, seed: dict | None) -> Spire:
+    """A substrate from checkpoint bytes, telemetry re-attached.
 
-
-def encode_release_result(releases: list[tuple[bytes, list[EventMessage]]]) -> bytes:
-    """Per released tag (in request order): its record and closing messages."""
-    parts = [bytes([MSG_RELEASE_RESULT]), _U32.pack(len(releases))]
-    for record, closing in releases:
-        block = encode_stream(closing)
-        parts.append(record)
-        parts.append(_U32.pack(len(block)))
-        parts.append(block)
-    return b"".join(parts)
-
-
-def decode_release_result(data: bytes) -> list[tuple[bytes, list[EventMessage]]]:
-    _expect(data, MSG_RELEASE_RESULT)
-    offset = 1
-    (count,) = _U32.unpack_from(data, offset)
-    offset += _U32.size
-    releases: list[tuple[bytes, list[EventMessage]]] = []
-    for _ in range(count):
-        record = data[offset : offset + _RECORD.size]
-        offset += _RECORD.size
-        (block_len,) = _U32.unpack_from(data, offset)
-        offset += _U32.size
-        closing = decode_stream(data[offset : offset + block_len])
-        offset += block_len
-        releases.append((record, closing))
-    return releases
-
-
-def encode_query_result(value: int) -> bytes:
-    return bytes([MSG_QUERY_RESULT]) + _I64.pack(value)
-
-
-def decode_query_result(data: bytes) -> int:
-    _expect(data, MSG_QUERY_RESULT)
-    (value,) = _I64.unpack_from(data, 1)
-    return value
+    Checkpoints never carry registries: with ``metrics`` a fresh registry
+    labelled ``zone=zone_id`` is seeded from ``seed`` (the snapshot taken
+    when the checkpoint was) *before* anything is replayed into the
+    substrate, so replay re-increments it to the totals a crash-free run
+    would show instead of silently zeroing the zone's counters.
+    """
+    spire = loads_spire(checkpoint)
+    if metrics:
+        registry = MetricRegistry(const_labels={"zone": zone_id})
+        if seed:
+            registry.restore(seed)
+        spire.attach_metrics(registry)
+    return spire
 
 
 # ---------------------------------------------------------------------------
@@ -436,6 +442,8 @@ def decode_query_result(data: bytes) -> int:
 # ---------------------------------------------------------------------------
 
 _HELLO_ACK = struct.Struct("<Bq")  # type, worker pid
+PING = bytes([MSG_PING])  #: the lease heartbeat probe, whole
+PONG = bytes([MSG_PONG])  #: its answer
 
 
 def encode_hello(name: str) -> bytes:
@@ -450,17 +458,10 @@ def encode_hello_ack(name: str, pid: int) -> bytes:
 
 def decode_hello_ack(data: bytes) -> tuple[str, int]:
     """Returns (worker name, pid); anything else is a :class:`WireError`."""
-    _expect(data, MSG_HELLO_ACK)
+    if not data or data[0] != MSG_HELLO_ACK:
+        raise WireError(f"expected HELLO_ACK, got message type {data[0] if data else None}")
     try:
         _, pid = _HELLO_ACK.unpack_from(data)
         return data[_HELLO_ACK.size :].decode("utf-8"), pid
     except (struct.error, UnicodeDecodeError) as exc:
         raise WireError(f"malformed HELLO_ACK: {exc}") from exc
-
-
-def encode_ping() -> bytes:
-    return bytes([MSG_PING])
-
-
-def encode_pong() -> bytes:
-    return bytes([MSG_PONG])

@@ -13,13 +13,14 @@ The coordinator talks to a *handle*: ``submit(request)`` and
 ``abandon(reason, warn)``, ``respawn()`` and ``readable`` (DESIGN.md
 §9).  :class:`InProcessWorker` calls a host in this process with the
 request tuple as is.  :class:`SocketWorker` is every out-of-process
-worker: it writes the request as one length-prefixed frame on a stream
-socket, read at the far end by :func:`serve_connection` — in a forked
-pool child over a socket pair, or in a TCP daemon — and reads the reply
-back at its exact length, under the request deadline.  A handle may lose
-a request or its reply only together with the worker: the coordinator
-logs every state-changing request before submitting it and replays the
-log through a :class:`ZoneHost` of its own when the worker is gone, so
+worker: it writes the request, encoded by :mod:`~repro.distributed.wire`
+(the one codec), as one length-prefixed frame on a stream socket, read
+at the far end by :func:`serve_connection` — in a forked pool child over
+a socket pair, or in a TCP daemon — and reads the reply back at its
+exact length, under the request deadline.  A handle may lose a request
+or its reply only together with the worker: the coordinator logs every
+state-changing request before submitting it and replays the log through
+a :class:`ZoneHost` of its own when the worker is gone, so
 ``handle_request`` must stay a function of the resident state and the
 request alone.
 """
@@ -28,17 +29,14 @@ from __future__ import annotations
 
 import os
 import select
-import struct
 import time
 import traceback
 from collections import deque
 from dataclasses import dataclass, field
 
-from repro.core.checkpoint import dumps_spire, loads_spire
+from repro.core.checkpoint import dumps_spire
 from repro.core.pipeline import Spire
 from repro.distributed import wire
-from repro.obs.metrics import MetricRegistry, snapshot_from_json, snapshot_to_json
-from repro.readers.codec import decode_epoch_frame, encode_epoch_frame
 
 
 @dataclass
@@ -73,11 +71,6 @@ class WorkerStats:
         return lines
 
 
-class WorkerError(wire.WireError):
-    """A worker answered :data:`wire.MSG_ERROR`: the text is its traceback
-    and, by contract, its resident zone state is gone."""
-
-
 #: what a handle raises when its worker is lost
 LOST_WORKER_ERRORS = (wire.WireError, OSError, EOFError)
 
@@ -85,33 +78,13 @@ LOST_WORKER_ERRORS = (wire.WireError, OSError, EOFError)
 def loss_reason(exc: BaseException) -> str:
     """Why a worker whose handle raised ``exc`` (one of
     :data:`LOST_WORKER_ERRORS`) is lost, in every pool's words."""
-    if isinstance(exc, WorkerError):
+    if isinstance(exc, wire.WorkerError):
         return f"worker reported an error:\n{exc}"
     if isinstance(exc, wire.WireError):
         return f"undecodable reply: {exc}"
     if isinstance(exc, TimeoutError):
         return str(exc)  # "no reply within N s"
     return f"connection lost: {exc!r}"
-
-
-def restore_zone(
-    checkpoint: bytes, zone_id: str, metrics: bool, seed: dict | None
-) -> Spire:
-    """A substrate from checkpoint bytes, telemetry re-attached.
-
-    Checkpoints never carry registries: with ``metrics`` a fresh registry
-    labelled ``zone=zone_id`` is seeded from ``seed`` (the snapshot taken
-    when the checkpoint was) *before* anything is replayed into the
-    substrate, so replay re-increments it to the totals a crash-free run
-    would show instead of silently zeroing the zone's counters.
-    """
-    spire = loads_spire(checkpoint)
-    if metrics:
-        registry = MetricRegistry(const_labels={"zone": zone_id})
-        if seed:
-            registry.restore(seed)
-        spire.attach_metrics(registry)
-    return spire
 
 
 # ---------------------------------------------------------------------------
@@ -196,138 +169,17 @@ class ZoneHost:
         raise ValueError(f"unknown message type {msg_type}")
 
     def serve_bytes(self, data: bytes) -> tuple[bytes, bool]:
-        """``handle_request`` as an out-of-process worker runs it; returns
-        the packed reply and whether the worker is done — after
+        """``handle_request`` between the wire codec's decoder and encoder;
+        returns the reply's bytes and whether the worker is done — after
         :data:`wire.MSG_STOP`, or after a failure, which is reported as
         :data:`wire.MSG_ERROR` (the traceback) and costs it its state."""
         try:
-            request = unpack_request(data)
-            reply = pack_reply(request[0], self.handle_request(request))
+            request = wire.decode_request(data)
+            reply = wire.encode_reply(request[0], self.handle_request(request))
         except BaseException:
             self.spires.clear()
             return wire.encode_error(traceback.format_exc()), True
         return reply, request[0] == wire.MSG_STOP
-
-
-# ---------------------------------------------------------------------------
-# requests and replies as bytes (the wire layouts of repro.distributed.wire)
-# ---------------------------------------------------------------------------
-
-
-def pack_request(request: tuple) -> bytes:
-    msg_type = request[0]
-    if msg_type == wire.MSG_EPOCH:
-        return wire.encode_epoch_batch(
-            [
-                (zone_index, flags, encode_epoch_frame(readings))
-                for zone_index, flags, readings in request[1]
-            ]
-        )
-    if msg_type == wire.MSG_RELEASE:
-        return wire.encode_release(*request[1:])
-    if msg_type == wire.MSG_ADOPT:
-        _, zone_index, now, records = request
-        return wire.encode_adopt(zone_index, now, [wire.encode_record(r) for r in records])
-    if msg_type == wire.MSG_QUERY:
-        return wire.encode_query(*request[1:])
-    if msg_type == wire.MSG_INSTALL:
-        _, zone_index, zone_id, spire, blob = request
-        registry = spire.metrics
-        return wire.encode_install(
-            zone_index,
-            blob if blob is not None else dumps_spire(spire),
-            zone_id=zone_id,
-            metrics=registry is not None,
-            metrics_seed=b"" if registry is None else snapshot_to_json(registry.snapshot()),
-        )
-    if msg_type == wire.MSG_STOP:
-        return wire.encode_stop()
-    raise ValueError(f"unknown message type {msg_type}")
-
-
-def unpack_request(data: bytes) -> tuple:
-    msg_type = data[0] if data else 0
-    if msg_type == wire.MSG_EPOCH:
-        return (
-            msg_type,
-            [
-                (zone_index, flags, decode_epoch_frame(frame)[0])
-                for zone_index, flags, frame in wire.decode_epoch_batch(data)
-            ],
-        )
-    if msg_type == wire.MSG_RELEASE:
-        return (msg_type, *wire.decode_release(data))
-    if msg_type == wire.MSG_ADOPT:
-        return (msg_type, *wire.decode_adopt(data))
-    if msg_type == wire.MSG_QUERY:
-        return (msg_type, *wire.decode_query(data))
-    if msg_type == wire.MSG_INSTALL:
-        zone_index, checkpoint, zone_id, metrics_on, seed = wire.decode_install(data)
-        spire = restore_zone(
-            checkpoint, zone_id, metrics_on, snapshot_from_json(seed) if seed else None
-        )
-        return (msg_type, zone_index, zone_id, spire, checkpoint)
-    if msg_type == wire.MSG_STOP:
-        return (msg_type,)
-    raise ValueError(f"unknown message type {msg_type}")
-
-
-def pack_reply(msg_type: int, reply) -> bytes:
-    """The reply to a request of ``msg_type``, as bytes."""
-    if msg_type == wire.MSG_EPOCH:
-        return wire.encode_epoch_batch_result(
-            [
-                (
-                    zone_index,
-                    wire.encode_epoch_result(
-                        messages, departed, busy_s, checkpoint_s, checkpoint,
-                        None if registry is None else snapshot_to_json(registry.snapshot()),
-                    ),
-                )
-                for (
-                    zone_index, messages, departed, busy_s, checkpoint_s, checkpoint, registry,
-                ) in reply
-            ]
-        )
-    if msg_type == wire.MSG_RELEASE:
-        return wire.encode_release_result(
-            [(wire.encode_record(record), closing) for record, closing in reply]
-        )
-    if msg_type == wire.MSG_QUERY:
-        return wire.encode_query_result(reply)
-    return wire.encode_ok()
-
-
-def unpack_reply(data: bytes):
-    """A packed reply as :meth:`ZoneHost.handle_request` returned it —
-    except that a zone's registry arrives as its snapshot.  Raises
-    :class:`WorkerError` for :data:`wire.MSG_ERROR`."""
-    msg_type = data[0] if data else None
-    if msg_type == wire.MSG_EPOCH_RESULT:
-        results = []
-        # a view, or the per-zone split copies every checkpoint blob once more
-        for zone_index, zone_result in wire.decode_epoch_batch_result(memoryview(data)):
-            *fields, checkpoint, metrics = wire.decode_epoch_result(zone_result)
-            results.append(
-                (
-                    zone_index,
-                    *fields,
-                    None if checkpoint is None else bytes(checkpoint),
-                    None if metrics is None else snapshot_from_json(bytes(metrics)),
-                )
-            )
-        return results
-    if msg_type == wire.MSG_RELEASE_RESULT:
-        return [
-            (wire.decode_record(record)[0], closing)
-            for record, closing in wire.decode_release_result(data)
-        ]
-    if msg_type == wire.MSG_QUERY_RESULT:
-        return wire.decode_query_result(data)
-    if msg_type == wire.MSG_ERROR:
-        raise WorkerError(data[1:].decode("utf-8", "replace"))
-    wire.expect_ok(data)
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +244,7 @@ def serve_connection(sock, host: ZoneHost, name: str) -> bool:
             if msg_type == wire.MSG_HELLO:
                 reply, done = wire.encode_hello_ack(name, os.getpid()), False
             elif msg_type == wire.MSG_PING:
-                reply, done = wire.encode_pong(), False
+                reply, done = wire.PONG, False
             else:
                 reply, done = host.serve_bytes(data)
             send_frame(sock, reply)
@@ -491,7 +343,7 @@ class SocketWorker:
         return data
 
     def submit(self, request: tuple) -> None:
-        payload = pack_request(request)
+        payload = wire.encode_request(request)
         self.sock.settimeout(self.deadlines.request_timeout)
         send_frame(self.sock, payload)
         self._sent.append(time.monotonic())
@@ -505,13 +357,7 @@ class SocketWorker:
         if self._observe_rtt is not None:
             self._observe_rtt(self.last_activity - sent)
         self.stats.bytes_from_workers += len(data)
-        try:
-            return unpack_reply(data)
-        except (struct.error, ValueError) as exc:
-            # truncated frames, bad message blocks, tag keys or metrics:
-            # whatever does not decode is a wire error, which the
-            # coordinator counts as the worker's loss
-            raise wire.WireError(str(exc)) from exc
+        return wire.decode_reply(data)
 
     # supervision probes of the TCP pool, between requests
 
@@ -525,8 +371,8 @@ class SocketWorker:
     def ping(self) -> None:
         """One heartbeat: the PONG must be back within the request deadline."""
         self.sock.settimeout(self.deadlines.request_timeout)
-        send_frame(self.sock, wire.encode_ping())
-        if self._recv(self.deadlines.request_timeout) != wire.encode_pong():
+        send_frame(self.sock, wire.PING)
+        if self._recv(self.deadlines.request_timeout) != wire.PONG:
             raise wire.WireError("expected PONG")
 
     def kill(self, warn=None) -> None:

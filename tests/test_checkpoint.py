@@ -3,6 +3,7 @@
 import io
 import pickle
 import struct
+from types import SimpleNamespace
 
 import pytest
 
@@ -139,7 +140,8 @@ class TestValidation:
             + struct.pack("<Q", len(blob))
             + blob
         )
-        reply, done = ZoneHost().serve_bytes(wire.encode_install(0, checkpoint))
+        install = (wire.MSG_INSTALL, 0, "", SimpleNamespace(metrics=None), checkpoint)
+        reply, done = ZoneHost().serve_bytes(wire.encode_request(install))
         assert reply[0] == wire.MSG_ERROR and done
         assert b"config blob references io.open" in reply
         with pytest.raises(CheckpointError, match="references io.open"):

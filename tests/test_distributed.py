@@ -293,7 +293,7 @@ class TestExactLengthFrames:
 
     def test_a_reply_written_one_byte_at_a_time_is_read_whole(self):
         worker, far = _far_end_worker()
-        frame = _framed(wire.encode_query_result(-7)) + _framed(wire.encode_query_result(8))
+        frame = b"".join(_framed(wire.encode_reply(wire.MSG_QUERY, answer)) for answer in (-7, 8))
 
         def trickle():
             for i in range(len(frame)):
@@ -314,7 +314,8 @@ class TestExactLengthFrames:
         worker, far = _far_end_worker()
         worker.submit(self.QUERY)
         worker.submit(self.QUERY)
-        far.sendall(_framed(wire.encode_query_result(1)) + _framed(wire.encode_query_result(2)))
+        answers = (_framed(wire.encode_reply(wire.MSG_QUERY, answer)) for answer in (1, 2))
+        far.sendall(b"".join(answers))
         started = time.monotonic()
         replies, rebuilt = coordinator._gather([worker, worker], at=0)
         assert replies == [1, 2] and rebuilt == {}

@@ -12,9 +12,16 @@ contract and lives in ``tests/test_coordination_contract.py``.
 from __future__ import annotations
 
 import io
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.core.checkpoint import load_checkpoint
 from repro.distributed import Coordinator, ParallelCoordinator, partition_by_location
 from repro.events.codec import encode_stream
@@ -358,3 +365,61 @@ class TestKillEscalation:
         assert "survived" in warnings[0] and "4242" in warnings[0]
         assert worker.sock.closed  # the socket never leaks
 
+
+
+# ---------------------------------------------------------------------------
+# a coordinator that dies without close()
+# ---------------------------------------------------------------------------
+
+_DIES_WITHOUT_CLOSE = """
+import os
+from repro.distributed import ParallelCoordinator
+from tests.test_parallel import _config, _epochs, _zones
+
+sim, epochs = _epochs(_config(seed=5, duration=20))
+coordinator = ParallelCoordinator(_zones(sim), workers=2)
+coordinator.process_epoch(epochs[0])
+print(*(worker.process.pid for worker in coordinator._workers), flush=True)
+os._exit(0)
+"""
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` is a live process; a zombie is not."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rpartition(")")[2].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads process states from /proc")
+def test_workers_exit_when_the_coordinator_dies_without_close(tmp_path):
+    """Each pool worker holds only its own end of its socket pair, so the
+    coordinator's death is an end of file to every worker, and they exit
+    rather than live on as orphans."""
+    repo_root = Path(__file__).resolve().parents[1]
+    package_root = Path(repro.__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(package_root), os.environ.get("PYTHONPATH")]))
+    output = tmp_path / "child.out"
+    # a file, not a pipe: orphans holding a pipe's write end would hang its reader
+    with open(output, "w") as sink:
+        subprocess.run(
+            [sys.executable, "-c", _DIES_WITHOUT_CLOSE],
+            stdout=sink,
+            stderr=subprocess.STDOUT,
+            cwd=repo_root,
+            env=dict(os.environ, PYTHONPATH=path),
+            timeout=60,
+            check=True,
+        )
+    pids = [int(pid) for pid in output.read_text().splitlines()[-1].split()]
+    assert len(pids) == 2
+    try:
+        deadline = time.monotonic() + 10
+        while any(map(_running, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not [pid for pid in pids if _running(pid)]
+    finally:
+        for pid in filter(_running, pids):
+            os.kill(pid, signal.SIGKILL)

@@ -20,6 +20,7 @@ of ``tests/test_coordination_contract.py``, shared with the pipe pool.
 from __future__ import annotations
 
 import socket
+import struct
 import subprocess
 import sys
 import threading
@@ -43,7 +44,6 @@ from repro.distributed.remote import (
 from repro.distributed.supervisor import dial_worker
 from repro.distributed.worker import (
     SocketWorker,
-    WorkerError,
     WorkerStats,
     ZoneHost,
     send_frame,
@@ -150,24 +150,38 @@ def _canned_reply(data: bytes) -> SocketWorker:
     return worker
 
 
-def _epoch_reply(*patches: tuple[int, int]) -> bytes:
+#: where an epoch reply's first zone result starts: the reply's type and
+#: zone count, then the zone's index and result length
+ZONE_RESULT_AT = 1 + 4 + 4 + 4
+
+
+def _epoch_reply(*patches: tuple[int, int], registry=None) -> bytes:
     """A one-zone epoch reply (one message, one departed tag) with each
     ``(offset, byte)`` of ``patches`` written into the zone result."""
     msg = start_location(TagId(PackagingLevel.ITEM, 1), 0, 3)
-    zone = bytearray(
-        wire.encode_epoch_result([msg], [TagId(PackagingLevel.ITEM, 2)], 0.0, 0.0, None)
-    )
+    zone = (0, [msg], [TagId(PackagingLevel.ITEM, 2)], 0.0, 0.0, None, registry)
+    reply = bytearray(wire.encode_reply(wire.MSG_EPOCH, [zone]))
     for offset, value in patches:
-        zone[offset] = value
-    return wire.encode_epoch_batch_result([(0, bytes(zone))])
+        reply[ZONE_RESULT_AT + offset] = value
+    return bytes(reply)
 
 
 def _release_reply() -> bytes:
     msg = start_location(TagId(PackagingLevel.ITEM, 1), 0, 3)
-    record = wire.encode_record({"tag": TagId(PackagingLevel.ITEM, 1)})
-    release = bytearray(wire.encode_release_result([(record, [msg])]))
+    record = {
+        "tag": TagId(PackagingLevel.ITEM, 1), "recent_color": None, "seen_at": 0,
+        "confirmed_parent": None, "confirmed_at": -1, "confirmed_conflicts": 0,
+    }
+    release = bytearray(wire.encode_reply(wire.MSG_RELEASE, [(record, [msg])]))
     release[-25] = 0xFF  # the closing message's kind code
     return bytes(release)
+
+
+def _metrics_reply() -> bytes:
+    """A one-zone epoch reply whose metrics snapshot is not JSON."""
+    reply = bytearray(_epoch_reply(registry=MetricRegistry()))
+    reply[-1] = ord("x")  # the snapshot's closing brace
+    return bytes(reply)
 
 
 class TestUndecodableReplies:
@@ -187,10 +201,9 @@ class TestUndecodableReplies:
             # the departed tag key's level byte (bits 48-55 of the key at 34)
             _epoch_reply((34 + 6, 0x0F)),
             _release_reply(),
-            wire.encode_epoch_batch_result(
-                [(0, wire.encode_epoch_result([], [], 0.0, 0.0, None, b"{not json"))]
-            ),
-            wire.encode_epoch_batch_result([(0, b"\x41\x00")]),  # truncated zone result
+            _metrics_reply(),
+            # a zone result of 2 bytes: truncated
+            bytes([wire.MSG_EPOCH_RESULT]) + struct.pack("<III", 1, 0, 2) + b"\x41\x00",
             bytes([99]),  # no such reply type
         ],
         ids=["message-kind", "departed-level", "release-block", "metrics", "truncated", "type"],
@@ -222,7 +235,7 @@ class TestDaemonState:
             worker = dial_worker(0, daemon.address, Deadlines(), SupervisorStats())
             worker.stats = WorkerStats()
             worker.submit(query)
-            with pytest.raises(WorkerError, match="KeyError"):
+            with pytest.raises(wire.WorkerError, match="KeyError"):
                 worker.collect()
             worker.kill()
 
