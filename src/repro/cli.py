@@ -324,7 +324,6 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         DropBatches,
         DuplicateBatches,
         FaultInjector,
-        ReaderHealthMonitor,
         ReaderOutage,
         schedule_from_dict,
         split_net_schedule,
@@ -433,8 +432,6 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         ))
         resilient = runner.ingest(injector)
         engine = runner.engine
-        if not pool:  # Spire reads its health monitor at run time
-            engine.health = ReaderHealthMonitor(engine.deployment.readers, k=args.health_k)
         kill_worker = lambda i: engine._workers[i].kill()
         metrics_snapshot = runner.metrics_snapshot
     crash_at = {crash.at_epoch: crash.worker for crash in crashes}
@@ -458,11 +455,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
           f"{len(injector.duplicated_epochs)} duplicated batch(es)")
     print(f"absorbed: {resilient.synthesized_epochs} epoch(s) synthesized; warnings "
           f"{resilient.quarantine.counts() or '{}'}")
-    if not pool:
-        silent = sum(1 for w in engine.health.events if w.kind == "reader_silent")
-        print(f"reader health: {silent} silent transition(s), "
-              f"{len(engine.health.events) - silent} recovery transition(s)")
-    else:
+    if pool:
         print(f"{'remote' if args.remote_workers else 'parallel'} engine: "
               f"{pool} worker(s), {len(engine.zones)} zones")
         for line in engine.stats.summary_lines():
@@ -987,8 +980,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="per-batch duplication probability")
     chaos.add_argument("--max-delay", type=int, default=3,
                        help="injector max delay and ingestion watermark lag (epochs)")
-    chaos.add_argument("--health-k", type=float, default=3.0,
-                       help="reader-health silence tolerance in interrogation periods")
     chaos.add_argument("--max-degradation", type=float, default=None,
                        help="fail (exit 1) if F-measure degrades by more than this many points")
     chaos.add_argument(

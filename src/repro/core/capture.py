@@ -111,12 +111,6 @@ class GraphUpdater:
         #: tags observed by an exit reader in the current epoch; the
         #: pipeline removes their nodes after inference (§IV-C pruning).
         self.exiting: set[TagId] = set()
-        #: locations whose readers are presumed dead this epoch (set by the
-        #: pipeline from the reader-health monitor).  A non-co-location
-        #: against a node last seen at a suppressed color is withheld from
-        #: the edge statistics: the missing read is explained by the outage
-        #: and must not erode containment evidence or confirmations.
-        self.suppressed_colors: frozenset[int] = frozenset()
         #: cumulative candidate-edge draws (plain int: the telemetry layer
         #: reads per-epoch deltas off the hot path, see repro.obs)
         self.candidate_edges = 0
@@ -340,7 +334,6 @@ class GraphUpdater:
         tag = node.tag
         parent_of = confirmation.parent_of
         top = confirmation.top_container
-        suppressed = self.suppressed_colors
         dirty_add = graph._dirty.add
         removals: list = []
 
@@ -373,12 +366,6 @@ class GraphUpdater:
 
             # Step 4 (lines 21-31): update statistics once per epoch.
             if edge.update_time < now:
-                if not co_located and suppressed and self._outage_explains(child):
-                    # graceful degradation: the partner was last seen at a
-                    # location whose reader is down, so this epoch carries
-                    # no co-location evidence either way
-                    edge.update_time = now
-                    continue
                 old = edge.history
                 new = ((old << 1) | 1) & mask if co_located else (old << 1) & mask
                 edge.history = new
@@ -419,9 +406,6 @@ class GraphUpdater:
                     continue
 
             if edge.update_time < now:
-                if suppressed and self._outage_explains(parent):
-                    edge.update_time = now
-                    continue
                 old = edge.history
                 new = (old << 1) & mask
                 edge.history = new
@@ -437,16 +421,6 @@ class GraphUpdater:
 
         for edge in removals:
             graph.remove_edge(edge)
-
-    def _outage_explains(self, other: GraphNode) -> bool:
-        """True when ``other`` is unobserved and its last known location's
-        reader is presumed dead — the non-read is the outage's fault."""
-        return (
-            bool(self.suppressed_colors)
-            and not other.is_colored
-            and other.recent_color is not None
-            and other.recent_color in self.suppressed_colors
-        )
 
     def _apply_confirmation(self, confirmation: Confirmation, now: int) -> None:
         """Apply confirmation effects beyond the per-edge pass.

@@ -10,9 +10,9 @@ objects (graph nodes, edges, estimates, compressor states) into flat
 ``struct``/``array`` sections — no recursion, a few Python-level loops,
 and a fraction of the bytes.
 
-Only the small configuration objects (deployment, inference params, the
-reader-health monitor) go through pickle, inside one length-prefixed blob;
-they are bounded by the reader count, not the object population.  Checkpoint
+Only the small configuration objects (deployment, inference params) go
+through pickle, inside one length-prefixed blob; they are bounded by the
+reader count, not the object population.  Checkpoint
 bytes also arrive from peers (``MSG_INSTALL`` on a worker's TCP port), so
 the blob is decoded by :class:`_ConfigUnpickler`, which resolves only the
 classes a real blob references and refuses everything else.
@@ -43,7 +43,7 @@ from repro.core.pipeline import CurrentEstimate, Spire
 from repro.model.objects import TagId
 
 #: bump when the section layout changes shape
-FAST_FORMAT_VERSION = 3
+FAST_FORMAT_VERSION = 4
 
 #: sentinel for "None" in signed int fields (colors are small ints and
 #: UNKNOWN_COLOR is -1, so any huge negative works)
@@ -76,8 +76,6 @@ _CONFIG_CLASSES = frozenset({
     ("repro.core.capture", "ReaderInfo"),
     ("repro.core.params", "InferenceParams"),
     ("repro.core.pipeline", "Deployment"),
-    ("repro.faults.health", "ReaderHealthMonitor"),
-    ("repro.faults.warnings", "IngestWarning"),
     ("repro.model.locations", "Location"),
     ("repro.model.locations", "LocationKind"),
     ("repro.model.locations", "LocationRegistry"),
@@ -144,12 +142,8 @@ def encode_spire(spire: Spire) -> bytes:
         "params": params,
         "compression_level": spire.compression_level,
         "complete_period": spire._complete_period,
-        "health": spire.health,
         "epochs_processed": spire._epochs_processed,
         "last_epoch": spire._last_epoch,
-        "last_suppressed": spire._last_suppressed,
-        "inference_suppressed": spire.inference.suppressed_colors,
-        "updater_suppressed": spire.updater.suppressed_colors,
         "updater_exiting": sorted(tag.key() for tag in spire.updater.exiting),
         "compressor_emit": (inner._emit_location, inner._emit_containment),
     }
@@ -311,13 +305,9 @@ def decode_spire(data: bytes) -> Spire:
         config["params"],
         compression_level=config["compression_level"],
         complete_period=config["complete_period"],
-        health=config["health"],
     )
     spire._epochs_processed = config["epochs_processed"]
     spire._last_epoch = config["last_epoch"]
-    spire._last_suppressed = config["last_suppressed"]
-    spire.inference.suppressed_colors = config["inference_suppressed"]
-    spire.updater.suppressed_colors = config["updater_suppressed"]
     spire.updater.exiting = {TagId.from_key(key) for key in config["updater_exiting"]}
     emit_location, emit_containment = config["compressor_emit"]
     if spire.compression_level == 1 and (emit_location, emit_containment) != (True, True):

@@ -433,23 +433,6 @@ class Graph:
     def dirty_count(self) -> int:
         return len(self._dirty)
 
-    def mark_recent_colors_dirty(self, colors: Iterable[int]) -> None:
-        """Dirty every node whose remembered color is in ``colors``.
-
-        Used on reader-health suppression transitions: the decay behaviour
-        of all objects last seen at an affected location changes, so they
-        join the epoch's dirty set.  This is an O(total nodes) scan, but it
-        runs only when the suppressed-color *set* changes (outage onset or
-        recovery), never on the steady-state per-epoch path.
-        """
-        wanted = set(colors)
-        if not wanted:
-            return
-        dirty = self._dirty
-        for node in self._nodes.values():
-            if node.recent_color in wanted:
-                dirty.add(node)
-
     # ------------------------------------------------------------------
     # diagnostics
     # ------------------------------------------------------------------

@@ -47,11 +47,6 @@ class IterativeInference:
         self.graph = graph
         self.params = params
         self.color_periods = color_periods or {}
-        #: locations whose readers are presumed dead this epoch (set by the
-        #: pipeline from the reader-health monitor); unobserved objects last
-        #: seen there stop decaying toward "unknown" — see
-        #: :func:`repro.core.node_inference.infer_node`.
-        self.suppressed_colors: frozenset[int] = frozenset()
         # read by the traced run of benchmarks/e2e (spans.py), which may not
         # be edited: ``cache_misses`` counts containment decisions computed,
         # ``cache_hits`` stays 0 since the decision cache was removed
@@ -179,14 +174,11 @@ class IterativeInference:
         # layer must not feed each other, §IV-C).
         params = self.params
         periods = self.color_periods
-        suppressed = self.suppressed_colors
         containment_of = self._containment_of
         beliefs = []
         for node in layer:
             container, container_prob = containment_of(node)
-            color, prob, _ = infer_node(
-                node, effective_colors, now, params, periods, suppressed
-            )
+            color, prob, _ = infer_node(node, effective_colors, now, params, periods)
             beliefs.append((node, container, container_prob, color, prob))
         for node, container, container_prob, color, prob in beliefs:
             source = LocationSource.INFERRED

@@ -51,7 +51,6 @@ def infer_node(
     now: int,
     params: InferenceParams,
     color_periods: dict[int, int] | None = None,
-    suppressed_colors: frozenset[int] = frozenset(),
     with_distribution: bool = False,
 ) -> NodeBelief:
     """Run node inference at an uncolored ``node`` (Eqs. 3–4).
@@ -65,12 +64,6 @@ def infer_node(
     ``color_periods`` maps each location color to the interrogation period
     of its reader(s); the decay age is measured in these units (see the
     module docstring).  Omitting it measures age in raw epochs.
-
-    ``suppressed_colors`` are locations whose readers are presumed dead
-    (see :class:`repro.faults.health.ReaderHealthMonitor`): an unobserved
-    object whose most recent color is suppressed stops decaying — its
-    non-read is explained by the outage, not by the object vanishing — so
-    the belief freezes at the last known location until the reader returns.
 
     ``with_distribution`` also returns the whole normalised color map
     (diagnostics: :mod:`repro.core.explain`); the sweep needs the argmax
@@ -88,10 +81,7 @@ def infer_node(
         period = color_periods.get(recent, 1)
         if period > 1:
             age = max(1.0, age / period)
-    if recent is not None and recent in suppressed_colors:
-        fade = 1.0  # reader outage: absence of reads carries no evidence
-    else:
-        fade = 1.0 / (age ** params.theta) if params.theta > 0 else 1.0
+    fade = 1.0 / (age ** params.theta) if params.theta > 0 else 1.0
     keep = (1.0 - gamma) * fade
     unknown = (1.0 - gamma) * (1.0 - fade)
 

@@ -31,7 +31,6 @@ from repro.core.interpretation import Estimate, InterpretationResult, LocationSo
 from repro.core.iterative import IterativeInference
 from repro.core.params import InferenceParams
 from repro.events.messages import EVENT_MESSAGE_BYTES, EventMessage
-from repro.faults.health import ReaderHealthMonitor
 from repro.model.locations import LocationRegistry
 from repro.model.objects import TagId
 from repro.readers.dedup import Deduplicator
@@ -160,7 +159,6 @@ class Spire:
         params: InferenceParams | None = None,
         compression_level: int = 2,
         complete_period: int | None = None,
-        health: ReaderHealthMonitor | bool | None = None,
         metrics=None,
         trace=None,
     ) -> None:
@@ -169,12 +167,6 @@ class Spire:
         ``complete_period`` overrides the complete-inference cadence, which
         defaults to the LCM of the reader periods (§IV-D); ``1`` forces
         complete inference every epoch (used by ablation benchmarks).
-
-        ``health`` attaches a reader-health monitor: pass an instance, or
-        ``True`` to build one over the deployment's readers with default
-        tolerance.  While the monitor flags a location's readers as dead,
-        inference stops decaying posteriors of objects last seen there
-        (graceful degradation instead of spurious missing-object events).
 
         ``metrics`` attaches a :class:`repro.obs.MetricRegistry`; ``None``
         (default) disables telemetry at zero per-epoch cost beyond one
@@ -208,10 +200,6 @@ class Spire:
         )
         self._epochs_processed = 0
         self._last_epoch: int | None = None
-        self._last_suppressed: frozenset[int] = frozenset()
-        if health is True:
-            health = ReaderHealthMonitor(deployment.readers)
-        self.health: ReaderHealthMonitor | None = health or None
         self.metrics = None
         self._m: _SpireMetrics | None = None
         self._trace = trace
@@ -258,24 +246,8 @@ class Spire:
         self.updater.check_readers(clean, self.deployment.readers)
         self._last_epoch = now
 
-        if self.health is not None:
-            self.health.observe_epoch(clean, now)
-            suppressed = self.health.suppressed_colors()
-            self.updater.suppressed_colors = suppressed
-            self.inference.suppressed_colors = suppressed
-
         t0 = perf_counter()
         self.updater.apply_epoch(clean, self.deployment.readers, now)
-        if self.health is not None:
-            suppressed = self.updater.suppressed_colors
-            if suppressed != self._last_suppressed:
-                # outage onset or recovery: the decay behaviour of every
-                # object last seen at an affected location changes, so
-                # those nodes join this epoch's dirty set
-                self.graph.mark_recent_colors_dirty(
-                    suppressed ^ self._last_suppressed
-                )
-                self._last_suppressed = suppressed
         t1 = perf_counter()
 
         complete = now % self._complete_period == 0

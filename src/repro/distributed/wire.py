@@ -129,10 +129,16 @@ FRAME_HEADER = struct.Struct("<I")
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 
 
+def check_frame_length(length: int) -> None:
+    """The one frame-length rule, for every writer and reader of frames:
+    a payload of more than ``MAX_FRAME_BYTES`` is a :class:`WireError`."""
+    if length > MAX_FRAME_BYTES:
+        raise WireError(f"frame of {length} bytes exceeds {MAX_FRAME_BYTES}")
+
+
 def encode_frame(payload: bytes) -> bytes:
     """Length-prefix one payload for a byte-stream transport."""
-    if len(payload) > MAX_FRAME_BYTES:
-        raise WireError(f"frame of {len(payload)} bytes exceeds {MAX_FRAME_BYTES}")
+    check_frame_length(len(payload))
     return FRAME_HEADER.pack(len(payload)) + payload
 
 
@@ -159,8 +165,7 @@ class FrameDecoder:
             if len(self._buffer) < FRAME_HEADER.size:
                 return frames
             (length,) = FRAME_HEADER.unpack_from(self._buffer)
-            if length > MAX_FRAME_BYTES:
-                raise WireError(f"frame of {length} bytes exceeds {MAX_FRAME_BYTES}")
+            check_frame_length(length)
             end = FRAME_HEADER.size + length
             if len(self._buffer) < end:
                 return frames

@@ -190,8 +190,7 @@ class ZoneHost:
 def send_frame(sock, payload) -> None:
     """Write one length-prefixed frame: header and payload go out in one
     ``sendmsg``, never concatenated (a reply can be megabytes)."""
-    if len(payload) > wire.MAX_FRAME_BYTES:
-        raise wire.WireError(f"frame of {len(payload)} bytes exceeds {wire.MAX_FRAME_BYTES}")
+    wire.check_frame_length(len(payload))
     header = wire.FRAME_HEADER.pack(len(payload))
     sent = sock.sendmsg([header, payload])
     if sent < len(header):
@@ -209,8 +208,7 @@ def recv_frame(sock, deadline: float | None = None) -> bytearray:
     the peer hung up; :class:`~repro.distributed.wire.WireError` for a
     header announcing more than ``MAX_FRAME_BYTES``."""
     (length,) = wire.FRAME_HEADER.unpack(_recv_exact(sock, wire.FRAME_HEADER.size, deadline))
-    if length > wire.MAX_FRAME_BYTES:
-        raise wire.WireError(f"frame of {length} bytes exceeds {wire.MAX_FRAME_BYTES}")
+    wire.check_frame_length(length)
     return _recv_exact(sock, length, deadline)
 
 

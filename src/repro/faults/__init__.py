@@ -1,4 +1,4 @@
-"""Fault injection, resilient ingestion, and reader-health degradation.
+"""Fault injection and resilient ingestion.
 
 SPIRE is pitched as an always-on substrate between physical readers and
 query processors (§I, §VII), but physical transports are not perfect:
@@ -10,8 +10,6 @@ This package makes those failure modes first-class:
 * :mod:`repro.faults.resilient` — the ingestion front-end that restores
   the pipeline's exactly-once, in-order, gap-free epoch contract from a
   faulty transport, quarantining what it cannot repair;
-* :mod:`repro.faults.health` — a reader-health monitor whose *suppressed
-  colors* make inference degrade gracefully while a reader is down;
 * :mod:`repro.faults.warnings` — the structured warning/quarantine records
   every layer reports instead of raising.
 
@@ -19,7 +17,6 @@ Zone-level failover (checkpoint, ``fail_zone`` / ``recover_zone``, orphan
 re-adoption) lives with the coordinator in :mod:`repro.distributed`.
 """
 
-from repro.faults.health import ReaderHealthMonitor
 from repro.faults.injector import (
     ALL_FAULT_KINDS,
     DelayBatches,
@@ -52,7 +49,6 @@ __all__ = [
     "NetPartition",
     "Quarantine",
     "QuarantinedReading",
-    "ReaderHealthMonitor",
     "ReaderOutage",
     "ResilientStream",
     "UnknownReaderReadings",

@@ -35,10 +35,7 @@ from dataclasses import dataclass
 from random import Random
 from typing import Sequence
 
-# NOTE: repro.distributed.wire is imported lazily inside the forwarder —
-# importing it here would close a cycle (repro.core.pipeline pulls in
-# repro.faults for the health monitor, and repro.distributed pulls in
-# repro.core for checkpoints)
+from repro.distributed import wire
 
 __all__ = [
     "NetDelay",
@@ -207,8 +204,6 @@ class NetFaultProxy:
 
     def _pump(self, source: socket.socket, sink: socket.socket, direction: _Direction) -> None:
         """Forward one direction frame-by-frame until either side closes."""
-        from repro.distributed import wire
-
         decoder = wire.FrameDecoder()
         try:
             while not self._stopping.is_set():

@@ -3,10 +3,10 @@
 The fault layer never raises on bad input; it records what it absorbed.
 Every anomaly the resilient front-end (or the zone coordinator) handles —
 a duplicate batch, a late batch behind the watermark, readings from an
-unknown reader, a synthesized gap, a reader going silent or returning —
-becomes one :class:`IngestWarning`, and any readings that had to be
-withheld from the pipeline land in a :class:`Quarantine` next to the
-warning that explains them.
+unknown reader, a synthesized gap, a lost zone or worker — becomes one
+:class:`IngestWarning`, and any readings that had to be withheld from the
+pipeline land in a :class:`Quarantine` next to the warning that explains
+them.
 """
 
 from __future__ import annotations
@@ -24,8 +24,6 @@ class WarningKind:
     LATE_BATCH = "late_batch"
     GAP_SYNTHESIZED = "gap_synthesized"
     UNKNOWN_READER = "unknown_reader"
-    READER_SILENT = "reader_silent"
-    READER_RECOVERED = "reader_recovered"
     UNMAPPED_READER = "unmapped_reader"
     ZONE_FAILED = "zone_failed"
     ZONE_RECOVERED = "zone_recovered"

@@ -19,7 +19,7 @@ from repro.core.fastcheckpoint import FAST_FORMAT_VERSION
 from repro.core.pipeline import Spire
 from repro.distributed import wire
 from repro.distributed.worker import ZoneHost
-from repro.faults import ReaderHealthMonitor
+from repro.faults import IngestWarning
 
 from tests.conftest import case, epoch_readings, item, make_deployment
 
@@ -72,21 +72,19 @@ class TestRoundTrip:
         assert restored.container_of(item(1)) == spire.container_of(item(1))
 
 
-    def test_health_monitor_and_exiting_tags_roundtrip(self):
-        """The config blob of a substrate with a reader-health monitor that
-        has recorded warnings — every class the allow-listed unpickler must
-        admit — and with exit readings pending at checkpoint time."""
+    def test_exiting_tags_roundtrip(self):
+        """Exit readings pending at checkpoint time survive the config blob:
+        the restored substrate retires the same tags and continues with the
+        same stream."""
         exit_reader = ReaderInfo(reader_id=2, color=2, is_exit=True)
         deployment = make_deployment(DOCK, SHELF, exit_reader)
-        spire = Spire(deployment, health=ReaderHealthMonitor(deployment.readers, k=1.0))
-        for epoch in range(12):  # the shelf reader never reports: presumed down
+        spire = Spire(deployment)
+        for epoch in range(12):
             spire.process_epoch(epoch_readings(epoch, {0: [case(1), item(1), item(2)]}))
         spire.process_epoch(epoch_readings(12, {0: [case(1), item(1)], 2: [item(2)]}))
-        assert spire.health.events and spire.updater.exiting == {item(2)}
+        assert spire.updater.exiting == {item(2)}
         restored = loads_spire(dumps_spire(spire))
         assert restored.updater.exiting == spire.updater.exiting
-        assert restored.health.events == spire.health.events
-        assert restored.health.suppressed_colors() == spire.health.suppressed_colors()
         for epoch in range(13, 20):
             readings = {0: [case(1)], 1: [item(1)]} if epoch % 5 == 0 else {0: [case(1)]}
             a = spire.process_epoch(epoch_readings(epoch, readings)).messages
@@ -110,7 +108,7 @@ class TestValidation:
 
         data = bytearray(dumps_spire(_warm_spire()))
         header = len(b"SPIREfast")
-        assert data[header] == FAST_FORMAT_VERSION == 3
+        assert data[header] == FAST_FORMAT_VERSION == 4
         data[header] = old
         monkeypatch.setattr(
             fast, "_Cursor", lambda data: pytest.fail("read past the header")
@@ -128,18 +126,27 @@ class TestValidation:
         still carries one is refused by its header like format 1."""
         self._refused_by_header(2, monkeypatch)
 
-    def test_config_blob_naming_a_foreign_callable_is_refused(self, tmp_path):
-        """Checkpoint bytes reach a worker from its TCP port (MSG_INSTALL) and
-        ``load_checkpoint`` from a file: a config blob may name only the
-        classes real checkpoints contain, and nothing it names is called."""
-        target = tmp_path / "pwned"
-        blob = pickle.dumps(_WritesFile(str(target)))
-        checkpoint = (
+    def test_format_3_checkpoint_refused(self, monkeypatch):
+        """Format 3's config blob carried four reader-health monitor fields
+        that no substrate reads any more; it is refused by its header."""
+        self._refused_by_header(3, monkeypatch)
+
+    @staticmethod
+    def _checkpoint_with_blob(config) -> bytes:
+        blob = pickle.dumps(config)
+        return (
             b"SPIREfast"
             + struct.pack("<BB", FAST_FORMAT_VERSION, 1)
             + struct.pack("<Q", len(blob))
             + blob
         )
+
+    def test_config_blob_naming_a_foreign_callable_is_refused(self, tmp_path):
+        """Checkpoint bytes reach a worker from its TCP port (MSG_INSTALL) and
+        ``load_checkpoint`` from a file: a config blob may name only the
+        classes real checkpoints contain, and nothing it names is called."""
+        target = tmp_path / "pwned"
+        checkpoint = self._checkpoint_with_blob(_WritesFile(str(target)))
         install = (wire.MSG_INSTALL, 0, "", SimpleNamespace(metrics=None), checkpoint)
         reply, done = ZoneHost().serve_bytes(wire.encode_request(install))
         assert reply[0] == wire.MSG_ERROR and done
@@ -147,6 +154,13 @@ class TestValidation:
         with pytest.raises(CheckpointError, match="references io.open"):
             load_checkpoint(io.BytesIO(checkpoint))
         assert not target.exists()
+        # a library class that no config blob written today contains is as
+        # foreign as any other global
+        warning = self._checkpoint_with_blob({"events": [IngestWarning("x", 0)]})
+        with pytest.raises(
+            CheckpointError, match="references repro.faults.warnings.IngestWarning"
+        ):
+            load_checkpoint(io.BytesIO(warning))
 
     def test_bad_magic_rejected(self):
         with pytest.raises(CheckpointError, match="magic"):

@@ -325,14 +325,24 @@ def test_mid_epoch_death_is_invisible_in_the_stream(case, monkeypatch):
     assert observed.live_workers == live_after
 
 
+#: the request deadline of the wedged-worker rows: short, so that a row
+#: does not wait out the product's default (``Deadlines()``) in full
+SHORT_DEADLINES = Deadlines(request_timeout=1.0)
+
 #: how long a wedged worker sleeps: past the request deadline, so the
 #: coordinator gives it up, but not by much, so a TCP daemon is back at
 #: its accept loop in time to answer the redial
-WEDGE_S = Deadlines().request_timeout + 1.0
+WEDGE_S = SHORT_DEADLINES.request_timeout + 1.0
+
+
+@pytest.fixture
+def short_deadline(monkeypatch):
+    """Every pool built in the test reads ``SHORT_DEADLINES``."""
+    monkeypatch.setattr(Coordinator, "deadlines", SHORT_DEADLINES)
 
 
 @pytest.mark.parametrize("kind", ["pipe-2", "tcp-2"])
-def test_a_wedged_worker_is_lost_at_the_deadline(kind, monkeypatch):
+def test_a_wedged_worker_is_lost_at_the_deadline(kind, monkeypatch, short_deadline):
     """Worker 0 sleeps inside an epoch past the request deadline: the
     round waits no longer than the deadline, loses the worker, and the run
     is the undisturbed one — with the process killed and respawned in its
@@ -357,11 +367,11 @@ def test_a_wedged_worker_is_lost_at_the_deadline(kind, monkeypatch):
     _assert_one_death(observed)
     lost = observed.deaths[0]
     assert lost.epoch == target
-    assert f"no reply within {Deadlines().request_timeout:g} s" in lost.detail
+    assert f"no reply within {SHORT_DEADLINES.request_timeout:g} s" in lost.detail
     assert observed.live_workers == 2
 
 
-def test_close_lets_go_of_a_wedged_pipe_worker(monkeypatch):
+def test_close_lets_go_of_a_wedged_pipe_worker(monkeypatch, short_deadline):
     """``close()`` waits for a wedged worker's reply no longer than the
     request deadline, then kills it: it returns within the deadline plus
     the kill escalation (terminate, then kill, 5 s each at most)."""
@@ -375,7 +385,7 @@ def test_close_lets_go_of_a_wedged_pipe_worker(monkeypatch):
     coordinator._submit(worker, (wire.MSG_EPOCH, [(0, 0, epochs[5])]))
     started = time.monotonic()
     coordinator.close()
-    assert time.monotonic() - started < Deadlines().request_timeout + 10.0
+    assert time.monotonic() - started < SHORT_DEADLINES.request_timeout + 10.0
     assert not worker.process.is_alive()
 
 

@@ -1,9 +1,8 @@
-"""Tests for the fault layer: injector, resilient ingestion, reader health."""
+"""Tests for the fault layer: injector, resilient ingestion, dead readers."""
 
 import pytest
 
-from repro.core.capture import GraphUpdater, ReaderInfo
-from repro.core.graph import Graph
+from repro.core.capture import ReaderInfo
 from repro.core.params import InferenceParams
 from repro.core.pipeline import Spire
 from repro.events.messages import EventKind
@@ -13,7 +12,6 @@ from repro.faults import (
     DropBatches,
     DuplicateBatches,
     FaultInjector,
-    ReaderHealthMonitor,
     ReaderOutage,
     ResilientStream,
     UnknownReaderReadings,
@@ -206,114 +204,29 @@ class TestResilientStream:
 
 
 # ---------------------------------------------------------------------------
-# reader health
+# a dead reader: the stated limit of §IV-B's decay model
 # ---------------------------------------------------------------------------
 
 DOCK = ReaderInfo(reader_id=0, color=0)
 SHELF = ReaderInfo(reader_id=1, color=1, period=5)
 
 
-class TestReaderHealthMonitor:
-    def test_rejects_small_k(self):
-        with pytest.raises(ValueError, match="k must be >= 1"):
-            ReaderHealthMonitor({0: DOCK}, k=0.5)
-
-    def test_flags_reader_after_k_periods_of_silence(self):
-        monitor = ReaderHealthMonitor({0: DOCK, 1: SHELF}, k=1.2)
-        for epoch in range(30):
-            by_reader = {0: [item(1)]}
-            if epoch <= 10 and epoch % 5 == 0:
-                by_reader[1] = [item(2)]
-            monitor.observe_epoch(epoch_readings(epoch, by_reader), epoch)
-        assert monitor.is_silent(1)
-        assert not monitor.is_silent(0)
-        assert monitor.suppressed_colors() == {SHELF.color}
-        silent_events = [e for e in monitor.events if e.kind == WarningKind.READER_SILENT]
-        assert silent_events and silent_events[0].reader_id == 1
-        # flagged only after more than k * period = 6 epochs of silence
-        assert silent_events[0].epoch > 10 + 1.2 * SHELF.period
-
-    def test_recovery_lifts_suppression(self):
-        monitor = ReaderHealthMonitor({0: DOCK, 1: SHELF}, k=1.2)
-        for epoch in range(20):
-            monitor.observe_epoch(epoch_readings(epoch, {0: [item(1)]}), epoch)
-        assert monitor.is_silent(1)
-        monitor.observe_epoch(epoch_readings(20, {0: [item(1)], 1: [item(2)]}), 20)
-        assert not monitor.is_silent(1)
-        assert monitor.suppressed_colors() == frozenset()
-        assert any(e.kind == WarningKind.READER_RECOVERED for e in monitor.events)
-
-    def test_color_with_a_live_reader_is_not_suppressed(self):
-        twin = ReaderInfo(reader_id=2, color=1, period=5)
-        monitor = ReaderHealthMonitor({1: SHELF, 2: twin}, k=1.2)
-        for epoch in range(30):
-            monitor.observe_epoch(epoch_readings(epoch, {2: [item(1)]}), epoch)
-        assert monitor.is_silent(1)
-        assert monitor.suppressed_colors() == frozenset()
-
-
-# ---------------------------------------------------------------------------
-# graceful degradation through the core
-# ---------------------------------------------------------------------------
-
-
-class TestOutageSuppression:
-    def _run(self, with_health: bool):
-        """Item sits on a period-5 shelf; the shelf reader dies at epoch 11."""
-        deployment = make_deployment(DOCK, SHELF)
-        health = ReaderHealthMonitor(deployment.readers, k=1.2) if with_health else None
-        spire = Spire(deployment, InferenceParams(), health=health)
+class TestDeadReader:
+    def test_a_dead_shelf_reader_reads_as_its_item_missing(self):
+        """Silence is read as absence: an item last seen on a period-5 shelf
+        whose reader dies at epoch 11 decays and is reported Missing, and
+        the stream stays well-formed (docs/FAULTS.md, "Reader outages")."""
+        spire = Spire(make_deployment(DOCK, SHELF), InferenceParams())
         messages = []
         for epoch in range(40):
             by_reader = {0: [case(9)]}  # keeps the dock side alive
             if epoch <= 10 and epoch % 5 == 0:
                 by_reader[1] = [item(1)]  # shelf reports until the outage
             messages.extend(spire.process_epoch(epoch_readings(epoch, by_reader)).messages)
-        return spire, messages
-
-    def test_seed_behavior_emits_spurious_missing(self):
-        """Regression baseline: without the monitor, a dead shelf reader is
-        misread as the shelved object going missing."""
-        spire, messages = self._run(with_health=False)
         assert any(
             m.kind is EventKind.MISSING and m.obj == item(1) for m in messages
         )
-
-    def test_suppression_removes_spurious_missing(self):
-        spire, messages = self._run(with_health=True)
-        assert not any(
-            m.kind is EventKind.MISSING and m.obj == item(1) for m in messages
-        )
-        # the posterior stays frozen at the shelf
-        assert spire.location_of(item(1)) == SHELF.color
         check_well_formed(messages)
-
-    def test_suppression_preserves_edge_history(self):
-        """Negative co-location evidence is withheld while the partner's
-        reader is down (the non-read is the outage's fault)."""
-        graph = Graph()
-        params = InferenceParams()
-        updater = GraphUpdater(graph, params)
-        readers = {0: DOCK, 1: SHELF}
-        # build the edge: case and item co-read on the shelf
-        for epoch in range(3):
-            updater.apply_epoch(epoch_readings(epoch, {1: [case(1), item(1)]}), readers, epoch)
-        edge = next(iter(graph.node(item(1)).parents.values()))
-        filled_before = edge.filled
-
-        # the case moves to the dock; the shelf reader is dead, so the item
-        # is unobserved.  Without suppression each epoch pushes a zero.
-        updater.suppressed_colors = frozenset({SHELF.color})
-        for epoch in range(3, 8):
-            updater.apply_epoch(epoch_readings(epoch, {0: [case(1)]}), readers, epoch)
-        assert edge.filled == filled_before
-        assert edge.child.confirmed_conflicts == 0
-
-        # with the suppression lifted, the zeros flow again
-        updater.suppressed_colors = frozenset()
-        for epoch in range(8, 10):
-            updater.apply_epoch(epoch_readings(epoch, {0: [case(1)]}), readers, epoch)
-        assert edge.filled > filled_before
 
 
 class TestEpochMonotonicity:
@@ -370,7 +283,7 @@ def test_output_well_formed_under_every_fault_kind(fault_kind, seed):
     assert set(_DEFAULT_SPECS) == set(ALL_FAULT_KINDS)
     injector = FaultInjector(movement_stream(), [_DEFAULT_SPECS[fault_kind]], seed=seed)
     resilient = ResilientStream(injector, max_delay=3, known_readers={0, 1})
-    spire = Spire(make_deployment(DOCK, SHELF), health=True)
+    spire = Spire(make_deployment(DOCK, SHELF))
     messages = []
     for batch in resilient:  # Spire itself enforces strict epoch order here
         messages.extend(spire.process_epoch(batch).messages)
@@ -410,11 +323,7 @@ def test_combined_faults_bounded_degradation(small_sim):
     resilient = ResilientStream(
         injector, max_delay=max_delay, known_readers=deployment.readers
     )
-    faulted = Spire(
-        deployment,
-        InferenceParams(),
-        health=ReaderHealthMonitor(deployment.readers, k=3.0),
-    )
+    faulted = Spire(deployment, InferenceParams())
     faulted_messages = []
     for batch in resilient:
         faulted_messages.extend(faulted.process_epoch(batch).messages)

@@ -32,7 +32,6 @@ from repro.faults import (
     DelayBatches,
     DropBatches,
     FaultInjector,
-    ReaderHealthMonitor,
     ReaderOutage,
     ResilientStream,
 )
@@ -53,9 +52,11 @@ CLEAN_SHA256 = {
     11: "5b4918b3f5a725855e8a474cb4897f21a10df539fc54e78709540e12d1a46517",
     29: "2ae841a400c77073c26c2e6b832cd0f216195cce00f35f8cdb2fa24f8f9a5380",
 }
+#: the same digest of the chaos scenarios; 008945c emitted these streams
+#: with no reader-health monitor attached
 CHAOS_SHA256 = {
-    5: "02f9a3dc7a8184577f8639b8e2eccb30d193f6f79d2980698707c47c2a47b0ff",
-    23: "5f3317c9a5dad9f67e4f8400ac7950c0d1cd7ac0b791cee32438d760c8402ef5",
+    5: "7bba3a2126ec462a9bf121c511e503db76de3697667cf28eb7d3aef6474a293d",
+    23: "c4519843f85008e797717205394dad03fc124fa5ca91968a6773f22c63546eeb",
 }
 #: checkpoint size of the seed-7 substrate at epoch 120 (18 nodes) at 8dbb1c5
 PARENT_CHECKPOINT_BYTES = 7435
@@ -104,19 +105,15 @@ def _chaos(seed: int):
     return sim, epochs
 
 
-def _spire(cls, sim, health: bool = False) -> Spire:
+def _spire(cls, sim) -> Spire:
     """A level-2 substrate of class ``cls`` over the scenario's deployment."""
     deployment = Deployment.from_readers(sim.layout.readers, sim.layout.registry)
-    return cls(
-        deployment,
-        InferenceParams(),
-        health=ReaderHealthMonitor(deployment.readers) if health else None,
-    )
+    return cls(deployment, InferenceParams())
 
 
-def _stream_sha256(sim, epochs, health: bool) -> str:
+def _stream_sha256(sim, epochs) -> str:
     """Run the pipeline over ``epochs`` and digest its encoded stream."""
-    spire = _spire(Spire, sim, health)
+    spire = _spire(Spire, sim)
     messages = []
     for readings in epochs:
         messages.extend(spire.process_epoch(readings).messages)
@@ -129,15 +126,16 @@ class TestEquivalence:
     @pytest.mark.parametrize("seed", [3, 11, 29])
     def test_clean_run_byte_identical(self, seed):
         sim = _sim(seed)
-        assert _stream_sha256(sim, sim.stream, health=False) == CLEAN_SHA256[seed]
+        assert _stream_sha256(sim, sim.stream) == CLEAN_SHA256[seed]
 
     @pytest.mark.parametrize("seed", [5, 23])
     def test_chaos_run_byte_identical(self, seed):
         """Fixed-seed fault injection (outage + drops + delays) through the
-        resilient front-end, with the reader-health monitor attached: the
-        pinned stream includes the suppression windows."""
+        resilient front-end: the pinned stream includes the outage window,
+        where objects last seen at the dead reader decay like any unread
+        object."""
         sim, epochs = _chaos(seed)
-        assert _stream_sha256(sim, epochs, health=True) == CHAOS_SHA256[seed]
+        assert _stream_sha256(sim, epochs) == CHAOS_SHA256[seed]
 
     def test_same_process_runs_deterministic(self):
         """Two identical pipelines in one process emit identical streams
@@ -232,9 +230,7 @@ class TestNoDeltaShortCircuit:
     @pytest.mark.parametrize("seed", [5, 23])
     def test_chaos_runs_emit_what_the_naive_applier_emits(self, seed):
         sim, epochs = _chaos(seed)
-        _assert_same_epochs(
-            _spire(Spire, sim, health=True), _spire(_NaiveSpire, sim, health=True), epochs
-        )
+        _assert_same_epochs(_spire(Spire, sim), _spire(_NaiveSpire, sim), epochs)
 
     def test_restored_substrate_keeps_emitting_the_same(self):
         """Checkpoint at epoch 120 -> restore -> continue: the restored

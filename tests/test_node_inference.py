@@ -181,7 +181,7 @@ class TestEdgeCases:
         assert belief.color == BLUE
 
 
-def _general_accumulation(node, effective_colors, now, params, color_periods, suppressed_colors):
+def _general_accumulation(node, effective_colors, now, params, color_periods):
     """Eqs. 3-4 as ``infer_node`` computed them before it had an early
     exit: every score in a dict, normalised, argmax through ``rank``.  Kept
     here as the reference the shortcut must reproduce float for float."""
@@ -194,10 +194,7 @@ def _general_accumulation(node, effective_colors, now, params, color_periods, su
         period = color_periods.get(node.recent_color, 1)
         if period > 1:
             age = max(1.0, age / period)
-    if node.recent_color is not None and node.recent_color in suppressed_colors:
-        fade = 1.0
-    else:
-        fade = 1.0 / (age ** params.theta) if params.theta > 0 else 1.0
+    fade = 1.0 / (age ** params.theta) if params.theta > 0 else 1.0
     if node.recent_color is not None:
         scores[node.recent_color] = (1.0 - gamma) * fade
     scores[UNKNOWN_COLOR] = (1.0 - gamma) * (1.0 - fade)
@@ -246,19 +243,18 @@ class TestPropagationFreeEarlyExit:
             st.sampled_from([0.0, 0.4, 1.0]), st.floats(min_value=0.0, max_value=1.0)
         ),
         recent=st.sampled_from([None, BLUE, GREEN]),
-        suppressed=st.booleans(),
         neighbours=st.sampled_from(["none", "absent", "unknown", "zero_prob"]),
     )
     @example(age=2, period=None, theta=1.0, gamma=0.4, recent=BLUE,
-             suppressed=False, neighbours="absent")  # age**theta == 2: exact tie
+             neighbours="absent")  # age**theta == 2: exact tie
     @example(age=4, period=None, theta=0.5, gamma=0.0, recent=GREEN,
-             suppressed=False, neighbours="unknown")  # the same tie through a root
+             neighbours="unknown")  # the same tie through a root
     @example(age=120, period=60, theta=1.0, gamma=0.4, recent=BLUE,
-             suppressed=False, neighbours="none")  # and through the reader period
+             neighbours="none")  # and through the reader period
     @example(age=7, period=None, theta=1.25, gamma=1.0, recent=BLUE,
-             suppressed=False, neighbours="none")  # gamma == 1: no mass at all
+             neighbours="none")  # gamma == 1: no mass at all
     def test_same_floats_as_the_general_accumulation(
-        self, age, period, theta, gamma, recent, suppressed, neighbours
+        self, age, period, theta, gamma, recent, neighbours
     ):
         graph = Graph()
         node = graph.get_or_create(case(1), 0)
@@ -278,14 +274,13 @@ class TestPropagationFreeEarlyExit:
                 effective_colors = {parent: GREEN, child: BLUE}
         params = InferenceParams(theta=theta, gamma=gamma)
         periods = {recent: period} if period and recent is not None else None
-        dead = frozenset({recent}) if suppressed and recent is not None else frozenset()
 
-        expected = _general_accumulation(node, effective_colors, age, params, periods, dead)
-        belief = infer_node(node, effective_colors, age, params, periods, dead)
+        expected = _general_accumulation(node, effective_colors, age, params, periods)
+        belief = infer_node(node, effective_colors, age, params, periods)
         assert (belief.color, belief.prob) == expected
         assert belief.distribution is None
         # asking for the distribution takes the general path inside infer_node
-        full = infer_node(node, effective_colors, age, params, periods, dead, with_distribution=True)
+        full = infer_node(node, effective_colors, age, params, periods, with_distribution=True)
         assert (full.color, full.prob) == expected
         assert full.distribution[full.color] == full.prob
 
